@@ -17,6 +17,13 @@ the graph along residual reachability from the upper half
 (``reachable_partition``) and recurse independently on the two sides.
 Edges crossing the split are frozen and never touched again.
 
+Searches scan only residual arcs.  Every node lists exactly its
+residual out-arcs, so a machine lists the jobs it currently carries
+rather than every incident job, and ``cancel_all`` retires the centers
+above the costliest one the seeded flow uses before it recurses:
+cancelling only ever moves a unit into a strictly cheaper center, so
+those centers never carry flow.
+
 The unit-weight objective is the convex objective with
 ``f(k) = k*(k+1)/2`` (marginals ``1, 2, 3, ...``), and both share all
 machinery here.
@@ -82,9 +89,17 @@ class CostCenterNetwork:
 
     Edges are stored as paired forward/reverse entries (``eid ^ 1`` is
     the reverse of ``eid``) with remaining-capacity bookkeeping, the
-    usual residual-graph representation.  ``comp`` assigns every node to
-    a subproblem during the divide-and-conquer; an edge is alive for a
-    search only when both endpoints share the search's component.
+    usual residual-graph representation.  Job edges come first, job u's
+    in ``range(_job_first[u], _job_first[u + 1], 2)``, so an arc is a
+    job arc exactly when ``eid < _job_arcs``.  ``_adj[x]`` lists exactly
+    the residual arcs out of x, in no particular order, leaving out arcs
+    into retired centers: every change of flow goes through
+    :meth:`_push`, which keeps the lists exact (``_pos[eid]`` is the
+    arc's index in its tail's list).  A machine therefore lists the
+    reverse arcs of the jobs it carries and its unsaturated slot edges,
+    nothing else.  ``comp`` assigns every node to a subproblem during
+    the divide-and-conquer; an edge is alive for a search only when both
+    endpoints share the search's component.
     """
 
     def __init__(
@@ -125,20 +140,15 @@ class CostCenterNetwork:
         cap: list[int] = []
         adj: list[list[int]] = [[] for _ in range(n_nodes)]
 
-        def add_edge(x: int, y: int, c: int) -> int:
-            eid = len(to)
-            to.append(y)
-            cap.append(c)
-            to.append(x)
-            cap.append(0)
-            adj[x].append(eid)
-            adj[y].append(eid + 1)
-            return eid
-
-        self._job_edge: dict[tuple[int, int], int] = {}
+        # With no flow yet, the residual arcs are the forward arcs.
+        self._job_first = [0] * (nU + 1)
         for u in range(nU):
             for v, _w in instance.job_adj[u]:
-                self._job_edge[(u, v)] = add_edge(u, nU + v, 1)
+                adj[u].append(len(to))
+                to += (nU + v, u)
+                cap += (1, 0)
+            self._job_first[u + 1] = len(to)
+        self._job_arcs = len(to)
 
         # Per machine: center edges in ascending value order, equal
         # marginals merged into one capacitated edge.
@@ -147,10 +157,18 @@ class CostCenterNetwork:
             lst = []
             for val, grp in groupby(marginals[v]):
                 mult = sum(1 for _ in grp)
-                eid = add_edge(nU + v, nU + nV + pos_of_value[val], mult)
-                lst.append((eid, val))
+                adj[nU + v].append(len(to))
+                lst.append((len(to), val))
+                to += (nU + nV + pos_of_value[val], nU + v)
+                cap += (mult, 0)
             self._machine_center_edges.append(lst)
 
+        # Each list is one run of consecutive forward arcs so far.
+        pos = [0] * len(to)
+        for lst in adj:
+            if lst:
+                pos[lst[0] : lst[-1] + 1 : 2] = range(len(lst))
+        self._pos = pos
         self._to = to
         self._cap = cap
         self._rem = list(cap)
@@ -191,7 +209,8 @@ class CostCenterNetwork:
         return self._cap[eid] - self._rem[eid]
 
     def flow_value(self) -> int:
-        return sum(self.edge_flow(e) for e in self._job_edge.values())
+        # A reverse job arc's remaining capacity is its edge's flow.
+        return sum(self._rem[1 : self._job_arcs : 2])
 
     def flow_cost(self) -> int:
         return sum(
@@ -206,16 +225,49 @@ class CostCenterNetwork:
     def assigned_machine(self, u: int) -> Optional[int]:
         """Machine whose edge currently carries job u's unit, if any."""
         found = None
-        for v, _w in self.instance.job_adj[u]:
-            if self.edge_flow(self._job_edge[(u, v)]):
+        for e in range(self._job_first[u], self._job_first[u + 1], 2):
+            if self.edge_flow(e):
                 if found is not None:
                     raise AssertionError(f"job {u} carried by two machines")
-                found = v
+                found = self._to[e] - self.num_jobs
         return found
+
+    def _job_arc(self, u: int, v: int) -> int:
+        """Edge id of the job edge from u to v."""
+        x = self.num_jobs + v
+        return next(
+            e for e in range(self._job_first[u], self._job_first[u + 1], 2) if self._to[e] == x
+        )
 
     def residual_successors(self, x: int) -> list[int]:
         """Residual out-neighbours of x, ignoring components (test hook)."""
         return [self._to[e] for e in self._adj[x] if self._rem[e] > 0]
+
+    def _push(self, e: int, delta: int) -> None:
+        """Send ``delta`` units along arc ``e``, keeping the lists exact.
+
+        The reverse arc joins its tail's list when it turns residual, and
+        ``e`` leaves its tail's list when it saturates, the last entry
+        taking its place.  During a blocking-flow round ``e`` sits at its
+        tail's current arc, so the moved entry, which the round has not
+        examined yet, is examined next; the reverse arc points back one
+        layer, so it is never admissible in the same round.
+        """
+        rem, adj, pos, to = self._rem, self._adj, self._pos, self._to
+        r = e ^ 1
+        if not rem[r]:
+            lst = adj[to[e]]
+            pos[r] = len(lst)
+            lst.append(r)
+        rem[r] += delta
+        rem[e] -= delta
+        if not rem[e]:
+            lst = adj[to[r]]
+            i = pos[e]
+            last = lst.pop()
+            if last != e:
+                lst[i] = last
+                pos[last] = i
 
 
 def build_cost_center_network(
@@ -240,16 +292,13 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
     rem = network._rem
     loads = matching.degrees(network.num_machines)
     for u, v in enumerate(matching.machine_of):
-        eid = network._job_edge[(u, v)]
-        rem[eid] -= 1
-        rem[eid ^ 1] += 1
+        network._push(network._job_arc(u, v), 1)
     for v, load in enumerate(loads):
         for eid, _val in network._machine_center_edges[v]:
             if load == 0:
                 break
             take = min(load, rem[eid])
-            rem[eid] -= take
-            rem[eid ^ 1] += take
+            network._push(eid, take)
             load -= take
         assert load == 0, "machine degree exceeded by its own load"
     return network
@@ -275,6 +324,7 @@ def _cancel(
     exactly the residual reachability set used for the partition step.
     """
     to, rem, adj = network._to, network._rem, network._adj
+    push = network._push
     comp_of = network.comp
     dist, seen, arc = network._dist, network._seen, network._arc
 
@@ -303,10 +353,8 @@ def _cancel(
             level += 1
             nxt = []
             for x in frontier:
+                scanned += len(adj[x])
                 for e in adj[x]:
-                    scanned += 1
-                    if rem[e] <= 0:
-                        continue
                     y = to[e]
                     if comp_of[y] != comp or seen[y] == stamp:
                         continue
@@ -334,9 +382,9 @@ def _cancel(
                 x = stack[-1]
                 if x in sink_set and dist[x] == D and path:
                     delta = min(rem[e] for e in path)
+                    assert delta > 0, "a listed arc is saturated"
                     for e in path:
-                        rem[e] -= delta
-                        rem[e ^ 1] += delta
+                        push(e, delta)
                     counters.units_cancelled += delta
                     cut = next(i for i, e in enumerate(path) if rem[e] == 0)
                     del path[cut:]
@@ -348,8 +396,7 @@ def _cancel(
                     scanned += 1
                     y = to[e]
                     if (
-                        rem[e] > 0
-                        and seen[y] == stamp
+                        seen[y] == stamp
                         and dist[y] == dist[x] + 1
                         and comp_of[y] == comp
                         and (dist[y] < D or y in sink_set)
@@ -409,7 +456,7 @@ def cancel(
 
 def _reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list[int]:
     """Residual reachability inside one component (plain BFS)."""
-    to, rem, adj = network._to, network._rem, network._adj
+    to, adj = network._to, network._adj
     comp_of = network.comp
     network._stamp += 1
     stamp = network._stamp
@@ -426,7 +473,7 @@ def _reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list
         for x in frontier:
             for e in adj[x]:
                 y = to[e]
-                if rem[e] > 0 and comp_of[y] == comp and seen[y] != stamp:
+                if comp_of[y] == comp and seen[y] != stamp:
                     seen[y] = stamp
                     nxt.append(y)
                     out.append(y)
@@ -481,19 +528,54 @@ def _cancel_all(
     _cancel_all(network, comp, lower, depth + 1, counters)
 
 
+def _retire_idle_centers(network: CostCenterNetwork) -> int:
+    """Take every center above the costliest one in use out of play.
+
+    A cancelled path always ends in a strictly cheaper center, so a
+    center that carries no flow and sits above every center that does
+    never carries flow again.  Those centers move to a component of
+    their own and their slot edges leave machine adjacency, so no
+    search walks into them.  Returns the number of live centers, which
+    are the centers ``0..T-1``.
+    """
+    to, rem, cap, adj, pos = network._to, network._rem, network._cap, network._adj, network._pos
+    base = network.num_jobs + network.num_machines
+    top = -1
+    for per_v in network._machine_center_edges:
+        for eid, _val in reversed(per_v):
+            if rem[eid] < cap[eid]:
+                top = max(top, to[eid] - base)
+                break
+    retired = network._next_comp
+    network._next_comp += 1
+    for k in range(top + 1, network.num_centers):
+        network.comp[base + k] = retired
+    end = base + top + 1  # nodes from here on are retired centers
+    for v, per_v in enumerate(network._machine_center_edges):
+        if per_v and to[per_v[-1][0]] >= end:
+            live = [e for e in adj[network.num_jobs + v] if to[e] < end]
+            for i, e in enumerate(live):
+                pos[e] = i
+            adj[network.num_jobs + v] = live
+    return top + 1
+
+
 def cancel_all(
     network: CostCenterNetwork, *, counters: Optional[CancelCounters] = None
 ) -> CostCenterNetwork:
     """Eliminate every cost-reducing residual path; the flow becomes optimal.
 
-    Consumes the network's component labelling: call it once per seeded
-    network.  ``counters``, when given, is filled with round counts,
-    layer distances, recursion depth, and scan totals.
+    Retires the centers no flow can reach, then divides and conquers
+    over the live ones.  Consumes the network's component labelling:
+    call it once per seeded network.  ``counters``, when given, is
+    filled with round counts, layer distances, recursion depth, and scan
+    totals.
     """
     if network.flow_value() != network.num_jobs:
         raise ValueError("cancel_all needs a saturating seeded flow")
     counters = counters if counters is not None else CancelCounters()
-    _cancel_all(network, 0, list(range(network.num_centers)), 1, counters)
+    live = _retire_idle_centers(network)
+    _cancel_all(network, 0, list(range(live)), 1, counters)
     return network
 
 
@@ -505,13 +587,19 @@ def extract_semi_matching(network: CostCenterNetwork) -> SemiMatching:
     gap would admit a cost-reducing two-edge path) and that the flow
     cost equals the assignment's cost.
     """
-    assignment = []
-    for u in range(network.num_jobs):
-        v = network.assigned_machine(u)
+    nU, to, job_arcs = network.num_jobs, network._to, network._job_arcs
+    assignment: list[Optional[int]] = [None] * nU
+    for v in range(network.num_machines):
+        for e in network._adj[nU + v]:
+            if e < job_arcs:  # a listed reverse job arc: the job is on v
+                u = to[e]
+                if assignment[u] is not None:
+                    raise AssertionError(f"job {u} carried by two machines")
+                assignment[u] = v
+    for u, v in enumerate(assignment):
         if v is None:
             raise ValueError(f"flow is not saturating: job {u} unassigned")
-        assignment.append(v)
-    matching = SemiMatching(tuple(assignment))
+    matching = SemiMatching(tuple(assignment))  # type: ignore[arg-type]
 
     expected_cost = 0
     for v, load in enumerate(matching.degrees(network.num_machines)):

@@ -102,6 +102,7 @@ class EktState:
             sorted(((w, u) for u, w in instance.machine_adj[v]), key=lambda t: (-t[0], t[1]))
             for v in range(nV)
         ]
+        self._tables = _PhaseTables(nV)
 
     # -- potentials -------------------------------------------------------
 
@@ -229,6 +230,37 @@ class DijkstraRun:
 _INF = float("inf")
 
 
+class _PhaseTables:
+    """Per-machine tables of one phase's search, allocated once per solve.
+
+    ``pots[v] is None`` marks machine v as untouched this phase, and
+    ``_touch`` fills every table of v before any read, so the next phase
+    only clears the marker of the machines this one touched instead of
+    allocating length-|V| lists again; so a new search on a state ends
+    the previous one.  ``source`` is the last phase's source job: a
+    matched job never becomes unmatched again, so the next source is
+    never below it.
+    """
+
+    def __init__(self, nV: int) -> None:
+        self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
+        self.pots: list[Optional[list[int]]] = [None] * nV
+        self.negdiffs: list[Optional[list[int]]] = [None] * nV
+        self.domain: list[int] = [0] * nV
+        self.pending: list[Optional[list[tuple]]] = [None] * nV
+        self.last_pushed: list[float] = [_INF] * nV
+        self.free_n: list[int] = [0] * nV
+        self.base: list[int] = [0] * nV
+        self.touched: list[int] = []
+        self.source = 0
+
+    def reset(self) -> None:
+        pots = self.pots
+        for v in self.touched:
+            pots[v] = None
+        self.touched.clear()
+
+
 class GroupedDijkstra:
     """One phase's shortest-path search over the implicit exploded graph.
 
@@ -270,20 +302,22 @@ class GroupedDijkstra:
         self._heap_factory = heap_factory or EnvelopeHeap
         self._recorder = recorder
         self._eager = heap_factory is not None or recorder is not None
-        nV = state.instance.num_machines
-        self._job_base = nV
-        self._heaps: list[Optional[EnvelopeHeap]] = [None] * nV
-        self._pots: list[Optional[list[int]]] = [None] * nV
-        self._negdiffs: list[Optional[list[int]]] = [None] * nV
-        self._domain: list[int] = [0] * nV
-        self._pending: list[Optional[list[tuple]]] = [None] * nV
-        self._last_pushed: list[float] = [_INF] * nV
+        self._job_base = state.instance.num_machines
+        tables = state._tables
+        tables.reset()
+        self._touched = tables.touched
+        self._heaps = tables.heaps
+        self._pots = tables.pots
+        self._negdiffs = tables.negdiffs
+        self._domain = tables.domain
+        self._pending = tables.pending
+        self._last_pushed = tables.last_pushed
         # _free_n[v] is the index of v's first unmatched slot, or 0 when v
         # is full; _base[v] lower-bounds any line's valley value into v up
         # to its intercept (it is the valley value of a zero-intercept line
         # with v's smallest edge weight).
-        self._free_n: list[int] = [0] * nV
-        self._base: list[int] = [0] * nV
+        self._free_n = tables.free_n
+        self._base = tables.base
         self._ub: float = _INF  # upper bound on this phase's terminal distance
         self._records: dict[int, dict] = {}
         self.dist_job: dict[int, int] = {}
@@ -291,7 +325,7 @@ class GroupedDijkstra:
         self.slot_owner: dict[tuple[int, int], int] = {}
         self.gammas_used: dict[tuple[int, int], int] = {}
         self.relaxations = 0
-        source = state.job_slot.index(None)
+        source = tables.source = state.job_slot.index(None, tables.source)
         self._pq: list[tuple[int, int]] = [(0, self._job_base + source)]
 
     # -- per-machine phase tables -----------------------------------------
@@ -307,6 +341,8 @@ class GroupedDijkstra:
         if len(pots) < n:
             pots.append(total)  # the first unmatched slot
             self._free_n[v] = n
+        else:
+            self._free_n[v] = 0
         negd = [pots[i] - pots[i + 1] for i in range(n - 1)]
         self._pots[v] = pots
         self._negdiffs[v] = negd
@@ -315,6 +351,9 @@ class GroupedDijkstra:
         g0 = bisect_left(negd, -wmin) + 1
         self._base[v] = wmin * g0 - pots[g0 - 1]
         self._pending[v] = []
+        self._heaps[v] = None
+        self._last_pushed[v] = _INF
+        self._touched.append(v)
         return pots
 
     def _materialize(self, v: int, entry: tuple) -> EnvelopeHeap:

@@ -14,3 +14,18 @@ def fig2_instance(weights=None):
     if weights is not None:
         edges = [(u, v, w) for (u, v), w in zip(edges, weights)]
     return BipartiteInstance(4, 2, edges)
+
+
+def live_center_count(network, seed):
+    """Number of cost centers at or below the costliest one ``seed`` uses.
+
+    ``seed`` is the assignment loaded by ``seed_flow``; each machine's
+    units fill its cheapest marginals, so its costliest used center has
+    the value of its ``load``-th marginal.  These are the centers
+    ``cancel_all`` keeps live.
+    """
+    loads = seed.degrees(network.num_machines)
+    top = max((network._marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
+    if top is None:
+        return 0
+    return sum(1 for val in network.center_values if val <= top)

@@ -35,6 +35,7 @@ from semimatch.oracle import (
 )
 from semimatch.unweighted import (
     CancelCounters,
+    _greedy_seed,
     build_cost_center_network,
     seed_flow,
     solve_convex,
@@ -42,7 +43,7 @@ from semimatch.unweighted import (
 )
 from semimatch.weighted import WeightedStats, baseline_exploded_solver, solve_weighted
 
-from conftest import fig2_instance
+from conftest import fig2_instance, live_center_count
 from test_cover import connected_graphs
 from test_envelope import NaiveEnvelope, harvest_records, pop_both, shifted_family
 
@@ -258,13 +259,14 @@ def test_criterion_09_performance_smoke():
     inst_flow = gen_random(rng, 10_000, 1_000, num_edges=100_000)
     counters = CancelCounters()
     net = build_cost_center_network(inst_flow)
+    live = live_center_count(net, _greedy_seed(inst_flow))
+    assert live <= net.num_centers
     start = time.perf_counter()
     matching = solve_unweighted(inst_flow, stats=counters)
     t_flow = time.perf_counter() - start
     assert validate_semi_matching(inst_flow, matching) is None
-    depth_cap = (
-        math.ceil(math.log2(net.num_centers)) + 1 if net.num_centers > 1 else 1
-    )
+    assert len(counters.rounds_per_cancel) <= live - 1
+    depth_cap = math.ceil(math.log2(live)) + 1 if live > 1 else 1
     assert counters.max_depth <= depth_cap
 
     inst_ssp = gen_random(rng, 2_000, 500, num_edges=20_000, max_weight=10**6)
