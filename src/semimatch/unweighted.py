@@ -19,10 +19,15 @@ Edges crossing the split are frozen and never touched again.
 
 Searches scan only residual arcs.  Every node lists exactly its
 residual out-arcs, so a machine lists the jobs it currently carries
-rather than every incident job, and ``cancel_all`` retires the centers
-above the costliest one the seeded flow uses before it recurses:
-cancelling only ever moves a unit into a strictly cheaper center, so
-those centers never carry flow.
+rather than every incident job.  Slot edges into centers above the
+costliest one the seeded flow uses are never built: cancelling only
+ever moves a unit into a strictly cheaper center, so those centers
+never carry flow.  The layering step finds machines bottom-up when the
+frontier's jobs have more out-arcs than the unlabelled machines have
+jobs (direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012):
+a job's only residual in-arc comes from the machine carrying it, so an
+unlabelled machine joins the next layer exactly when one of its jobs
+sits in the frontier.
 
 The unit-weight objective is the convex objective with
 ``f(k) = k*(k+1)/2`` (marginals ``1, 2, 3, ...``), and both share all
@@ -31,6 +36,7 @@ machinery here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Optional, Sequence
@@ -65,7 +71,9 @@ class CancelCounters:
     augmenting path.  ``distances_per_cancel[i]`` lists the layer-graph
     source-to-sink distances of the successful rounds, which must be
     strictly increasing.  ``units_cancelled`` is the total flow moved
-    between centers.
+    between centers.  ``edges_scanned`` counts the arcs the layering and
+    blocking-flow searches examine, plus every ``machine_adj`` entry a
+    bottom-up layering step probes.
     """
 
     rounds_per_cancel: list[int] = field(default_factory=list)
@@ -91,15 +99,17 @@ class CostCenterNetwork:
     the reverse of ``eid``) with remaining-capacity bookkeeping, the
     usual residual-graph representation.  Job edges come first, job u's
     in ``range(_job_first[u], _job_first[u + 1], 2)``, so an arc is a
-    job arc exactly when ``eid < _job_arcs``.  ``_adj[x]`` lists exactly
-    the residual arcs out of x, in no particular order, leaving out arcs
-    into retired centers: every change of flow goes through
-    :meth:`_push`, which keeps the lists exact (``_pos[eid]`` is the
-    arc's index in its tail's list).  A machine therefore lists the
-    reverse arcs of the jobs it carries and its unsaturated slot edges,
-    nothing else.  ``comp`` assigns every node to a subproblem during
-    the divide-and-conquer; an edge is alive for a search only when both
-    endpoints share the search's component.
+    job arc exactly when ``eid < _job_arcs``.  The slot edges from
+    machines into centers follow; :func:`seed_flow` builds them, and
+    only into centers at or below the costliest one the seed uses, so
+    the centers above have no arcs at all.  ``_adj[x]`` lists exactly
+    the residual arcs out of x, in no particular order: every change of
+    flow goes through :meth:`_push`, which keeps the lists exact
+    (``_pos[eid]`` is the arc's index in its tail's list).  A machine
+    therefore lists the reverse arcs of the jobs it carries and its
+    unsaturated slot edges, nothing else.  ``comp`` assigns every node
+    to a subproblem during the divide-and-conquer; an edge is alive for
+    a search only when both endpoints share the search's component.
     """
 
     def __init__(
@@ -131,7 +141,6 @@ class CostCenterNetwork:
         self.center_values: tuple[int, ...] = tuple(
             sorted({m for seq in marginals for m in seq})
         )
-        pos_of_value = {val: k for k, val in enumerate(self.center_values)}
         self.num_centers = len(self.center_values)
 
         n_nodes = nU + nV + self.num_centers
@@ -150,22 +159,11 @@ class CostCenterNetwork:
             self._job_first[u + 1] = len(to)
         self._job_arcs = len(to)
 
-        # Per machine: center edges in ascending value order, equal
-        # marginals merged into one capacitated edge.
-        self._machine_center_edges: list[list[tuple[int, int]]] = []
-        for v in range(nV):
-            lst = []
-            for val, grp in groupby(marginals[v]):
-                mult = sum(1 for _ in grp)
-                adj[nU + v].append(len(to))
-                lst.append((len(to), val))
-                to += (nU + nV + pos_of_value[val], nU + v)
-                cap += (mult, 0)
-            self._machine_center_edges.append(lst)
-
-        # Each list is one run of consecutive forward arcs so far.
+        # Seeding adds the slot edges; until then each list is one run of
+        # consecutive forward job arcs.
+        self._machine_center_edges: list[list[tuple[int, int]]] = [[] for _ in range(nV)]
         pos = [0] * len(to)
-        for lst in adj:
+        for lst in adj[:nU]:
             if lst:
                 pos[lst[0] : lst[-1] + 1 : 2] = range(len(lst))
         self._pos = pos
@@ -280,19 +278,42 @@ def build_cost_center_network(
 def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterNetwork:
     """Load an assignment into the network as a saturating flow.
 
-    Each machine's units enter its cheapest center slots, so the flow
-    cost equals the assignment cost from the start.  The network must
-    hold no flow yet.  Returns the network for chaining.
+    Builds each machine's slot edges, in ascending value order with
+    equal marginals merged into one capacitated edge, but only those
+    into centers at or below ``top``, the costliest marginal the
+    assignment uses.  Each machine's units enter its cheapest slots, so
+    the flow cost equals the assignment cost from the start.  The
+    network must hold no flow yet.  Returns the network for chaining.
     """
     bad = validate_semi_matching(network.instance, matching)
     if bad is not None:
         raise ValueError(f"invalid matching: {bad.kind}: {bad.detail}")
     if network._rem != network._cap:
         raise ValueError("network already carries flow")
-    rem = network._rem
+    nU, marginals = network.num_jobs, network._marginals
     loads = matching.degrees(network.num_machines)
+    top = max((marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
+    if top is None:  # no jobs
+        return network
+    live = network.center_values[: bisect_right(network.center_values, top)]
+    center_of = {val: nU + network.num_machines + k for k, val in enumerate(live)}
+    to, cap, pos, adj = network._to, network._cap, network._pos, network._adj
+    for v in range(network.num_machines):
+        x = nU + v
+        slots = network._machine_center_edges[v]
+        for val, grp in groupby(marginals[v]):
+            if val > top:
+                break
+            mult = sum(1 for _ in grp)
+            slots.append((len(to), val))
+            pos += (len(adj[x]), 0)
+            adj[x].append(len(to))
+            to += (center_of[val], x)
+            cap += (mult, 0)
+    network._rem += cap[len(network._rem) :]
     for u, v in enumerate(matching.machine_of):
         network._push(network._job_arc(u, v), 1)
+    rem = network._rem
     for v, load in enumerate(loads):
         for eid, _val in network._machine_center_edges[v]:
             if load == 0:
@@ -308,11 +329,22 @@ def _component_nodes(network: CostCenterNetwork, comp: int) -> list[int]:
     return [x for x in range(network.num_nodes) if network.comp[x] == comp]
 
 
+def _component_machines(network: CostCenterNetwork, comp: int) -> list[int]:
+    """Node ids of the machines with jobs in one component."""
+    nU, comp_of = network.num_jobs, network.comp
+    return [
+        nU + v
+        for v, jobs in enumerate(network.instance.machine_adj)
+        if jobs and comp_of[nU + v] == comp
+    ]
+
+
 def _cancel(
     network: CostCenterNetwork,
     comp: int,
     sources: Sequence[int],
     sinks: Sequence[int],
+    machines: list[int],
     counters: CancelCounters,
 ) -> list[int]:
     """Max-flow from source centers to sink centers inside one component.
@@ -322,11 +354,23 @@ def _cancel(
     flow with current-arc bookkeeping.  Returns the list of nodes
     reachable from the sources in the final (failed) layering, which is
     exactly the residual reachability set used for the partition step.
+    ``machines`` lists the component's machines that have jobs.
+
+    Jobs and centers link only to machines, so machines fill the odd
+    layers.  A layer of machines is found bottom-up when the frontier's
+    jobs have more out-arcs than the unlabelled machines have jobs: each
+    unlabelled machine probes its jobs for one in the frontier.  A job
+    is entered only from the machine carrying it, and the previous layer
+    labelled every machine an earlier job links to, so any labelled job
+    of an unlabelled machine sits in the frontier and links to it.
     """
     to, rem, adj = network._to, network._rem, network._adj
     push = network._push
     comp_of = network.comp
     dist, seen, arc = network._dist, network._seen, network._arc
+    nU = network.num_jobs
+    jobs_of = network.instance.machine_adj
+    machine_degree = sum(len(jobs_of[b - nU]) for b in machines)
 
     src_nodes = [network.center_node(k) for k in sources]
     sink_set = {network.center_node(k) for k in sinks}
@@ -349,20 +393,54 @@ def _cancel(
         level = 0
         found = False
         marked = list(frontier)
+        unseen, unseen_degree = machines, machine_degree
+        job_arcs = 0  # out-arcs of the frontier's jobs
         while frontier and not found:
             level += 1
             nxt = []
-            for x in frontier:
-                scanned += len(adj[x])
-                for e in adj[x]:
-                    y = to[e]
-                    if comp_of[y] != comp or seen[y] == stamp:
+            if level % 2:  # jobs and centers -> machines
+                bottom_up = job_arcs > unseen_degree
+                for x in frontier:
+                    if bottom_up and x < nU:
                         continue
-                    seen[y] = stamp
-                    dist[y] = level
-                    nxt.append(y)
-                    if y in sink_set:
-                        found = True
+                    scanned += len(adj[x])
+                    for e in adj[x]:
+                        y = to[e]
+                        if seen[y] != stamp and comp_of[y] == comp:
+                            seen[y] = stamp
+                            dist[y] = level
+                            nxt.append(y)
+                            unseen_degree -= len(jobs_of[y - nU])
+                if bottom_up:
+                    still = []
+                    for b in unseen:
+                        if seen[b] == stamp:
+                            continue
+                        for u, _w in jobs_of[b - nU]:
+                            scanned += 1
+                            if seen[u] == stamp:
+                                seen[b] = stamp
+                                dist[b] = level
+                                nxt.append(b)
+                                unseen_degree -= len(jobs_of[b - nU])
+                                break
+                        else:
+                            still.append(b)
+                    unseen = still
+            else:  # machines -> jobs and centers
+                job_arcs = 0
+                for x in frontier:
+                    scanned += len(adj[x])
+                    for e in adj[x]:
+                        y = to[e]
+                        if seen[y] != stamp and comp_of[y] == comp:
+                            seen[y] = stamp
+                            dist[y] = level
+                            nxt.append(y)
+                            if y < nU:
+                                job_arcs += len(adj[y])
+                            elif y in sink_set:
+                                found = True
             frontier = nxt
             marked.extend(nxt)
         if not found:
@@ -372,7 +450,8 @@ def _cancel(
         assert not distances or D > distances[-1], "layer distance not increasing"
         distances.append(D)
 
-        # --- DFS blocking flow over the layered graph.
+        # --- DFS blocking flow over the layered graph.  Every labelled
+        # node lies in the component.
         for x in marked:
             arc[x] = 0
         for src in src_nodes:
@@ -390,24 +469,23 @@ def _cancel(
                     del path[cut:]
                     del stack[cut + 1 :]
                     continue
-                advanced = False
-                while arc[x] < len(adj[x]):
-                    e = adj[x][arc[x]]
-                    scanned += 1
+                out = adj[x]
+                n = len(out)
+                first = i = arc[x]
+                want = dist[x] + 1
+                while i < n:
+                    e = out[i]
                     y = to[e]
-                    if (
-                        seen[y] == stamp
-                        and dist[y] == dist[x] + 1
-                        and comp_of[y] == comp
-                        and (dist[y] < D or y in sink_set)
-                    ):
-                        stack.append(y)
-                        path.append(e)
-                        advanced = True
+                    if seen[y] == stamp and dist[y] == want and (want < D or y in sink_set):
                         break
-                    arc[x] += 1
-                if advanced:
+                    i += 1
+                arc[x] = i
+                if i < n:
+                    scanned += i - first + 1
+                    stack.append(y)
+                    path.append(e)
                     continue
+                scanned += i - first
                 stack.pop()
                 if path:
                     path.pop()
@@ -450,7 +528,8 @@ def cancel(
     if len(comps) != 1:
         raise ValueError("sources and sinks span different subproblems")
     counters = counters if counters is not None else CancelCounters()
-    _cancel(network, comps.pop(), sources, sinks, counters)
+    comp = comps.pop()
+    _cancel(network, comp, sources, sinks, _component_machines(network, comp), counters)
     return network
 
 
@@ -506,6 +585,7 @@ def _cancel_all(
     network: CostCenterNetwork,
     comp: int,
     centers: list[int],
+    machines: list[int],
     depth: int,
     counters: CancelCounters,
 ) -> None:
@@ -514,7 +594,7 @@ def _cancel_all(
         return
     half = (len(centers) + 1) // 2
     lower, upper = centers[:half], centers[half:]
-    reachable = _cancel(network, comp, upper, lower, counters)
+    reachable = _cancel(network, comp, upper, lower, machines, counters)
     cheap_centers = {network.center_node(k) for k in lower}
     assert not cheap_centers.intersection(reachable), (
         "a cheap center stayed reachable after cancellation"
@@ -524,40 +604,11 @@ def _cancel_all(
     comp_of = network.comp
     for x in reachable:
         comp_of[x] = new_comp
-    _cancel_all(network, new_comp, upper, depth + 1, counters)
-    _cancel_all(network, comp, lower, depth + 1, counters)
-
-
-def _retire_idle_centers(network: CostCenterNetwork) -> int:
-    """Take every center above the costliest one in use out of play.
-
-    A cancelled path always ends in a strictly cheaper center, so a
-    center that carries no flow and sits above every center that does
-    never carries flow again.  Those centers move to a component of
-    their own and their slot edges leave machine adjacency, so no
-    search walks into them.  Returns the number of live centers, which
-    are the centers ``0..T-1``.
-    """
-    to, rem, cap, adj, pos = network._to, network._rem, network._cap, network._adj, network._pos
-    base = network.num_jobs + network.num_machines
-    top = -1
-    for per_v in network._machine_center_edges:
-        for eid, _val in reversed(per_v):
-            if rem[eid] < cap[eid]:
-                top = max(top, to[eid] - base)
-                break
-    retired = network._next_comp
-    network._next_comp += 1
-    for k in range(top + 1, network.num_centers):
-        network.comp[base + k] = retired
-    end = base + top + 1  # nodes from here on are retired centers
-    for v, per_v in enumerate(network._machine_center_edges):
-        if per_v and to[per_v[-1][0]] >= end:
-            live = [e for e in adj[network.num_jobs + v] if to[e] < end]
-            for i, e in enumerate(live):
-                pos[e] = i
-            adj[network.num_jobs + v] = live
-    return top + 1
+    nU, end = network.num_jobs, network.num_jobs + network.num_machines
+    upper_machines = [x for x in reachable if nU <= x < end]
+    lower_machines = [x for x in machines if comp_of[x] == comp]
+    _cancel_all(network, new_comp, upper, upper_machines, depth + 1, counters)
+    _cancel_all(network, comp, lower, lower_machines, depth + 1, counters)
 
 
 def cancel_all(
@@ -565,17 +616,26 @@ def cancel_all(
 ) -> CostCenterNetwork:
     """Eliminate every cost-reducing residual path; the flow becomes optimal.
 
-    Retires the centers no flow can reach, then divides and conquers
-    over the live ones.  Consumes the network's component labelling:
-    call it once per seeded network.  ``counters``, when given, is
-    filled with round counts, layer distances, recursion depth, and scan
-    totals.
+    Divides and conquers over the centers at or below the costliest one
+    in use; a cancelled path always ends in a strictly cheaper center,
+    so no center above it can carry flow.  Consumes the network's
+    component labelling: call it once per seeded network.  ``counters``,
+    when given, is filled with round counts, layer distances, recursion
+    depth, and scan totals.
     """
     if network.flow_value() != network.num_jobs:
         raise ValueError("cancel_all needs a saturating seeded flow")
     counters = counters if counters is not None else CancelCounters()
-    live = _retire_idle_centers(network)
-    _cancel_all(network, 0, list(range(live)), 1, counters)
+    to, rem, cap = network._to, network._rem, network._cap
+    base = network.num_jobs + network.num_machines
+    top = -1
+    for per_v in network._machine_center_edges:
+        for eid, _val in reversed(per_v):
+            if rem[eid] < cap[eid]:
+                top = max(top, to[eid] - base)
+                break
+    centers = list(range(top + 1))
+    _cancel_all(network, 0, centers, _component_machines(network, 0), 1, counters)
     return network
 
 

@@ -21,8 +21,8 @@ def live_center_count(network, seed):
 
     ``seed`` is the assignment loaded by ``seed_flow``; each machine's
     units fill its cheapest marginals, so its costliest used center has
-    the value of its ``load``-th marginal.  These are the centers
-    ``cancel_all`` keeps live.
+    the value of its ``load``-th marginal.  ``seed_flow`` builds slot
+    edges into these centers only, and ``cancel_all`` recurses over them.
     """
     loads = seed.degrees(network.num_machines)
     top = max((network._marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)

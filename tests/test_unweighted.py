@@ -2,9 +2,11 @@
 
 import math
 import random
+from itertools import groupby
 
 import pytest
 
+from semimatch import unweighted
 from semimatch.core import (
     BipartiteInstance,
     ConvexMachineCost,
@@ -56,14 +58,12 @@ def star_instance(rng, spokes, jobs, machines):
     return BipartiteInstance(spokes + jobs, machines, edges)
 
 
-def assert_lists_are_residual(network, live=None):
-    """Every node lists exactly its residual out-arcs, except arcs into
-    centers ``live`` and above, which ``cancel_all`` retires; so each
-    machine lists the reverse arcs of exactly the jobs it carries."""
-    end = network.center_node(network.num_centers if live is None else live)
+def assert_lists_are_residual(network):
+    """Every node lists exactly its residual out-arcs; so each machine
+    lists the reverse arcs of exactly the jobs it carries."""
     expected = [[] for _ in range(network.num_nodes)]
-    for e, head in enumerate(network._to):
-        if network._rem[e] > 0 and head < end:
+    for e in range(len(network._to)):
+        if network._rem[e] > 0:
             expected[network._to[e ^ 1]].append(e)
     for x in range(network.num_nodes):
         assert sorted(network._adj[x]) == expected[x], f"node {network.describe_node(x)}"
@@ -76,21 +76,70 @@ def assert_lists_are_residual(network, live=None):
         assert sorted(listed) == carried, f"machine {v} lists {listed}, carries {carried}"
 
 
+def plain_layers(network, comp, sources):
+    """Breadth-first distances from the ``sources`` centers over
+    ``residual_successors`` inside one component, and the number of
+    machine layers the bottom-up rule of ``cancel`` would find bottom-up
+    and top-down: bottom-up when the frontier's jobs have more residual
+    out-arcs than the component's unlabelled machines have jobs."""
+    inst = network.instance
+    machines = [
+        network.machine_node(v)
+        for v in range(network.num_machines)
+        if inst.machine_degree(v) and network.comp[network.machine_node(v)] == comp
+    ]
+    dist = {network.center_node(k): 0 for k in sources}
+    frontier = list(dist)
+    directions = {"bottom-up": 0, "top-down": 0}
+    while frontier:
+        level = dist[frontier[0]] + 1
+        if level % 2:
+            job_arcs = sum(
+                len(network.residual_successors(x)) for x in frontier if x < network.num_jobs
+            )
+            unseen = sum(
+                inst.machine_degree(network.describe_node(b)[1]) for b in machines if b not in dist
+            )
+            directions["bottom-up" if job_arcs > unseen else "top-down"] += 1
+        nxt = []
+        for x in frontier:
+            for y in network.residual_successors(x):
+                if y not in dist and network.comp[y] == comp:
+                    dist[y] = level
+                    nxt.append(y)
+        frontier = nxt
+    return dist, directions
+
+
 class TestNetworkConstruction:
     def test_fig2_centers(self):
         net = build_cost_center_network(fig2_instance())
         assert net.num_centers == 3
         assert [net.center_value(k) for k in range(3)] == [1, 2, 3]
-        # machine 0 (degree 2) feeds the first two centers, machine 1 all three
-        assert len(net._machine_center_edges[0]) == 2
-        assert len(net._machine_center_edges[1]) == 3
+        assert net._machine_center_edges == [[], []]  # seeding builds the slots
+        seed_flow(net, SemiMatching((0, 1, 1, 1)))
+        # the seed uses center 3, so machine 0 (degree 2) feeds the first
+        # two centers and machine 1 all three
+        assert [val for _e, val in net._machine_center_edges[0]] == [1, 2]
+        assert [val for _e, val in net._machine_center_edges[1]] == [1, 2, 3]
+
+    def test_slots_stop_at_the_seeded_top(self):
+        net = build_cost_center_network(fig2_instance())
+        seed_flow(net, SemiMatching((0, 0, 1, 1)))
+        # loads 2 and 2: no slot into center 3, which has no arc at all
+        assert [val for _e, val in net._machine_center_edges[1]] == [1, 2]
+        assert net._adj[net.center_node(2)] == []
+        assert net.center_node(2) not in net._to
+        assert_lists_are_residual(net)
 
     def test_single_edge_shape(self):
         net = build_cost_center_network(BipartiteInstance(1, 1, [(0, 0)]))
         # source and sink are implicit: 3 real nodes (u, v, c1), 2 real edges
         assert net.num_nodes == 3
         assert net.num_centers == 1
-        assert len(net._to) == 4  # two arcs and their residual twins
+        assert len(net._to) == 2  # the job arc and its residual twin
+        seed_flow(net, SemiMatching((0,)))
+        assert len(net._to) == 4  # plus the slot edge and its twin
 
     def test_convex_marginals_become_center_values(self):
         inst = BipartiteInstance(3, 1, [(0, 0), (1, 0), (2, 0)])
@@ -172,10 +221,9 @@ class TestSeedAndCancel:
 
     def test_public_cancel_on_a_freshly_seeded_network(self):
         # No cancel_all: the split runs through the centers the seed uses,
-        # and the sources reach above the seeded top, which cancel_all
-        # would retire first.  The step cost merges equal marginals into
-        # slot edges of capacity 3, which a unit can cross without
-        # saturating them.
+        # and the sources reach above the seeded top, where no slot edge
+        # is built.  The step cost merges equal marginals into slot edges
+        # of capacity 3, which a unit can cross without saturating them.
         moved = 0
         for seed in range(8):
             rng = random.Random(seed)
@@ -197,17 +245,9 @@ class TestSeedAndCancel:
                 assert_lists_are_residual(net)
                 S, _rest = reachable_partition(net, upper)
                 assert not {net.center_node(k) for k in lower} & S
-                # Finishing with cancel_all reaches the optimum.  It retires
-                # the centers above the costliest one now in use; arriving
-                # jobs may sit behind their slot edges.
-                in_use = 1 + max(
-                    net.describe_node(net._to[e])[1]
-                    for per_v in net._machine_center_edges
-                    for e, _val in per_v
-                    if net.edge_flow(e)
-                )
+                # Finishing with cancel_all reaches the optimum.
                 cancel_all(net)
-                assert_lists_are_residual(net, in_use)
+                assert_lists_are_residual(net)
                 got = convex_cost(inst, extract_semi_matching(net), costs)
                 assert got == convex_cost(inst, solve_convex(inst, costs), costs)
         assert moved > 0
@@ -292,7 +332,7 @@ class TestSolveUnweighted:
         spokes = rng.randint(6, 14)
         inst = star_instance(rng, spokes, rng.randint(3, spokes), rng.randint(2, 5))
         net = build_cost_center_network(inst)
-        assert live_center_count(net, _greedy_seed(inst)) == net.num_centers  # nothing retired
+        assert live_center_count(net, _greedy_seed(inst)) == net.num_centers  # every center gets slots
         counters = CancelCounters()
         got = unit_cost(inst, solve_unweighted(inst, stats=counters))
         assert len(counters.rounds_per_cancel) == net.num_centers - 1
@@ -311,16 +351,79 @@ class TestSolveUnweighted:
         counters = CancelCounters()
         cancel_all(net, counters=counters)
         assert len(counters.rounds_per_cancel) == live - 1
-        live_comps = {net.comp[net.center_node(k)] for k in range(live)}
-        assert all(
-            net.comp[net.center_node(k)] not in live_comps for k in range(live, net.num_centers)
-        )
+        # Centers above the seeded top have no arc in or out, and each
+        # machine has one slot edge per distinct marginal up to the top.
+        dead = {net.center_node(k) for k in range(live, net.num_centers)}
+        assert not dead.intersection(net._to)
+        assert all(net._adj[x] == [] for x in dead)
+        top = net.center_value(live - 1)
         for v in range(inst.num_machines):
-            heads = {net.describe_node(net._to[e]) for e in net._adj[net.machine_node(v)]}
-            assert all(k < live for kind, k in heads if kind == "center")
-        assert_lists_are_residual(net, live)
+            built = [(val, net._cap[e]) for e, val in net._machine_center_edges[v]]
+            want = [(val, len(list(grp))) for val, grp in groupby(net._marginals[v]) if val <= top]
+            assert built == want, f"machine {v}"
+        assert_lists_are_residual(net)
         got = unit_cost(inst, extract_semi_matching(net))
         assert got == unit_cost(inst, baseline_exploded_solver(inst))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bottom_up_layering_equals_a_plain_bfs(self, seed, monkeypatch):
+        # The large Zipf instance makes cancel_all's lower halves go
+        # bottom-up next to machines of the upper half.
+        rng = random.Random(seed)
+        spokes = rng.randint(30, 60)
+        instances = [
+            zipf_instance(rng, rng.randint(60, 150), rng.randint(8, 25)),
+            star_instance(rng, spokes, rng.randint(10, spokes), rng.randint(3, 8)),
+            zipf_instance(random.Random(seed), 1000, 100, draws=3),
+        ]
+        directions = {"bottom-up": 0, "top-down": 0}
+
+        def check_layering(network, comp, sources, sinks, machines, counters):
+            # The search is handed exactly its component's machines.  The
+            # first layering stops at the nearest sink, and the last,
+            # failed one labels exactly the residually reachable nodes,
+            # each with its breadth-first distance.
+            assert sorted(machines) == [
+                network.machine_node(v)
+                for v in range(network.num_machines)
+                if inst.machine_degree(v) and network.comp[network.machine_node(v)] == comp
+            ]
+            before, seen_dirs = plain_layers(network, comp, sources)
+            for way, n in seen_dirs.items():
+                directions[way] += n
+            nearest = min((before.get(network.center_node(k)) for k in sinks), key=lambda d: (d is None, d))
+            n_calls = len(counters.distances_per_cancel)
+            reachable = real_cancel(network, comp, sources, sinks, machines, counters)
+            first = counters.distances_per_cancel[n_calls][:1]
+            assert first == ([] if nearest is None else [nearest])
+            after, _ = plain_layers(network, comp, sources)
+            assert sorted(reachable) == sorted(after)
+            assert all(network._dist[x] == d for x, d in after.items())
+            return reachable
+
+        real_cancel = unweighted._cancel
+        for inst in instances:
+            # The public cancel on a freshly seeded network, then the
+            # partition it leaves.
+            net = build_cost_center_network(inst)
+            seeded = _greedy_seed(inst)
+            seed_flow(net, seeded)
+            live = live_center_count(net, seeded)
+            upper, lower = range((live + 1) // 2, live), range((live + 1) // 2)
+            with monkeypatch.context() as m:
+                m.setattr(unweighted, "_cancel", check_layering)
+                cancel(net, upper, lower, counters=CancelCounters())
+            S, _rest = reachable_partition(net, upper)
+            assert S == set(plain_layers(net, 0, upper)[0])
+            # Every call of cancel_all, inside the components it splits.
+            net = build_cost_center_network(inst)
+            seed_flow(net, seeded)
+            with monkeypatch.context() as m:
+                m.setattr(unweighted, "_cancel", check_layering)
+                cancel_all(net, counters=CancelCounters())
+            got = unit_cost(inst, extract_semi_matching(net))
+            assert got == unit_cost(inst, solve_unweighted(inst))
+        assert directions["bottom-up"] and directions["top-down"], directions
 
     def test_no_cost_reducing_residual_path_remains(self):
         rng = random.Random(11)
@@ -382,6 +485,7 @@ class TestSolveConvex:
         step = ConvexMachineCost.from_callable(inst, lambda k: sum(i // 3 + 1 for i in range(k)))
         for costs in (ConvexMachineCost.linear(inst), step):
             net = build_cost_center_network(inst, costs)
+            seed_flow(net, _greedy_seed(inst))
             if inst.max_machine_degree() > 1:
                 assert max(net._cap[e] for per_v in net._machine_center_edges for e, _ in per_v) > 1
             best, _ = brute_force_semi_matching(inst, costs)
