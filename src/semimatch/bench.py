@@ -10,13 +10,13 @@ worse than no benchmark.
 CSV columns, in this fixed order::
 
     kind,jobs,machines,edges,max_weight,seed,solver,wall_time_s,cost,
-    cancel_rounds,recursion_depth,group_relaxations,heap_ops
+    cancel_rounds,recursion_depth,group_relaxations,heap_ops,machine_pops
 
 ``edges`` is the realised edge count of the generated instance.  The
-last four columns are per-solver counters and stay empty where a solver
+last five columns are per-solver counters and stay empty where a solver
 does not track them (``cancel_rounds``/``recursion_depth`` for the
-flow-based unit solvers, ``group_relaxations``/``heap_ops`` for the
-grouped-relaxation weighted solver).
+flow-based unit solvers, ``group_relaxations``/``heap_ops``/
+``machine_pops`` for the grouped-relaxation weighted solver).
 
 Cases run in parallel across processes when ``workers > 1``; each
 record is computed wholly inside one worker and results are stitched
@@ -71,6 +71,7 @@ CSV_COLUMNS = (
     "recursion_depth",
     "group_relaxations",
     "heap_ops",
+    "machine_pops",
 )
 
 WORKERS_ENV_VAR = "SEMIMATCH_BENCH_WORKERS"
@@ -115,6 +116,7 @@ class BenchRecord:
     recursion_depth: Optional[int] = None
     group_relaxations: Optional[int] = None
     heap_ops: Optional[int] = None
+    machine_pops: Optional[int] = None
 
     def as_row(self) -> list[str]:
         c = self.case
@@ -136,6 +138,7 @@ class BenchRecord:
             opt(self.recursion_depth),
             opt(self.group_relaxations),
             opt(self.heap_ops),
+            opt(self.machine_pops),
         ]
 
 
@@ -165,6 +168,7 @@ def _run_weighted(instance: BipartiteInstance) -> tuple[int, dict]:
     return cost_of_semi_matching(instance, matching), {
         "group_relaxations": sum(stats.group_relaxations),
         "heap_ops": heap_ops,
+        "machine_pops": stats.machine_pops,
     }
 
 

@@ -87,10 +87,17 @@ class BipartiteInstance:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             norm.append((u, v, w))
+        self._build(num_jobs, num_machines, norm)
 
+    def _build(
+        self, num_jobs: int, num_machines: int, edges: list[tuple[int, int, int]]
+    ) -> None:
+        """Fill in the instance from ``(job, machine, weight)`` triples whose
+        ids, weights and uniqueness the caller has checked; rejects
+        edgeless jobs."""
         job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
         machine_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_machines)]
-        for u, v, w in norm:
+        for u, v, w in edges:
             job_adj[u].append((v, w))
             machine_adj[v].append((u, w))
 
@@ -102,7 +109,7 @@ class BipartiteInstance:
 
         self.num_jobs = num_jobs
         self.num_machines = num_machines
-        self.edges = tuple(norm)
+        self.edges = tuple(edges)
         self.job_adj = tuple(tuple(a) for a in job_adj)
         self.machine_adj = tuple(tuple(a) for a in machine_adj)
 

@@ -188,7 +188,9 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             f"header declared {num_edges} edges but the body has {len(edges)}",
         )
     if kind == "semimatch":
-        return BipartiteInstance(num_jobs, num_machines, edges)
+        instance = BipartiteInstance.__new__(BipartiteInstance)
+        instance._build(num_jobs, num_machines, edges)  # edges checked above
+        return instance
     return GeneralGraph(num_vertices, edges)
 
 

@@ -125,6 +125,11 @@ class TestEmitRoundTrips:
         text = emit_instance(inst, comments=["round trip"])
         again = parse_instance(text)
         assert emit_instance(again) == emit_instance(inst)
+        # The parser skips the constructor's checks but builds the same instance.
+        rebuilt = BipartiteInstance(inst.num_jobs, inst.num_machines, again.edges)
+        assert (again.edges, again.job_adj, again.machine_adj) == (
+            rebuilt.edges, rebuilt.job_adj, rebuilt.machine_adj
+        )
 
     def test_comments_go_first_and_reparse_cleanly(self):
         inst = gen_random(random.Random(3), 4, 2, edge_prob=1.0)
@@ -187,9 +192,11 @@ class TestBench:
                 assert row["cancel_rounds"] != ""
                 assert row["recursion_depth"] != ""
                 assert row["group_relaxations"] == ""
+                assert row["machine_pops"] == ""
             else:
                 assert row["group_relaxations"] != ""
                 assert row["heap_ops"] != ""
+                assert row["machine_pops"] != ""
                 assert row["cancel_rounds"] == ""
 
     def test_unknown_solver_rejected(self):

@@ -124,6 +124,33 @@ def exploded_optimum(inst, jobs):
     return best
 
 
+def family_instance(rng, family):
+    """A seeded instance whose weights follow one adversarial family.
+
+    ``skewed`` joins every job to a few machines with weights 0..100;
+    the others draw a random shape and give every edge weight 7
+    (``all-equal``), mostly 0 (``mostly-zero``) or near 2^31 - 1
+    (``near-2^31``).
+    """
+    if family == "skewed":
+        jobs, machines = rng.randint(10, 40), rng.randint(2, 4)
+        return BipartiteInstance(jobs, machines, [
+            (u, v, rng.randint(0, 100)) for u in range(jobs) for v in range(machines)
+        ])
+    shape = gen_random(rng, rng.randint(1, 24), rng.randint(1, 6),
+                       edge_prob=rng.uniform(0.2, 1.0))
+    if family == "all-equal":
+        weight = lambda: 7
+    elif family == "mostly-zero":
+        weight = lambda: 0 if rng.random() < 0.8 else rng.randint(1, 3)
+    else:
+        weight = lambda: 2**31 - 1 - rng.randint(0, 3)
+    return BipartiteInstance(
+        shape.num_jobs, shape.num_machines,
+        [(u, v, weight()) for u in range(shape.num_jobs) for v, _w in shape.job_adj[u]],
+    )
+
+
 class TestPhaseInvariants:
     @pytest.mark.parametrize("seed", range(12))
     def test_each_phase_keeps_the_matching_extreme(self, seed):
@@ -163,6 +190,21 @@ class TestPhaseInvariants:
             stats = WeightedStats()
             solve_weighted(inst, stats=stats)
             assert max(stats.group_relaxations) <= inst.num_edges
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("family", ["skewed", "all-equal", "mostly-zero", "near-2^31"])
+    def test_live_machine_pops_bounded_by_envelope_work(self, family, check):
+        # A machine keeps one live frontier entry, so each pop of it
+        # finalizes a slot, ends the phase, or follows a batch insert that
+        # raised its candidate; superseded entries are dropped uncounted.
+        rng = random.Random(4400 + len(family))
+        for _ in range(6):
+            inst = family_instance(rng, family)
+            stats = WeightedStats()
+            solve_weighted(inst, stats=stats, check=check)
+            assert stats.machine_pops <= (
+                stats.envelope_delete_mins + stats.envelope_inserts + stats.iterations
+            )
 
     def test_envelope_ops_accounting(self):
         rng = random.Random(33)
@@ -209,20 +251,8 @@ class TestAgainstOracles:
         # and zero weights make many reduced distances tie, and weights
         # near 2^31 - 1 push potentials far from zero.
         rng = random.Random(7000 + seed)
-        top = 2**31 - 1
         for k in range(6):
-            shape = gen_random(rng, rng.randint(1, 24), rng.randint(1, 6),
-                               edge_prob=rng.uniform(0.2, 1.0))
-            if family == "all-equal":
-                weight = lambda: 7
-            elif family == "mostly-zero":
-                weight = lambda: 0 if rng.random() < 0.8 else rng.randint(1, 3)
-            else:
-                weight = lambda: top - rng.randint(0, 3)
-            inst = BipartiteInstance(
-                shape.num_jobs, shape.num_machines,
-                [(u, v, weight()) for u in range(shape.num_jobs) for v, _w in shape.job_adj[u]],
-            )
+            inst = family_instance(rng, family)
             got = cost_of_semi_matching(inst, solve_weighted(inst, check=(k % 2 == 0)))
             assert got == cost_of_semi_matching(inst, baseline_exploded_solver(inst))
             if assignment_search_space(inst) <= 20_000:
