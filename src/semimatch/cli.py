@@ -14,6 +14,7 @@ Exit codes
 2  malformed input: parse errors, bad ids/weights, impossible parameters
 3  infeasible instance (a job or vertex that nothing can cover)
 4  verification failure or cross-solver disagreement
+5  a cost exceeds the signed 64-bit accumulator
 1  anything else (e.g. instance too large for the oracle)
 
 Instances reproduce from seeds via Python's ``random.Random`` (Mersenne
@@ -34,6 +35,7 @@ from .bench import BenchCase, SolverDisagreementError, records_to_csv, run_bench
 from .core import (
     BipartiteInstance,
     ConvexMachineCost,
+    CostOverflowError,
     InfeasibleInstanceError,
     SemiMatching,
     cost_of_semi_matching,
@@ -49,6 +51,7 @@ from .weighted import baseline_exploded_solver, solve_weighted
 EXIT_MALFORMED = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY_FAILED = 4
+EXIT_OVERFLOW = 5
 
 
 def _fail(code: int, message: str) -> None:
@@ -119,7 +122,10 @@ def solve(instance_path: str, objective: Optional[str], solver: str, output: Opt
         matching = solve_unweighted(instance)
     else:
         matching = solve_convex(instance, ConvexMachineCost.triangular(instance))
-    cost = cost_of_semi_matching(instance, matching)
+    try:
+        cost = cost_of_semi_matching(instance, matching)
+    except CostOverflowError as exc:
+        _fail(EXIT_OVERFLOW, str(exc))
     _write(output, emit_assignment(enumerate(matching.machine_of), cost))
 
 
@@ -154,7 +160,10 @@ def verify(instance_path: str, solution_path: str) -> None:
         violation = validate_semi_matching(instance, matching)
         if violation is not None:
             _fail(EXIT_VERIFY_FAILED, f"{violation.kind}: {violation.detail}")
-        actual = cost_of_semi_matching(instance, matching)
+        try:
+            actual = cost_of_semi_matching(instance, matching)
+        except CostOverflowError as exc:
+            _fail(EXIT_OVERFLOW, str(exc))
     else:
         edge_set = set(instance.edges)
         for a, b in pairs:

@@ -3,6 +3,8 @@ star-forest levelling, and the semi-matching rebalancing step."""
 
 import itertools
 import random
+import signal
+import time
 
 import networkx as nx
 import pytest
@@ -11,6 +13,7 @@ from semimatch.core import InfeasibleInstanceError
 from semimatch.cover import (
     EdgeCover,
     GeneralGraph,
+    _blossom_mate,
     find_center,
     levelling,
     maximum_matching_general,
@@ -105,6 +108,128 @@ class TestMaximumMatching:
         ref.add_nodes_from(range(n))
         theirs = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert ours == theirs
+
+
+def odd_cycles(rng, count):
+    """Disjoint odd cycles under a random labelling: one vertex of every
+    cycle stays exposed, and every search from such a vertex fails."""
+    sizes = [rng.choice((3, 5, 7, 9, 11)) for _ in range(count)]
+    label = list(range(sum(sizes)))
+    rng.shuffle(label)
+    edges, start = [], 0
+    for k in sizes:
+        edges += [(label[start + i], label[start + (i + 1) % k]) for i in range(k)]
+        start += k
+    return GeneralGraph(len(label), edges)
+
+
+def flower(rng, depth):
+    """Odd cycles grown on the vertices of odd cycles, plus pendant stems
+    and a few chords, under a random labelling.  A search contracts the
+    inner cycles first and then meets the outer ones through their
+    bases: nested blossoms."""
+    edges = []
+    n = 1
+
+    def bloom(at, depth):
+        nonlocal n
+        k = rng.choice((3, 5))
+        ring = [at] + list(range(n, n + k - 1))
+        n += k - 1
+        edges.extend((ring[i], ring[(i + 1) % k]) for i in range(k))
+        for v in ring[1:]:
+            if depth and rng.random() < 0.5:
+                bloom(v, depth - 1)
+
+    bloom(0, depth)
+    for _ in range(rng.randint(1, 4)):
+        stem = rng.randrange(n)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((stem, n))
+            stem, n = n, n + 1
+    present = {frozenset(e) for e in edges}
+    for _ in range(rng.randint(0, 3)):
+        e = frozenset(rng.sample(range(n), 2))
+        if e not in present:
+            present.add(e)
+            edges.append(tuple(e))
+    label = list(range(n))
+    rng.shuffle(label)
+    return GeneralGraph(n, [(label[a], label[b]) for a, b in edges])
+
+
+class TestStaleSearchState:
+    """Graphs on which most searches fail, so any state one search leaves
+    behind is read by the next."""
+
+    @staticmethod
+    def check(g):
+        # Stale state can send a search round a cycle of parent links
+        # forever; fail after 10 s instead of hanging the suite.
+        def stuck(signum, frame):
+            raise AssertionError("the matching search did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            mate = _blossom_mate(g)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        edges = set(g.edges)
+        for u, v in enumerate(mate):
+            if v != -1:
+                assert mate[v] == u
+                assert (min(u, v), max(u, v)) in edges
+        ref = nx.Graph(g.edges)
+        ref.add_nodes_from(range(g.num_vertices))
+        theirs = len(nx.max_weight_matching(ref, maxcardinality=True))
+        assert sum(v != -1 for v in mate) == 2 * theirs
+        assert len(maximum_matching_general(g)) == theirs
+
+    @pytest.mark.parametrize("n", [100, 250, 400])
+    @pytest.mark.parametrize("c", [1, 1.5, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_random_graphs(self, n, c, seed):
+        ref = nx.gnp_random_graph(n, c / n, seed=1000 * seed + n)
+        self.check(GeneralGraph(n, ref.edges()))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_disjoint_odd_cycles(self, seed):
+        rng = random.Random(seed)
+        self.check(odd_cycles(rng, rng.randint(5, 40)))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_flowers(self, seed):
+        rng = random.Random(seed)
+        self.check(flower(rng, rng.randint(2, 5)))
+
+    def test_roots_of_earlier_searches_are_reset(self):
+        # The greedy seed matches 0-1, 2-3, 4-5, 6-7 and 8-9 (edge order
+        # fixes the adjacency order each search follows).  The searches
+        # from 10 and 11 succeed, matching 10-0, 1-14, 11-2 and 3-15.  The
+        # searches from 12 and 13 then contract the triangle 5-10-0 or
+        # 8-11-2, and only by scanning out of 10 or 11, an earlier root,
+        # do they reach 12-4-5-0-10-6-7-11-2-8-9-13.
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9),
+                 (0, 10), (5, 10), (0, 5), (6, 10),
+                 (2, 11), (8, 11), (2, 8), (7, 11),
+                 (1, 14), (3, 15), (4, 12), (9, 13)]
+        self.check(GeneralGraph(16, edges))
+
+    def test_search_cost_follows_the_vertices_it_touches(self):
+        # Each of the 10^4 searches from an exposed vertex dies inside its
+        # own triangle; a search that pays O(n) would take about 10 s.
+        k = 10_000
+        g = GeneralGraph(
+            3 * k,
+            [e for t in range(0, 3 * k, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))],
+        )
+        start = time.perf_counter()
+        mate = _blossom_mate(g)
+        elapsed = time.perf_counter() - start
+        assert sum(v != -1 for v in mate) == 2 * k
+        assert elapsed < 1.0, f"{elapsed:.2f} s for {k} failed searches"
 
 
 class TestMinimumEdgeCover:

@@ -325,6 +325,23 @@ class TestCliVerify:
         result = runner.invoke(cli_main, ["verify", inst_path, leaves_one_out])
         assert result.exit_code == 4
 
+    def test_cost_overflow(self, runner, tmp_path):
+        # 93 000 jobs of weight 2^31-1 on one machine cost about
+        # (2^31-1) * 93 000^2 / 2 > 2^63-1.
+        jobs, w = 93_000, 2**31 - 1
+        inst_path = write(
+            tmp_path / "big.sm",
+            f"p semimatch {jobs} 1 {jobs}\n"
+            + "".join(f"e {u} 1 {w}\n" for u in range(1, jobs + 1)),
+        )
+        sol_path = write(
+            tmp_path / "big.sol",
+            "".join(f"a {u} 1\n" for u in range(1, jobs + 1)) + "cost 0\n",
+        )
+        result = runner.invoke(cli_main, ["verify", inst_path, sol_path])
+        assert result.exit_code == 5, result.output
+        assert "64-bit" in result.output
+
     def test_malformed_solution_is_a_parse_failure(self, runner, tmp_path):
         inst_path = write(tmp_path / "inst.sm", SEMIMATCH_FILE)
         sol_path = write(tmp_path / "junk.sol", "nonsense\n")
