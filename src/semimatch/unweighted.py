@@ -12,7 +12,8 @@ An assignment is optimal exactly when the residual graph contains no
 and re-routes it into a cheaper one.  ``cancel_all`` eliminates every
 such path by divide and conquer on the ordered center list: cancel all
 paths from the upper half of the centers into the lower half with a
-multi-source/multi-sink Dinitz max-flow pass (``cancel``), then split
+multi-source/multi-sink Dinitz max-flow pass (``cancel``), whose
+blocking flows are found backward from the sinks, then split
 the graph along residual reachability from the upper half
 (``reachable_partition``) and recurse independently on the two sides.
 Edges crossing the split are frozen and never touched again.
@@ -27,7 +28,9 @@ frontier's jobs have more out-arcs than the unlabelled machines have
 jobs (direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012):
 a job's only residual in-arc comes from the machine carrying it, so an
 unlabelled machine joins the next layer exactly when one of its jobs
-sits in the frontier.
+sits in the frontier.  The same fact makes the blocking flow cheap to
+find from the sink side: stepping back from a job to its carrier costs
+O(1), so only the machines near the sinks are scanned.
 
 The unit-weight objective is the convex objective with
 ``f(k) = k*(k+1)/2`` (marginals ``1, 2, 3, ...``), and both share all
@@ -71,9 +74,11 @@ class CancelCounters:
     augmenting path.  ``distances_per_cancel[i]`` lists the layer-graph
     source-to-sink distances of the successful rounds, which must be
     strictly increasing.  ``units_cancelled`` is the total flow moved
-    between centers.  ``edges_scanned`` counts the arcs the layering and
-    blocking-flow searches examine, plus every ``machine_adj`` entry a
-    bottom-up layering step probes.
+    between centers.  ``edges_scanned`` counts the arcs the layering
+    examines, plus every ``machine_adj`` entry a bottom-up layering step
+    probes, plus the backward blocking-flow search's probes: the arcs it
+    reads start arcs from, each ``machine_adj`` entry and slot edge it
+    tries and each step from a job to its carrier.
     """
 
     rounds_per_cancel: list[int] = field(default_factory=list)
@@ -107,9 +112,11 @@ class CostCenterNetwork:
     flow goes through :meth:`_push`, which keeps the lists exact
     (``_pos[eid]`` is the arc's index in its tail's list).  A machine
     therefore lists the reverse arcs of the jobs it carries and its
-    unsaturated slot edges, nothing else.  ``comp`` assigns every node
-    to a subproblem during the divide-and-conquer; an edge is alive for
-    a search only when both endpoints share the search's component.
+    unsaturated slot edges, nothing else.  ``_carrier[u]`` is the node
+    of the machine carrying job u, also kept by :meth:`_push`.
+    ``comp`` assigns every node to a subproblem during the
+    divide-and-conquer; an edge is alive for a search only when both
+    endpoints share the search's component.
     """
 
     def __init__(
@@ -171,6 +178,8 @@ class CostCenterNetwork:
         self._cap = cap
         self._rem = list(cap)
         self._adj = adj
+        # The machine node carrying each job; kept by _push.
+        self._carrier = [-1] * nU
         self.comp = [0] * n_nodes
         self._next_comp = 1
         # Reusable stamped scratch arrays for searches.
@@ -232,10 +241,11 @@ class CostCenterNetwork:
 
     def _job_arc(self, u: int, v: int) -> int:
         """Edge id of the job edge from u to v."""
-        x = self.num_jobs + v
-        return next(
-            e for e in range(self._job_first[u], self._job_first[u + 1], 2) if self._to[e] == x
-        )
+        x, to = self.num_jobs + v, self._to
+        for e in range(self._job_first[u], self._job_first[u + 1], 2):
+            if to[e] == x:
+                return e
+        raise ValueError(f"no edge ({u}, {v})")
 
     def residual_successors(self, x: int) -> list[int]:
         """Residual out-neighbours of x, ignoring components (test hook)."""
@@ -246,13 +256,13 @@ class CostCenterNetwork:
 
         The reverse arc joins its tail's list when it turns residual, and
         ``e`` leaves its tail's list when it saturates, the last entry
-        taking its place.  During a blocking-flow round ``e`` sits at its
-        tail's current arc, so the moved entry, which the round has not
-        examined yet, is examined next; the reverse arc points back one
-        layer, so it is never admissible in the same round.
+        taking its place.  A unit pushed along a forward job arc records
+        the arc's machine as the job's carrier.
         """
         rem, adj, pos, to = self._rem, self._adj, self._pos, self._to
         r = e ^ 1
+        if e < self._job_arcs and not e & 1:
+            self._carrier[to[r]] = to[e]
         if not rem[r]:
             lst = adj[to[e]]
             pos[r] = len(lst)
@@ -350,11 +360,13 @@ def _cancel(
     """Max-flow from source centers to sink centers inside one component.
 
     Dinitz: breadth-first layering from all sources at once, stopping at
-    the first layer that contains a sink, then a depth-first blocking
-    flow with current-arc bookkeeping.  Returns the list of nodes
-    reachable from the sources in the final (failed) layering, which is
-    exactly the residual reachability set used for the partition step.
-    ``machines`` lists the component's machines that have jobs.
+    the first layer that contains a sink, then a blocking flow found by a
+    depth-first search that starts at the sinks and walks the layered
+    graph backward.  Returns the list of nodes reachable from the sources
+    in the final (failed) layering, which is exactly the residual
+    reachability set used for the partition step.  ``machines`` lists the
+    component's machines that have jobs.  Every center of the component
+    that has slot edges must be a source or a sink.
 
     Jobs and centers link only to machines, so machines fill the odd
     layers.  A layer of machines is found bottom-up when the frontier's
@@ -363,13 +375,26 @@ def _cancel(
     is entered only from the machine carrying it, and the previous layer
     labelled every machine an earlier job links to, so any labelled job
     of an unlabelled machine sits in the frontier and links to it.
+
+    The blocking flow is searched backward because a job has exactly one
+    residual in-arc, the reverse arc from the machine carrying it: a job
+    steps to its carrier in O(1), and only machines near the sinks are
+    scanned, where a forward search walks the whole layered graph.  With
+    sources on level 0 and sinks on level D, machines sit on the odd
+    levels and jobs on the even ones.  A machine on level L > 1 probes
+    its jobs, from a current position, for a live one on level L-1; that
+    job does not ride on the machine (the machine's own jobs sit on level
+    L+1), so its arc in is residual.  A machine on level 1 is entered
+    through a used slot into a source.  Arc ids are resolved only for the
+    arcs of an augmenting path.
     """
     to, rem, adj = network._to, network._rem, network._adj
-    push = network._push
+    push, carrier = network._push, network._carrier
     comp_of = network.comp
     dist, seen, arc = network._dist, network._seen, network._arc
-    nU = network.num_jobs
+    nU, first_slot, job_arc = network.num_jobs, network._job_arcs, network._job_arc
     jobs_of = network.instance.machine_adj
+    slot_edges = network._machine_center_edges
     machine_degree = sum(len(jobs_of[b - nU]) for b in machines)
 
     src_nodes = [network.center_node(k) for k in sources]
@@ -393,6 +418,7 @@ def _cancel(
         level = 0
         found = False
         marked = list(frontier)
+        last: list[int] = []
         unseen, unseen_degree = machines, machine_degree
         job_arcs = 0  # out-arcs of the frontier's jobs
         while frontier and not found:
@@ -441,7 +467,7 @@ def _cancel(
                                 job_arcs += len(adj[y])
                             elif y in sink_set:
                                 found = True
-            frontier = nxt
+            last, frontier = frontier, nxt
             marked.extend(nxt)
         if not found:
             reachable = marked
@@ -450,47 +476,81 @@ def _cancel(
         assert not distances or D > distances[-1], "layer distance not increasing"
         distances.append(D)
 
-        # --- DFS blocking flow over the layered graph.  Every labelled
-        # node lies in the component.
+        # --- Blocking flow, searched backward from the sinks.  Level D-1
+        # is the last frontier; its machines' residual slot arcs into
+        # sinks are the start arcs.  A node found to reach no source, or
+        # a job moved by an augmentation (its new carrier sits a layer
+        # later), gets the label -1 and is dead for the rest of the round.
+        starts = [
+            e for x in last for e in adj[x]
+            if e >= first_slot and seen[to[e]] == stamp and dist[to[e]] == D
+        ]
+        scanned += sum(len(adj[x]) for x in last)
         for x in marked:
             arc[x] = 0
-        for src in src_nodes:
-            stack = [src]
-            path: list[int] = []
-            while stack:
-                x = stack[-1]
-                if x in sink_set and dist[x] == D and path:
-                    delta = min(rem[e] for e in path)
-                    assert delta > 0, "a listed arc is saturated"
-                    for e in path:
-                        push(e, delta)
-                    counters.units_cancelled += delta
-                    cut = next(i for i, e in enumerate(path) if rem[e] == 0)
-                    del path[cut:]
-                    del stack[cut + 1 :]
+        path: list[int] = []  # path[i] sits at level D-1-i
+        si = 0
+        while True:
+            if not path:
+                while si < len(starts) and not (
+                    rem[starts[si]] and dist[to[starts[si] ^ 1]] == D - 1
+                ):
+                    si += 1
+                if si == len(starts):
+                    break
+                path.append(to[starts[si] ^ 1])
+            y = path[-1]
+            want = D - len(path) - 1  # the level of y's predecessor
+            if y < nU:  # a job: its one in-arc comes from its carrier,
+                scanned += 1  # which labelled it, so is labelled this round
+                c = carrier[y]
+                if dist[c] == want:
+                    path.append(c)
                     continue
-                out = adj[x]
-                n = len(out)
-                first = i = arc[x]
-                want = dist[x] + 1
+            elif want:  # a machine: probe its jobs for one a layer earlier
+                jobs = jobs_of[y - nU]
+                n = len(jobs)
+                first = i = arc[y]
                 while i < n:
-                    e = out[i]
-                    y = to[e]
-                    if seen[y] == stamp and dist[y] == want and (want < D or y in sink_set):
+                    u = jobs[i][0]
+                    if seen[u] == stamp and dist[u] == want:
                         break
                     i += 1
-                arc[x] = i
+                arc[y] = i
+                scanned += i - first + (i < n)
                 if i < n:
-                    scanned += i - first + 1
-                    stack.append(y)
-                    path.append(e)
+                    path.append(u)
                     continue
-                scanned += i - first
-                stack.pop()
-                if path:
-                    path.pop()
-                if stack:
-                    arc[stack[-1]] += 1
+            else:  # a machine on level 1: a used slot into a source
+                slots = slot_edges[y - nU]
+                n = len(slots)
+                first = i = arc[y]
+                while i < n:  # costliest first
+                    e = slots[n - 1 - i][0]
+                    if rem[e ^ 1] and dist[to[e]] == 0 and seen[to[e]] == stamp:
+                        break
+                    i += 1
+                arc[y] = i
+                scanned += i - first + (i < n)
+                if i < n:
+                    # Augment: the start arc, the source's arc, and per
+                    # job its arc into the later machine and the reverse
+                    # arc from its carrier.
+                    arcs = [starts[si], e ^ 1]
+                    for k in range(1, len(path) - 1, 2):
+                        u = path[k]
+                        arcs.append(job_arc(u, path[k - 1] - nU))
+                        arcs.append(job_arc(u, carrier[u] - nU) ^ 1)
+                        dist[u] = -1
+                    delta = min(rem[a] for a in arcs)
+                    assert delta > 0, "a path arc is saturated"
+                    for a in arcs:
+                        push(a, delta)
+                    counters.units_cancelled += delta
+                    path.clear()
+                    continue
+            dist[y] = -1
+            path.pop()
 
     counters.rounds_per_cancel.append(rounds)
     counters.distances_per_cancel.append(distances)
@@ -510,7 +570,9 @@ def cancel(
     Center arguments are 0-based positions into ``center_values``.
     Every source must be strictly more expensive than every sink, so
     each unit moved lowers the flow cost by the value difference of its
-    endpoint centers.  The job-side flow value is untouched.
+    endpoint centers, and every center with slot edges in the
+    subproblem must be one or the other.  The job-side flow value is
+    untouched.
     """
     sources = sorted(set(sources))
     sinks = sorted(set(sinks))
@@ -527,8 +589,18 @@ def cancel(
     comps = {network.comp[network.center_node(k)] for k in sources + sinks}
     if len(comps) != 1:
         raise ValueError("sources and sinks span different subproblems")
-    counters = counters if counters is not None else CancelCounters()
     comp = comps.pop()
+    ends = {network.center_node(k) for k in sources + sinks}
+    to, comp_of = network._to, network.comp
+    for per_v in network._machine_center_edges:
+        for e, _val in per_v:
+            x = to[e]
+            if comp_of[x] == comp == comp_of[to[e ^ 1]] and x not in ends:
+                raise ValueError(
+                    f"center {network.describe_node(x)[1]} has slot edges in the "
+                    "subproblem but is neither a source nor a sink"
+                )
+    counters = counters if counters is not None else CancelCounters()
     _cancel(network, comp, sources, sinks, _component_machines(network, comp), counters)
     return network
 

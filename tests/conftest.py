@@ -1,6 +1,26 @@
 """Shared fixtures and the running example instance."""
 
+import signal
+from contextlib import contextmanager
+
 from semimatch.core import BipartiteInstance
+
+
+@contextmanager
+def deadline(seconds, what):
+    """Fail with an AssertionError, instead of hanging the suite, when the
+    block runs longer than ``seconds``; ``what`` names the block."""
+
+    def stuck(signum, frame):
+        raise AssertionError(f"{what} did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def fig2_instance(weights=None):

@@ -3,13 +3,13 @@ star-forest levelling, and the semi-matching rebalancing step."""
 
 import itertools
 import random
-import signal
 import time
 
 import networkx as nx
 import pytest
 
-from semimatch.core import InfeasibleInstanceError
+from semimatch import cover
+from semimatch.core import BipartiteInstance, InfeasibleInstanceError
 from semimatch.cover import (
     EdgeCover,
     GeneralGraph,
@@ -21,6 +21,8 @@ from semimatch.cover import (
 )
 from semimatch.generate import gen_random_graph
 from semimatch.oracle import brute_force_balanced_cover
+
+from conftest import deadline
 
 
 def path(n):
@@ -166,16 +168,8 @@ class TestStaleSearchState:
     def check(g):
         # Stale state can send a search round a cycle of parent links
         # forever; fail after 10 s instead of hanging the suite.
-        def stuck(signum, frame):
-            raise AssertionError("the matching search did not terminate")
-
-        previous = signal.signal(signal.SIGALRM, stuck)
-        signal.setitimer(signal.ITIMER_REAL, 10)
-        try:
+        with deadline(10, "the matching search"):
             mate = _blossom_mate(g)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         edges = set(g.edges)
         for u, v in enumerate(mate):
             if v != -1:
@@ -373,3 +367,25 @@ class TestFindCenter:
         got = find_center(g)
         assert all(d >= 1 for d in got.degrees)
         assert got.balanced_cost() <= minimum_edge_cover(g).balanced_cost()
+
+    def test_rebalance_instance_equals_a_validated_one(self, monkeypatch):
+        # find_center builds its rebalance instance without the
+        # constructor's checks; it must equal the checked instance.
+        built = []
+
+        def capture(instance):
+            built.append(instance)
+            return solve_unweighted(instance)
+
+        solve_unweighted = cover.solve_unweighted
+        monkeypatch.setattr(cover, "solve_unweighted", capture)
+        for seed in range(30):
+            rng = random.Random(4_040 + seed)
+            n, edges = gen_random_graph(rng, rng.randint(4, 60), rng.uniform(0.03, 0.4))
+            find_center(GeneralGraph(n, edges))
+        assert len(built) >= 10
+        for inst in built:
+            checked = BipartiteInstance(inst.num_jobs, inst.num_machines, inst.edges)
+            assert inst.job_adj == checked.job_adj
+            assert inst.machine_adj == checked.machine_adj
+            assert inst.edges == checked.edges

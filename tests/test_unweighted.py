@@ -30,7 +30,7 @@ from semimatch.unweighted import (
 )
 from semimatch.weighted import baseline_exploded_solver
 
-from conftest import fig2_instance, live_center_count
+from conftest import deadline, fig2_instance, live_center_count
 
 
 def unit_cost(instance, matching):
@@ -60,7 +60,8 @@ def star_instance(rng, spokes, jobs, machines):
 
 def assert_lists_are_residual(network):
     """Every node lists exactly its residual out-arcs; so each machine
-    lists the reverse arcs of exactly the jobs it carries."""
+    lists the reverse arcs of exactly the jobs it carries, and each
+    carried job records its machine as its carrier."""
     expected = [[] for _ in range(network.num_nodes)]
     for e in range(len(network._to)):
         if network._rem[e] > 0:
@@ -74,6 +75,7 @@ def assert_lists_are_residual(network):
         listed = [network._to[e] for e in network._adj[x] if e < network._job_arcs]
         carried = [u for u in range(network.num_jobs) if network.assigned_machine(u) == v]
         assert sorted(listed) == carried, f"machine {v} lists {listed}, carries {carried}"
+        assert all(network._carrier[u] == x for u in carried)
 
 
 def plain_layers(network, comp, sources):
@@ -194,6 +196,17 @@ class TestSeedAndCancel:
         seed_flow(net, SemiMatching((0, 1, 1, 1)))
         with pytest.raises(ValueError, match="costlier"):
             cancel(net, [1], [0, 1])
+
+    def test_cancel_rejects_a_center_between_the_ranges(self):
+        # Machine 1 has slot edges into all three centers; center 1 would
+        # sit strictly inside the layered graph, which the search rules out.
+        net = build_cost_center_network(fig2_instance())
+        seed_flow(net, SemiMatching((0, 1, 1, 1)))
+        with pytest.raises(ValueError, match="center 1 .* neither a source nor a sink"):
+            cancel(net, [2], [0])
+        assert net.flow_cost() == 7
+        cancel(net, [2], [0, 1])  # the full ranges are accepted
+        assert net.flow_cost() == 6
 
     def test_cancel_on_optimal_flow_finds_nothing(self):
         net = build_cost_center_network(fig2_instance())
@@ -439,6 +452,166 @@ class TestSolveUnweighted:
                 assert not (reachable_centers & set(range(hi))), (
                     f"cost-reducing path from center {hi} into {reachable_centers}"
                 )
+
+
+def observed_cancel_all(net):
+    """``cancel_all`` with every push watched.  Asserts that each job an
+    augmentation moves is dead (label -1) for the rest of its round, and
+    that layer distances strictly increase within each call; fails after
+    10 s instead of hanging.  Returns the counters and the largest number
+    of units one push moved."""
+    moved = []  # (round stamp, job)
+    biggest = [0]
+    push = net._push
+
+    def watched(e, delta):
+        if e < net._job_arcs and not e & 1:
+            moved.append((net._stamp, net._to[e ^ 1]))
+        for stamp, u in moved:
+            if stamp == net._stamp:
+                assert net._dist[u] == -1, f"job {u} moved but still alive in its round"
+        biggest[0] = max(biggest[0], delta)
+        push(e, delta)
+
+    net._push = watched
+    counters = CancelCounters()
+    with deadline(10, "the cancellation"):
+        cancel_all(net, counters=counters)
+    del net._push
+    for dists in counters.distances_per_cancel:
+        assert all(a < b for a, b in zip(dists, dists[1:])), dists
+    assert_lists_are_residual(net)
+    return counters, biggest[0]
+
+
+def chain_instance(k):
+    """Machines 0..k; chain job i links machines i and i+1.  The chain
+    jobs come first, so the greedy seed puts each on its lower machine
+    (ties go to the lower index), and then pinned jobs give machine 0 two
+    more and machines 1..k-1 one more.  Machine 0 ends with load 3 and
+    machine k with none; the only cost-reducing path shifts every chain
+    job, 2k + 2 layers long."""
+    edges = [(i, i, 1) for i in range(k)] + [(i, i + 1, 1) for i in range(k)]
+    pinned = [0, 0] + list(range(1, k))
+    edges += [(k + j, v, 1) for j, v in enumerate(pinned)]
+    return BipartiteInstance(k + len(pinned), k + 1, edges)
+
+
+def spider_instance(rng, legs, length):
+    """A hub machine with ``legs`` chains of ``length`` machines hanging
+    off it, labels shuffled, and a seed that puts every chain job on the
+    machine nearer the hub: the hub carries two pinned jobs plus the
+    first job of every leg, and each leg's far end carries nothing.
+    Returns the instance and that seed."""
+    n_machines = 1 + legs * length
+    label = list(range(n_machines))
+    rng.shuffle(label)
+    edges, seed = [], []
+    for leg in range(legs):
+        chain = [0] + [1 + leg * length + i for i in range(length)]
+        for a, b in zip(chain, chain[1:]):
+            edges.append((len(seed), label[a], 1))
+            edges.append((len(seed), label[b], 1))
+            seed.append(label[a])
+        for a in chain[1:-1]:
+            edges.append((len(seed), label[a], 1))
+            seed.append(label[a])
+    for _ in range(2):
+        edges.append((len(seed), label[0], 1))
+        seed.append(label[0])
+    return BipartiteInstance(len(seed), n_machines, edges), SemiMatching(tuple(seed))
+
+
+class TestBackwardBlockingFlow:
+    """The blocking flow walks the layered graph from the sinks back to
+    the sources; these instances stress long paths, paths through merged
+    slot edges and equal loads."""
+
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_chain_needs_one_path_through_every_machine(self, k):
+        inst = chain_instance(k)
+        seeded = _greedy_seed(inst)
+        assert seeded.degrees(k + 1)[0] == 3 and seeded.degrees(k + 1)[k] == 0
+        net = build_cost_center_network(inst)
+        seed_flow(net, seeded)
+        counters, _ = observed_cancel_all(net)
+        assert counters.distances_per_cancel[0] == [2 * k + 2]
+        assert counters.units_cancelled == 1
+        # The path shifts every chain job onto its upper machine.
+        assert extract_semi_matching(net).machine_of[:k] == tuple(range(1, k + 1))
+        got = unit_cost(inst, extract_semi_matching(net))
+        assert got == 3 + 3 * (k - 1) + 1
+        assert got == unit_cost(inst, solve_unweighted(inst))
+        assert got == unit_cost(inst, baseline_exploded_solver(inst))
+        assert got == brute_force_semi_matching(inst)[0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_spider_moves_a_unit_down_every_leg(self, seed):
+        rng = random.Random(seed)
+        legs, length = rng.randint(2, 4), rng.randint(4, 7)
+        inst, seeded = spider_instance(rng, legs, length)
+        net = build_cost_center_network(inst)
+        seed_flow(net, seeded)
+        counters, _ = observed_cancel_all(net)
+        assert max(d for dists in counters.distances_per_cancel for d in dists) >= 8
+        got = unit_cost(inst, extract_semi_matching(net))
+        # The hub keeps its two pinned jobs, the rest of every leg is
+        # balanced at two, and each far end takes one job.
+        assert got == 3 + legs * ((length - 1) * 3 + 1)
+        assert got == unit_cost(inst, solve_unweighted(inst))
+        assert got == unit_cost(inst, baseline_exploded_solver(inst))
+        if assignment_search_space(inst) <= 200_000:
+            assert got == brute_force_semi_matching(inst)[0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_layer_paths_cross_merged_slots(self, seed):
+        # Step marginals 1,1,1,2,2,2,3,3,3 give slot edges of capacity 3.
+        # Machine 0 sees every job and carries two to four of them, and
+        # some machine carries four, so machine 0 gets a second slot edge.
+        # Move two or three of its units from its cheapest slot into that,
+        # which keeps the flow saturating; the way back is a path of two
+        # layers, center -> machine 0 -> center, and one push moves them all.
+        rng = random.Random(seed)
+        jobs, machines = rng.randint(6, 8), rng.randint(2, 4)
+        edges = [(u, 0) for u in range(jobs)]
+        edges += [(u, v) for u in range(jobs) for v in range(1, machines) if rng.random() < 0.6]
+        inst = BipartiteInstance(jobs, machines, edges)
+        while True:
+            seeded = SemiMatching(tuple(rng.choice(inst.job_adj[u])[0] for u in range(jobs)))
+            loads = seeded.degrees(machines)
+            if 2 <= loads[0] <= 4 and max(loads) >= 4:
+                break
+        step = ConvexMachineCost.from_callable(inst, lambda k: sum(i // 3 + 1 for i in range(k)))
+        net = build_cost_center_network(inst, step)
+        seed_flow(net, seeded)
+        (cheap, _), (dear, _) = net._machine_center_edges[0][:2]
+        shift = min(net.edge_flow(cheap), net._rem[dear], 3)
+        assert shift >= 2
+        net._push(cheap ^ 1, shift)
+        net._push(dear, shift)
+        assert net.flow_value() == jobs
+        counters, biggest = observed_cancel_all(net)
+        assert 2 in [d for dists in counters.distances_per_cancel for d in dists]
+        assert biggest >= 2
+        best, _ = brute_force_semi_matching(inst, step)
+        assert convex_cost(inst, extract_semi_matching(net), step) == best
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_loads_match_brute_force_and_baseline(self, seed):
+        # Every job picks two machines out of a few, so many machines tie
+        # on load and many paths have equal length.
+        rng = random.Random(seed)
+        machines = rng.randint(2, 5)
+        jobs = rng.randint(machines, 3 * machines)
+        edges = [(u, v) for u in range(jobs) for v in rng.sample(range(machines), 2)]
+        inst = BipartiteInstance(jobs, machines, edges)
+        net = build_cost_center_network(inst)
+        seed_flow(net, SemiMatching(tuple(rng.choice(inst.job_adj[u])[0] for u in range(jobs))))
+        observed_cancel_all(net)
+        got = unit_cost(inst, extract_semi_matching(net))
+        assert got == unit_cost(inst, baseline_exploded_solver(inst))
+        if assignment_search_space(inst) <= 200_000:
+            assert got == brute_force_semi_matching(inst)[0]
 
 
 class TestSolveConvex:
