@@ -366,7 +366,9 @@ def _cancel(
     in the final (failed) layering, which is exactly the residual
     reachability set used for the partition step.  ``machines`` lists the
     component's machines that have jobs.  Every center of the component
-    that has slot edges must be a source or a sink.
+    that carries flow must be a source or a sink; one that carries none
+    has no residual arc out, so it can only end a path, and paths end
+    only in sinks.
 
     Jobs and centers link only to machines, so machines fill the odd
     layers.  A layer of machines is found bottom-up when the frontier's
@@ -478,12 +480,15 @@ def _cancel(
 
         # --- Blocking flow, searched backward from the sinks.  Level D-1
         # is the last frontier; its machines' residual slot arcs into
-        # sinks are the start arcs.  A node found to reach no source, or
-        # a job moved by an augmentation (its new carrier sits a layer
-        # later), gets the label -1 and is dead for the rest of the round.
+        # sinks are the start arcs.  A center above the costliest one in
+        # use may keep slot edges without being a sink and sit on level
+        # D too; a push into it would raise the cost.  A node found to
+        # reach no source, or a job moved by an augmentation (its new
+        # carrier sits a layer later), gets the label -1 and is dead for
+        # the rest of the round.
         starts = [
             e for x in last for e in adj[x]
-            if e >= first_slot and seen[to[e]] == stamp and dist[to[e]] == D
+            if e >= first_slot and to[e] in sink_set
         ]
         scanned += sum(len(adj[x]) for x in last)
         for x in marked:

@@ -596,6 +596,33 @@ class TestBackwardBlockingFlow:
         best, _ = brute_force_semi_matching(inst, step)
         assert convex_cost(inst, extract_semi_matching(net), step) == best
 
+    def test_cancel_all_after_cancel_pushes_only_into_sinks(self):
+        # Machine 0 carries six jobs, three of them free to move to
+        # machines 3..5, which carry nothing; machines 1 and 2 carry five,
+        # one of them free to move to machine 0.  Cancelling centers 3.. into
+        # 0..2 drains machine 0's centers 3..5, but its slot edges stay, so
+        # cancel_all (top 4) later meets center 5 with slot edges and no
+        # place among sources or sinks.  Sources [4] reach machine 0 on
+        # level 3, where both sink 3 and center 5 sit on level 4; only one
+        # unit may move, into sink 3.
+        edges = [(u, 0) for u in range(6)] + [(3 + i, 3 + i) for i in range(3)]
+        edges += [(6, 0), (6, 1), (7, 0), (7, 2)]
+        edges += [(u, 1) for u in range(8, 12)] + [(u, 2) for u in range(12, 16)]
+        inst = BipartiteInstance(16, 6, edges)
+        seeded = SemiMatching((0,) * 6 + (1, 2) + (1,) * 4 + (2,) * 4)
+        net = build_cost_center_network(inst)
+        seed_flow(net, seeded)
+        counters = CancelCounters()
+        cancel(net, range(3, net.num_centers), range(3), counters=counters)
+        assert counters.units_cancelled == 3
+        assert extract_semi_matching(net).degrees(6) == [3, 5, 5, 1, 1, 1]
+        counters = CancelCounters()
+        cancel_all(net, counters=counters)
+        assert counters.units_cancelled == 1
+        got = unit_cost(inst, extract_semi_matching(net))
+        assert got == brute_force_semi_matching(inst)[0]
+        assert got == unit_cost(inst, solve_unweighted(inst))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_equal_loads_match_brute_force_and_baseline(self, seed):
         # Every job picks two machines out of a few, so many machines tie
