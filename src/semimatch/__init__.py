@@ -39,7 +39,7 @@ from .cover import (
     maximum_matching_general,
     minimum_edge_cover,
 )
-from .envelope import EnvelopeEmptyError, EnvelopeFunction, EnvelopeHeap
+from .envelope import EnvelopeEmptyError, EnvelopeHeap
 from .formats import (
     ParseError,
     emit_assignment,
@@ -56,7 +56,6 @@ from .unweighted import CancelCounters, solve_convex, solve_unweighted
 from .weighted import (
     WeightedStats,
     baseline_exploded_solver,
-    compute_gammas,
     solve_weighted,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "CostOverflowError",
     "EdgeCover",
     "EnvelopeEmptyError",
-    "EnvelopeFunction",
     "EnvelopeHeap",
     "GeneralGraph",
     "InfeasibleInstanceError",
@@ -83,7 +81,6 @@ __all__ = [
     "baseline_exploded_solver",
     "brute_force_balanced_cover",
     "brute_force_semi_matching",
-    "compute_gammas",
     "cost_of_semi_matching",
     "emit_assignment",
     "emit_instance",

@@ -1,20 +1,22 @@
-"""A kinetic min-heap over unimodal functions sharing a lower envelope of lines.
+"""A kinetic min-heap over unimodal rows sharing a lower envelope of lines.
 
 The structure answers ``min f_i(x)`` over a shrinking index set ``L`` drawn
-from the integer domain ``[1, N]``, where each inserted function ``f_i`` is
+from the integer domain ``[1, N]``, where every inserted row is
 
-* unimodal on ``[1, N]`` with a known valley index ``gamma_i``, and
-* certified by a line ``g_i(x) = slope_i * x + intercept_i`` such that
-  ``f_i`` attains the pointwise minimum of the family exactly where ``g_i``
-  attains the lower envelope of the certificate lines.
+    f_i(x) = slope_i * x + intercept_i - shift[x - 1]
 
-In the intended use the functions are tentative Dijkstra distances into the
-slots of one machine: ``f(x) = g(x) - potential(slot x)``, so all functions
-differ from their lines by one shared per-index shift, which is what makes
-the certificate trick sound.  Two further properties are assumed and *not*
-checked outside of :class:`EnvelopeHeap`'s optional ``check`` mode: valleys
-are genuine (unimodality) and values at indices already deleted from ``L``
-are frozen (later insertions do not undercut them).
+for one ``shift`` array shared by the whole heap, and ``f_i`` is unimodal
+on ``[1, N]`` with a known valley index ``gamma_i``.  Because the shift is
+shared, ``f_i`` attains the pointwise minimum of the family exactly where
+its certificate line ``g_i(x) = slope_i * x + intercept_i`` attains the
+lower envelope of the lines.
+
+In the intended use the rows are tentative Dijkstra distances into the
+slots of one machine and ``shift`` holds the slot potentials.  Two
+further properties are assumed and *not* checked outside of
+:class:`EnvelopeHeap`'s optional ``check`` mode: valleys are genuine
+(unimodality) and values at indices already deleted from ``L`` are frozen
+(later insertions do not undercut them).
 
 The envelope is kept as a slope-descending list of lines owning consecutive
 integer intervals that partition ``[1, N]``.  A line owns index ``x`` when
@@ -32,30 +34,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 
 class EnvelopeEmptyError(Exception):
-    """access_min/delete_min on a heap with no functions or no live indices."""
-
-
-@dataclass(frozen=True, slots=True)
-class EnvelopeFunction:
-    """One unimodal function plus its linear certificate.
-
-    ``values(x)`` must be defined for all ``x`` in ``[1, N]``; ``valley`` is
-    its (left-most) minimiser.  ``payload`` is opaque and handed back by
-    ``access_min`` so callers can recover, e.g., which graph edge produced
-    the function.  ``values`` may be ``None`` when the heap was built with
-    a ``shift`` array, meaning ``f(x) = slope*x + intercept - shift[x-1]``.
-    """
-
-    slope: int
-    intercept: int
-    valley: int
-    values: Optional[Callable[[int], int]]
-    payload: Any = None
+    """access_min/delete_min on a heap with no rows or no live indices."""
 
 
 class AccessMin(NamedTuple):
@@ -66,24 +49,17 @@ class AccessMin(NamedTuple):
 
 class _Line:
     __slots__ = (
-        "uid", "slope", "intercept", "valley", "values", "payload",
+        "uid", "slope", "intercept", "valley", "payload",
         "x", "y", "p", "q", "gen", "on_envelope",
     )
 
     def __init__(
-        self,
-        uid: int,
-        slope: int,
-        intercept: int,
-        valley: int,
-        values: Optional[Callable[[int], int]],
-        payload: Any,
+        self, uid: int, slope: int, intercept: int, valley: int, payload: Any
     ) -> None:
         self.uid = uid
         self.slope = slope
         self.intercept = intercept
         self.valley = valley
-        self.values = values
         self.payload = payload
         self.x = 1          # envelope interval [x, y]; empty when x > y
         self.y = 0
@@ -92,17 +68,19 @@ class _Line:
         self.gen = 0
         self.on_envelope = False
 
-    def g(self, x: int) -> int:
-        return self.slope * x + self.intercept
-
 
 class EnvelopeHeap:
-    """Min-heap over a family of valley functions on the domain ``[1, N]``.
+    """Min-heap over the rows ``slope*x + intercept - shift[x-1]`` on ``[1, N]``.
 
-    ``check=True`` additionally verifies, on every insert, that the function
-    is unimodal with the declared valley and that it differs from its
-    certificate line by the same per-index shift as all earlier functions.
-    That is quadratic work overall and meant for tests only.
+    A missing ``shift`` means all zeros, so each row is its own line.
+
+    ``check=True`` makes the heap audit itself, for tests: every insert
+    must name a valley inside the domain that is the row's left-most
+    minimiser, around which the row is unimodal (else ``ValueError``);
+    after every insert and every delete-min the minimum must equal a
+    brute scan of all inserted rows over a shadow live set, and each
+    deleted index must attain that minimum (else ``AssertionError``).
+    That is quadratic work overall.
     """
 
     def __init__(
@@ -113,7 +91,9 @@ class EnvelopeHeap:
     ):
         if domain_size < 1:
             raise ValueError("domain must contain at least index 1")
-        if shift is not None and len(shift) < domain_size:
+        if shift is None:
+            shift = [0] * domain_size
+        elif len(shift) < domain_size:
             raise ValueError("shift array shorter than the domain")
         self.n = domain_size
         self.live_count = domain_size
@@ -127,12 +107,11 @@ class EnvelopeHeap:
         self._env_keys: list[int] = []     # negated slopes, for bisect
         self._lines: list[_Line] = []      # every inserted line, by uid
         self._heap: list[tuple[int, int, int, int, int]] = []
+        self._shift = shift
         self._check = check
-        # The shared per-index amount by which every function sits below its
-        # certificate line; functions inserted without a ``values`` callable
-        # are evaluated as g(x) - shift[x-1].
-        self._shift_arr = shift
-        self._shift: dict[int, int] = {}   # per-index f - g, check mode only
+        # Check mode's own record of the live indices, kept apart from the
+        # skip pointers it audits.
+        self._shadow_live = set(range(1, domain_size + 1)) if check else None
 
     # ------------------------------------------------------------------
     # live-index bookkeeping
@@ -157,18 +136,8 @@ class EnvelopeHeap:
         self._right[x] = x + 1
         self.live_count -= 1
 
-    def is_live(self, x: int) -> bool:
-        return 1 <= x <= self.n and self._live[x]
-
     # ------------------------------------------------------------------
     # candidate pointers and the lazy heap
-
-    def _value(self, line: _Line, x: int) -> int:
-        if line.values is not None:
-            return line.values(x)
-        shift = self._shift_arr
-        base = line.slope * x + line.intercept
-        return base - shift[x - 1] if shift is not None else base
 
     def _refresh(self, line: _Line) -> None:
         """Recompute a line's candidates from its interval and push them."""
@@ -180,23 +149,12 @@ class EnvelopeHeap:
         p = line.p = p if p >= line.x else None
         q = self._find_right(max(line.valley, line.x))
         q = line.q = q if q <= line.y else None
-        heap = self._heap
-        values, shift = line.values, self._shift_arr
+        heap, shift = self._heap, self._shift
         if p is not None:
-            if values is not None:
-                val = values(p)
-            else:
-                val = line.slope * p + line.intercept
-                if shift is not None:
-                    val -= shift[p - 1]
+            val = line.slope * p + line.intercept - shift[p - 1]
             heapq.heappush(heap, (val, line.uid, 0, line.gen, p))
         if q is not None and q != p:
-            if values is not None:
-                val = values(q)
-            else:
-                val = line.slope * q + line.intercept
-                if shift is not None:
-                    val -= shift[q - 1]
+            val = line.slope * q + line.intercept - shift[q - 1]
             heapq.heappush(heap, (val, line.uid, 1, line.gen, q))
 
     def _drop_from_envelope(self, line: _Line) -> None:
@@ -215,7 +173,7 @@ class EnvelopeHeap:
                 heapq.heappop(heap)
                 continue
             return value, line, idx
-        raise EnvelopeEmptyError("no live index is covered by any function")
+        raise EnvelopeEmptyError("no live index is covered by any row")
 
     # ------------------------------------------------------------------
     # public operations
@@ -223,32 +181,26 @@ class EnvelopeHeap:
     def __len__(self) -> int:
         return len(self._lines)
 
-    def insert(self, fn: EnvelopeFunction) -> int:
-        """Add a function; returns its id.  O(log n) plus evictions."""
-        if not 1 <= fn.valley <= self.n:
-            raise ValueError(f"valley {fn.valley} outside domain [1, {self.n}]")
-        if fn.values is None and self._shift_arr is None:
-            raise ValueError("function without values needs a heap-level shift")
-        if self._check:
-            self._check_function(fn)
-        return self.insert_line(
-            fn.slope, fn.intercept, fn.valley, fn.values, fn.payload
-        )
-
-    def insert_line(
-        self,
-        slope: int,
-        intercept: int,
-        valley: int,
-        values: Optional[Callable[[int], int]] = None,
-        payload: Any = None,
+    def insert(
+        self, slope: int, intercept: int, valley: int, payload: Any = None
     ) -> int:
-        """Trusted fast path of :meth:`insert`: no wrapper object, no
-        validation.  The caller vouches that ``valley`` is in the domain
-        and, when ``values`` is omitted, that the heap carries a shift."""
-        line = _Line(len(self._lines), slope, intercept, valley, values, payload)
-        self._lines.append(line)
+        """Add the row ``slope*x + intercept - shift[x-1]`` with its valley.
 
+        Returns the row's id.  O(log n) plus evictions.  Outside check
+        mode the caller vouches that ``valley`` is the row's left-most
+        minimiser in ``[1, N]``.
+        """
+        if self._check:
+            self._check_row(slope, intercept, valley)
+        line = _Line(len(self._lines), slope, intercept, valley, payload)
+        self._lines.append(line)
+        self._place(line)
+        if self._check:
+            self._check_min()
+        return line.uid
+
+    def _place(self, line: _Line) -> None:
+        """Splice a new line into the envelope, evicting what it covers."""
         env, keys = self._env, self._env_keys
         pos = bisect_left(keys, -line.slope)
 
@@ -257,7 +209,7 @@ class EnvelopeHeap:
         if pos < len(env) and env[pos].slope == line.slope:
             old = env[pos]
             if line.intercept >= old.intercept:
-                return line.uid
+                return
             self._drop_from_envelope(old)
             env.pop(pos)
             keys.pop(pos)
@@ -290,7 +242,7 @@ class EnvelopeHeap:
         if lo > hi:
             # Dominated everywhere: stays off the envelope, contributes no
             # candidates.  (Cannot co-occur with evictions above.)
-            return line.uid
+            return
 
         if pos > 0 and env[pos - 1].y != lo - 1:
             env[pos - 1].y = lo - 1
@@ -304,12 +256,11 @@ class EnvelopeHeap:
         env.insert(pos, line)
         keys.insert(pos, -line.slope)
         self._refresh(line)
-        return line.uid
 
     def access_min(self) -> AccessMin:
-        """Current minimum of all functions over the live indices.  O(1) am."""
+        """Current minimum of all rows over the live indices.  O(1) am."""
         if not self._lines:
-            raise EnvelopeEmptyError("no functions inserted")
+            raise EnvelopeEmptyError("no rows inserted")
         if self.live_count == 0:
             raise EnvelopeEmptyError("all indices deleted")
         value, line, idx = self._top()
@@ -319,50 +270,63 @@ class EnvelopeHeap:
         """Just the value of :meth:`access_min`, without the wrapper."""
         return self._top()[0]
 
-    def valley_live(self, x: int) -> bool:
-        """True while index ``x`` has not been deleted (trusted, unchecked)."""
-        return self._live[x]
-
     def delete_min(self) -> int:
         """Remove the minimising index from the live set and return it."""
         if not self._lines:
-            raise EnvelopeEmptyError("no functions inserted")
+            raise EnvelopeEmptyError("no rows inserted")
         if self.live_count == 0:
             raise EnvelopeEmptyError("all indices deleted")
         _value, line, idx = self._top()
+        if self._check:
+            self._check_min(deleting=idx)
+            self._shadow_live.discard(idx)
         heapq.heappop(self._heap)
         self._delete_index(idx)
         self._refresh(line)
+        if self._check:
+            self._check_min()
         return idx
 
     def candidate_count(self) -> int:
-        """Number of valid heap candidates; at most two per function."""
+        """Number of valid heap candidates; at most two per row."""
         total = 0
         for line in self._env:
             total += (line.p is not None) + (line.q is not None and line.q != line.p)
         return total
 
     # ------------------------------------------------------------------
-    # optional validation (tests)
+    # check mode
 
-    def _check_function(self, fn: EnvelopeFunction) -> None:
-        prev = None
-        for x in range(1, self.n + 1):
-            if fn.values is not None:
-                v = fn.values(x)
-            else:
-                v = fn.slope * x + fn.intercept - self._shift_arr[x - 1]
-            shift = v - (fn.slope * x + fn.intercept)
-            if x in self._shift:
-                if self._shift[x] != shift:
-                    raise ValueError(
-                        f"function breaks the shared line/function shift at {x}"
-                    )
-            else:
-                self._shift[x] = shift
-            if prev is not None:
-                if x <= fn.valley and v > prev:
-                    raise ValueError(f"not non-increasing before valley at {x}")
-                if x > fn.valley and v < prev:
-                    raise ValueError(f"not non-decreasing after valley at {x}")
-            prev = v
+    def _check_row(self, slope: int, intercept: int, valley: int) -> None:
+        if not 1 <= valley <= self.n:
+            raise ValueError(f"valley {valley} outside domain [1, {self.n}]")
+        shift = self._shift
+        row = [slope * x + intercept - shift[x - 1] for x in range(1, self.n + 1)]
+        if row.index(min(row)) + 1 != valley:
+            raise ValueError(f"valley {valley} is not the row's left-most minimiser")
+        v = valley - 1
+        if any(a < b for a, b in zip(row[:v], row[1 : v + 1])) or any(
+            a > b for a, b in zip(row[v:], row[v + 1 :])
+        ):
+            raise ValueError(f"row is not unimodal around valley {valley}")
+
+    def _check_min(self, deleting: int = 0) -> None:
+        """Assert the heap's minimum against a brute scan of every row.
+
+        ``deleting`` is the index :meth:`delete_min` is about to remove;
+        it must be live in the shadow set and attain the minimum.
+        """
+        live = self._shadow_live
+        if not live:
+            return
+        shift = self._shift
+
+        def at(x: int) -> int:
+            return min(ln.slope * x + ln.intercept - shift[x - 1] for ln in self._lines)
+
+        value, brute = self.min_value(), min(at(x) for x in live)
+        assert value == brute, f"envelope minimum {value} disagrees with brute scan {brute}"
+        if deleting:
+            assert deleting in live and at(deleting) == value, (
+                f"deleted index {deleting} does not attain the minimum {value}"
+            )

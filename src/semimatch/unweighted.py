@@ -753,13 +753,21 @@ def extract_semi_matching(network: CostCenterNetwork) -> SemiMatching:
 
 
 def _greedy_seed(instance: BipartiteInstance) -> SemiMatching:
-    """Assign each job to its currently least-loaded neighbour."""
+    """Assign each job to its currently least-loaded neighbour.
+
+    Ties go to the lower machine id.
+    """
     loads = [0] * instance.num_machines
     out = []
-    for u in range(instance.num_jobs):
-        v = min((vv for vv, _w in instance.job_adj[u]), key=lambda vv: (loads[vv], vv))
-        loads[v] += 1
-        out.append(v)
+    for adj in instance.job_adj:
+        best = adj[0][0]
+        best_load = loads[best]
+        for v, _w in adj:
+            load = loads[v]
+            if load < best_load or (load == best_load and v < best):
+                best, best_load = v, load
+        loads[best] = best_load + 1
+        out.append(best)
     return SemiMatching(tuple(out))
 
 
@@ -770,21 +778,22 @@ def solve_unweighted(
 
     Edge weights play no role in the load-based objective and are
     ignored.  Pass a :class:`CancelCounters` as ``stats`` to observe the
-    run.
+    run.  This is :func:`solve_convex` with triangular load costs.
     """
-    network = build_cost_center_network(instance)
-    seed_flow(network, _greedy_seed(instance))
-    cancel_all(network, counters=stats)
-    return extract_semi_matching(network)
+    return solve_convex(instance, stats=stats)
 
 
 def solve_convex(
     instance: BipartiteInstance,
-    costs: ConvexMachineCost,
+    costs: Optional[ConvexMachineCost] = None,
     *,
     stats: Optional[CancelCounters] = None,
 ) -> SemiMatching:
-    """Minimize the sum of per-machine convex load costs f_v(load)."""
+    """Minimize the sum of per-machine convex load costs f_v(load).
+
+    ``costs=None`` means unit jobs, whose machine of load k costs
+    1 + 2 + ... + k (the total completion time).
+    """
     network = build_cost_center_network(instance, costs)
     seed_flow(network, _greedy_seed(instance))
     cancel_all(network, counters=stats)

@@ -43,22 +43,20 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import (
     BipartiteInstance,
     SemiMatching,
     cost_of_semi_matching,
 )
-from .envelope import EnvelopeFunction, EnvelopeHeap
+from .envelope import EnvelopeHeap
 
 __all__ = [
     "EktState",
     "WeightedStats",
     "DijkstraRun",
     "GroupedDijkstra",
-    "compute_gammas",
-    "dijkstra_grouped",
     "update_potentials",
     "augment",
     "solve_weighted",
@@ -315,9 +313,12 @@ class GroupedDijkstra:
     joined to 4 machines (the weighted-skewed benchmark) that cut drops
     53 % of the relaxations, and about 27k of the 66k lines parked per
     solve are never inserted; on 400 jobs / 4000 sparse edges the cut
-    drops 77-79 %.  With ``check`` instrumentation or a recorder attached
-    every line is materialized eagerly and nothing is dropped, so those
-    hooks see the full operation stream.
+    drops 77-79 %.
+
+    ``check=True`` changes nothing in the search: it only builds each
+    machine's envelope heap in check mode, so every insert and
+    delete-min this filtered search performs is audited against a brute
+    scan as it happens.
     """
 
     def __init__(
@@ -325,19 +326,14 @@ class GroupedDijkstra:
         state: EktState,
         *,
         stats: Optional[WeightedStats] = None,
-        heap_factory: Optional[Callable[[int], EnvelopeHeap]] = None,
-        recorder: Optional[list] = None,
+        check: bool = False,
     ) -> None:
         self.state = state
         self.stats = stats
-        self._heap_factory = heap_factory or EnvelopeHeap
-        self._recorder = recorder
-        self._eager = heap_factory is not None or recorder is not None
+        self._check = check
         self._job_base = state.instance.num_machines
         tables = self._tables = state._tables
         tables.reset()
-        self._ub: float = _INF  # upper bound on this phase's terminal distance
-        self._records: dict[int, dict] = {}
         self.dist_job: dict[int, int] = {}
         self.dist_slot: dict[tuple[int, int], int] = {}
         self.slot_owner: dict[tuple[int, int], int] = {}
@@ -361,75 +357,6 @@ class GroupedDijkstra:
         t.touched.append(v)
         return pend
 
-    def _materialize(self, v: int, entry: tuple) -> EnvelopeHeap:
-        fg, w, b, g, u = entry
-        t = self._tables
-        heap = t.heaps[v]
-        shift = t.shift[v]
-        if heap is None:
-            if self._eager:
-                heap = self._heap_factory(t.domain[v])
-            else:
-                heap = EnvelopeHeap(t.domain[v], shift=shift)
-            t.heaps[v] = heap
-            if self._recorder is not None:
-                rec = {"n": t.domain[v], "pots": tuple(shift), "events": []}
-                self._records[v] = rec
-                self._recorder.append(rec)
-        if not self._eager:
-            heap.insert_line(w, b, g, payload=u)
-        else:
-            def values(i: int, w: int = w, b: int = b, shift: list[int] = shift) -> int:
-                return w * i + b - shift[i - 1]
-
-            if self._recorder is not None:
-                self._records[v]["events"].append(("insert", w, b, g))
-            heap.insert(
-                EnvelopeFunction(slope=w, intercept=b, valley=g, values=values, payload=u)
-            )
-        if self.stats is not None:
-            self.stats.envelope_inserts += 1
-        return heap
-
-    def _drain(self, v: int) -> None:
-        pend = self._tables.pending[v]
-        while pend:
-            self._materialize(v, heapq.heappop(pend))
-
-    # -- the public knobs --------------------------------------------------
-
-    def relax_group(self, u: int, d: int, v: int, w: int) -> None:
-        """Account for all exploded edges u->v^1..v^n at once.
-
-        ``d`` is u's finalized distance; the line's intercept is
-        ``d - _raw_job[u]``.  This is the faithful, drop-nothing form; the
-        main loop inlines a filtered copy of it.
-        """
-        t = self._tables
-        pend = t.pending[v]
-        if pend is None:
-            pend = self._touch(v)
-        shift = t.shift[v]
-        g = bisect_left(t.negdiffs[v], -w) + 1
-        b = d - self.state._raw_job[u]
-        fg: float = w * g + b - shift[g - 1]
-        heapq.heappush(pend, (fg, w, b, g, u))
-        self.relaxations += 1
-        if t.free_n[v]:
-            ub = w * t.free_n[v] + b
-            if ub < self._ub:
-                self._ub = ub
-        if self._eager:
-            self._drain(v)
-            heap = t.heaps[v]
-            assert heap is not None
-            fg = heap.access_min().value if heap.live_count else _INF
-        if fg < t.last_pushed[v]:
-            t.last_pushed[v] = fg
-            heapq.heappush(self._pq, (fg, v))
-            if self.stats is not None:
-                self.stats.heap_pushes += 1
-
     def run(self) -> DijkstraRun:
         state = self.state
         job_base = self._job_base
@@ -440,11 +367,11 @@ class GroupedDijkstra:
         shift_l, negdiffs_l = t.shift, t.negdiffs
         pending_l, last_l = t.pending, t.last_pushed
         free_l, base_l = t.free_n, t.base
-        heaps = t.heaps
+        heaps, domain_l = t.heaps, t.domain
+        check = self._check
         dist_job = self.dist_job
         pq = self._pq
-        eager = self._eager
-        ub = self._ub
+        ub = _INF  # upper bound on this phase's terminal distance
         push, pop, bis = heapq.heappush, heapq.heappop, bisect_left
         pushes = relaxed = inserts = mpops = 0
         while pq:
@@ -454,10 +381,6 @@ class GroupedDijkstra:
                 if u in dist_job:
                     continue
                 dist_job[u] = value
-                if eager:
-                    for v, w in job_adj[u]:
-                        self.relax_group(u, value, v, w)
-                    continue
                 b = value - raw_job[u]  # d(u) + p(u), less total_potential
                 for v, w in job_adj[u]:
                     pend = pending_l[v]
@@ -496,13 +419,10 @@ class GroupedDijkstra:
             # per line.  Lines beyond the terminal upper bound can win
             # nothing this phase and stay parked for good.
             while pend and pend[0][0] < env_min and pend[0][0] <= ub:
-                e = pop(pend)
+                fg, w, b, g, owner = pop(pend)
                 if heap is None:
-                    heap = self._materialize(v, e)
-                    env_min = heap.min_value()
-                    continue
-                fg, w, b, g, owner = e
-                heap.insert_line(w, b, g, payload=owner)
+                    heap = heaps[v] = EnvelopeHeap(domain_l[v], check, shift_l[v])
+                heap.insert(w, b, g, owner)
                 inserts += 1
                 if heap._live[g]:
                     # A live valley pins the line's minimum at exactly fg.
@@ -524,15 +444,11 @@ class GroupedDijkstra:
             self.slot_owner[(v, i)] = am.payload
             if i == len(slots[v]) + 1:
                 self.relaxations += relaxed
-                self._ub = ub
                 if self.stats is not None:
                     self.stats.group_relaxations.append(self.relaxations)
                     self.stats.heap_pushes += pushes
                     self.stats.envelope_inserts += inserts
                     self.stats.machine_pops += mpops
-                if self._recorder is not None:
-                    for rec in self._records.values():
-                        rec["events"].append(("stop",))
                 return DijkstraRun(
                     dist_job=self.dist_job,
                     dist_slot=self.dist_slot,
@@ -544,8 +460,6 @@ class GroupedDijkstra:
             heap.delete_min()
             if self.stats is not None:
                 self.stats.envelope_delete_mins += 1
-            if self._recorder is not None:
-                self._records[v]["events"].append(("pop",))
             nxt = heap.min_value() if heap.live_count else _INF
             if pend and pend[0][0] < nxt:
                 nxt = pend[0][0]
@@ -561,19 +475,6 @@ class GroupedDijkstra:
                 push(pq, (value, job_base + occupant))  # matching edge is tight
                 pushes += 1
         raise AssertionError("no unmatched slot reachable from the source job")
-
-
-def dijkstra_grouped(
-    state: EktState,
-    *,
-    stats: Optional[WeightedStats] = None,
-    heap_factory: Optional[Callable[[int], EnvelopeHeap]] = None,
-    recorder: Optional[list] = None,
-) -> DijkstraRun:
-    """Run one phase's grouped-relaxation Dijkstra; see GroupedDijkstra."""
-    return GroupedDijkstra(
-        state, stats=stats, heap_factory=heap_factory, recorder=recorder
-    ).run()
 
 
 def update_potentials(state: EktState, run: DijkstraRun) -> None:
@@ -639,20 +540,17 @@ def solve_weighted(
     *,
     stats: Optional[WeightedStats] = None,
     check: bool = False,
-    recorder: Optional[list] = None,
 ) -> SemiMatching:
     """Minimum total weighted completion time assignment.
 
-    ``stats`` collects counters; ``check=True`` runs the full invariant
-    suite after every phase (slow: meant for tests); ``recorder``, a
-    list, harvests every envelope-heap operation sequence for replay.
+    ``stats`` collects counters.  ``check=True`` runs the same search
+    with self-auditing envelope heaps (see :class:`GroupedDijkstra`) and
+    the full invariant suite after every phase; it is slow and meant for
+    tests.
     """
     state = EktState(instance)
-    heap_factory = _CheckedEnvelopeHeap if check else None
     for _ in range(instance.num_jobs):
-        run = dijkstra_grouped(
-            state, stats=stats, heap_factory=heap_factory, recorder=recorder
-        )
+        run = GroupedDijkstra(state, stats=stats, check=check).run()
         update_potentials(state, run)
         augment(state, run)
         if check:
@@ -666,45 +564,6 @@ def solve_weighted(
 
 # --------------------------------------------------------------------------
 # Invariant suite (test instrumentation, exercised by the acceptance run)
-
-
-class _CheckedEnvelopeHeap(EnvelopeHeap):
-    """Envelope heap that re-derives every answer by brute scan."""
-
-    def __init__(self, domain_size: int) -> None:
-        super().__init__(domain_size, check=True)
-        self._shadow_fns: list[EnvelopeFunction] = []
-        self._shadow_live = set(range(1, domain_size + 1))
-
-    def _naive(self) -> Optional[tuple[int, int]]:
-        best = None
-        for x in sorted(self._shadow_live):
-            for fn in self._shadow_fns:
-                val = fn.values(x)
-                if best is None or val < best[0]:
-                    best = (val, x)
-        return best
-
-    def insert(self, fn: EnvelopeFunction) -> int:
-        self._shadow_fns.append(fn)
-        uid = super().insert(fn)
-        self._assert_agrees()
-        return uid
-
-    def delete_min(self) -> int:
-        idx = super().delete_min()
-        self._shadow_live.discard(idx)
-        self._assert_agrees()
-        return idx
-
-    def _assert_agrees(self) -> None:
-        naive = self._naive()
-        if not self._shadow_live or not self._shadow_fns:
-            return
-        got = self.access_min()
-        assert naive is not None and got.value == naive[0], (
-            f"envelope minimum {got.value} disagrees with naive scan {naive}"
-        )
 
 
 def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None:

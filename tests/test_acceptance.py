@@ -26,7 +26,7 @@ from semimatch.cover import (
     maximum_matching_general,
     minimum_edge_cover,
 )
-from semimatch.envelope import EnvelopeFunction, EnvelopeHeap
+from semimatch.envelope import EnvelopeHeap
 from semimatch.generate import gen_random, gen_random_graph
 from semimatch.oracle import (
     assignment_search_space,
@@ -45,7 +45,7 @@ from semimatch.weighted import WeightedStats, baseline_exploded_solver, solve_we
 
 from conftest import fig2_instance, live_center_count
 from test_cover import connected_graphs
-from test_envelope import NaiveEnvelope, harvest_records, pop_both, shifted_family
+from test_envelope import NaiveEnvelope, checked_phase_heaps, pop_both, row, shifted_family
 
 
 def small_weighted_instance(i):
@@ -165,37 +165,32 @@ def test_criterion_06_invariant_suite_on_every_iteration():
 
 
 def replay_against_naive(domain, events, shift):
-    heap = EnvelopeHeap(domain)
+    heap = EnvelopeHeap(domain, shift=shift)
     naive = NaiveEnvelope(domain)
     for event in events:
         if event[0] == "insert":
             _, w, b, valley = event
-            values = lambda x, w=w, b=b: w * x + b - shift[x - 1]
-            heap.insert(
-                EnvelopeFunction(slope=w, intercept=b, valley=valley, values=values)
-            )
-            naive.insert(values)
-        elif event[0] == "pop":
-            pop_both(heap, naive)
+            heap.insert(w, b, valley)
+            naive.insert(row(w, b, shift))
         else:
-            assert event == ("stop",)
-            break
+            assert event == ("pop",)
+            pop_both(heap, naive)
         if naive.live:
             assert heap.access_min().value == naive.min_value()
 
 
 def test_criterion_07_envelope_heap_against_naive_scan():
+    # Harvested sequences: every heap a weighted phase opens, audited by
+    # the heap's own brute scan as the search drives it (check=True).
     harvested = 0
     for seed in range(120):
-        records = harvest_records(
+        opened, _audited = checked_phase_heaps(
             seed,
             num_jobs=5 + seed % 6,
             num_machines=2 + seed % 3,
             max_weight=(3, 12, 100)[seed % 3],
         )
-        for rec in records:
-            replay_against_naive(rec["n"], rec["events"], rec["pots"])
-            harvested += 1
+        harvested += opened
 
     synthetic = max(400, 1000 - harvested)
     for seed in range(synthetic):

@@ -1,9 +1,9 @@
 """Lower-envelope heap against a naive full-scan reference.
 
-The reference model keeps every inserted function as a plain value
-table and answers access_min/delete_min by scanning all live indices of
-all functions — O(|S|*N) per query, unarguable.  The heap must agree on
-every returned *value* (returned indices may differ among exact ties).
+The reference model keeps every inserted row as a plain value table and
+answers access_min/delete_min by scanning all live indices of all rows
+— O(|S|*N) per query, unarguable.  The heap must agree on every
+returned *value* (returned indices may differ among exact ties).
 """
 
 import random
@@ -11,9 +11,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimatch.envelope import EnvelopeEmptyError, EnvelopeFunction, EnvelopeHeap
+from semimatch.envelope import EnvelopeEmptyError, EnvelopeHeap
 from semimatch.generate import gen_random
-from semimatch.weighted import dijkstra_grouped, augment, update_potentials, EktState
+from semimatch.weighted import (
+    EktState,
+    GroupedDijkstra,
+    WeightedStats,
+    augment,
+    update_potentials,
+)
 
 
 class NaiveEnvelope:
@@ -57,25 +63,26 @@ def pop_both(heap, naive):
     return value
 
 
-def line(slope, intercept, n, valley=None):
-    """An EnvelopeFunction that *is* its certificate line (γ clamps to 1)."""
-    fn = lambda x: slope * x + intercept
-    return EnvelopeFunction(
-        slope=slope, intercept=intercept, valley=valley or 1, values=fn
-    )
+def row(w, b, shift):
+    """The values of the row ``w*x + b - shift[x-1]``, for the naive side."""
+    return lambda x: w * x + b - shift[x - 1]
+
+
+# Without a shift every row is its own line; lines of non-negative slope
+# have their valley at index 1.
 
 
 def test_single_increasing_line():
     h = EnvelopeHeap(3)
-    h.insert(line(2, 0, 3))
+    h.insert(2, 0, 1)
     got = h.access_min()
     assert (got.index, got.value) == (1, 2)
 
 
 def test_two_lines_min_and_delete():
     h = EnvelopeHeap(3)
-    h.insert(line(5, 0, 3))
-    h.insert(line(1, 8, 3))
+    h.insert(5, 0, 1)
+    h.insert(1, 8, 1)
     assert h.access_min().value == 5  # min(5x, x+8) on {1,2,3} = {5,10,11}
     assert pop_value(h) == 5
     got = h.access_min()
@@ -88,11 +95,11 @@ def test_two_lines_min_and_delete():
 
 def test_dominated_line_contributes_nothing():
     h = EnvelopeHeap(4)
-    h.insert(line(2, 0, 4))
+    h.insert(2, 0, 1)
     before = [pop_value(h) for _ in range(2)]
     h2 = EnvelopeHeap(4)
-    h2.insert(line(2, 0, 4))
-    h2.insert(line(2, 100, 4))  # parallel and above: never on the envelope
+    h2.insert(2, 0, 1)
+    h2.insert(2, 100, 1)  # parallel and above: never on the envelope
     after = [pop_value(h2) for _ in range(2)]
     assert before == after == [2, 4]
 
@@ -106,15 +113,59 @@ def test_empty_heap_raises():
 
 
 def test_valley_out_of_domain_rejected():
-    h = EnvelopeHeap(3)
+    h = EnvelopeHeap(3, check=True)
     with pytest.raises(ValueError):
-        h.insert(line(1, 0, 3, valley=4))
+        h.insert(1, 0, 4)
 
 
-def test_values_required_without_shift():
-    h = EnvelopeHeap(3)
+@pytest.mark.parametrize(
+    "slope, shift, valley",
+    [
+        (2, [0, 0, 0], 2),  # 2, 4, 6: the minimum is at 1
+        (0, [0, 0, 0], 3),  # a flat row: a minimiser, but not the left-most
+        (2, [0, 3, 5], 3),  # 2, 1, 1: the left-most minimiser is 2
+    ],
+)
+def test_false_valley_rejected_in_check_mode(slope, shift, valley):
+    h = EnvelopeHeap(3, check=True, shift=shift)
     with pytest.raises(ValueError):
-        h.insert(EnvelopeFunction(slope=1, intercept=0, valley=1, values=None))
+        h.insert(slope, 0, valley)
+    assert len(h) == 0
+
+
+def test_missing_shift_defaults_to_zeros():
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        implicit, explicit = EnvelopeHeap(n), EnvelopeHeap(n, shift=[0] * n)
+        for _ in range(rng.randint(1, 6)):
+            w, b = rng.randint(0, 20), rng.randint(0, 30)
+            implicit.insert(w, b, 1)
+            explicit.insert(w, b, 1)
+            assert implicit.access_min() == explicit.access_min()
+        for _ in range(n):
+            assert pop_value(implicit) == pop_value(explicit)
+
+
+def test_sabotaged_refresh_fails_the_brute_scan(monkeypatch):
+    """A checked heap catches a refresh that loses its right candidate."""
+    refresh = EnvelopeHeap._refresh
+
+    def drop_right_candidate(self, line):
+        refresh(self, line)
+        if line.p is not None:
+            line.q = None  # its heap entry now looks stale and is skipped
+
+    def stream(heap):
+        heap.insert(2, 0, 2)  # 2, 1, 1 against the shift
+        heap.delete_min()  # slot 2 goes; the minimum 1 moves right, to slot 3
+        return heap.access_min().value
+
+    assert stream(EnvelopeHeap(3, check=True, shift=[0, 3, 5])) == 1
+    monkeypatch.setattr(EnvelopeHeap, "_refresh", drop_right_candidate)
+    assert stream(EnvelopeHeap(3, shift=[0, 3, 5])) == 2  # silently wrong
+    with pytest.raises(AssertionError, match="brute scan"):
+        stream(EnvelopeHeap(3, check=True, shift=[0, 3, 5]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +200,11 @@ def test_random_families_match_naive(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 12)
     shift, fns = shifted_family(rng, n, rng.randint(1, 10))
-    h = EnvelopeHeap(n)
+    h = EnvelopeHeap(n, shift=shift)
     naive = NaiveEnvelope(n)
-    for w, b, valley, shift in fns:
-        values = lambda x, w=w, b=b: w * x + b - shift[x - 1]
-        h.insert(EnvelopeFunction(slope=w, intercept=b, valley=valley, values=values))
-        naive.insert(values)
+    for w, b, valley, _ in fns:
+        h.insert(w, b, valley)
+        naive.insert(row(w, b, shift))
         if naive.live:
             assert h.access_min().value == naive.min_value()
         if rng.random() < 0.5 and naive.live:
@@ -165,22 +215,20 @@ def test_random_families_match_naive(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_shift_fast_path_matches_values_path(seed):
-    """insert_line + shared shift array == insert with a values callable."""
+    """The shift fast path agrees with the rows' values, which a checked
+    heap re-derives by evaluating every row at every live index."""
     rng = random.Random(1000 + seed)
     n = rng.randint(1, 10)
     shift, fns = shifted_family(rng, n, rng.randint(1, 8))
-    slow = EnvelopeHeap(n)
     fast = EnvelopeHeap(n, shift=shift)
+    checked = EnvelopeHeap(n, check=True, shift=shift)
     for w, b, valley, _ in fns:
-        values = lambda x, w=w, b=b: w * x + b - shift[x - 1]
-        slow.insert(EnvelopeFunction(slope=w, intercept=b, valley=valley, values=values))
-        fast.insert_line(w, b, valley)
-        assert fast.min_value() == slow.access_min().value
+        fast.insert(w, b, valley)
+        checked.insert(w, b, valley)
+        assert fast.access_min() == checked.access_min()
     for _ in range(n):
-        assert pop_value(fast) == pop_value(slow)
-        assert fast.live_count == slow.live_count
-        if fast.live_count:
-            assert fast.valley_live(fast.access_min().index)
+        assert fast.delete_min() == checked.delete_min()
+        assert fast.live_count == checked.live_count
 
 
 def test_checked_mode_accepts_valid_sequences():
@@ -188,12 +236,9 @@ def test_checked_mode_accepts_valid_sequences():
     for _ in range(10):
         n = rng.randint(1, 8)
         shift, fns = shifted_family(rng, n, 6)
-        h = EnvelopeHeap(n, check=True)
+        h = EnvelopeHeap(n, check=True, shift=shift)
         for w, b, valley, _ in fns:
-            values = lambda x, w=w, b=b: w * x + b - shift[x - 1]
-            h.insert(
-                EnvelopeFunction(slope=w, intercept=b, valley=valley, values=values)
-            )
+            h.insert(w, b, valley)
         for _ in range(n):
             h.delete_min()
 
@@ -202,10 +247,9 @@ def test_candidate_heap_stays_small():
     rng = random.Random(5)
     n = 10
     shift, fns = shifted_family(rng, n, 25)
-    h = EnvelopeHeap(n)
+    h = EnvelopeHeap(n, shift=shift)
     for w, b, valley, _ in fns:
-        values = lambda x, w=w, b=b: w * x + b - shift[x - 1]
-        h.insert(EnvelopeFunction(slope=w, intercept=b, valley=valley, values=values))
+        h.insert(w, b, valley)
         assert h.candidate_count() <= 2 * len(h)
 
 
@@ -233,12 +277,11 @@ def op_sequences(draw):
 @given(op_sequences())
 def test_interleaved_ops_match_naive(ops):
     n, shift, lines, deletes = ops
-    h = EnvelopeHeap(n)
+    h = EnvelopeHeap(n, shift=shift)
     naive = NaiveEnvelope(n)
     for (w, b, valley), delete_after in zip(lines, deletes):
-        values = lambda x, w=w, b=b: w * x + b - shift[x - 1]
-        h.insert(EnvelopeFunction(slope=w, intercept=b, valley=valley, values=values))
-        naive.insert(values)
+        h.insert(w, b, valley)
+        naive.insert(row(w, b, shift))
         if naive.live:
             assert h.access_min().value == naive.min_value()
         if delete_after and naive.live:
@@ -248,43 +291,36 @@ def test_interleaved_ops_match_naive(ops):
 
 
 # ---------------------------------------------------------------------------
-# Harvested sequences: real per-machine heap traffic from weighted solves.
+# Real per-machine heap traffic from weighted solves, checked as it happens.
 
 
-def harvest_records(seed, num_jobs, num_machines, max_weight):
+def checked_phase_heaps(seed, num_jobs, num_machines, max_weight):
+    """Solve a random instance phase by phase with ``check=True``.
+
+    Each envelope heap a phase opens audits every insert and delete-min
+    the search makes against a brute scan, inline.  Returns the number
+    of heaps opened and the number of heap operations audited.
+    """
     rng = random.Random(seed)
     inst = gen_random(
         rng, num_jobs, num_machines, edge_prob=0.6, max_weight=max_weight
     )
     state = EktState(inst)
-    records = []
+    stats = WeightedStats()
+    opened = 0
     for _ in range(inst.num_jobs):
-        run = dijkstra_grouped(state, recorder=records)
+        run = GroupedDijkstra(state, stats=stats, check=True).run()
+        tables = state._tables
+        heaps = [tables.heaps[v] for v in tables.touched if tables.heaps[v] is not None]
+        assert all(h._check for h in heaps)
+        opened += len(heaps)
         update_potentials(state, run)
         augment(state, run)
-    return records
+    return opened, stats.envelope_inserts + stats.envelope_delete_mins
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_harvested_heap_traffic_matches_naive(seed):
-    records = harvest_records(seed, num_jobs=7, num_machines=3, max_weight=12)
-    assert records, "expected at least one materialized machine heap"
-    for rec in records:
-        n, pots = rec["n"], rec["pots"]
-        h = EnvelopeHeap(n)
-        naive = NaiveEnvelope(n)
-        for event in rec["events"]:
-            if event[0] == "insert":
-                _, w, b, valley = event
-                values = lambda x, w=w, b=b: w * x + b - pots[x - 1]
-                h.insert(
-                    EnvelopeFunction(slope=w, intercept=b, valley=valley, values=values)
-                )
-                naive.insert(values)
-            elif event[0] == "pop":
-                pop_both(h, naive)
-            else:  # stop — phase over, heap discarded mid-state
-                assert event == ("stop",)
-                break
-            if naive.live:
-                assert h.access_min().value == naive.min_value()
+    opened, audited = checked_phase_heaps(seed, num_jobs=7, num_machines=3, max_weight=12)
+    assert opened, "expected at least one materialized machine heap"
+    assert audited >= opened  # each opened heap took at least one insert

@@ -17,12 +17,12 @@ from semimatch.oracle import assignment_search_space, brute_force_semi_matching
 from semimatch.unweighted import solve_unweighted
 from semimatch.weighted import (
     EktState,
+    GroupedDijkstra,
     WeightedStats,
     augment,
     baseline_exploded_solver,
     check_invariants,
     compute_gammas,
-    dijkstra_grouped,
     solve_weighted,
     update_potentials,
 )
@@ -61,7 +61,7 @@ class TestWorkedExamples:
         inst = BipartiteInstance(2, 1, [(0, 0, 1), (1, 0, 2)])
         state = EktState(inst)
         for _ in range(2):
-            run = dijkstra_grouped(state)
+            run = GroupedDijkstra(state).run()
             update_potentials(state, run)
             augment(state, run)
         assert state.slots[0] == [1, 0]  # weight-2 job first
@@ -98,7 +98,7 @@ class TestValleyComputation:
                               edge_prob=0.8, max_weight=30)
             state = EktState(inst)
             for _ in range(inst.num_jobs):
-                run = dijkstra_grouped(state)
+                run = GroupedDijkstra(state).run()
                 update_potentials(state, run)
                 augment(state, run)
                 gammas = compute_gammas(state)
@@ -161,7 +161,7 @@ class TestPhaseInvariants:
                           edge_prob=1.0, max_weight=9)
         state = EktState(inst)
         for k in range(1, inst.num_jobs + 1):
-            run = dijkstra_grouped(state)
+            run = GroupedDijkstra(state).run()
             update_potentials(state, run)
             augment(state, run)
             check_invariants(state, run)
@@ -205,6 +205,19 @@ class TestPhaseInvariants:
             assert stats.machine_pops <= (
                 stats.envelope_delete_mins + stats.envelope_inserts + stats.iterations
             )
+
+    @pytest.mark.parametrize("family", ["skewed", "all-equal", "mostly-zero", "near-2^31"])
+    def test_checked_solve_runs_the_user_path(self, family):
+        # check=True only audits the heaps: the assignment and every
+        # counter (relaxations per phase, envelope inserts and delete-mins,
+        # frontier pushes, machine pops) match the unchecked solve exactly.
+        rng = random.Random(4500 + len(family))
+        for _ in range(6):
+            inst = family_instance(rng, family)
+            plain, checked = WeightedStats(), WeightedStats()
+            matching = solve_weighted(inst, stats=plain)
+            assert solve_weighted(inst, stats=checked, check=True) == matching
+            assert checked == plain
 
     def test_envelope_ops_accounting(self):
         rng = random.Random(33)
