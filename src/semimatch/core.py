@@ -157,7 +157,12 @@ class SemiMatching:
         """Per-machine lists of assigned job weights."""
         loads: list[list[int]] = [[] for _ in range(instance.num_machines)]
         for u, v in enumerate(self.machine_of):
-            loads[v].append(instance.weight(u, v))
+            for vv, w in instance.job_adj[u]:
+                if vv == v:
+                    loads[v].append(w)
+                    break
+            else:
+                raise KeyError(f"no edge ({u}, {v})")
         return loads
 
     def degrees(self, num_machines: int) -> list[int]:
@@ -228,7 +233,10 @@ def validate_semi_matching(
     for u, v in enumerate(matching.machine_of):
         if v is None or not 0 <= v < instance.num_machines:
             return Violation("unassigned", f"job {u} has no machine (got {v!r})")
-        if all(vv != v for vv, _ in instance.job_adj[u]):
+        for vv, _w in instance.job_adj[u]:
+            if vv == v:
+                break
+        else:
             return Violation("not-an-edge", f"({u}, {v}) is not an edge")
     return None
 

@@ -95,11 +95,13 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
     The header's kind decides the result: ``p semimatch`` gives a
     :class:`BipartiteInstance`, ``p cover`` a :class:`GeneralGraph`.
     """
-    records = _records(text)
-    try:
-        line_no, tokens = next(records)
-    except StopIteration:
-        raise MalformedHeaderError(0, "empty input, expected a 'p' header") from None
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if tokens and tokens[0] != "c":
+            break
+    else:
+        raise MalformedHeaderError(0, "empty input, expected a 'p' header")
     if tokens[0] != "p":
         raise MalformedHeaderError(line_no, f"expected 'p' header, got {tokens[0]!r}")
     kind = tokens[1] if len(tokens) > 1 else ""
@@ -118,23 +120,32 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             raise MalformedHeaderError(
                 line_no, "cover header needs 'p cover <vertices> <edges>'"
             )
-        num_vertices, num_edges = (
+        counts = [
             _int_field(line_no, t, "header count", MalformedHeaderError)
             for t in tokens[2:]
-        )
+        ]
+        num_vertices, num_edges = counts
     else:
         raise MalformedHeaderError(
             line_no, f"unknown problem kind {kind!r} (expected semimatch or cover)"
         )
     header_line = line_no
-    if any(c < 0 for c in (counts if kind == "semimatch" else [num_vertices, num_edges])):
+    if any(c < 0 for c in counts):
         raise MalformedHeaderError(header_line, "header counts must be non-negative")
 
+    # Each line's fields convert in one try; _int_field runs only to name
+    # the bad one.  A pair's duplicate key is one integer, id * (n + 1) + id.
     edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, tokens in records:
-        if tokens[0] != "e":
-            raise ParseError(line_no, f"unknown record {tokens[0]!r}, expected 'e'")
+    seen: set[int] = set()
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if not tokens:
+            continue
+        tag = tokens[0]
+        if tag != "e":
+            if tag == "c":
+                continue
+            raise ParseError(line_no, f"unknown record {tag!r}, expected 'e'")
         if len(edges) == num_edges:
             raise CountMismatchError(
                 line_no, f"header declared {num_edges} edges but the body has more"
@@ -144,9 +155,13 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
                 raise BadWeightError(
                     line_no, "semimatch edge needs 'e <job> <machine> <weight>'"
                 )
-            job = _int_field(line_no, tokens[1], "job id")
-            machine = _int_field(line_no, tokens[2], "machine id")
-            weight = _int_field(line_no, tokens[3], "weight", BadWeightError)
+            try:
+                job, machine, weight = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            except ValueError:
+                _int_field(line_no, tokens[1], "job id")
+                _int_field(line_no, tokens[2], "machine id")
+                _int_field(line_no, tokens[3], "weight", BadWeightError)
+                raise  # unreachable: one of the three raised
             if not 1 <= job <= num_jobs:
                 raise IdOutOfRangeError(
                     line_no, f"job id {job} out of range [1, {num_jobs}]"
@@ -159,7 +174,7 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
                 raise BadWeightError(
                     line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
                 )
-            key = (job, machine)
+            key = job * (num_machines + 1) + machine
             if key in seen:
                 raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
             seen.add(key)
@@ -167,8 +182,12 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
         else:
             if len(tokens) != 3:
                 raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
-            a = _int_field(line_no, tokens[1], "vertex id")
-            b = _int_field(line_no, tokens[2], "vertex id")
+            try:
+                a, b = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                _int_field(line_no, tokens[1], "vertex id")
+                _int_field(line_no, tokens[2], "vertex id")
+                raise  # unreachable: one of the two raised
             for vid in (a, b):
                 if not 1 <= vid <= num_vertices:
                     raise IdOutOfRangeError(
@@ -176,9 +195,10 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
                     )
             if a == b:
                 raise ParseError(line_no, f"self-loop at vertex {a}")
-            key = (a, b) if a < b else (b, a)
+            lo, hi = (a, b) if a < b else (b, a)
+            key = lo * (num_vertices + 1) + hi
             if key in seen:
-                raise ParseError(line_no, f"duplicate edge ({key[0]}, {key[1]})")
+                raise ParseError(line_no, f"duplicate edge ({lo}, {hi})")
             seen.add(key)
             edges.append((a - 1, b - 1))
 

@@ -12,11 +12,11 @@ An assignment is optimal exactly when the residual graph contains no
 and re-routes it into a cheaper one.  ``cancel_all`` eliminates every
 such path by divide and conquer on the ordered center list: cancel all
 paths from the upper half of the centers into the lower half with a
-multi-source/multi-sink Dinitz max-flow pass (``cancel``), whose
-blocking flows are found backward from the sinks, then split
-the graph along residual reachability from the upper half
-(``reachable_partition``) and recurse independently on the two sides.
-Edges crossing the split are frozen and never touched again.
+multi-source/multi-sink Dinitz max-flow pass, whose blocking flows are
+found backward from the sinks, then split the graph along residual
+reachability from the upper half, which the pass's last, failed
+layering has just labelled, and recurse independently on the two
+sides.  Edges crossing the split are frozen and never touched again.
 
 Searches scan only residual arcs.  Every node lists exactly its
 residual out-arcs, so a machine lists the jobs it currently carries
@@ -41,23 +41,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate, chain, groupby, repeat
+from typing import Optional, Sequence
 
-from .core import (
-    BipartiteInstance,
-    ConvexMachineCost,
-    SemiMatching,
-    validate_semi_matching,
-)
+from .core import BipartiteInstance, ConvexMachineCost, SemiMatching
 
 __all__ = [
     "CancelCounters",
     "CostCenterNetwork",
     "build_cost_center_network",
     "seed_flow",
-    "cancel",
-    "reachable_partition",
     "cancel_all",
     "extract_semi_matching",
     "solve_unweighted",
@@ -70,7 +63,7 @@ class CancelCounters:
     """Observability for one cancellation run.
 
     ``rounds_per_cancel[i]`` counts the blocking-flow rounds of the i-th
-    ``cancel`` call, including the final round whose search finds no
+    cancellation pass, including the final round whose search finds no
     augmenting path.  ``distances_per_cancel[i]`` lists the layer-graph
     source-to-sink distances of the successful rounds, which must be
     strictly increasing.  ``units_cancelled`` is the total flow moved
@@ -132,8 +125,8 @@ class CostCenterNetwork:
 
         # Effective marginal list per machine (unit case: 1, 2, ..., deg).
         marginals: list[Sequence[int]] = []
-        for v in range(nV):
-            deg = instance.machine_degree(v)
+        for v, jobs in enumerate(instance.machine_adj):
+            deg = len(jobs)
             if costs is None:
                 marginals.append(range(1, deg + 1))
             else:
@@ -152,27 +145,25 @@ class CostCenterNetwork:
 
         n_nodes = nU + nV + self.num_centers
         self.num_nodes = n_nodes
-        to: list[int] = []
-        cap: list[int] = []
-        adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        # Job u's edges, in job_adj order, are the forward arcs
+        # first[u], first[u] + 2, ..., each followed by its reverse arc.
+        job_adj = instance.job_adj
+        degrees = [len(a) for a in job_adj]
+        first = list(accumulate((2 * d for d in degrees), initial=0))
+        self._job_first = first
+        self._job_arcs = n_arcs = first[-1]
+        to = [0] * n_arcs
+        to[0::2] = [nU + v for a in job_adj for v, _w in a]
+        to[1::2] = chain.from_iterable(map(repeat, range(nU), degrees))
+        cap = [1, 0] * (n_arcs // 2)
 
-        # With no flow yet, the residual arcs are the forward arcs.
-        self._job_first = [0] * (nU + 1)
-        for u in range(nU):
-            for v, _w in instance.job_adj[u]:
-                adj[u].append(len(to))
-                to += (nU + v, u)
-                cap += (1, 0)
-            self._job_first[u + 1] = len(to)
-        self._job_arcs = len(to)
-
-        # Seeding adds the slot edges; until then each list is one run of
-        # consecutive forward job arcs.
+        # With no flow yet, the residual arcs are the forward arcs: each
+        # job lists one run of them, and seeding adds the slot edges.
+        adj: list[list[int]] = [list(range(first[u], first[u + 1], 2)) for u in range(nU)]
+        adj += ([] for _ in range(nV + self.num_centers))
+        pos = [0] * n_arcs
+        pos[0::2] = chain.from_iterable(map(range, degrees))
         self._machine_center_edges: list[list[tuple[int, int]]] = [[] for _ in range(nV)]
-        pos = [0] * len(to)
-        for lst in adj[:nU]:
-            if lst:
-                pos[lst[0] : lst[-1] + 1 : 2] = range(len(lst))
         self._pos = pos
         self._to = to
         self._cap = cap
@@ -293,22 +284,44 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
     into centers at or below ``top``, the costliest marginal the
     assignment uses.  Each machine's units enter its cheapest slots, so
     the flow cost equals the assignment cost from the start.  The
-    network must hold no flow yet.  Returns the network for chaining.
+    network must hold no flow yet.  Raises ``ValueError``, leaving the
+    network untouched, when the assignment has the wrong size or puts a
+    job on no machine or along a non-edge.  Returns the network for
+    chaining.
     """
-    bad = validate_semi_matching(network.instance, matching)
-    if bad is not None:
-        raise ValueError(f"invalid matching: {bad.kind}: {bad.detail}")
+    nU, nV = network.num_jobs, network.num_machines
+    machine_of = matching.machine_of
+    if len(machine_of) != nU:
+        raise ValueError(
+            f"invalid matching: size: expected {nU} assignments, got {len(machine_of)}"
+        )
+    # Each job's arc is found by a scan of its run of job arcs.
+    to, first = network._to, network._job_first
+    arcs = []
+    loads = [0] * nV
+    for u, v in enumerate(machine_of):
+        if v is None or not 0 <= v < nV:
+            raise ValueError(
+                f"invalid matching: unassigned: job {u} has no machine (got {v!r})"
+            )
+        x = nU + v
+        for e in range(first[u], first[u + 1], 2):
+            if to[e] == x:
+                break
+        else:
+            raise ValueError(f"invalid matching: not-an-edge: ({u}, {v}) is not an edge")
+        arcs.append(e)
+        loads[v] += 1
     if network._rem != network._cap:
         raise ValueError("network already carries flow")
-    nU, marginals = network.num_jobs, network._marginals
-    loads = matching.degrees(network.num_machines)
+    marginals = network._marginals
     top = max((marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
     if top is None:  # no jobs
         return network
     live = network.center_values[: bisect_right(network.center_values, top)]
-    center_of = {val: nU + network.num_machines + k for k, val in enumerate(live)}
-    to, cap, pos, adj = network._to, network._cap, network._pos, network._adj
-    for v in range(network.num_machines):
+    center_of = {val: nU + nV + k for k, val in enumerate(live)}
+    cap, pos, adj = network._cap, network._pos, network._adj
+    for v in range(nV):
         x = nU + v
         slots = network._machine_center_edges[v]
         for val, grp in groupby(marginals[v]):
@@ -321,22 +334,19 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
             to += (center_of[val], x)
             cap += (mult, 0)
     network._rem += cap[len(network._rem) :]
-    for u, v in enumerate(matching.machine_of):
-        network._push(network._job_arc(u, v), 1)
+    push = network._push
+    for e in arcs:
+        push(e, 1)
     rem = network._rem
     for v, load in enumerate(loads):
         for eid, _val in network._machine_center_edges[v]:
             if load == 0:
                 break
             take = min(load, rem[eid])
-            network._push(eid, take)
+            push(eid, take)
             load -= take
         assert load == 0, "machine degree exceeded by its own load"
     return network
-
-
-def _component_nodes(network: CostCenterNetwork, comp: int) -> list[int]:
-    return [x for x in range(network.num_nodes) if network.comp[x] == comp]
 
 
 def _component_machines(network: CostCenterNetwork, comp: int) -> list[int]:
@@ -561,101 +571,6 @@ def _cancel(
     counters.distances_per_cancel.append(distances)
     counters.edges_scanned += scanned
     return reachable
-
-
-def cancel(
-    network: CostCenterNetwork,
-    sources: Iterable[int],
-    sinks: Iterable[int],
-    *,
-    counters: Optional[CancelCounters] = None,
-) -> CostCenterNetwork:
-    """Cancel every residual path from ``sources`` centers to ``sinks``.
-
-    Center arguments are 0-based positions into ``center_values``.
-    Every source must be strictly more expensive than every sink, so
-    each unit moved lowers the flow cost by the value difference of its
-    endpoint centers, and every center with slot edges in the
-    subproblem must be one or the other.  The job-side flow value is
-    untouched.
-    """
-    sources = sorted(set(sources))
-    sinks = sorted(set(sinks))
-    for k in sources + sinks:
-        if not 0 <= k < network.num_centers:
-            raise ValueError(f"no such center: {k}")
-    if not sources or not sinks:
-        return network
-    if sources[0] <= sinks[-1]:
-        raise ValueError(
-            f"center {sources[0]} may not be cancelled into center {sinks[-1]}: "
-            "every source must be strictly costlier than every sink"
-        )
-    comps = {network.comp[network.center_node(k)] for k in sources + sinks}
-    if len(comps) != 1:
-        raise ValueError("sources and sinks span different subproblems")
-    comp = comps.pop()
-    ends = {network.center_node(k) for k in sources + sinks}
-    to, comp_of = network._to, network.comp
-    for per_v in network._machine_center_edges:
-        for e, _val in per_v:
-            x = to[e]
-            if comp_of[x] == comp == comp_of[to[e ^ 1]] and x not in ends:
-                raise ValueError(
-                    f"center {network.describe_node(x)[1]} has slot edges in the "
-                    "subproblem but is neither a source nor a sink"
-                )
-    counters = counters if counters is not None else CancelCounters()
-    _cancel(network, comp, sources, sinks, _component_machines(network, comp), counters)
-    return network
-
-
-def _reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list[int]:
-    """Residual reachability inside one component (plain BFS)."""
-    to, adj = network._to, network._adj
-    comp_of = network.comp
-    network._stamp += 1
-    stamp = network._stamp
-    seen = network._seen
-    out = []
-    frontier = []
-    for x in seed_nodes:
-        if seen[x] != stamp:
-            seen[x] = stamp
-            frontier.append(x)
-            out.append(x)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for e in adj[x]:
-                y = to[e]
-                if comp_of[y] == comp and seen[y] != stamp:
-                    seen[y] = stamp
-                    nxt.append(y)
-                    out.append(y)
-        frontier = nxt
-    return out
-
-
-def reachable_partition(
-    network: CostCenterNetwork, seed: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Split a component into (reachable-from-seed, rest), as node ids.
-
-    ``seed`` holds center positions; the search runs in their component
-    and follows residual edges only.  With an empty seed the reachable
-    side is empty and the complement is the whole node set.
-    """
-    seed = sorted(set(seed))
-    if not seed:
-        return frozenset(), frozenset(range(network.num_nodes))
-    comps = {network.comp[network.center_node(k)] for k in seed}
-    if len(comps) != 1:
-        raise ValueError("seed centers span different subproblems")
-    comp = comps.pop()
-    S = frozenset(_reach(network, comp, [network.center_node(k) for k in seed]))
-    rest = frozenset(x for x in _component_nodes(network, comp) if x not in S)
-    return S, rest
 
 
 def _cancel_all(

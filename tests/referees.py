@@ -1,0 +1,321 @@
+"""Referees: slow, plainly correct twins of the library's fast code.
+
+The tests check the library against these.  Some are code the library
+has since replaced by a faster form (the per-token instance parser, the
+per-edge network build, the per-unit seed); the others are public
+entry points that only the tests call (``cancel`` on chosen centers,
+``reachable_partition``).
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import groupby
+from typing import Iterable, Optional, Union
+
+from semimatch import unweighted
+from semimatch.core import (
+    MAX_WEIGHT,
+    BipartiteInstance,
+    SemiMatching,
+    validate_semi_matching,
+)
+from semimatch.cover import GeneralGraph
+from semimatch.formats import (
+    BadWeightError,
+    CountMismatchError,
+    IdOutOfRangeError,
+    MalformedHeaderError,
+    ParseError,
+)
+from semimatch.unweighted import CancelCounters, CostCenterNetwork
+
+
+# -- instance text ---------------------------------------------------------
+
+
+def _records(text: str):
+    """Yield ``(line_no, tokens)`` for every significant line."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        yield line_no, tokens
+
+
+def _int_field(line_no: int, token: str, what: str, err=ParseError) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise err(line_no, f"{what} {token!r} is not an integer") from None
+
+
+def parse_instance_by_records(text: str) -> Union[BipartiteInstance, GeneralGraph]:
+    """``parse_instance`` one field at a time over a record generator,
+    with tuple keys for the duplicate checks: the same results, error
+    classes, line numbers and messages, by the most direct route."""
+    records = _records(text)
+    try:
+        line_no, tokens = next(records)
+    except StopIteration:
+        raise MalformedHeaderError(0, "empty input, expected a 'p' header") from None
+    if tokens[0] != "p":
+        raise MalformedHeaderError(line_no, f"expected 'p' header, got {tokens[0]!r}")
+    kind = tokens[1] if len(tokens) > 1 else ""
+    if kind == "semimatch":
+        if len(tokens) != 5:
+            raise MalformedHeaderError(
+                line_no, "semimatch header needs 'p semimatch <jobs> <machines> <edges>'"
+            )
+        counts = [
+            _int_field(line_no, t, "header count", MalformedHeaderError)
+            for t in tokens[2:]
+        ]
+        num_jobs, num_machines, num_edges = counts
+    elif kind == "cover":
+        if len(tokens) != 4:
+            raise MalformedHeaderError(
+                line_no, "cover header needs 'p cover <vertices> <edges>'"
+            )
+        num_vertices, num_edges = (
+            _int_field(line_no, t, "header count", MalformedHeaderError)
+            for t in tokens[2:]
+        )
+    else:
+        raise MalformedHeaderError(
+            line_no, f"unknown problem kind {kind!r} (expected semimatch or cover)"
+        )
+    header_line = line_no
+    if any(c < 0 for c in (counts if kind == "semimatch" else [num_vertices, num_edges])):
+        raise MalformedHeaderError(header_line, "header counts must be non-negative")
+
+    edges: list[tuple[int, ...]] = []
+    seen: set[tuple[int, int]] = set()
+    for line_no, tokens in records:
+        if tokens[0] != "e":
+            raise ParseError(line_no, f"unknown record {tokens[0]!r}, expected 'e'")
+        if len(edges) == num_edges:
+            raise CountMismatchError(
+                line_no, f"header declared {num_edges} edges but the body has more"
+            )
+        if kind == "semimatch":
+            if len(tokens) != 4:
+                raise BadWeightError(
+                    line_no, "semimatch edge needs 'e <job> <machine> <weight>'"
+                )
+            job = _int_field(line_no, tokens[1], "job id")
+            machine = _int_field(line_no, tokens[2], "machine id")
+            weight = _int_field(line_no, tokens[3], "weight", BadWeightError)
+            if not 1 <= job <= num_jobs:
+                raise IdOutOfRangeError(
+                    line_no, f"job id {job} out of range [1, {num_jobs}]"
+                )
+            if not 1 <= machine <= num_machines:
+                raise IdOutOfRangeError(
+                    line_no, f"machine id {machine} out of range [1, {num_machines}]"
+                )
+            if weight < 0 or weight > MAX_WEIGHT:
+                raise BadWeightError(
+                    line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
+                )
+            key = (job, machine)
+            if key in seen:
+                raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
+            seen.add(key)
+            edges.append((job - 1, machine - 1, weight))
+        else:
+            if len(tokens) != 3:
+                raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
+            a = _int_field(line_no, tokens[1], "vertex id")
+            b = _int_field(line_no, tokens[2], "vertex id")
+            for vid in (a, b):
+                if not 1 <= vid <= num_vertices:
+                    raise IdOutOfRangeError(
+                        line_no, f"vertex id {vid} out of range [1, {num_vertices}]"
+                    )
+            if a == b:
+                raise ParseError(line_no, f"self-loop at vertex {a}")
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
+                raise ParseError(line_no, f"duplicate edge ({key[0]}, {key[1]})")
+            seen.add(key)
+            edges.append((a - 1, b - 1))
+
+    if len(edges) != num_edges:
+        raise CountMismatchError(
+            header_line,
+            f"header declared {num_edges} edges but the body has {len(edges)}",
+        )
+    if kind == "semimatch":
+        instance = BipartiteInstance.__new__(BipartiteInstance)
+        instance._build(num_jobs, num_machines, edges)  # edges checked above
+        return instance
+    return GeneralGraph(num_vertices, edges)
+
+
+# -- the cost-center network ----------------------------------------------
+
+
+def job_arrays_per_edge(instance: BipartiteInstance, num_nodes: int):
+    """The unseeded network's ``_to``, ``_cap``, ``_pos``, ``_adj`` and
+    ``_job_first``, built one edge at a time."""
+    nU = instance.num_jobs
+    to: list[int] = []
+    cap: list[int] = []
+    pos: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    job_first = [0]
+    for u in range(nU):
+        for v, _w in instance.job_adj[u]:
+            pos += (len(adj[u]), 0)
+            adj[u].append(len(to))
+            to += (nU + v, u)
+            cap += (1, 0)
+        job_first.append(len(to))
+    return to, cap, pos, adj, job_first
+
+
+def seed_flow_per_unit(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterNetwork:
+    """``seed_flow`` after ``validate_semi_matching``, pushing each job's
+    unit with ``_push(_job_arc(u, v), 1)``."""
+    bad = validate_semi_matching(network.instance, matching)
+    if bad is not None:
+        raise ValueError(f"invalid matching: {bad.kind}: {bad.detail}")
+    if network._rem != network._cap:
+        raise ValueError("network already carries flow")
+    nU, marginals = network.num_jobs, network._marginals
+    loads = matching.degrees(network.num_machines)
+    top = max((marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
+    if top is None:  # no jobs
+        return network
+    live = network.center_values[: bisect_right(network.center_values, top)]
+    center_of = {val: nU + network.num_machines + k for k, val in enumerate(live)}
+    to, cap, pos, adj = network._to, network._cap, network._pos, network._adj
+    for v in range(network.num_machines):
+        x = nU + v
+        slots = network._machine_center_edges[v]
+        for val, grp in groupby(marginals[v]):
+            if val > top:
+                break
+            mult = sum(1 for _ in grp)
+            slots.append((len(to), val))
+            pos += (len(adj[x]), 0)
+            adj[x].append(len(to))
+            to += (center_of[val], x)
+            cap += (mult, 0)
+    network._rem += cap[len(network._rem) :]
+    for u, v in enumerate(matching.machine_of):
+        network._push(network._job_arc(u, v), 1)
+    rem = network._rem
+    for v, load in enumerate(loads):
+        for eid, _val in network._machine_center_edges[v]:
+            if load == 0:
+                break
+            take = min(load, rem[eid])
+            network._push(eid, take)
+            load -= take
+        assert load == 0, "machine degree exceeded by its own load"
+    return network
+
+
+# -- cancellation on chosen centers ------------------------------------------
+
+
+def component_nodes(network: CostCenterNetwork, comp: int) -> list[int]:
+    return [x for x in range(network.num_nodes) if network.comp[x] == comp]
+
+
+def cancel(
+    network: CostCenterNetwork,
+    sources: Iterable[int],
+    sinks: Iterable[int],
+    *,
+    counters: Optional[CancelCounters] = None,
+) -> CostCenterNetwork:
+    """Cancel every residual path from ``sources`` centers to ``sinks``.
+
+    Center arguments are 0-based positions into ``center_values``.
+    Every source must be strictly more expensive than every sink, so
+    each unit moved lowers the flow cost by the value difference of its
+    endpoint centers, and every center with slot edges in the
+    subproblem must be one or the other.  The job-side flow value is
+    untouched.
+    """
+    sources = sorted(set(sources))
+    sinks = sorted(set(sinks))
+    for k in sources + sinks:
+        if not 0 <= k < network.num_centers:
+            raise ValueError(f"no such center: {k}")
+    if not sources or not sinks:
+        return network
+    if sources[0] <= sinks[-1]:
+        raise ValueError(
+            f"center {sources[0]} may not be cancelled into center {sinks[-1]}: "
+            "every source must be strictly costlier than every sink"
+        )
+    comps = {network.comp[network.center_node(k)] for k in sources + sinks}
+    if len(comps) != 1:
+        raise ValueError("sources and sinks span different subproblems")
+    comp = comps.pop()
+    ends = {network.center_node(k) for k in sources + sinks}
+    to, comp_of = network._to, network.comp
+    for per_v in network._machine_center_edges:
+        for e, _val in per_v:
+            x = to[e]
+            if comp_of[x] == comp == comp_of[to[e ^ 1]] and x not in ends:
+                raise ValueError(
+                    f"center {network.describe_node(x)[1]} has slot edges in the "
+                    "subproblem but is neither a source nor a sink"
+                )
+    counters = counters if counters is not None else CancelCounters()
+    machines = unweighted._component_machines(network, comp)
+    unweighted._cancel(network, comp, sources, sinks, machines, counters)
+    return network
+
+
+def reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list[int]:
+    """Residual reachability inside one component (plain BFS)."""
+    to, adj = network._to, network._adj
+    comp_of = network.comp
+    network._stamp += 1
+    stamp = network._stamp
+    seen = network._seen
+    out = []
+    frontier = []
+    for x in seed_nodes:
+        if seen[x] != stamp:
+            seen[x] = stamp
+            frontier.append(x)
+            out.append(x)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for e in adj[x]:
+                y = to[e]
+                if comp_of[y] == comp and seen[y] != stamp:
+                    seen[y] = stamp
+                    nxt.append(y)
+                    out.append(y)
+        frontier = nxt
+    return out
+
+
+def reachable_partition(
+    network: CostCenterNetwork, seed: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Split a component into (reachable-from-seed, rest), as node ids.
+
+    ``seed`` holds center positions; the search runs in their component
+    and follows residual edges only.  With an empty seed the reachable
+    side is empty and the complement is the whole node set.
+    """
+    seed = sorted(set(seed))
+    if not seed:
+        return frozenset(), frozenset(range(network.num_nodes))
+    comps = {network.comp[network.center_node(k)] for k in seed}
+    if len(comps) != 1:
+        raise ValueError("seed centers span different subproblems")
+    comp = comps.pop()
+    S = frozenset(reach(network, comp, [network.center_node(k) for k in seed]))
+    rest = frozenset(x for x in component_nodes(network, comp) if x not in S)
+    return S, rest

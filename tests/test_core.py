@@ -10,6 +10,7 @@ from semimatch.core import (
     CostOverflowError,
     InfeasibleInstanceError,
     SemiMatching,
+    Violation,
     convex_cost,
     cost_of_semi_matching,
     machine_cost,
@@ -105,6 +106,28 @@ class TestAssignmentCost:
         violation = validate_semi_matching(inst, SemiMatching((1, 0, 1, 1)))
         assert violation is not None and violation.kind == "not-an-edge"
 
+
+    def test_validate_names_the_first_problem(self):
+        inst = fig2_instance()
+        cases = [
+            ((0, 0, 1), Violation("size", "expected 4 assignments, got 3")),
+            ((0, None, 1, 1), Violation("unassigned", "job 1 has no machine (got None)")),
+            ((0, 0, 1, -1), Violation("unassigned", "job 3 has no machine (got -1)")),
+            ((0, 0, 2, 1), Violation("unassigned", "job 2 has no machine (got 2)")),
+            ((1, 0, 1, 1), Violation("not-an-edge", "(0, 1) is not an edge")),
+            ((0, 0, 0, 7), Violation("not-an-edge", "(2, 0) is not an edge")),
+        ]
+        for machine_of, want in cases:
+            assert validate_semi_matching(inst, SemiMatching(machine_of)) == want
+
+    def test_machine_loads_read_each_jobs_own_weight(self):
+        inst = fig2_instance(weights=[5, 6, 7, 8, 9])
+        assert SemiMatching((0, 1, 1, 1)).machine_loads(inst) == [[5], [7, 8, 9]]
+        assert SemiMatching((0, 0, 1, 1)).machine_loads(inst) == [[5, 6], [8, 9]]
+        with pytest.raises(KeyError, match=r"no edge \(2, 0\)"):
+            SemiMatching((0, 0, 0, 1)).machine_loads(inst)
+        with pytest.raises(KeyError, match=r"no edge \(0, 1\)"):
+            cost_of_semi_matching(inst, SemiMatching((1, 0, 1, 1)))
 
 class TestConvexCost:
     def test_triangular_matches_unit_cost(self):

@@ -31,6 +31,8 @@ from semimatch.formats import (
 )
 from semimatch.generate import gen_random
 
+from referees import parse_instance_by_records
+
 
 class TestParseInstance:
     def test_semimatch_example(self):
@@ -161,6 +163,125 @@ class TestEmitRoundTrips:
     def test_bad_assignments(self, bad):
         with pytest.raises(ParseError):
             parse_assignment(bad)
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the parsed instance's contents,
+    or the class, line number and message of what it raised."""
+    try:
+        got = parse(text)
+    except Exception as exc:  # every outcome is compared, not only ParseError
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    if isinstance(got, BipartiteInstance):
+        return "semimatch", got.num_jobs, got.num_machines, got.edges, got.job_adj, got.machine_adj
+    return "cover", got.num_vertices, got.edges, got.adj
+
+
+ODD_FIELDS = ["0", "-1", "+1", "1_0", "01", "x", "1.0", "\u0663"]
+BIG_FIELDS = ["2147483647", "2147483648", "-2147483648"]
+
+
+@st.composite
+def instance_texts(draw):
+    """Near-valid instance text of up to 3 jobs, machines or vertices:
+    now and then an odd or out-of-range field, a missing or extra token,
+    a wrong edge count, a comment, blank or junk line, and either line
+    ending.  Header counts stay small, since a header that declared
+    2**31 jobs would have the instance allocate that many lists."""
+
+    # The rare cases key on a middle value: hypothesis draws 0 most.
+    def token(value, odd):
+        """``value``, and one time in eight an odd token instead."""
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, 7)) == 5 else str(value)
+
+    def misshape(tokens):
+        """``tokens``, and one time in eight with one dropped or added."""
+        how = draw(st.integers(0, 15))
+        return tokens[:-1] if how == 5 else tokens + ["1"] if how == 6 else tokens
+
+    kind = draw(st.sampled_from(["semimatch", "cover"]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ends = [n, m] if kind == "semimatch" else [n, n]
+    body, num_edges = [], 0
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["edge"] * 6 + ["comment", "blank", "junk"]))
+        if shape == "edge":
+            fields = [token(draw(st.integers(1, end)), ODD_FIELDS + BIG_FIELDS) for end in ends]
+            if kind == "semimatch":
+                fields.append(token(draw(st.integers(0, 3)), ODD_FIELDS + BIG_FIELDS))
+            body.append(" ".join(misshape(["e"] + fields)))
+            num_edges += 1
+        elif shape == "comment":
+            body.append(" ".join(["c"] + draw(st.lists(st.sampled_from(ODD_FIELDS), max_size=4))))
+        elif shape == "blank":
+            body.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            junk = st.sampled_from(["p", "x", "a", "semimatch"] + ODD_FIELDS)
+            body.append(" ".join(draw(st.lists(junk, min_size=1, max_size=4))))
+    counts = [n, m] if kind == "semimatch" else [n]
+    counts.append(num_edges + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    header = misshape(["p", kind] + [token(c, ODD_FIELDS) for c in counts])
+    lead = draw(st.lists(st.sampled_from(["", "c", "c lead comment"]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lead + [" ".join(header)] + body) + draw(st.sampled_from(["", newline]))
+
+
+class TestParseAgainstReferee:
+    """``parse_instance`` against the record-by-record parser it
+    replaced: the same instance, or the same exception class, line
+    number and message."""
+
+    @given(st.text(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        assert parse_outcome(parse_instance, text) == parse_outcome(parse_instance_by_records, text)
+
+    @given(instance_texts())
+    @settings(max_examples=1500, deadline=None)
+    def test_structured_text(self, text):
+        assert parse_outcome(parse_instance, text) == parse_outcome(parse_instance_by_records, text)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # A comment line with exactly as many tokens as an edge line.
+            ("p semimatch 1 1 1\nc 1 1 1\ne 1 1 5\n", ((0, 0, 5),)),
+            # int() reads signs and digit separators.
+            ("p semimatch 2 10 2\ne +1 1_0 1\ne 2 +1 1_0\n", ((0, 9, 1), (1, 0, 10))),
+            ("p semimatch 1 1 1\r\ne 1 1 2\r\n", ((0, 0, 2),)),
+            ("\n\nc before the header\n  \np semimatch 1 1 1\ne 1 1 3", ((0, 0, 3),)),
+            ("p cover 3 2\ne 2 1\ne 3 2\n", ((0, 1), (1, 2))),
+        ],
+    )
+    def test_accepted(self, text, want):
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert outcome[3 if outcome[0] == "semimatch" else 2] == want
+
+    @pytest.mark.parametrize(
+        "text, exc, line_no, message",
+        [
+            ("", MalformedHeaderError, 0, "empty input, expected a 'p' header"),
+            ("c only a comment\n\n", MalformedHeaderError, 0, "empty input, expected a 'p' header"),
+            # The extra edge line is itself malformed: the count is what fails.
+            ("p semimatch 1 1 1\ne 1 1 1\ne x\n", CountMismatchError, 3,
+             "header declared 1 edges but the body has more"),
+            ("p cover 3 2\ne 1 2\ne 2 1\n", ParseError, 3, "duplicate edge (1, 2)"),
+            ("p semimatch 2 2 2\ne 1 2 1\ne 1 2 1\n", ParseError, 3, "duplicate edge (1, 2)"),
+            # With several bad fields, the first one is named.
+            ("p semimatch 1 1 1\ne x y z\n", ParseError, 2, "job id 'x' is not an integer"),
+            ("p semimatch 1 1 1\ne 1 x y\n", ParseError, 2, "machine id 'x' is not an integer"),
+            ("p semimatch 1 1 1\ne 1 1 1.0\n", BadWeightError, 2, "weight '1.0' is not an integer"),
+            ("p cover 2 1\r\ne 1 z\r\n", ParseError, 2, "vertex id 'z' is not an integer"),
+            ("p semimatch 1 1 1\ne 2 1 1\n", IdOutOfRangeError, 2, "job id 2 out of range [1, 1]"),
+            ("p semimatch 1 1 2\ne 1 1 1\n", CountMismatchError, 1,
+             "header declared 2 edges but the body has 1"),
+        ],
+    )
+    def test_rejected(self, text, exc, line_no, message):
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert outcome == (exc, line_no, f"line {line_no}: {message}")
 
 
 class TestBench:

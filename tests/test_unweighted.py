@@ -20,10 +20,8 @@ from semimatch.unweighted import (
     CancelCounters,
     _greedy_seed,
     build_cost_center_network,
-    cancel,
     cancel_all,
     extract_semi_matching,
-    reachable_partition,
     seed_flow,
     solve_convex,
     solve_unweighted,
@@ -31,6 +29,7 @@ from semimatch.unweighted import (
 from semimatch.weighted import baseline_exploded_solver
 
 from conftest import deadline, fig2_instance, live_center_count
+from referees import cancel, job_arrays_per_edge, reachable_partition, seed_flow_per_unit
 
 
 def unit_cost(instance, matching):
@@ -143,6 +142,29 @@ class TestNetworkConstruction:
         seed_flow(net, SemiMatching((0,)))
         assert len(net._to) == 4  # plus the slot edge and its twin
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_job_arrays_equal_a_per_edge_build(self, seed):
+        # Edges arrive shuffled, so job_adj order is not edge order, and
+        # a few extra machines have no edge at all.
+        rng = random.Random(seed)
+        jobs, machines = rng.randint(1, 40), rng.randint(1, 12)
+        edges = [(u, v) for u in range(jobs) for v in rng.sample(range(machines), rng.randint(1, machines))]
+        rng.shuffle(edges)
+        instances = [
+            BipartiteInstance(jobs, machines + rng.randint(1, 3), edges),
+            zipf_instance(rng, rng.randint(20, 80), rng.randint(10, 40)),
+            BipartiteInstance(0, rng.randint(0, 2), []),
+        ]
+        assert not all(instances[0].machine_adj)
+        for inst in instances:
+            for costs in (None, ConvexMachineCost.quadratic(inst)):
+                net = build_cost_center_network(inst, costs)
+                to, cap, pos, adj, job_first = job_arrays_per_edge(inst, net.num_nodes)
+                assert net._to == to and net._cap == cap and net._rem == cap
+                assert net._pos == pos and net._adj == adj
+                assert net._job_first == job_first and net._job_arcs == len(to)
+                assert_lists_are_residual(net)
+
     def test_convex_marginals_become_center_values(self):
         inst = BipartiteInstance(3, 1, [(0, 0), (1, 0), (2, 0)])
         costs = ConvexMachineCost([(1, 3, 3)])
@@ -156,6 +178,47 @@ class TestSeedAndCancel:
         seed_flow(net, SemiMatching((0, 1, 1, 1)))
         assert net.flow_value() == 4
         assert net.flow_cost() == 1 + (1 + 2 + 3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seed_flow_equals_a_per_unit_seed(self, seed):
+        rng = random.Random(seed)
+        inst = zipf_instance(rng, rng.randint(20, 80), rng.randint(5, 20))
+        step = ConvexMachineCost.from_callable(inst, lambda k: sum(i // 3 + 1 for i in range(k)))
+        anywhere = SemiMatching(tuple(rng.choice(a)[0] for a in inst.job_adj))
+        for costs in (None, step):
+            for matching in (_greedy_seed(inst), anywhere):
+                net = seed_flow(build_cost_center_network(inst, costs), matching)
+                ref = seed_flow_per_unit(build_cost_center_network(inst, costs), matching)
+                for name in ("_to", "_cap", "_rem", "_adj", "_pos", "_carrier", "_machine_center_edges"):
+                    assert getattr(net, name) == getattr(ref, name), name
+
+    def test_seed_flow_rejects_a_bad_assignment_and_leaves_the_network(self):
+        inst = fig2_instance()
+        cases = [
+            ((0, 1, 1), "size: expected 4 assignments, got 3"),
+            ((0, 1, 1, 1, 1), "size: expected 4 assignments, got 5"),
+            ((0, None, 1, 1), "unassigned: job 1 has no machine (got None)"),
+            ((0, 1, 1, -1), "unassigned: job 3 has no machine (got -1)"),
+            ((0, 2, 1, 1), "unassigned: job 1 has no machine (got 2)"),
+            ((1, 0, 1, 1), "not-an-edge: (0, 1) is not an edge"),
+            ((0, 0, 1, 0), "not-an-edge: (3, 0) is not an edge"),
+        ]
+        for machine_of, detail in cases:
+            net = build_cost_center_network(inst)
+            lists = (net._to, net._cap, net._rem, net._pos, net._carrier, *net._adj)
+            before = [list(a) for a in lists]
+            with pytest.raises(ValueError) as raised:
+                seed_flow(net, SemiMatching(machine_of))
+            assert str(raised.value) == f"invalid matching: {detail}"
+            with pytest.raises(ValueError) as refereed:
+                seed_flow_per_unit(build_cost_center_network(inst), SemiMatching(machine_of))
+            assert str(refereed.value) == str(raised.value)
+            assert [list(a) for a in lists] == before
+            assert net._machine_center_edges == [[], []]
+        net = seed_flow(build_cost_center_network(inst), SemiMatching((0, 1, 1, 1)))
+        with pytest.raises(ValueError, match="^network already carries flow$"):
+            seed_flow(net, SemiMatching((0, 0, 1, 1)))
+        assert extract_semi_matching(net).machine_of == (0, 1, 1, 1)
 
     def test_fig2_single_cancel_reaches_optimum(self):
         net = build_cost_center_network(fig2_instance())
