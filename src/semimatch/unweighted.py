@@ -18,19 +18,21 @@ reachability from the upper half, which the pass's last, failed
 layering has just labelled, and recurse independently on the two
 sides.  Edges crossing the split are frozen and never touched again.
 
-Searches scan only residual arcs.  Every node lists exactly its
-residual out-arcs, so a machine lists the jobs it currently carries
-rather than every incident job.  Slot edges into centers above the
-costliest one the seeded flow uses are never built: cancelling only
-ever moves a unit into a strictly cheaper center, so those centers
-never carry flow.  The layering step finds machines bottom-up when the
-frontier's jobs have more out-arcs than the unlabelled machines have
-jobs (direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012):
-a job's only residual in-arc comes from the machine carrying it, so an
-unlabelled machine joins the next layer exactly when one of its jobs
-sits in the frontier.  The same fact makes the blocking flow cheap to
-find from the sink side: stepping back from a job to its carrier costs
-O(1), so only the machines near the sinks are scanned.
+Searches scan only residual arcs.  A job edge carries at most one
+unit, so the network stores no job arcs, only the machine carrying
+each job: a job's residual out-arcs go to every other machine it links
+to, and a machine's go to the jobs it carries and its unsaturated slot
+edges, the only stored arcs.  Slot edges into centers above the costliest one the seeded flow uses
+are never built: cancelling only ever moves a unit into a strictly
+cheaper center, so those centers never carry flow.  The layering step
+finds machines bottom-up when the frontier's jobs have more out-arcs
+than the unlabelled machines have jobs (direction-optimizing BFS,
+Beamer, Asanovic & Patterson, SC 2012): a job's only residual in-arc
+comes from the machine carrying it, so an unlabelled machine joins the
+next layer exactly when one of its jobs sits in the frontier.  The
+same fact makes the blocking flow cheap to find from the sink side:
+stepping back from a job to its carrier costs O(1), so only the
+machines near the sinks are scanned.
 
 The unit-weight objective is the convex objective with
 ``f(k) = k*(k+1)/2`` (marginals ``1, 2, 3, ...``), and both share all
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby, repeat
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .core import BipartiteInstance, ConvexMachineCost, SemiMatching
@@ -69,9 +71,10 @@ class CancelCounters:
     strictly increasing.  ``units_cancelled`` is the total flow moved
     between centers.  ``edges_scanned`` counts the arcs the layering
     examines, plus every ``machine_adj`` entry a bottom-up layering step
-    probes, plus the backward blocking-flow search's probes: the arcs it
-    reads start arcs from, each ``machine_adj`` entry and slot edge it
-    tries and each step from a job to its carrier.
+    probes, plus the backward blocking-flow search's probes: the slot
+    arcs it reads start arcs from, each ``machine_adj`` entry and slot
+    edge it tries and each step from a job to its carrier.  A job's
+    out-arcs count as its ``job_adj`` entries but its carrier.
     """
 
     rounds_per_cancel: list[int] = field(default_factory=list)
@@ -93,20 +96,22 @@ class CostCenterNetwork:
     centers drain freely, so neither endpoint ever appears in a residual
     search.
 
-    Edges are stored as paired forward/reverse entries (``eid ^ 1`` is
-    the reverse of ``eid``) with remaining-capacity bookkeeping, the
-    usual residual-graph representation.  Job edges come first, job u's
-    in ``range(_job_first[u], _job_first[u + 1], 2)``, so an arc is a
-    job arc exactly when ``eid < _job_arcs``.  The slot edges from
-    machines into centers follow; :func:`seed_flow` builds them, and
-    only into centers at or below the costliest one the seed uses, so
-    the centers above have no arcs at all.  ``_adj[x]`` lists exactly
-    the residual arcs out of x, in no particular order: every change of
-    flow goes through :meth:`_push`, which keeps the lists exact
-    (``_pos[eid]`` is the arc's index in its tail's list).  A machine
-    therefore lists the reverse arcs of the jobs it carries and its
-    unsaturated slot edges, nothing else.  ``_carrier[u]`` is the node
-    of the machine carrying job u, also kept by :meth:`_push`.
+    A job edge has capacity 1, so a job's flow is just its machine, and
+    job edges are not stored as arcs.  ``_carrier[u]`` is the node of
+    the machine carrying job u (-1 before seeding) and the only record
+    of it; ``_carried[v]`` lists machine v's jobs, job u at index
+    ``_where[u]``.  :func:`seed_flow` fills the three and only
+    :meth:`_move` changes them.  Job u's residual out-arcs go to the
+    other machines of ``instance.job_adj[u]``.
+
+    The slot edges from machines into centers are paired forward/reverse
+    arcs (``eid ^ 1`` is the reverse of ``eid``) with remaining-capacity
+    bookkeeping.  :func:`seed_flow` builds them, only into centers at or
+    below the costliest one the seed uses.  ``_adj[x]`` lists exactly
+    the residual slot arcs out of machine or center x, in no particular
+    order (jobs share one empty entry): every change of slot flow goes
+    through :meth:`_push`, which keeps the lists exact (``_pos[eid]`` is
+    the arc's index in its tail's list).
     ``comp`` assigns every node to a subproblem during the
     divide-and-conquer; an edge is alive for a search only when both
     endpoints share the search's component.
@@ -145,32 +150,12 @@ class CostCenterNetwork:
 
         n_nodes = nU + nV + self.num_centers
         self.num_nodes = n_nodes
-        # Job u's edges, in job_adj order, are the forward arcs
-        # first[u], first[u] + 2, ..., each followed by its reverse arc.
-        job_adj = instance.job_adj
-        degrees = [len(a) for a in job_adj]
-        first = list(accumulate((2 * d for d in degrees), initial=0))
-        self._job_first = first
-        self._job_arcs = n_arcs = first[-1]
-        to = [0] * n_arcs
-        to[0::2] = [nU + v for a in job_adj for v, _w in a]
-        to[1::2] = chain.from_iterable(map(repeat, range(nU), degrees))
-        cap = [1, 0] * (n_arcs // 2)
-
-        # With no flow yet, the residual arcs are the forward arcs: each
-        # job lists one run of them, and seeding adds the slot edges.
-        adj: list[list[int]] = [list(range(first[u], first[u + 1], 2)) for u in range(nU)]
-        adj += ([] for _ in range(nV + self.num_centers))
-        pos = [0] * n_arcs
-        pos[0::2] = chain.from_iterable(map(range, degrees))
-        self._machine_center_edges: list[list[tuple[int, int]]] = [[] for _ in range(nV)]
-        self._pos = pos
-        self._to = to
-        self._cap = cap
-        self._rem = list(cap)
-        self._adj = adj
-        # The machine node carrying each job; kept by _push.
         self._carrier = [-1] * nU
+        self._carried: list[list[int]] = [[] for _ in range(nV)]
+        self._where = [0] * nU
+        self._machine_center_edges: list[list[tuple[int, int]]] = [[] for _ in range(nV)]
+        self._to, self._cap, self._rem, self._pos = [], [], [], []
+        self._adj: list[Sequence[int]] = [()] * nU + [[] for _ in range(nV + self.num_centers)]
         self.comp = [0] * n_nodes
         self._next_comp = 1
         # Reusable stamped scratch arrays for searches.
@@ -180,9 +165,6 @@ class CostCenterNetwork:
         self._stamp = 0
 
     # -- node id helpers ------------------------------------------------
-
-    def job_node(self, u: int) -> int:
-        return u
 
     def machine_node(self, v: int) -> int:
         return self.num_jobs + v
@@ -207,8 +189,7 @@ class CostCenterNetwork:
         return self._cap[eid] - self._rem[eid]
 
     def flow_value(self) -> int:
-        # A reverse job arc's remaining capacity is its edge's flow.
-        return sum(self._rem[1 : self._job_arcs : 2])
+        return sum(1 for c in self._carrier if c >= 0)
 
     def flow_cost(self) -> int:
         return sum(
@@ -217,43 +198,50 @@ class CostCenterNetwork:
             for eid, val in per_v
         )
 
-    def machine_load(self, v: int) -> int:
-        return sum(self.edge_flow(eid) for eid, _ in self._machine_center_edges[v])
-
     def assigned_machine(self, u: int) -> Optional[int]:
-        """Machine whose edge currently carries job u's unit, if any."""
-        found = None
-        for e in range(self._job_first[u], self._job_first[u + 1], 2):
-            if self.edge_flow(e):
-                if found is not None:
-                    raise AssertionError(f"job {u} carried by two machines")
-                found = self._to[e] - self.num_jobs
-        return found
-
-    def _job_arc(self, u: int, v: int) -> int:
-        """Edge id of the job edge from u to v."""
-        x, to = self.num_jobs + v, self._to
-        for e in range(self._job_first[u], self._job_first[u + 1], 2):
-            if to[e] == x:
-                return e
-        raise ValueError(f"no edge ({u}, {v})")
+        """Machine currently carrying job u's unit, if any."""
+        c = self._carrier[u]
+        return None if c < 0 else c - self.num_jobs
 
     def residual_successors(self, x: int) -> list[int]:
         """Residual out-neighbours of x, ignoring components (test hook)."""
-        return [self._to[e] for e in self._adj[x] if self._rem[e] > 0]
+        nU = self.num_jobs
+        if x < nU:
+            return [nU + v for v, _w in self.instance.job_adj[x] if nU + v != self._carrier[x]]
+        slots = [self._to[e] for e in self._adj[x] if self._rem[e] > 0]
+        if x < nU + self.num_machines:
+            return self._carried[x - nU] + slots
+        return slots
+
+    def _move(self, u: int, x: int) -> None:
+        """Make machine node x the carrier of job u.
+
+        u leaves its old carrier's list, the last entry taking its
+        place, and joins the end of x's.
+        """
+        nU, carried, where = self.num_jobs, self._carried, self._where
+        old = self._carrier[u]
+        if old >= 0:
+            lst = carried[old - nU]
+            i = where[u]
+            last = lst.pop()
+            if last != u:
+                lst[i] = last
+                where[last] = i
+        self._carrier[u] = x
+        lst = carried[x - nU]
+        where[u] = len(lst)
+        lst.append(u)
 
     def _push(self, e: int, delta: int) -> None:
-        """Send ``delta`` units along arc ``e``, keeping the lists exact.
+        """Send ``delta`` units along slot arc ``e``, keeping the lists exact.
 
         The reverse arc joins its tail's list when it turns residual, and
         ``e`` leaves its tail's list when it saturates, the last entry
-        taking its place.  A unit pushed along a forward job arc records
-        the arc's machine as the job's carrier.
+        taking its place.
         """
         rem, adj, pos, to = self._rem, self._adj, self._pos, self._to
         r = e ^ 1
-        if e < self._job_arcs and not e & 1:
-            self._carrier[to[r]] = to[e]
         if not rem[r]:
             lst = adj[to[e]]
             pos[r] = len(lst)
@@ -279,15 +267,15 @@ def build_cost_center_network(
 def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterNetwork:
     """Load an assignment into the network as a saturating flow.
 
-    Builds each machine's slot edges, in ascending value order with
-    equal marginals merged into one capacitated edge, but only those
-    into centers at or below ``top``, the costliest marginal the
-    assignment uses.  Each machine's units enter its cheapest slots, so
-    the flow cost equals the assignment cost from the start.  The
-    network must hold no flow yet.  Raises ``ValueError``, leaving the
-    network untouched, when the assignment has the wrong size or puts a
-    job on no machine or along a non-edge.  Returns the network for
-    chaining.
+    Records each job's machine as its carrier, then builds each
+    machine's slot edges, in ascending value order with equal marginals
+    merged into one capacitated edge, but only those into centers at or
+    below ``top``, the costliest marginal the assignment uses.  Each
+    machine's units enter its cheapest slots, so the flow cost equals
+    the assignment cost from the start.  The network must hold no flow
+    yet.  Raises ``ValueError``, leaving the network untouched, when the
+    assignment has the wrong size or puts a job on no machine or along a
+    non-edge.  Returns the network for chaining.
     """
     nU, nV = network.num_jobs, network.num_machines
     machine_of = matching.machine_of
@@ -295,22 +283,18 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
         raise ValueError(
             f"invalid matching: size: expected {nU} assignments, got {len(machine_of)}"
         )
-    # Each job's arc is found by a scan of its run of job arcs.
-    to, first = network._to, network._job_first
-    arcs = []
+    job_adj = network.instance.job_adj
     loads = [0] * nV
     for u, v in enumerate(machine_of):
         if v is None or not 0 <= v < nV:
             raise ValueError(
                 f"invalid matching: unassigned: job {u} has no machine (got {v!r})"
             )
-        x = nU + v
-        for e in range(first[u], first[u + 1], 2):
-            if to[e] == x:
+        for x, _w in job_adj[u]:
+            if x == v:
                 break
         else:
             raise ValueError(f"invalid matching: not-an-edge: ({u}, {v}) is not an edge")
-        arcs.append(e)
         loads[v] += 1
     if network._rem != network._cap:
         raise ValueError("network already carries flow")
@@ -318,9 +302,15 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
     top = max((marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
     if top is None:  # no jobs
         return network
+    carried, where = network._carried, network._where
+    for u, v in enumerate(machine_of):
+        lst = carried[v]
+        where[u] = len(lst)
+        lst.append(u)
+    network._carrier[:] = [nU + v for v in machine_of]
     live = network.center_values[: bisect_right(network.center_values, top)]
     center_of = {val: nU + nV + k for k, val in enumerate(live)}
-    cap, pos, adj = network._cap, network._pos, network._adj
+    to, cap, pos, adj = network._to, network._cap, network._pos, network._adj
     for v in range(nV):
         x = nU + v
         slots = network._machine_center_edges[v]
@@ -333,11 +323,8 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
             adj[x].append(len(to))
             to += (center_of[val], x)
             cap += (mult, 0)
-    network._rem += cap[len(network._rem) :]
-    push = network._push
-    for e in arcs:
-        push(e, 1)
-    rem = network._rem
+    network._rem += cap
+    push, rem = network._push, network._rem
     for v, load in enumerate(loads):
         for eid, _val in network._machine_center_edges[v]:
             if load == 0:
@@ -381,30 +368,34 @@ def _cancel(
     only in sinks.
 
     Jobs and centers link only to machines, so machines fill the odd
-    layers.  A layer of machines is found bottom-up when the frontier's
-    jobs have more out-arcs than the unlabelled machines have jobs: each
-    unlabelled machine probes its jobs for one in the frontier.  A job
-    is entered only from the machine carrying it, and the previous layer
-    labelled every machine an earlier job links to, so any labelled job
-    of an unlabelled machine sits in the frontier and links to it.
+    layers.  A job is entered only from its carrier, so a scanned
+    machine's jobs are unlabelled and in its component, and a job's scan
+    skips its carrier as labelled.  A layer of machines is found
+    bottom-up when the frontier's jobs have more out-arcs than the
+    unlabelled machines have jobs: each unlabelled machine probes its
+    jobs for one in the frontier.  The previous layer labelled every
+    machine an earlier job links to, so any labelled job of an
+    unlabelled machine sits in the frontier and links to it.
 
     The blocking flow is searched backward because a job has exactly one
-    residual in-arc, the reverse arc from the machine carrying it: a job
-    steps to its carrier in O(1), and only machines near the sinks are
-    scanned, where a forward search walks the whole layered graph.  With
-    sources on level 0 and sinks on level D, machines sit on the odd
-    levels and jobs on the even ones.  A machine on level L > 1 probes
-    its jobs, from a current position, for a live one on level L-1; that
-    job does not ride on the machine (the machine's own jobs sit on level
-    L+1), so its arc in is residual.  A machine on level 1 is entered
-    through a used slot into a source.  Arc ids are resolved only for the
-    arcs of an augmenting path.
+    residual in-arc, from its carrier: a job steps to its carrier in
+    O(1), and only machines near the sinks are scanned, where a forward
+    search walks the whole layered graph.  With sources on level 0 and
+    sinks on level D, machines sit on the odd levels and jobs on the
+    even ones.  A machine on level L > 1 probes its jobs, from a current
+    position, for a live one on level L-1; that job does not ride on the
+    machine (the machine's own jobs sit on level L+1), so its edge in is
+    residual.  A machine on level 1 is entered through a used slot into
+    a source.  An augmentation moves each job of the path to the
+    machine after it and pushes the path's two slot arcs.
     """
     to, rem, adj = network._to, network._rem, network._adj
-    push, carrier = network._push, network._carrier
+    push, move = network._push, network._move
+    carrier, carried = network._carrier, network._carried
     comp_of = network.comp
     dist, seen, arc = network._dist, network._seen, network._arc
-    nU, first_slot, job_arc = network.num_jobs, network._job_arcs, network._job_arc
+    nU = network.num_jobs
+    job_adj = network.instance.job_adj
     jobs_of = network.instance.machine_adj
     slot_edges = network._machine_center_edges
     machine_degree = sum(len(jobs_of[b - nU]) for b in machines)
@@ -439,16 +430,24 @@ def _cancel(
             if level % 2:  # jobs and centers -> machines
                 bottom_up = job_arcs > unseen_degree
                 for x in frontier:
-                    if bottom_up and x < nU:
-                        continue
-                    scanned += len(adj[x])
-                    for e in adj[x]:
-                        y = to[e]
-                        if seen[y] != stamp and comp_of[y] == comp:
-                            seen[y] = stamp
-                            dist[y] = level
-                            nxt.append(y)
-                            unseen_degree -= len(jobs_of[y - nU])
+                    if x >= nU:  # a center
+                        scanned += len(adj[x])
+                        for e in adj[x]:
+                            y = to[e]
+                            if seen[y] != stamp and comp_of[y] == comp:
+                                seen[y] = stamp
+                                dist[y] = level
+                                nxt.append(y)
+                                unseen_degree -= len(jobs_of[y - nU])
+                    elif not bottom_up:
+                        scanned += len(job_adj[x]) - 1
+                        for v, _w in job_adj[x]:
+                            y = nU + v
+                            if seen[y] != stamp and comp_of[y] == comp:
+                                seen[y] = stamp
+                                dist[y] = level
+                                nxt.append(y)
+                                unseen_degree -= len(jobs_of[v])
                 if bottom_up:
                     still = []
                     for b in unseen:
@@ -468,16 +467,20 @@ def _cancel(
             else:  # machines -> jobs and centers
                 job_arcs = 0
                 for x in frontier:
-                    scanned += len(adj[x])
+                    jobs = carried[x - nU]
+                    scanned += len(jobs) + len(adj[x])
+                    for u in jobs:
+                        seen[u] = stamp
+                        dist[u] = level
+                        job_arcs += len(job_adj[u]) - 1
+                    nxt += jobs
                     for e in adj[x]:
                         y = to[e]
                         if seen[y] != stamp and comp_of[y] == comp:
                             seen[y] = stamp
                             dist[y] = level
                             nxt.append(y)
-                            if y < nU:
-                                job_arcs += len(adj[y])
-                            elif y in sink_set:
+                            if y in sink_set:
                                 found = True
             last, frontier = frontier, nxt
             marked.extend(nxt)
@@ -496,10 +499,7 @@ def _cancel(
         # reach no source, or a job moved by an augmentation (its new
         # carrier sits a layer later), gets the label -1 and is dead for
         # the rest of the round.
-        starts = [
-            e for x in last for e in adj[x]
-            if e >= first_slot and to[e] in sink_set
-        ]
+        starts = [e for x in last for e in adj[x] if to[e] in sink_set]
         scanned += sum(len(adj[x]) for x in last)
         for x in marked:
             arc[x] = 0
@@ -548,19 +548,19 @@ def _cancel(
                 arc[y] = i
                 scanned += i - first + (i < n)
                 if i < n:
-                    # Augment: the start arc, the source's arc, and per
-                    # job its arc into the later machine and the reverse
-                    # arc from its carrier.
-                    arcs = [starts[si], e ^ 1]
-                    for k in range(1, len(path) - 1, 2):
-                        u = path[k]
-                        arcs.append(job_arc(u, path[k - 1] - nU))
-                        arcs.append(job_arc(u, carrier[u] - nU) ^ 1)
-                        dist[u] = -1
-                    delta = min(rem[a] for a in arcs)
-                    assert delta > 0, "a path arc is saturated"
-                    for a in arcs:
-                        push(a, delta)
+                    # Augment.  A job edge carries one unit, so a path
+                    # through a job moves one; a lone machine moves as
+                    # many as both its slot arcs allow.
+                    if len(path) == 1:
+                        delta = min(rem[starts[si]], rem[e ^ 1])
+                    else:
+                        delta = 1
+                        for k in range(1, len(path), 2):
+                            u = path[k]
+                            dist[u] = -1
+                            move(u, path[k - 1])
+                    push(starts[si], delta)
+                    push(e ^ 1, delta)
                     counters.units_cancelled += delta
                     path.clear()
                     continue
@@ -639,19 +639,11 @@ def extract_semi_matching(network: CostCenterNetwork) -> SemiMatching:
     gap would admit a cost-reducing two-edge path) and that the flow
     cost equals the assignment's cost.
     """
-    nU, to, job_arcs = network.num_jobs, network._to, network._job_arcs
-    assignment: list[Optional[int]] = [None] * nU
-    for v in range(network.num_machines):
-        for e in network._adj[nU + v]:
-            if e < job_arcs:  # a listed reverse job arc: the job is on v
-                u = to[e]
-                if assignment[u] is not None:
-                    raise AssertionError(f"job {u} carried by two machines")
-                assignment[u] = v
-    for u, v in enumerate(assignment):
-        if v is None:
+    nU, carrier = network.num_jobs, network._carrier
+    for u, c in enumerate(carrier):
+        if c < 0:
             raise ValueError(f"flow is not saturating: job {u} unassigned")
-    matching = SemiMatching(tuple(assignment))  # type: ignore[arg-type]
+    matching = SemiMatching(tuple(c - nU for c in carrier))
 
     expected_cost = 0
     for v, load in enumerate(matching.degrees(network.num_machines)):

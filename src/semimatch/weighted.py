@@ -101,12 +101,8 @@ class EktState:
         self._raw_job: list[int] = [0] * nU
         self._raw_slot: list[list[int]] = [[] for _ in range(nV)]
         self.iteration = 0
-        # Machine adjacencies sorted once by descending weight (job id
-        # breaks ties).
-        self.adj_desc: list[list[tuple[int, int]]] = [
-            sorted(((w, u) for u, w in instance.machine_adj[v]), key=lambda t: (-t[0], t[1]))
-            for v in range(nV)
-        ]
+        # Each machine's smallest edge weight (0 for a machine with none).
+        self.wmin = [min((w for _u, w in adj), default=0) for adj in instance.machine_adj]
         self._tables = _PhaseTables(nV)
 
     # -- potentials -------------------------------------------------------
@@ -138,9 +134,6 @@ class EktState:
         """Envelope domain size for machine v: min(alpha+1, deg)."""
         return min(self.alpha(v) + 1, self.instance.machine_degree(v))
 
-    def num_matched(self) -> int:
-        return sum(1 for s in self.job_slot if s is not None)
-
     def matching(self) -> SemiMatching:
         if any(s is None for s in self.job_slot):
             raise ValueError("not every job is matched yet")
@@ -161,6 +154,11 @@ def _potential_diffs(state: EktState, v: int, n: int) -> list[int]:
     return [b - a for a, b in zip(pots, pots[1:])]
 
 
+def _adj_desc(instance: BipartiteInstance, v: int) -> list[tuple[int, int]]:
+    """Machine v's edges as (weight, job), heaviest first, job id breaking ties."""
+    return sorted(((w, u) for u, w in instance.machine_adj[v]), key=lambda t: (-t[0], t[1]))
+
+
 def compute_gammas(state: EktState) -> dict[tuple[int, int], int]:
     """Valley index of every edge's slot sequence, batch-computed.
 
@@ -177,7 +175,7 @@ def compute_gammas(state: EktState) -> dict[tuple[int, int], int]:
             continue
         diffs = _potential_diffs(state, v, n)
         i = 1
-        for w, u in state.adj_desc[v]:
+        for w, u in _adj_desc(state.instance, v):
             while i < n and diffs[i - 1] > w:
                 i += 1
             out[(u, v)] = i
@@ -240,7 +238,7 @@ def _machine_tables(state: EktState, v: int) -> tuple[list[int], list[int], int,
         free_n = 0
     n = len(shift)
     negd = [shift[i] - shift[i + 1] for i in range(n - 1)]
-    wmin = state.adj_desc[v][-1][0]
+    wmin = state.wmin[v]
     g0 = bisect_left(negd, -wmin) + 1
     return shift, negd, n, free_n, wmin * g0 - shift[g0 - 1]
 
@@ -634,7 +632,7 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
     gammas = compute_gammas(state)
     for v in range(inst.num_machines):
         prev = 0
-        for w, u in state.adj_desc[v]:
+        for w, u in _adj_desc(inst, v):
             g = gammas[(u, v)]
             assert g >= prev, f"machine {v}: valleys not monotone in weight"
             prev = g

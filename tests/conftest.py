@@ -1,5 +1,6 @@
 """Shared fixtures and the running example instance."""
 
+import math
 import signal
 from contextlib import contextmanager
 
@@ -49,3 +50,23 @@ def live_center_count(network, seed):
     if top is None:
         return 0
     return sum(1 for val in network.center_values if val <= top)
+
+
+def assert_cancel_bounds(counters, num_jobs, live):
+    """Assert the cancellation bounds the README claims for one solve of
+    ``num_jobs`` jobs over ``live`` live centers: each call takes at most
+    2*ceil(sqrt(U)) + 5 blocking-flow rounds with strictly increasing
+    layer distances, and divide and conquer makes at most T - 1 calls
+    to depth at most ceil(log2(T)) + 1.  Returns the largest ratio of
+    rounds to their cap."""
+    round_cap = 2 * math.isqrt(num_jobs - 1) + 2 + 5  # 2*ceil(sqrt(U)) + 5
+    for rounds in counters.rounds_per_cancel:
+        assert rounds <= round_cap, f"{rounds} rounds > cap {round_cap}"
+    for dists in counters.distances_per_cancel:
+        assert all(a < b for a, b in zip(dists, dists[1:])), (
+            f"distances not strictly increasing: {dists}"
+        )
+    assert len(counters.rounds_per_cancel) <= live - 1
+    depth_cap = math.ceil(math.log2(live)) + 1 if live > 1 else 1
+    assert counters.max_depth <= depth_cap, f"depth {counters.max_depth} > cap {depth_cap}"
+    return max((r / round_cap for r in counters.rounds_per_cancel), default=0.0)

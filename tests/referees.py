@@ -2,9 +2,8 @@
 
 The tests check the library against these.  Some are code the library
 has since replaced by a faster form (the per-token instance parser, the
-per-edge network build, the per-unit seed); the others are public
-entry points that only the tests call (``cancel`` on chosen centers,
-``reachable_partition``).
+per-unit seed); the others are public entry points that only the tests
+call (``cancel`` on chosen centers, ``reachable_partition``).
 """
 
 from __future__ import annotations
@@ -156,42 +155,27 @@ def parse_instance_by_records(text: str) -> Union[BipartiteInstance, GeneralGrap
 # -- the cost-center network ----------------------------------------------
 
 
-def job_arrays_per_edge(instance: BipartiteInstance, num_nodes: int):
-    """The unseeded network's ``_to``, ``_cap``, ``_pos``, ``_adj`` and
-    ``_job_first``, built one edge at a time."""
-    nU = instance.num_jobs
-    to: list[int] = []
-    cap: list[int] = []
-    pos: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    job_first = [0]
-    for u in range(nU):
-        for v, _w in instance.job_adj[u]:
-            pos += (len(adj[u]), 0)
-            adj[u].append(len(to))
-            to += (nU + v, u)
-            cap += (1, 0)
-        job_first.append(len(to))
-    return to, cap, pos, adj, job_first
-
-
 def seed_flow_per_unit(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterNetwork:
-    """``seed_flow`` after ``validate_semi_matching``, pushing each job's
-    unit with ``_push(_job_arc(u, v), 1)``."""
+    """``seed_flow`` after ``validate_semi_matching``, filling the carrier
+    record from its definition and each slot edge one unit at a time."""
     bad = validate_semi_matching(network.instance, matching)
     if bad is not None:
         raise ValueError(f"invalid matching: {bad.kind}: {bad.detail}")
     if network._rem != network._cap:
         raise ValueError("network already carries flow")
-    nU, marginals = network.num_jobs, network._marginals
-    loads = matching.degrees(network.num_machines)
+    nU, nV, marginals = network.num_jobs, network.num_machines, network._marginals
+    loads = matching.degrees(nV)
     top = max((marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
     if top is None:  # no jobs
         return network
+    machine_of = matching.machine_of
+    network._carrier = [nU + v for v in machine_of]
+    network._carried = [[u for u in range(nU) if machine_of[u] == v] for v in range(nV)]
+    network._where = [network._carried[v].index(u) for u, v in enumerate(machine_of)]
     live = network.center_values[: bisect_right(network.center_values, top)]
-    center_of = {val: nU + network.num_machines + k for k, val in enumerate(live)}
+    center_of = {val: nU + nV + k for k, val in enumerate(live)}
     to, cap, pos, adj = network._to, network._cap, network._pos, network._adj
-    for v in range(network.num_machines):
+    for v in range(nV):
         x = nU + v
         slots = network._machine_center_edges[v]
         for val, grp in groupby(marginals[v]):
@@ -203,18 +187,12 @@ def seed_flow_per_unit(network: CostCenterNetwork, matching: SemiMatching) -> Co
             adj[x].append(len(to))
             to += (center_of[val], x)
             cap += (mult, 0)
-    network._rem += cap[len(network._rem) :]
-    for u, v in enumerate(matching.machine_of):
-        network._push(network._job_arc(u, v), 1)
+    network._rem += cap
     rem = network._rem
     for v, load in enumerate(loads):
-        for eid, _val in network._machine_center_edges[v]:
-            if load == 0:
-                break
-            take = min(load, rem[eid])
-            network._push(eid, take)
-            load -= take
-        assert load == 0, "machine degree exceeded by its own load"
+        for _ in range(load):
+            eid = next(e for e, _val in network._machine_center_edges[v] if rem[e])
+            network._push(eid, 1)
     return network
 
 
@@ -275,7 +253,6 @@ def cancel(
 
 def reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list[int]:
     """Residual reachability inside one component (plain BFS)."""
-    to, adj = network._to, network._adj
     comp_of = network.comp
     network._stamp += 1
     stamp = network._stamp
@@ -290,8 +267,7 @@ def reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list[
     while frontier:
         nxt = []
         for x in frontier:
-            for e in adj[x]:
-                y = to[e]
+            for y in network.residual_successors(x):
                 if comp_of[y] == comp and seen[y] != stamp:
                     seen[y] = stamp
                     nxt.append(y)

@@ -6,7 +6,6 @@ their assertion messages, so a budget miss documents itself.
 """
 
 import itertools
-import math
 import random
 import time
 
@@ -43,7 +42,7 @@ from semimatch.unweighted import (
 )
 from semimatch.weighted import WeightedStats, baseline_exploded_solver, solve_weighted
 
-from conftest import fig2_instance, live_center_count
+from conftest import assert_cancel_bounds, fig2_instance, live_center_count
 from test_cover import connected_graphs
 from test_envelope import NaiveEnvelope, checked_phase_heaps, pop_both, row, shifted_family
 
@@ -142,15 +141,9 @@ def test_criterion_04_reference_example_costs():
 
 def test_criterion_05_blocking_flow_round_bounds(unit_runs):
     worst_ratio = 0.0
-    for i, (inst, _f, _s, _b, counters) in enumerate(unit_runs):
-        cap = 2 * (math.isqrt(inst.num_jobs - 1) + 1) + 5  # 2*ceil(sqrt(U)) + 5
-        for rounds in counters.rounds_per_cancel:
-            assert rounds <= cap, f"instance {i}: {rounds} rounds > cap {cap}"
-            worst_ratio = max(worst_ratio, rounds / cap)
-        for dists in counters.distances_per_cancel:
-            assert all(a < b for a, b in zip(dists, dists[1:])), (
-                f"instance {i}: distances not strictly increasing: {dists}"
-            )
+    for inst, _f, _s, _b, counters in unit_runs:
+        live = live_center_count(build_cost_center_network(inst), _greedy_seed(inst))
+        worst_ratio = max(worst_ratio, assert_cancel_bounds(counters, inst.num_jobs, live))
     print(f"criterion 5: worst rounds/cap ratio {worst_ratio:.2f}")
 
 
@@ -260,9 +253,7 @@ def test_criterion_09_performance_smoke():
     matching = solve_unweighted(inst_flow, stats=counters)
     t_flow = time.perf_counter() - start
     assert validate_semi_matching(inst_flow, matching) is None
-    assert len(counters.rounds_per_cancel) <= live - 1
-    depth_cap = math.ceil(math.log2(live)) + 1 if live > 1 else 1
-    assert counters.max_depth <= depth_cap
+    assert_cancel_bounds(counters, inst_flow.num_jobs, live)
 
     inst_ssp = gen_random(rng, 2_000, 500, num_edges=20_000, max_weight=10**6)
     stats = WeightedStats()

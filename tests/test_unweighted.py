@@ -1,6 +1,5 @@
 """Cost-center flow reduction, cancelling, and the unit/convex solvers."""
 
-import math
 import random
 from itertools import groupby
 
@@ -28,8 +27,8 @@ from semimatch.unweighted import (
 )
 from semimatch.weighted import baseline_exploded_solver
 
-from conftest import deadline, fig2_instance, live_center_count
-from referees import cancel, job_arrays_per_edge, reachable_partition, seed_flow_per_unit
+from conftest import assert_cancel_bounds, deadline, fig2_instance, live_center_count
+from referees import cancel, reachable_partition, seed_flow_per_unit
 
 
 def unit_cost(instance, matching):
@@ -58,9 +57,10 @@ def star_instance(rng, spokes, jobs, machines):
 
 
 def assert_lists_are_residual(network):
-    """Every node lists exactly its residual out-arcs; so each machine
-    lists the reverse arcs of exactly the jobs it carries, and each
-    carried job records its machine as its carrier."""
+    """Every machine and center lists exactly its residual slot arcs, and
+    the carrier record is whole: ``_carried[v]`` holds exactly the jobs
+    whose carrier is machine v, each at its ``_where`` index, and each
+    machine's slot edges carry one unit per job it carries."""
     expected = [[] for _ in range(network.num_nodes)]
     for e in range(len(network._to)):
         if network._rem[e] > 0:
@@ -69,12 +69,15 @@ def assert_lists_are_residual(network):
         assert sorted(network._adj[x]) == expected[x], f"node {network.describe_node(x)}"
         for i, e in enumerate(network._adj[x]):
             assert network._pos[e] == i
-    for v in range(network.num_machines):
+    carrier, where = network._carrier, network._where
+    for v, carried in enumerate(network._carried):
         x = network.machine_node(v)
-        listed = [network._to[e] for e in network._adj[x] if e < network._job_arcs]
-        carried = [u for u in range(network.num_jobs) if network.assigned_machine(u) == v]
-        assert sorted(listed) == carried, f"machine {v} lists {listed}, carries {carried}"
-        assert all(network._carrier[u] == x for u in carried)
+        on_v = [u for u in range(network.num_jobs) if carrier[u] == x]
+        assert sorted(carried) == on_v, f"machine {v} lists {carried}, carries {on_v}"
+        assert all(carried[where[u]] == u for u in carried), f"machine {v}"
+        flow = sum(network.edge_flow(e) for e, _val in network._machine_center_edges[v])
+        assert flow == len(carried), f"machine {v}: {flow} units for {len(carried)} jobs"
+    assert sum(map(len, network._carried)) == network.flow_value()
 
 
 def plain_layers(network, comp, sources):
@@ -138,12 +141,15 @@ class TestNetworkConstruction:
         # source and sink are implicit: 3 real nodes (u, v, c1), 2 real edges
         assert net.num_nodes == 3
         assert net.num_centers == 1
-        assert len(net._to) == 2  # the job arc and its residual twin
+        assert net._to == []  # the job edge is the carrier record, not an arc
         seed_flow(net, SemiMatching((0,)))
-        assert len(net._to) == 4  # plus the slot edge and its twin
+        assert len(net._to) == 2  # the slot edge and its twin
+        assert net._carrier == [net.machine_node(0)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_job_arrays_equal_a_per_edge_build(self, seed):
+        # Edge by edge, an unseeded network records nothing: no edge is
+        # an arc, no job has a carrier and no machine carries a job.
         # Edges arrive shuffled, so job_adj order is not edge order, and
         # a few extra machines have no edge at all.
         rng = random.Random(seed)
@@ -159,10 +165,11 @@ class TestNetworkConstruction:
         for inst in instances:
             for costs in (None, ConvexMachineCost.quadratic(inst)):
                 net = build_cost_center_network(inst, costs)
-                to, cap, pos, adj, job_first = job_arrays_per_edge(inst, net.num_nodes)
-                assert net._to == to and net._cap == cap and net._rem == cap
-                assert net._pos == pos and net._adj == adj
-                assert net._job_first == job_first and net._job_arcs == len(to)
+                assert net._to == net._cap == net._rem == net._pos == []
+                assert all(not net._adj[x] for x in range(net.num_nodes))
+                assert net._carrier == [-1] * inst.num_jobs
+                assert net._carried == [[] for _ in range(net.num_machines)]
+                assert net.flow_value() == 0
                 assert_lists_are_residual(net)
 
     def test_convex_marginals_become_center_values(self):
@@ -189,7 +196,8 @@ class TestSeedAndCancel:
             for matching in (_greedy_seed(inst), anywhere):
                 net = seed_flow(build_cost_center_network(inst, costs), matching)
                 ref = seed_flow_per_unit(build_cost_center_network(inst, costs), matching)
-                for name in ("_to", "_cap", "_rem", "_adj", "_pos", "_carrier", "_machine_center_edges"):
+                names = ("_to", "_cap", "_rem", "_adj", "_pos", "_carrier", "_carried", "_where")
+                for name in names + ("_machine_center_edges",):
                     assert getattr(net, name) == getattr(ref, name), name
 
     def test_seed_flow_rejects_a_bad_assignment_and_leaves_the_network(self):
@@ -205,7 +213,8 @@ class TestSeedAndCancel:
         ]
         for machine_of, detail in cases:
             net = build_cost_center_network(inst)
-            lists = (net._to, net._cap, net._rem, net._pos, net._carrier, *net._adj)
+            lists = (net._to, net._cap, net._rem, net._pos, net._carrier, net._where)
+            lists += (*net._carried, *net._adj)
             before = [list(a) for a in lists]
             with pytest.raises(ValueError) as raised:
                 seed_flow(net, SemiMatching(machine_of))
@@ -380,14 +389,8 @@ class TestSolveUnweighted:
             live = live_center_count(net, _greedy_seed(inst))
             assert live <= net.num_centers
             solve_unweighted(inst, stats=counters)
-            round_cap = 2 * math.isqrt(inst.num_jobs - 1) + 2 + 5  # 2*ceil(sqrt(U)) + 5
-            assert all(r <= round_cap for r in counters.rounds_per_cancel)
-            for dists in counters.distances_per_cancel:
-                assert all(a < b for a, b in zip(dists, dists[1:]))
             # Divide and conquer runs over the live centers only.
-            assert len(counters.rounds_per_cancel) <= live - 1
-            depth_cap = math.ceil(math.log2(live)) + 1 if live > 1 else 1
-            assert counters.max_depth <= depth_cap
+            assert_cancel_bounds(counters, inst.num_jobs, live)
 
     def test_split_call_sequence_matches_solve_unweighted(self):
         rng = random.Random(909)
@@ -518,29 +521,31 @@ class TestSolveUnweighted:
 
 
 def observed_cancel_all(net):
-    """``cancel_all`` with every push watched.  Asserts that each job an
-    augmentation moves is dead (label -1) for the rest of its round, and
-    that layer distances strictly increase within each call; fails after
-    10 s instead of hanging.  Returns the counters and the largest number
-    of units one push moved."""
+    """``cancel_all`` with every job move and slot push watched.  Asserts
+    that each job an augmentation moves is dead (label -1) for the rest
+    of its round, and that layer distances strictly increase within each
+    call; fails after 10 s instead of hanging.  Returns the counters and
+    the largest number of units one push moved."""
     moved = []  # (round stamp, job)
     biggest = [0]
-    push = net._push
+    move, push = net._move, net._push
 
-    def watched(e, delta):
-        if e < net._job_arcs and not e & 1:
-            moved.append((net._stamp, net._to[e ^ 1]))
-        for stamp, u in moved:
+    def watched_move(u, x):
+        moved.append((net._stamp, u))
+        for stamp, job in moved:
             if stamp == net._stamp:
-                assert net._dist[u] == -1, f"job {u} moved but still alive in its round"
+                assert net._dist[job] == -1, f"job {job} moved but still alive in its round"
+        move(u, x)
+
+    def watched_push(e, delta):
         biggest[0] = max(biggest[0], delta)
         push(e, delta)
 
-    net._push = watched
+    net._move, net._push = watched_move, watched_push
     counters = CancelCounters()
     with deadline(10, "the cancellation"):
         cancel_all(net, counters=counters)
-    del net._push
+    del net._move, net._push
     for dists in counters.distances_per_cancel:
         assert all(a < b for a, b in zip(dists, dists[1:])), dists
     assert_lists_are_residual(net)
@@ -658,6 +663,23 @@ class TestBackwardBlockingFlow:
         assert biggest >= 2
         best, _ = brute_force_semi_matching(inst, step)
         assert convex_cost(inst, extract_semi_matching(net), step) == best
+
+    def test_a_path_through_a_job_moves_one_unit(self):
+        # Six jobs may run on either machine and the seed puts all six on
+        # machine 0.  Step marginals 1,1,1,2,2,2 merge into slot edges of
+        # capacity 3, so the path from the value-2 center through machine 0,
+        # a job and machine 1 into the value-1 center has room for three
+        # units at both ends, but its job edge carries one: the round takes
+        # three paths of one unit each.
+        inst = BipartiteInstance(6, 2, [(u, v) for u in range(6) for v in range(2)])
+        step = ConvexMachineCost.from_callable(inst, lambda k: sum(i // 3 + 1 for i in range(k)))
+        net = seed_flow(build_cost_center_network(inst, step), SemiMatching((0,) * 6))
+        counters, biggest = observed_cancel_all(net)
+        assert counters.distances_per_cancel == [[4]]
+        assert counters.units_cancelled == 3 and biggest == 1
+        got = extract_semi_matching(net)
+        assert got.degrees(2) == [3, 3]
+        assert convex_cost(inst, got, step) == brute_force_semi_matching(inst, step)[0]
 
     def test_cancel_all_after_cancel_pushes_only_into_sinks(self):
         # Machine 0 carries six jobs, three of them free to move to

@@ -19,6 +19,7 @@ from semimatch.weighted import (
     EktState,
     GroupedDijkstra,
     WeightedStats,
+    _adj_desc,
     augment,
     baseline_exploded_solver,
     check_invariants,
@@ -103,7 +104,7 @@ class TestValleyComputation:
                 augment(state, run)
                 gammas = compute_gammas(state)
                 for v in range(inst.num_machines):
-                    seen = [gammas[(u, v)] for _w, u in state.adj_desc[v]]
+                    seen = [gammas[(u, v)] for _w, u in _adj_desc(inst, v)]
                     assert seen == sorted(seen)
 
 
