@@ -20,6 +20,7 @@ All ids are dense and 0-based.  Instances are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable, Optional, Sequence
 
 #: Edge weights must fit in an unsigned 31-bit integer.
@@ -41,6 +42,13 @@ class CostOverflowError(SemiMatchError):
     """A cost accumulator exceeded the signed 64-bit range."""
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _checked_cost(value: int) -> int:
     if value > MAX_COST:
         raise CostOverflowError(f"cost {value} exceeds the 64-bit accumulator")
@@ -51,14 +59,25 @@ class BipartiteInstance:
     """An immutable bipartite instance: jobs, machines and weighted edges.
 
     Edges are given as ``(job, machine)`` or ``(job, machine, weight)``
-    tuples; missing weights default to 1.  Duplicate edges are rejected,
-    as are out-of-range ids and weights outside ``[0, 2**31)``.  A job with
-    no edge can never be assigned, so such instances are rejected up front
-    with :class:`InfeasibleInstanceError`.  Machines with no edges are
-    legal; they simply never receive work.
+    tuples; missing weights default to 1.  Ids and weights must be
+    integers (anything :func:`operator.index` accepts); duplicate edges
+    are rejected, as are out-of-range ids and weights outside
+    ``[0, 2**31)``, each with a ``ValueError`` naming the field.  A job
+    with no edge can never be assigned, so such instances are rejected
+    up front with :class:`InfeasibleInstanceError`.  Machines with no
+    edges are legal; they simply never receive work.
+
+    The instance stores ``num_edges`` and two adjacencies:
+    ``job_adj[u]`` holds job u's ``(machine, weight)`` pairs in input
+    order, and ``machine_adj[v]`` machine v's ``(job, weight)`` pairs in
+    job order (for constructor input given out of job order, that is
+    not the input order, so unit solvers may pick a different optimal
+    assignment than one that followed the input).  ``edges`` is derived
+    from ``job_adj`` on each read, as ``(job, machine, weight)`` triples
+    in job order.
     """
 
-    __slots__ = ("num_jobs", "num_machines", "edges", "job_adj", "machine_adj")
+    __slots__ = ("num_jobs", "num_machines", "num_edges", "job_adj", "machine_adj")
 
     def __init__(
         self,
@@ -66,10 +85,13 @@ class BipartiteInstance:
         num_machines: int,
         edges: Iterable[Sequence[int]],
     ) -> None:
+        num_jobs = _integer(num_jobs, "job count")
+        num_machines = _integer(num_machines, "machine count")
         if num_jobs < 0 or num_machines < 0:
             raise ValueError("vertex counts must be non-negative")
-        norm = []
-        seen = set()
+        job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
+        stride = num_machines + 1
+        seen: set[int] = set()
         for edge in edges:
             if len(edge) == 2:
                 u, v, w = edge[0], edge[1], 1
@@ -77,61 +99,53 @@ class BipartiteInstance:
                 u, v, w = edge
             else:
                 raise ValueError(f"edge {edge!r} is not a 2- or 3-tuple")
+            u = _integer(u, "job id")
+            v = _integer(v, "machine id")
+            w = _integer(w, "weight")
             if not 0 <= u < num_jobs:
                 raise ValueError(f"job id {u} out of range [0, {num_jobs})")
             if not 0 <= v < num_machines:
                 raise ValueError(f"machine id {v} out of range [0, {num_machines})")
             if not 0 <= w <= MAX_WEIGHT:
                 raise ValueError(f"weight {w} outside [0, 2**31)")
-            if (u, v) in seen:
+            key = u * stride + v
+            if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            norm.append((u, v, w))
-        self._build(num_jobs, num_machines, norm)
-
-    def _build(
-        self, num_jobs: int, num_machines: int, edges: list[tuple[int, int, int]]
-    ) -> None:
-        """Fill in the instance from ``(job, machine, weight)`` triples whose
-        ids, weights and uniqueness the caller has checked; rejects
-        edgeless jobs."""
-        job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
-        machine_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_machines)]
-        for u, v, w in edges:
+            seen.add(key)
             job_adj[u].append((v, w))
-            machine_adj[v].append((u, w))
+        self._build(num_machines, job_adj)
 
+    def _build(self, num_machines: int, job_adj: list[list[tuple[int, int]]]) -> None:
+        """Fill in the instance from each job's list of ``(machine,
+        weight)`` pairs, whose ids, weights and uniqueness the caller has
+        checked; rejects edgeless jobs.  ``machine_adj`` is read off
+        ``job_adj`` in one pass, so it lists each machine's jobs in job
+        order."""
+        machine_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_machines)]
         for u, adj in enumerate(job_adj):
             if not adj:
                 raise InfeasibleInstanceError(
                     f"job {u} has no incident edges; no assignment exists"
                 )
+            for v, w in adj:
+                machine_adj[v].append((u, w))
 
-        self.num_jobs = num_jobs
+        self.num_jobs = len(job_adj)
         self.num_machines = num_machines
-        self.edges = tuple(edges)
-        self.job_adj = tuple(tuple(a) for a in job_adj)
-        self.machine_adj = tuple(tuple(a) for a in machine_adj)
+        self.num_edges = sum(map(len, job_adj))
+        self.job_adj = tuple(map(tuple, job_adj))
+        self.machine_adj = tuple(map(tuple, machine_adj))
 
     @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """Every edge as a ``(job, machine, weight)`` triple, in job order."""
+        return tuple((u, v, w) for u, adj in enumerate(self.job_adj) for v, w in adj)
 
     def machine_degree(self, v: int) -> int:
         return len(self.machine_adj[v])
 
-    def max_machine_degree(self) -> int:
-        return max((len(a) for a in self.machine_adj), default=0)
-
     def is_unit_weight(self) -> bool:
-        return all(w == 1 for _, _, w in self.edges)
-
-    def weight(self, u: int, v: int) -> int:
-        """Weight of edge (u, v); raises KeyError if absent."""
-        for vv, w in self.job_adj[u]:
-            if vv == v:
-                return w
-        raise KeyError(f"no edge ({u}, {v})")
+        return all(w == 1 for adj in self.job_adj for _v, w in adj)
 
     def __repr__(self) -> str:
         return (

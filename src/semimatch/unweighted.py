@@ -172,14 +172,6 @@ class CostCenterNetwork:
     def center_node(self, k: int) -> int:
         return self.num_jobs + self.num_machines + k
 
-    def describe_node(self, x: int) -> tuple[str, int]:
-        """Classify a node id as ("job"|"machine"|"center", local index)."""
-        if x < self.num_jobs:
-            return ("job", x)
-        if x < self.num_jobs + self.num_machines:
-            return ("machine", x - self.num_jobs)
-        return ("center", x - self.num_jobs - self.num_machines)
-
     def center_value(self, k: int) -> int:
         return self.center_values[k]
 
@@ -197,21 +189,6 @@ class CostCenterNetwork:
             for per_v in self._machine_center_edges
             for eid, val in per_v
         )
-
-    def assigned_machine(self, u: int) -> Optional[int]:
-        """Machine currently carrying job u's unit, if any."""
-        c = self._carrier[u]
-        return None if c < 0 else c - self.num_jobs
-
-    def residual_successors(self, x: int) -> list[int]:
-        """Residual out-neighbours of x, ignoring components (test hook)."""
-        nU = self.num_jobs
-        if x < nU:
-            return [nU + v for v, _w in self.instance.job_adj[x] if nU + v != self._carrier[x]]
-        slots = [self._to[e] for e in self._adj[x] if self._rem[e] > 0]
-        if x < nU + self.num_machines:
-            return self._carried[x - nU] + slots
-        return slots
 
     def _move(self, u: int, x: int) -> None:
         """Make machine node x the carrier of job u.

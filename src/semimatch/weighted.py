@@ -515,9 +515,9 @@ def augment(state: EktState, run: DijkstraRun) -> None:
     state.slots[v].append(job)
     state.slot_weights[v].append(0)  # placeholder; fixed below
     state._raw_slot[v].append(0)
-    weight_of = state.instance.weight
+    job_adj = state.instance.job_adj
     while True:
-        w = weight_of(job, v)
+        w = dict(job_adj[job])[v]
         state.slots[v][i - 1] = job
         state.slot_weights[v][i - 1] = w
         ws = state.slot_weights[v]
@@ -602,7 +602,7 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
         alpha = state.alpha(v)
         assert alpha <= inst.machine_degree(v)
         ws = state.slot_weights[v]
-        assert ws == [inst.weight(u, v) for u in state.slots[v]]
+        assert ws == [dict(inst.job_adj[u])[v] for u in state.slots[v]]
         assert all(a >= b for a, b in zip(ws, ws[1:])), (
             f"machine {v}: slot weights {ws} not non-increasing"
         )

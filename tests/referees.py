@@ -2,8 +2,10 @@
 
 The tests check the library against these.  Some are code the library
 has since replaced by a faster form (the per-token instance parser, the
-per-unit seed); the others are public entry points that only the tests
-call (``cancel`` on chosen centers, ``reachable_partition``).
+per-unit seed); others are public entry points that only the tests
+call (``cancel`` on chosen centers, ``reachable_partition``); the rest
+are small views of instances and networks that only the tests read
+(``weight``, ``describe_node``, ``residual_successors``).
 """
 
 from __future__ import annotations
@@ -146,10 +148,49 @@ def parse_instance_by_records(text: str) -> Union[BipartiteInstance, GeneralGrap
             f"header declared {num_edges} edges but the body has {len(edges)}",
         )
     if kind == "semimatch":
-        instance = BipartiteInstance.__new__(BipartiteInstance)
-        instance._build(num_jobs, num_machines, edges)  # edges checked above
-        return instance
+        return BipartiteInstance(num_jobs, num_machines, edges)
     return GeneralGraph(num_vertices, edges)
+
+
+# -- views the library itself never needs ----------------------------------
+
+
+def weight(instance: BipartiteInstance, u: int, v: int) -> int:
+    """Weight of edge (u, v); raises KeyError if absent."""
+    for vv, w in instance.job_adj[u]:
+        if vv == v:
+            return w
+    raise KeyError(f"no edge ({u}, {v})")
+
+
+def max_machine_degree(instance: BipartiteInstance) -> int:
+    return max((len(a) for a in instance.machine_adj), default=0)
+
+
+def describe_node(network: CostCenterNetwork, x: int) -> tuple[str, int]:
+    """Classify a node id as ("job"|"machine"|"center", local index)."""
+    if x < network.num_jobs:
+        return ("job", x)
+    if x < network.num_jobs + network.num_machines:
+        return ("machine", x - network.num_jobs)
+    return ("center", x - network.num_jobs - network.num_machines)
+
+
+def assigned_machine(network: CostCenterNetwork, u: int) -> Optional[int]:
+    """Machine currently carrying job u's unit, if any."""
+    c = network._carrier[u]
+    return None if c < 0 else c - network.num_jobs
+
+
+def residual_successors(network: CostCenterNetwork, x: int) -> list[int]:
+    """Residual out-neighbours of x, ignoring components."""
+    nU = network.num_jobs
+    if x < nU:
+        return [nU + v for v, _w in network.instance.job_adj[x] if nU + v != network._carrier[x]]
+    slots = [network._to[e] for e in network._adj[x] if network._rem[e] > 0]
+    if x < nU + network.num_machines:
+        return network._carried[x - nU] + slots
+    return slots
 
 
 # -- the cost-center network ----------------------------------------------
@@ -242,7 +283,7 @@ def cancel(
             x = to[e]
             if comp_of[x] == comp == comp_of[to[e ^ 1]] and x not in ends:
                 raise ValueError(
-                    f"center {network.describe_node(x)[1]} has slot edges in the "
+                    f"center {describe_node(network, x)[1]} has slot edges in the "
                     "subproblem but is neither a source nor a sink"
                 )
     counters = counters if counters is not None else CancelCounters()
@@ -267,7 +308,7 @@ def reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list[
     while frontier:
         nxt = []
         for x in frontier:
-            for y in network.residual_successors(x):
+            for y in residual_successors(network, x):
                 if comp_of[y] == comp and seen[y] != stamp:
                     seen[y] = stamp
                     nxt.append(y)

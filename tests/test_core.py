@@ -19,6 +19,7 @@ from semimatch.core import (
 
 
 from conftest import fig2_instance
+from referees import weight
 
 
 class TestMachineCost:
@@ -67,13 +68,38 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             BipartiteInstance(1, 1, [(0, 0, -1)])
 
+    @pytest.mark.parametrize(
+        "edges, field",
+        [
+            # Used to build, then fail in the weighted solver's envelope.
+            ([(0, 0, 1.5), (1, 0, 2)], "weight 1.5"),
+            # Used to build and emit "e 1 1 2.0", which does not parse.
+            ([(0, 0, 2.0), (1, 0, 2)], "weight 2.0"),
+            ([(0.0, 0, 1), (1, 0, 2)], "job id 0.0"),
+            ([(0, 0.0), (1, 0)], "machine id 0.0"),
+            ([(0, 0, "2"), (1, 0, 2)], "weight '2'"),
+        ],
+    )
+    def test_non_integer_field_rejected(self, edges, field):
+        with pytest.raises(ValueError, match=f"^{field} is not an integer$"):
+            BipartiteInstance(2, 1, edges)
+
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^job count 2\.0 is not an integer$"):
+            BipartiteInstance(2.0, 1, [(0, 0), (1, 0)])
+
+    def test_integer_like_fields_are_read_as_ints(self):
+        inst = BipartiteInstance(1, 1, [(False, False, True)])
+        assert inst.job_adj == (((0, 1),),)
+        assert type(inst.job_adj[0][0][1]) is int
+
     def test_isolated_job_infeasible(self):
         with pytest.raises(InfeasibleInstanceError):
             BipartiteInstance(2, 1, [(0, 0)])
 
     def test_weight_defaults_to_one(self):
         inst = BipartiteInstance(1, 1, [(0, 0)])
-        assert inst.weight(0, 0) == 1
+        assert weight(inst, 0, 0) == 1
         assert inst.is_unit_weight()
 
 

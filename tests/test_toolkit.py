@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semimatch.bench as bench_mod
+import semimatch.formats as formats
 from semimatch.bench import (
     CSV_COLUMNS,
     BenchCase,
@@ -16,7 +17,7 @@ from semimatch.bench import (
     run_bench,
 )
 from semimatch.cli import main as cli_main
-from semimatch.core import BipartiteInstance, InfeasibleInstanceError
+from semimatch.core import MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError
 from semimatch.cover import GeneralGraph
 from semimatch.formats import (
     BadWeightError,
@@ -31,7 +32,7 @@ from semimatch.formats import (
 )
 from semimatch.generate import gen_random
 
-from referees import parse_instance_by_records
+from referees import parse_instance_by_records, weight
 
 
 class TestParseInstance:
@@ -39,8 +40,8 @@ class TestParseInstance:
         inst = parse_instance("p semimatch 2 1 2\ne 1 1 1\ne 2 1 2\n")
         assert isinstance(inst, BipartiteInstance)
         assert (inst.num_jobs, inst.num_machines) == (2, 1)
-        assert inst.weight(0, 0) == 1
-        assert inst.weight(1, 0) == 2
+        assert weight(inst, 0, 0) == 1
+        assert weight(inst, 1, 0) == 2
 
     def test_cover_example(self):
         g = parse_instance("c a path\np cover 3 2\ne 1 2\ne 2 3\n")
@@ -74,7 +75,7 @@ class TestParseInstance:
 
     def test_zero_weight_is_legal(self):
         inst = parse_instance("p semimatch 1 1 1\ne 1 1 0\n")
-        assert inst.weight(0, 0) == 0
+        assert weight(inst, 0, 0) == 0
 
     def test_jobless_job_is_semantic_not_syntactic(self):
         # parses fine; the instance itself is infeasible
@@ -85,7 +86,7 @@ class TestParseInstance:
         inst = parse_instance(
             "c header comment\n\np semimatch 1 1 1\nc mid\ne 1 1 3\n\n"
         )
-        assert inst.weight(0, 0) == 3
+        assert weight(inst, 0, 0) == 3
 
     @given(st.text(max_size=300))
     @settings(max_examples=300, deadline=None)
@@ -282,6 +283,146 @@ class TestParseAgainstReferee:
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome == (exc, line_no, f"line {line_no}: {message}")
+
+
+def near_canonical(base, how):
+    """``base``, canonical text of more than 7000 lines, with the changes
+    ``how`` names, comma-separated.  A change to one body line is made
+    on line 7001, past the bulk pass's first slice."""
+    lines = base.split("\n")
+    newline = "\n"
+    for change in how.split(", "):
+        tag, job, machine, w = lines[7000].split(" ")
+        edits = {
+            "bad token": f"e {job} x {w}",
+            "duplicate": lines[6999],
+            "job id 0": f"e 0 {machine} {w}",
+            "weight 2**31": f"e {job} {machine} 2147483648",
+            "leading zero": f"e 0{job} {machine} {w}",
+            "leading zero weight": f"e {job} {machine} 0{w}",
+            "plus sign": f"e +{job} {machine} {w}",
+            "digit separator": f"e {job[0]}_{job[1:]} {machine} {w}",
+            "tab": f"e\t{job} {machine} {w}",
+            "double space": f"e {job}  {machine} {w}",
+            "comment mid-body": f"c mid-body\n{lines[7000]}",
+            "extra line": f"{lines[7000]}\n{lines[7000]}",
+            # Over int()'s 4300-digit limit for str, so int() fails.
+            "5000-digit weight": f"e {job} {machine} {'9' * 5000}",
+        }
+        counts = change.split(" ")
+        if change in edits:
+            lines[7000] = edits[change]
+        elif counts[0] in ("jobs", "machines", "edges"):  # "<count> <delta>"
+            header = lines[0].split(" ")
+            k = ["jobs", "machines", "edges"].index(counts[0]) + 2
+            header[k] = str(int(header[k]) + int(counts[1]))
+            lines[0] = " ".join(header)
+        elif change == "5000-digit edge count":
+            lines[0] = lines[0].rsplit(" ", 1)[0] + " 1" + "0" * 4999
+        elif change == "no trailing newline":
+            lines.pop()
+        elif change == "CRLF":
+            newline = "\r\n"
+        elif change == "comment before the header":
+            lines.insert(0, "c lead")
+        else:
+            raise ValueError(change)
+    return newline.join(lines)
+
+
+class TestBulkPass:
+    """Canonical semimatch text takes the bulk pass; anything else, and
+    canonical text with an error, takes the line loop and gets exactly
+    the referee's outcome."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        text = emit_instance(gen_random(random.Random(5), 1000, 60, num_edges=8000, max_weight=9))
+        assert text.count("\n") > 7001
+        return text
+
+    @pytest.fixture
+    def line_loop_calls(self, monkeypatch):
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return parse_lines(text)
+
+        parse_lines = formats._parse_lines
+        monkeypatch.setattr(formats, "_parse_lines", spy)
+        return calls
+
+    def test_large_instance_matches_the_referee(self, monkeypatch):
+        inst = gen_random(random.Random(11), 10_000, 1_000, num_edges=100_000)
+        text = emit_instance(inst)
+        want = parse_instance_by_records(text)
+        monkeypatch.setattr(formats, "_parse_lines", None)  # never called
+        got = parse_instance(text)
+        assert got.num_edges == want.num_edges == inst.num_edges >= 100_000
+        assert got.job_adj == want.job_adj == inst.job_adj
+        assert got.machine_adj == want.machine_adj
+
+    @pytest.mark.parametrize(
+        "how, falls_back",
+        [
+            ("bad token", True),
+            ("duplicate", True),
+            ("job id 0", True),
+            ("weight 2**31", True),
+            ("5000-digit weight", True),
+            ("5000-digit edge count", True),
+            ("leading zero", True),
+            ("leading zero weight", True),
+            ("plus sign", True),
+            ("digit separator", True),
+            ("no trailing newline", True),
+            ("CRLF", True),
+            ("tab", True),
+            ("double space", True),
+            ("comment before the header", True),
+            ("comment mid-body", True),
+            ("edges -1", True),
+            ("edges +1", True),
+            # A repeated line: one line too many, but as many distinct
+            # edges as the header declares.
+            ("extra line", True),
+            ("jobs -1", True),  # job 1000 out of range
+            # More jobs than edges: some job has no edge, so the bulk
+            # pass declines before it allocates a list per job.
+            ("jobs +8000", True),
+            ("machines -1", True),  # machine 60 out of range
+            # Still canonical: job 1001 has no edge, and the bulk pass
+            # raises the line loop's InfeasibleInstanceError itself.
+            ("jobs +1", False),
+            ("machines +1", False),  # still canonical, with an idle machine
+        ],
+    )
+    def test_near_canonical_text(self, base, line_loop_calls, how, falls_back):
+        text = near_canonical(base, how)
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert line_loop_calls == ([text] if falls_back else [])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_emitted_text_never_reaches_the_line_loop(self, monkeypatch, seed):
+        def line_loop(text):
+            raise AssertionError("canonical text reached the line loop")
+
+        monkeypatch.setattr(formats, "_parse_lines", line_loop)
+        rng = random.Random(seed)
+        inst = gen_random(
+            rng,
+            rng.randint(0, 30),
+            rng.randint(1, 12),
+            edge_prob=rng.uniform(0.05, 1.0),
+            min_weight=rng.choice([0, 1]),
+            max_weight=rng.choice([1, 9, MAX_WEIGHT]),
+        )
+        text = emit_instance(inst)
+        again = parse_instance(text)
+        assert (again.job_adj, again.machine_adj) == (inst.job_adj, inst.machine_adj)
+        assert emit_instance(again) == text
 
 
 class TestBench:

@@ -28,7 +28,15 @@ from semimatch.unweighted import (
 from semimatch.weighted import baseline_exploded_solver
 
 from conftest import assert_cancel_bounds, deadline, fig2_instance, live_center_count
-from referees import cancel, reachable_partition, seed_flow_per_unit
+from referees import (
+    assigned_machine,
+    cancel,
+    describe_node,
+    max_machine_degree,
+    reachable_partition,
+    residual_successors,
+    seed_flow_per_unit,
+)
 
 
 def unit_cost(instance, matching):
@@ -66,7 +74,7 @@ def assert_lists_are_residual(network):
         if network._rem[e] > 0:
             expected[network._to[e ^ 1]].append(e)
     for x in range(network.num_nodes):
-        assert sorted(network._adj[x]) == expected[x], f"node {network.describe_node(x)}"
+        assert sorted(network._adj[x]) == expected[x], f"node {describe_node(network, x)}"
         for i, e in enumerate(network._adj[x]):
             assert network._pos[e] == i
     carrier, where = network._carrier, network._where
@@ -99,15 +107,15 @@ def plain_layers(network, comp, sources):
         level = dist[frontier[0]] + 1
         if level % 2:
             job_arcs = sum(
-                len(network.residual_successors(x)) for x in frontier if x < network.num_jobs
+                len(residual_successors(network, x)) for x in frontier if x < network.num_jobs
             )
             unseen = sum(
-                inst.machine_degree(network.describe_node(b)[1]) for b in machines if b not in dist
+                inst.machine_degree(describe_node(network, b)[1]) for b in machines if b not in dist
             )
             directions["bottom-up" if job_arcs > unseen else "top-down"] += 1
         nxt = []
         for x in frontier:
-            for y in network.residual_successors(x):
+            for y in residual_successors(network, x):
                 if y not in dist and network.comp[y] == comp:
                     dist[y] = level
                     nxt.append(y)
@@ -245,8 +253,8 @@ class TestSeedAndCancel:
         S, rest = reachable_partition(net, [2])
         # the drained top center is residually isolated: nothing cheaper
         # wants to send into it, and it holds no flow to push back
-        assert {net.describe_node(x) for x in S} == {("center", 2)}
-        kinds = {net.describe_node(x) for x in rest}
+        assert {describe_node(net, x) for x in S} == {("center", 2)}
+        kinds = {describe_node(net, x) for x in rest}
         assert ("machine", 1) in kinds and ("job", 3) in kinds
 
     def test_empty_seed_partition(self):
@@ -302,7 +310,7 @@ class TestSeedAndCancel:
         assert_lists_are_residual(net)
         cancel(net, [2], [0, 1])
         assert_lists_are_residual(net)
-        assert net.assigned_machine(1) == 0
+        assert assigned_machine(net, 1) == 0
 
     def test_public_cancel_on_a_freshly_seeded_network(self):
         # No cancel_all: the split runs through the centers the seed uses,
@@ -513,7 +521,7 @@ class TestSolveUnweighted:
             for hi in range(net.num_centers - 1, 0, -1):
                 S, _rest = reachable_partition(net, [hi])
                 reachable_centers = {
-                    idx for kind, idx in map(net.describe_node, S) if kind == "center"
+                    idx for kind, idx in (describe_node(net, x) for x in S) if kind == "center"
                 }
                 assert not (reachable_centers & set(range(hi))), (
                     f"cost-reducing path from center {hi} into {reachable_centers}"
@@ -771,7 +779,7 @@ class TestSolveConvex:
         for costs in (ConvexMachineCost.linear(inst), step):
             net = build_cost_center_network(inst, costs)
             seed_flow(net, _greedy_seed(inst))
-            if inst.max_machine_degree() > 1:
+            if max_machine_degree(inst) > 1:
                 assert max(net._cap[e] for per_v in net._machine_center_edges for e, _ in per_v) > 1
             best, _ = brute_force_semi_matching(inst, costs)
             assert convex_cost(inst, solve_convex(inst, costs), costs) == best
