@@ -34,10 +34,12 @@ one bulk pass.  The subset: the header is on line 1, every body line is
 exactly ``e <job> <machine> <weight>`` ended by ``\n``, fields are
 separated by single spaces, ids match ``[1-9][0-9]*`` and weights
 ``0|[1-9][0-9]*``.  On such text ``int()`` and ``splitlines()`` read
-what the line loop reads, so the pass converts the body in slices of
-about 64 KiB cut at newlines, each by ``split()`` and ``map(int, ...)``
-over every fourth token, with ``max`` for the range checks and one set
-of ``job * (machines + 1) + machine`` keys for the duplicate check.  The
+what the line loop reads.  The pass matches the header once, then takes
+the body in slices of about 16 KiB cut at newlines: it checks each
+slice against one regular expression for a run of body lines, and
+converts it by ``split()`` and ``map(int, ...)`` over every fourth
+token, with ``max`` for the range checks and one set of
+``job * (machines + 1) + machine`` keys for the duplicate check.  The
 pass declines whenever the text is outside the subset or an id, weight,
 duplicate or the edge count is wrong; the line loop then parses the
 text from the start and names the first bad line with the same class,
@@ -45,10 +47,10 @@ line number and message as if the bulk pass did not exist.  There is no
 second accepted language: the line loop accepts every text the bulk
 pass does, and builds the same instance from it.
 
-The subset is checked by one regular expression whose body repeat is
-possessive (``(?:...)*+``): a greedy ``*`` keeps a backtracking entry for
-every line it has matched, a 50 MB peak under ``tracemalloc`` on a
-9·10^4-line body, while the possessive form keeps none (about 1 KB).
+The body is checked slice by slice because the regular expression's
+``*`` keeps a backtracking entry for every line it has matched: about
+350 bytes a line, a 30 MB peak under ``tracemalloc`` for a 9·10^4-line
+body matched whole, against about 450 KB for one 16 KiB slice.
 """
 
 from __future__ import annotations
@@ -114,15 +116,16 @@ def _int_field(line_no: int, token: str, what: str, err=ParseError) -> int:
         raise err(line_no, f"{what} {token!r} is not an integer") from None
 
 
-# The bulk pass's subset of semimatch text; see the module docstring for
-# why the body's repeat is possessive.
-_CANONICAL = re.compile(
+# The bulk pass's subset of semimatch text: the header, matched once, and
+# the body lines of one slice.  See the module docstring for the slices.
+_CANONICAL_HEADER = re.compile(
     r"p semimatch (0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n"
-    r"(?:e [1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*)\n)*+"
 )
+_CANONICAL_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*)\n)*")
 
-#: The bulk pass converts the body in slices of about this many characters.
-_CHUNK = 1 << 16
+#: The bulk pass checks and converts the body in slices of about this
+#: many characters.
+_CHUNK = 1 << 14
 
 
 def _parse_canonical(text: str) -> Optional[BipartiteInstance]:
@@ -130,14 +133,14 @@ def _parse_canonical(text: str) -> Optional[BipartiteInstance]:
     the text is not canonical or breaks a rule the line loop enforces:
     an id out of range, a weight over MAX_WEIGHT, a duplicate edge or a
     wrong edge count."""
-    match = _CANONICAL.fullmatch(text)
+    match = _CANONICAL_HEADER.match(text)
     if match is None:
         return None
     try:
         num_jobs, num_machines, num_edges = map(int, match.groups())
     except ValueError:  # a count longer than int()'s digit limit
         return None
-    start = match.end(3) + 1
+    start = match.end()
     # Every job needs an edge, so more jobs than edges fails anyway;
     # declining first keeps the per-job lists as small as the text.
     if num_jobs > num_edges or text.count("\n", start) != num_edges:
@@ -147,8 +150,11 @@ def _parse_canonical(text: str) -> Optional[BipartiteInstance]:
     job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs + 1)]  # 1-based
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        tokens = text[start:end].split()  # e, job, machine, weight, e, ...
+        chunk = text[start:end]
         start = end
+        if _CANONICAL_LINES.fullmatch(chunk) is None:
+            return None
+        tokens = chunk.split()  # e, job, machine, weight, e, ...
         try:
             jobs = list(map(int, tokens[1::4]))
             machines = list(map(int, tokens[2::4]))
@@ -221,7 +227,11 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
 
     # Each line's fields convert in one try; _int_field runs only to name
     # the bad one.  A pair's duplicate key is one integer, id * (n + 1) + id.
-    edges: list[tuple[int, ...]] = []
+    # A semimatch edge is kept as its job and its (machine, weight) pair,
+    # which go into per-job lists once the whole body has been checked, so
+    # a body error is named before the header's job count is allocated.
+    jobs: list[int] = []
+    edges: list[tuple[int, int]] = []
     seen: set[int] = set()
     for line_no, raw in lines:
         tokens = raw.split()
@@ -264,7 +274,8 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             if key in seen:
                 raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
             seen.add(key)
-            edges.append((job - 1, machine - 1, weight))
+            jobs.append(job - 1)
+            edges.append((machine - 1, weight))
         else:
             if len(tokens) != 3:
                 raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
@@ -293,9 +304,14 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             header_line,
             f"header declared {num_edges} edges but the body has {len(edges)}",
         )
-    if kind == "semimatch":
-        return BipartiteInstance(num_jobs, num_machines, edges)
-    return GeneralGraph(num_vertices, edges)
+    if kind == "cover":
+        return GeneralGraph(num_vertices, edges)
+    job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
+    for u, edge in zip(jobs, edges):
+        job_adj[u].append(edge)
+    instance = BipartiteInstance.__new__(BipartiteInstance)
+    instance._build(num_machines, job_adj)
+    return instance
 
 
 def emit_instance(

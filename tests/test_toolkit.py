@@ -1,6 +1,7 @@
 """Disk format, benchmark harness, and command-line interface."""
 
 import random
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -403,6 +404,11 @@ class TestBulkPass:
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert line_loop_calls == ([text] if falls_back else [])
+
+    def test_expressions_compile_on_python_3_10(self):
+        # Possessive repeats and atomic groups arrived in Python 3.11's re.
+        for expr in (formats._CANONICAL_HEADER, formats._CANONICAL_LINES):
+            assert re.search(r"[*+?}]\+|\(\?>", expr.pattern) is None
 
     @pytest.mark.parametrize("seed", range(20))
     def test_emitted_text_never_reaches_the_line_loop(self, monkeypatch, seed):
