@@ -39,7 +39,7 @@ from .cover import (
     maximum_matching_general,
     minimum_edge_cover,
 )
-from .envelope import EnvelopeEmptyError, EnvelopeHeap
+from .envelope import EnvelopeHeap
 from .formats import (
     ParseError,
     emit_assignment,
@@ -67,7 +67,6 @@ __all__ = [
     "ConvexMachineCost",
     "CostOverflowError",
     "EdgeCover",
-    "EnvelopeEmptyError",
     "EnvelopeHeap",
     "GeneralGraph",
     "InfeasibleInstanceError",

@@ -21,15 +21,13 @@ flow-based unit solvers, ``group_relaxations``/``heap_ops``/
 Cases run in parallel across processes when ``workers > 1``; each
 record is computed wholly inside one worker and results are stitched
 back in plan order, so output is deterministic regardless of worker
-count.  The default worker count comes from the
-``SEMIMATCH_BENCH_WORKERS`` environment variable (1 if unset).
+count.  One worker, the default, runs the cases in this process.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -52,7 +50,6 @@ __all__ = [
     "BenchCase",
     "BenchRecord",
     "SolverDisagreementError",
-    "default_workers",
     "run_bench",
     "records_to_csv",
 ]
@@ -73,9 +70,6 @@ CSV_COLUMNS = (
     "heap_ops",
     "machine_pops",
 )
-
-WORKERS_ENV_VAR = "SEMIMATCH_BENCH_WORKERS"
-
 
 class SolverDisagreementError(SemiMatchError):
     """Two solvers returned different costs for the same instance."""
@@ -202,19 +196,11 @@ def _run_one(task: tuple[BenchCase, str]) -> BenchRecord:
     )
 
 
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_bench(
     cases: Sequence[BenchCase],
     solvers: Sequence[str],
     *,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> list[BenchRecord]:
     """Run every solver on every case and cross-check the costs.
 
@@ -227,8 +213,6 @@ def run_bench(
                 f"unknown solver {name!r}, expected one of {sorted(SOLVER_NAMES)}"
             )
     tasks = [(case, solver) for case in cases for solver in solvers]
-    if workers is None:
-        workers = default_workers()
     if workers <= 1 or len(tasks) <= 1:
         records = [_run_one(t) for t in tasks]
     else:

@@ -233,7 +233,7 @@ def gen(
     type=click.Choice(["unweighted", "convex", "weighted", "baseline"]),
     help="Repeatable; default depends on --kind.",
 )
-@click.option("--workers", type=int, default=None, help="Defaults to $SEMIMATCH_BENCH_WORKERS or 1.")
+@click.option("--workers", type=int, default=1, show_default=True, help="Worker processes.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
 def bench(
     kind: str,
@@ -243,7 +243,7 @@ def bench(
     max_weight: int,
     seeds: int,
     solvers: tuple[str, ...],
-    workers: Optional[int],
+    workers: int,
     output: Optional[str],
 ) -> None:
     """Benchmark solvers on seeded instances; write the CSV."""

@@ -49,6 +49,10 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _edgeless_job(u: int) -> InfeasibleInstanceError:
+    return InfeasibleInstanceError(f"job {u} has no incident edges; no assignment exists")
+
+
 def _checked_cost(value: int) -> int:
     if value > MAX_COST:
         raise CostOverflowError(f"cost {value} exceeds the 64-bit accumulator")
@@ -124,9 +128,7 @@ class BipartiteInstance:
         machine_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_machines)]
         for u, adj in enumerate(job_adj):
             if not adj:
-                raise InfeasibleInstanceError(
-                    f"job {u} has no incident edges; no assignment exists"
-                )
+                raise _edgeless_job(u)
             for v, w in adj:
                 machine_adj[v].append((u, w))
 

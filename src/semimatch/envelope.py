@@ -5,11 +5,11 @@ from the integer domain ``[1, N]``, where every inserted row is
 
     f_i(x) = slope_i * x + intercept_i - shift[x - 1]
 
-for one ``shift`` array shared by the whole heap, and ``f_i`` is unimodal
-on ``[1, N]`` with a known valley index ``gamma_i``.  Because the shift is
-shared, ``f_i`` attains the pointwise minimum of the family exactly where
-its certificate line ``g_i(x) = slope_i * x + intercept_i`` attains the
-lower envelope of the lines.
+for one ``shift`` array of length ``N`` shared by the whole heap, and
+``f_i`` is unimodal on ``[1, N]`` with a known valley index ``gamma_i``.
+Because the shift is shared, ``f_i`` attains the pointwise minimum of the
+family exactly where its certificate line ``g_i(x) = slope_i * x +
+intercept_i`` attains the lower envelope of the lines.
 
 In the intended use the rows are tentative Dijkstra distances into the
 slots of one machine and ``shift`` holds the slot potentials.  Two
@@ -22,9 +22,13 @@ The envelope is kept as a slope-descending list of lines owning consecutive
 integer intervals that partition ``[1, N]``.  A line owns index ``x`` when
 its certificate is minimal there, ties going to the steeper line.  Each
 owning line carries at most two candidate indices: the live index closest
-to its valley from the left and from the right, clamped to its interval.
-A lazy binary heap over candidate values yields ``access_min`` /
-``delete_min``; generation counters invalidate stale entries.
+to its valley from the left (``p``) and from the right (``q``), clamped to
+its interval.  A lazy binary heap over candidate values answers ``peek``
+and ``pop``.  Intervals and the live set only shrink, so ``p`` only moves
+left and ``q`` only moves right: a line never returns to an index it
+left, and a heap entry is current exactly when its index is still one of
+its line's candidates.  A refresh therefore pushes only a candidate that
+moved, and stale entries are skipped when they reach the top.
 
 All arithmetic is exact integer arithmetic; interval breakpoints are floor
 divisions of intercept differences by slope differences.
@@ -34,24 +38,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Any, NamedTuple, Optional
-
-
-class EnvelopeEmptyError(Exception):
-    """access_min/delete_min on a heap with no rows or no live indices."""
-
-
-class AccessMin(NamedTuple):
-    index: int
-    value: int
-    payload: Any
+from typing import Any, Optional
 
 
 class _Line:
-    __slots__ = (
-        "uid", "slope", "intercept", "valley", "payload",
-        "x", "y", "p", "q", "gen", "on_envelope",
-    )
+    __slots__ = ("uid", "slope", "intercept", "valley", "payload", "x", "y", "p", "q")
 
     def __init__(
         self, uid: int, slope: int, intercept: int, valley: int, payload: Any
@@ -61,57 +52,51 @@ class _Line:
         self.intercept = intercept
         self.valley = valley
         self.payload = payload
-        self.x = 1          # envelope interval [x, y]; empty when x > y
+        self.x = 1          # envelope interval [x, y]
         self.y = 0
-        self.p: Optional[int] = None   # live candidate left of/at the valley
-        self.q: Optional[int] = None   # live candidate right of/at the valley
-        self.gen = 0
-        self.on_envelope = False
+        # Live candidates left of/at and right of/at the valley; 0 and N+1
+        # when the side has none, None before the line is placed and after
+        # it leaves the envelope.
+        self.p: Optional[int] = None
+        self.q: Optional[int] = None
 
 
 class EnvelopeHeap:
     """Min-heap over the rows ``slope*x + intercept - shift[x-1]`` on ``[1, N]``.
 
-    A missing ``shift`` means all zeros, so each row is its own line.
+    ``N`` is ``len(shift)``.  The heap makes three operations:
+    :meth:`insert` adds a row, :meth:`peek` reads the minimum and
+    :meth:`pop` deletes its index.
 
     ``check=True`` makes the heap audit itself, for tests: every insert
     must name a valley inside the domain that is the row's left-most
     minimiser, around which the row is unimodal (else ``ValueError``);
-    after every insert and every delete-min the minimum must equal a
-    brute scan of all inserted rows over a shadow live set, and each
-    deleted index must attain that minimum (else ``AssertionError``).
-    That is quadratic work overall.
+    every refresh must move ``p`` only left and ``q`` only right; after
+    every insert and every pop the minimum must equal a brute scan of all
+    inserted rows over a shadow live set, and each deleted index must
+    attain that minimum (else ``AssertionError``).  That is quadratic
+    work overall.
     """
 
-    def __init__(
-        self,
-        domain_size: int,
-        check: bool = False,
-        shift: Optional[list[int]] = None,
-    ):
-        if domain_size < 1:
+    def __init__(self, shift: list[int], check: bool = False):
+        n = len(shift)
+        if n < 1:
             raise ValueError("domain must contain at least index 1")
-        if shift is None:
-            shift = [0] * domain_size
-        elif len(shift) < domain_size:
-            raise ValueError("shift array shorter than the domain")
-        self.n = domain_size
-        self.live_count = domain_size
-        self._live = [True] * (domain_size + 2)
+        self.n = n
         # Union-find skip pointers: _left[i] / _right[i] chase to the nearest
-        # live index <= i / >= i (0 and n+1 are dead sentinels).
-        self._left = list(range(domain_size + 2))
-        self._right = list(range(domain_size + 2))
-        self._live[0] = self._live[domain_size + 1] = False
+        # live index <= i / >= i (0 and n+1 are dead sentinels).  Index x
+        # in [1, n] is live exactly when _left[x] == x.
+        self._left = list(range(n + 2))
+        self._right = list(range(n + 2))
         self._env: list[_Line] = []        # envelope lines, slope descending
         self._env_keys: list[int] = []     # negated slopes, for bisect
         self._lines: list[_Line] = []      # every inserted line, by uid
-        self._heap: list[tuple[int, int, int, int, int]] = []
+        self._heap: list[tuple[int, int, int]] = []  # (value, uid, index)
         self._shift = shift
         self._check = check
         # Check mode's own record of the live indices, kept apart from the
         # skip pointers it audits.
-        self._shadow_live = set(range(1, domain_size + 1)) if check else None
+        self._shadow_live = set(range(1, n + 1)) if check else None
 
     # ------------------------------------------------------------------
     # live-index bookkeeping
@@ -130,50 +115,36 @@ class EnvelopeHeap:
             right[i] = i = right[right[i]]
         return i
 
-    def _delete_index(self, x: int) -> None:
-        self._live[x] = False
-        self._left[x] = x - 1
-        self._right[x] = x + 1
-        self.live_count -= 1
-
     # ------------------------------------------------------------------
     # candidate pointers and the lazy heap
 
     def _refresh(self, line: _Line) -> None:
-        """Recompute a line's candidates from its interval and push them."""
-        line.gen += 1
-        if not line.on_envelope or line.x > line.y:
-            line.p = line.q = None
-            return
+        """Recompute a line's candidates from its interval; push those that moved."""
         p = self._find_left(min(line.valley, line.y))
-        p = line.p = p if p >= line.x else None
+        if p < line.x:
+            p = 0
         q = self._find_right(max(line.valley, line.x))
-        q = line.q = q if q <= line.y else None
+        if q > line.y:
+            q = self.n + 1
+        if self._check and line.p is not None:
+            assert p <= line.p and q >= line.q, (
+                f"candidates moved the wrong way: p {line.p} -> {p}, q {line.q} -> {q}"
+            )
         heap, shift = self._heap, self._shift
-        if p is not None:
-            val = line.slope * p + line.intercept - shift[p - 1]
-            heapq.heappush(heap, (val, line.uid, 0, line.gen, p))
-        if q is not None and q != p:
-            val = line.slope * q + line.intercept - shift[q - 1]
-            heapq.heappush(heap, (val, line.uid, 1, line.gen, q))
+        if p != line.p:
+            line.p = p
+            if p:
+                heapq.heappush(heap, (line.slope * p + line.intercept - shift[p - 1], line.uid, p))
+        if q != line.q:
+            line.q = q
+            if q <= self.n and q != p:
+                heapq.heappush(heap, (line.slope * q + line.intercept - shift[q - 1], line.uid, q))
 
-    def _drop_from_envelope(self, line: _Line) -> None:
-        line.on_envelope = False
-        line.x, line.y = 1, 0
-        line.gen += 1
+    def _evict(self, pos: int) -> None:
+        """Take the envelope line at ``pos`` off for good; its entries go stale."""
+        line = self._env.pop(pos)
+        del self._env_keys[pos]
         line.p = line.q = None
-
-    def _top(self) -> tuple[int, _Line, int]:
-        """(heap entry, owning line, index) of the current minimum."""
-        heap = self._heap
-        while heap:
-            value, uid, side, gen, idx = heap[0]
-            line = self._lines[uid]
-            if gen != line.gen or (line.p if side == 0 else line.q) != idx:
-                heapq.heappop(heap)
-                continue
-            return value, line, idx
-        raise EnvelopeEmptyError("no live index is covered by any row")
 
     # ------------------------------------------------------------------
     # public operations
@@ -183,12 +154,13 @@ class EnvelopeHeap:
 
     def insert(
         self, slope: int, intercept: int, valley: int, payload: Any = None
-    ) -> int:
+    ) -> bool:
         """Add the row ``slope*x + intercept - shift[x-1]`` with its valley.
 
-        Returns the row's id.  O(log n) plus evictions.  Outside check
-        mode the caller vouches that ``valley`` is the row's left-most
-        minimiser in ``[1, N]``.
+        Returns whether ``valley`` is still live, in which case the row's
+        minimum over the live indices is its value there.  O(log n) plus
+        evictions.  Outside check mode the caller vouches that ``valley``
+        is the row's left-most minimiser in ``[1, N]``.
         """
         if self._check:
             self._check_row(slope, intercept, valley)
@@ -196,8 +168,9 @@ class EnvelopeHeap:
         self._lines.append(line)
         self._place(line)
         if self._check:
-            self._check_min()
-        return line.uid
+            top = self.peek()
+            self._check_min(None if top is None else top[0])
+        return self._left[valley] == valley
 
     def _place(self, line: _Line) -> None:
         """Splice a new line into the envelope, evicting what it covers."""
@@ -207,12 +180,9 @@ class EnvelopeHeap:
         # A same-slope line survives only with the smaller intercept (equal
         # lines keep the earlier one); the loser never reaches the envelope.
         if pos < len(env) and env[pos].slope == line.slope:
-            old = env[pos]
-            if line.intercept >= old.intercept:
+            if line.intercept >= env[pos].intercept:
                 return
-            self._drop_from_envelope(old)
-            env.pop(pos)
-            keys.pop(pos)
+            self._evict(pos)
 
         # Walk outward evicting neighbours whose interval the new line takes
         # over entirely.  Breakpoints put tie indices on the steeper line.
@@ -220,9 +190,7 @@ class EnvelopeHeap:
             left = env[pos - 1]
             b = (line.intercept - left.intercept) // (left.slope - line.slope)
             if b < left.x:
-                self._drop_from_envelope(left)
-                env.pop(pos - 1)
-                keys.pop(pos - 1)
+                self._evict(pos - 1)
                 pos -= 1
             else:
                 break
@@ -232,9 +200,7 @@ class EnvelopeHeap:
             right = env[pos]
             c = (right.intercept - line.intercept) // (line.slope - right.slope)
             if c >= right.y:
-                self._drop_from_envelope(right)
-                env.pop(pos)
-                keys.pop(pos)
+                self._evict(pos)
             else:
                 break
         hi = self.n if pos == len(env) else c
@@ -252,47 +218,44 @@ class EnvelopeHeap:
             self._refresh(env[pos])
 
         line.x, line.y = lo, hi
-        line.on_envelope = True
         env.insert(pos, line)
         keys.insert(pos, -line.slope)
         self._refresh(line)
 
-    def access_min(self) -> AccessMin:
-        """Current minimum of all rows over the live indices.  O(1) am."""
-        if not self._lines:
-            raise EnvelopeEmptyError("no rows inserted")
-        if self.live_count == 0:
-            raise EnvelopeEmptyError("all indices deleted")
-        value, line, idx = self._top()
-        return AccessMin(idx, value, line.payload)
+    def peek(self) -> Optional[tuple[int, int, Any]]:
+        """``(value, index, payload)`` of the minimum over the live indices,
+        or None when no row covers a live index.  O(1) amortised."""
+        heap, lines = self._heap, self._lines
+        while heap:
+            value, uid, idx = heap[0]
+            line = lines[uid]
+            if idx == line.p or idx == line.q:
+                return value, idx, line.payload
+            heapq.heappop(heap)
+        return None
 
-    def min_value(self) -> int:
-        """Just the value of :meth:`access_min`, without the wrapper."""
-        return self._top()[0]
+    def pop(self) -> Optional[int]:
+        """Delete the index of the minimum; return the next minimum value,
+        or None when no live index is left.
 
-    def delete_min(self) -> int:
-        """Remove the minimising index from the live set and return it."""
-        if not self._lines:
-            raise EnvelopeEmptyError("no rows inserted")
-        if self.live_count == 0:
-            raise EnvelopeEmptyError("all indices deleted")
-        _value, line, idx = self._top()
+        It reuses the top entry that the last :meth:`peek` or :meth:`pop`
+        validated, so call it only right after one of them found a
+        minimum, with no insert in between.
+        """
+        value, uid, idx = heapq.heappop(self._heap)
+        line = self._lines[uid]
         if self._check:
-            self._check_min(deleting=idx)
+            assert idx == line.p or idx == line.q, "pop without a peek of the current minimum"
+            self._check_min(value, deleting=idx)
             self._shadow_live.discard(idx)
-        heapq.heappop(self._heap)
-        self._delete_index(idx)
+        self._left[idx] = idx - 1
+        self._right[idx] = idx + 1
         self._refresh(line)
+        top = self.peek()
+        nxt = None if top is None else top[0]
         if self._check:
-            self._check_min()
-        return idx
-
-    def candidate_count(self) -> int:
-        """Number of valid heap candidates; at most two per row."""
-        total = 0
-        for line in self._env:
-            total += (line.p is not None) + (line.q is not None and line.q != line.p)
-        return total
+            self._check_min(nxt)
+        return nxt
 
     # ------------------------------------------------------------------
     # check mode
@@ -310,21 +273,22 @@ class EnvelopeHeap:
         ):
             raise ValueError(f"row is not unimodal around valley {valley}")
 
-    def _check_min(self, deleting: int = 0) -> None:
-        """Assert the heap's minimum against a brute scan of every row.
+    def _check_min(self, value: Optional[int], deleting: int = 0) -> None:
+        """Assert the heap's minimum ``value`` against a brute scan of every row.
 
-        ``deleting`` is the index :meth:`delete_min` is about to remove;
-        it must be live in the shadow set and attain the minimum.
+        ``deleting`` is the index :meth:`pop` is about to remove; it must
+        be live in the shadow set and attain the minimum.
         """
         live = self._shadow_live
         if not live:
+            assert value is None, f"envelope minimum {value} with no live index"
             return
         shift = self._shift
 
         def at(x: int) -> int:
             return min(ln.slope * x + ln.intercept - shift[x - 1] for ln in self._lines)
 
-        value, brute = self.min_value(), min(at(x) for x in live)
+        brute = min(at(x) for x in live)
         assert value == brute, f"envelope minimum {value} disagrees with brute scan {brute}"
         if deleting:
             assert deleting in live and at(deleting) == value, (

@@ -56,11 +56,11 @@ body matched whole, against about 450 KB for one 16 KiB slice.
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from itertools import count, repeat
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import MAX_WEIGHT, BipartiteInstance, SemiMatchError
+from .core import MAX_WEIGHT, BipartiteInstance, SemiMatchError, _edgeless_job
 from .cover import GeneralGraph
 
 __all__ = [
@@ -306,6 +306,11 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
         )
     if kind == "cover":
         return GeneralGraph(num_vertices, edges)
+    if num_jobs > num_edges:
+        # Some job has no edge: name the lowest without a list per job,
+        # which a few bytes of header could make gigabytes.
+        hit = set(jobs)
+        raise _edgeless_job(next(u for u in count() if u not in hit))
     job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
     for u, edge in zip(jobs, edges):
         job_adj[u].append(edge)

@@ -221,11 +221,12 @@ class DijkstraRun:
 _INF = float("inf")
 
 
-def _machine_tables(state: EktState, v: int) -> tuple[list[int], list[int], int, int, int]:
-    """Machine v's offset-frame tables: (shift, negdiffs, domain, free_n, base).
+def _machine_tables(state: EktState, v: int) -> tuple[list[int], list[int], int, int]:
+    """Machine v's offset-frame tables: (shift, negdiffs, free_n, base).
 
     ``shift[i-1]`` is ``p(v^i) - total_potential`` (0 for the first
-    unmatched slot); ``free_n`` is that slot's index, or 0 when v is
+    unmatched slot), so ``len(shift)`` is v's envelope domain;
+    ``free_n`` is that slot's index, or 0 when v is
     full; ``base`` lower-bounds any line's valley value into v up to its
     intercept (the valley value of a zero-intercept line with v's
     smallest edge weight).
@@ -240,7 +241,7 @@ def _machine_tables(state: EktState, v: int) -> tuple[list[int], list[int], int,
     negd = [shift[i] - shift[i + 1] for i in range(n - 1)]
     wmin = state.wmin[v]
     g0 = bisect_left(negd, -wmin) + 1
-    return shift, negd, n, free_n, wmin * g0 - shift[g0 - 1]
+    return shift, negd, free_n, wmin * g0 - shift[g0 - 1]
 
 
 class _PhaseTables:
@@ -259,7 +260,6 @@ class _PhaseTables:
     def __init__(self, nV: int) -> None:
         self.shift: list[Optional[list[int]]] = [None] * nV
         self.negdiffs: list[list[int]] = [[] for _ in range(nV)]
-        self.domain: list[int] = [0] * nV
         self.free_n: list[int] = [0] * nV
         self.base: list[int] = [0] * nV
         self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
@@ -314,9 +314,9 @@ class GroupedDijkstra:
     drops 77-79 %.
 
     ``check=True`` changes nothing in the search: it only builds each
-    machine's envelope heap in check mode, so every insert and
-    delete-min this filtered search performs is audited against a brute
-    scan as it happens.
+    machine's envelope heap in check mode, so every insert and pop
+    this filtered search performs is audited against a brute scan as it
+    happens.
     """
 
     def __init__(
@@ -345,9 +345,7 @@ class GroupedDijkstra:
         """Open machine v for this phase; returns its empty pending heap."""
         t = self._tables
         if t.shift[v] is None:
-            t.shift[v], t.negdiffs[v], t.domain[v], t.free_n[v], t.base[v] = (
-                _machine_tables(self.state, v)
-            )
+            t.shift[v], t.negdiffs[v], t.free_n[v], t.base[v] = _machine_tables(self.state, v)
         pend: list[tuple] = []
         t.pending[v] = pend
         t.heaps[v] = None
@@ -365,7 +363,7 @@ class GroupedDijkstra:
         shift_l, negdiffs_l = t.shift, t.negdiffs
         pending_l, last_l = t.pending, t.last_pushed
         free_l, base_l = t.free_n, t.base
-        heaps, domain_l = t.heaps, t.domain
+        heaps = t.heaps
         check = self._check
         dist_job = self.dist_job
         pq = self._pq
@@ -406,11 +404,12 @@ class GroupedDijkstra:
             if value != last_l[v]:
                 continue  # superseded by a later push for v
             heap = heaps[v]
-            if heap is not None and not heap.live_count:
+            top = None if heap is None else heap.peek()
+            if top is None and heap is not None:
                 continue  # every slot in v's domain already finalized
             mpops += 1
             pend = pending_l[v]
-            env_min = heap.min_value() if heap is not None else _INF
+            env_min = _INF if top is None else top[0]
             # Batch in every parked line below the envelope minimum: each
             # is a potential winner here or at a later surfacing, and
             # draining them together avoids one global-queue round trip
@@ -419,27 +418,28 @@ class GroupedDijkstra:
             while pend and pend[0][0] < env_min and pend[0][0] <= ub:
                 fg, w, b, g, owner = pop(pend)
                 if heap is None:
-                    heap = heaps[v] = EnvelopeHeap(domain_l[v], check, shift_l[v])
-                heap.insert(w, b, g, owner)
+                    heap = heaps[v] = EnvelopeHeap(shift_l[v], check)
                 inserts += 1
-                if heap._live[g]:
-                    # A live valley pins the line's minimum at exactly fg.
-                    if fg < env_min:
-                        env_min = fg
+                if heap.insert(w, b, g, owner):
+                    # A live valley pins the line's minimum at exactly fg,
+                    # below env_min; the heap's top is read again if needed.
+                    env_min = fg
+                    top = None
                 else:
-                    env_min = heap.min_value()
-            cand = env_min
-            if cand != value:
-                if value < cand != _INF:
+                    top = heap.peek()
+                    env_min = top[0]  # type: ignore[index]  # a live index remains
+            if env_min != value:
+                if value < env_min != _INF:
                     # Our entry was only a lower bound; re-advertise.
-                    last_l[v] = cand
-                    if cand <= ub:
-                        push(pq, (cand, v))
+                    last_l[v] = env_min
+                    if env_min <= ub:
+                        push(pq, (env_min, v))
                         pushes += 1
                 continue
-            am = heap.access_min()  # type: ignore[union-attr]  # cand == env_min here
-            i = am.index
-            self.slot_owner[(v, i)] = am.payload
+            if top is None:
+                top = heap.peek()  # type: ignore[union-attr]  # env_min == value here
+            _, i, owner = top  # type: ignore[misc]
+            self.slot_owner[(v, i)] = owner
             if i == len(slots[v]) + 1:
                 self.relaxations += relaxed
                 if self.stats is not None:
@@ -455,13 +455,12 @@ class GroupedDijkstra:
                     slot_owner=self.slot_owner,
                 )
             self.dist_slot[(v, i)] = value
-            heap.delete_min()
+            nxt = heap.pop()
             if self.stats is not None:
                 self.stats.envelope_delete_mins += 1
-            nxt = heap.min_value() if heap.live_count else _INF
-            if pend and pend[0][0] < nxt:
+            if pend and (nxt is None or pend[0][0] < nxt):
                 nxt = pend[0][0]
-            if nxt != _INF:
+            if nxt is not None:
                 # The next candidate is never below the one just consumed,
                 # so the improvement filter must not swallow it.
                 last_l[v] = nxt
@@ -585,8 +584,7 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
     tables = state._tables
     for v in range(inst.num_machines):
         if tables.shift[v] is not None:
-            cached = (tables.shift[v], tables.negdiffs[v], tables.domain[v],
-                      tables.free_n[v], tables.base[v])
+            cached = (tables.shift[v], tables.negdiffs[v], tables.free_n[v], tables.base[v])
             assert cached == _machine_tables(state, v), (
                 f"machine {v}: cached search tables are stale but not marked dirty"
             )

@@ -157,9 +157,9 @@ def test_criterion_06_invariant_suite_on_every_iteration():
     print(f"criterion 6: 600 checked solves in {elapsed:.1f}s")
 
 
-def replay_against_naive(domain, events, shift):
-    heap = EnvelopeHeap(domain, shift=shift)
-    naive = NaiveEnvelope(domain)
+def replay_against_naive(events, shift):
+    heap = EnvelopeHeap(shift)
+    naive = NaiveEnvelope(len(shift))
     for event in events:
         if event[0] == "insert":
             _, w, b, valley = event
@@ -169,7 +169,7 @@ def replay_against_naive(domain, events, shift):
             assert event == ("pop",)
             pop_both(heap, naive)
         if naive.live:
-            assert heap.access_min().value == naive.min_value()
+            assert heap.peek()[0] == naive.min_value()
 
 
 def test_criterion_07_envelope_heap_against_naive_scan():
@@ -196,7 +196,7 @@ def test_criterion_07_envelope_heap_against_naive_scan():
             if rng.random() < 0.5:
                 events.append(("pop",))
         events.extend([("pop",)] * n)  # drain; _clip_pops trims the excess
-        replay_against_naive(n, _clip_pops(events, n), shift)
+        replay_against_naive(_clip_pops(events, n), shift)
 
     total = harvested + synthetic
     print(f"criterion 7: {harvested} harvested + {synthetic} synthetic = {total}")

@@ -1,7 +1,7 @@
 """Lower-envelope heap against a naive full-scan reference.
 
 The reference model keeps every inserted row as a plain value table and
-answers access_min/delete_min by scanning all live indices of all rows
+answers peek/pop by scanning all live indices of all rows
 — O(|S|*N) per query, unarguable.  The heap must agree on every
 returned *value* (returned indices may differ among exact ties).
 """
@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimatch.envelope import EnvelopeEmptyError, EnvelopeHeap
+from semimatch.envelope import EnvelopeHeap
 from semimatch.generate import gen_random
 from semimatch.weighted import (
     EktState,
@@ -42,24 +42,26 @@ class NaiveEnvelope:
 
 
 def pop_value(h):
-    """access_min + delete_min; the heap returns the index from delete."""
-    value = h.access_min().value
-    h.delete_min()
+    """peek + pop: the minimum value, whose index the pop deletes."""
+    value = h.peek()[0]
+    h.pop()
     return value
 
 
 def pop_both(heap, naive):
     """Pop the heap and mirror it into the naive scan.
 
-    delete_min may remove any index achieving the minimum, so the naive
-    side follows the heap's choice instead of imposing its own
-    tie-break; it still checks that the choice really is an argmin.
+    The heap may delete any index achieving the minimum, so the naive
+    side follows the index ``peek`` names instead of imposing its own
+    tie-break; it still checks that the choice really is an argmin, and
+    that ``pop`` returns the next minimum.
     """
-    value = heap.access_min().value
+    value, index, _payload = heap.peek()
     assert value == naive.min_value()
-    index = heap.delete_min()
     assert naive.value_at(index) == value
+    nxt = heap.pop()
     naive.delete(index)
+    assert nxt == (naive.min_value() if naive.live else None)
     return value
 
 
@@ -68,52 +70,54 @@ def row(w, b, shift):
     return lambda x: w * x + b - shift[x - 1]
 
 
-# Without a shift every row is its own line; lines of non-negative slope
+# With a zero shift every row is its own line; lines of non-negative slope
 # have their valley at index 1.
 
 
 def test_single_increasing_line():
-    h = EnvelopeHeap(3)
-    h.insert(2, 0, 1)
-    got = h.access_min()
-    assert (got.index, got.value) == (1, 2)
+    h = EnvelopeHeap([0, 0, 0])
+    assert h.insert(2, 0, 1, "a") is True
+    assert h.peek() == (2, 1, "a")
 
 
 def test_two_lines_min_and_delete():
-    h = EnvelopeHeap(3)
+    h = EnvelopeHeap([0, 0, 0])
     h.insert(5, 0, 1)
     h.insert(1, 8, 1)
-    assert h.access_min().value == 5  # min(5x, x+8) on {1,2,3} = {5,10,11}
-    assert pop_value(h) == 5
-    got = h.access_min()
-    assert (got.index, got.value) == (2, 10)
-    assert pop_value(h) == 10
-    assert pop_value(h) == 11
-    with pytest.raises(EnvelopeEmptyError):
-        h.access_min()
+    assert h.peek()[0] == 5  # min(5x, x+8) on {1,2,3} = {5,10,11}
+    assert h.pop() == 10
+    assert h.peek()[:2] == (10, 2)
+    assert h.pop() == 11
+    assert h.pop() is None
+    assert h.peek() is None
 
 
 def test_dominated_line_contributes_nothing():
-    h = EnvelopeHeap(4)
+    h = EnvelopeHeap([0] * 4)
     h.insert(2, 0, 1)
     before = [pop_value(h) for _ in range(2)]
-    h2 = EnvelopeHeap(4)
+    h2 = EnvelopeHeap([0] * 4)
     h2.insert(2, 0, 1)
     h2.insert(2, 100, 1)  # parallel and above: never on the envelope
     after = [pop_value(h2) for _ in range(2)]
     assert before == after == [2, 4]
 
 
-def test_empty_heap_raises():
-    h = EnvelopeHeap(5)
-    with pytest.raises(EnvelopeEmptyError):
-        h.access_min()
-    with pytest.raises(EnvelopeEmptyError):
-        h.delete_min()
+def test_empty_heap_peeks_none():
+    assert EnvelopeHeap([0] * 5).peek() is None
+
+
+def test_insert_reports_a_dead_valley():
+    h = EnvelopeHeap([0, 0, 0], check=True)
+    assert h.insert(1, 0, 1) is True
+    assert h.peek() == (1, 1, None)
+    assert h.pop() == 2  # index 1 goes
+    assert h.insert(1, 5, 1) is False  # its valley, index 1, is dead
+    assert h.peek()[:2] == (2, 2)
 
 
 def test_valley_out_of_domain_rejected():
-    h = EnvelopeHeap(3, check=True)
+    h = EnvelopeHeap([0, 0, 0], check=True)
     with pytest.raises(ValueError):
         h.insert(1, 0, 4)
 
@@ -127,24 +131,10 @@ def test_valley_out_of_domain_rejected():
     ],
 )
 def test_false_valley_rejected_in_check_mode(slope, shift, valley):
-    h = EnvelopeHeap(3, check=True, shift=shift)
+    h = EnvelopeHeap(shift, check=True)
     with pytest.raises(ValueError):
         h.insert(slope, 0, valley)
     assert len(h) == 0
-
-
-def test_missing_shift_defaults_to_zeros():
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randint(1, 8)
-        implicit, explicit = EnvelopeHeap(n), EnvelopeHeap(n, shift=[0] * n)
-        for _ in range(rng.randint(1, 6)):
-            w, b = rng.randint(0, 20), rng.randint(0, 30)
-            implicit.insert(w, b, 1)
-            explicit.insert(w, b, 1)
-            assert implicit.access_min() == explicit.access_min()
-        for _ in range(n):
-            assert pop_value(implicit) == pop_value(explicit)
 
 
 def test_sabotaged_refresh_fails_the_brute_scan(monkeypatch):
@@ -152,20 +142,58 @@ def test_sabotaged_refresh_fails_the_brute_scan(monkeypatch):
     refresh = EnvelopeHeap._refresh
 
     def drop_right_candidate(self, line):
+        placed = line.q is not None
         refresh(self, line)
-        if line.p is not None:
-            line.q = None  # its heap entry now looks stale and is skipped
+        if placed and line.p:
+            line.q = self.n + 1  # its heap entry now looks stale and is skipped
 
     def stream(heap):
         heap.insert(2, 0, 2)  # 2, 1, 1 against the shift
-        heap.delete_min()  # slot 2 goes; the minimum 1 moves right, to slot 3
-        return heap.access_min().value
+        heap.peek()
+        return heap.pop()  # slot 2 goes; the minimum 1 moves right, to slot 3
 
-    assert stream(EnvelopeHeap(3, check=True, shift=[0, 3, 5])) == 1
+    assert stream(EnvelopeHeap([0, 3, 5], check=True)) == 1
     monkeypatch.setattr(EnvelopeHeap, "_refresh", drop_right_candidate)
-    assert stream(EnvelopeHeap(3, shift=[0, 3, 5])) == 2  # silently wrong
+    assert stream(EnvelopeHeap([0, 3, 5])) == 2  # silently wrong
     with pytest.raises(AssertionError, match="brute scan"):
-        stream(EnvelopeHeap(3, check=True, shift=[0, 3, 5]))
+        stream(EnvelopeHeap([0, 3, 5], check=True))
+
+
+def test_refresh_that_skips_a_moved_push_fails_the_brute_scan(monkeypatch):
+    """A refresh must push every candidate that moved: an entry is only
+    pushed when its index becomes a candidate, so a skipped push loses
+    that candidate for good."""
+    refresh = EnvelopeHeap._refresh
+
+    def skip_moved_pushes(self, line):
+        if line.p is None:
+            return refresh(self, line)  # a new line pushes as usual
+        heap, self._heap = self._heap, []
+        refresh(self, line)  # the candidates move; their pushes go nowhere
+        self._heap = heap
+
+    def stream(heap):
+        heap.insert(2, 0, 2)  # 2, 1, 1 against the shift
+        heap.peek()
+        return heap.pop()  # slot 2 goes; both candidates move off it
+
+    assert stream(EnvelopeHeap([0, 3, 5], check=True)) == 1
+    monkeypatch.setattr(EnvelopeHeap, "_refresh", skip_moved_pushes)
+    assert stream(EnvelopeHeap([0, 3, 5])) is None  # silently wrong
+    with pytest.raises(AssertionError, match="brute scan"):
+        stream(EnvelopeHeap([0, 3, 5], check=True))
+
+
+def test_checked_refresh_rejects_a_candidate_moving_back():
+    """In check mode a refresh asserts that p only moves left and q only
+    right, the fact that lets an entry's index stand for its freshness."""
+    heap = EnvelopeHeap([0, 0, 0, 0], check=True)
+    heap.insert(1, 0, 1)  # the row x: its one candidate is index 1
+    heap.peek()
+    assert heap.pop() == 2  # index 1 goes; q moves right, to 2
+    heap._left[1] = heap._right[1] = 1  # revive index 1, which no operation does
+    with pytest.raises(AssertionError, match="wrong way"):
+        heap._refresh(heap._lines[0])
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +228,13 @@ def test_random_families_match_naive(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 12)
     shift, fns = shifted_family(rng, n, rng.randint(1, 10))
-    h = EnvelopeHeap(n, shift=shift)
+    h = EnvelopeHeap(shift)
     naive = NaiveEnvelope(n)
     for w, b, valley, _ in fns:
         h.insert(w, b, valley)
         naive.insert(row(w, b, shift))
         if naive.live:
-            assert h.access_min().value == naive.min_value()
+            assert h.peek()[0] == naive.min_value()
         if rng.random() < 0.5 and naive.live:
             pop_both(h, naive)
     while naive.live:
@@ -220,15 +248,14 @@ def test_shift_fast_path_matches_values_path(seed):
     rng = random.Random(1000 + seed)
     n = rng.randint(1, 10)
     shift, fns = shifted_family(rng, n, rng.randint(1, 8))
-    fast = EnvelopeHeap(n, shift=shift)
-    checked = EnvelopeHeap(n, check=True, shift=shift)
+    fast = EnvelopeHeap(shift)
+    checked = EnvelopeHeap(shift, check=True)
     for w, b, valley, _ in fns:
-        fast.insert(w, b, valley)
-        checked.insert(w, b, valley)
-        assert fast.access_min() == checked.access_min()
+        assert fast.insert(w, b, valley) == checked.insert(w, b, valley)
+        assert fast.peek() == checked.peek()
     for _ in range(n):
-        assert fast.delete_min() == checked.delete_min()
-        assert fast.live_count == checked.live_count
+        assert fast.pop() == checked.pop()
+        assert fast.peek() == checked.peek()
 
 
 def test_checked_mode_accepts_valid_sequences():
@@ -236,21 +263,38 @@ def test_checked_mode_accepts_valid_sequences():
     for _ in range(10):
         n = rng.randint(1, 8)
         shift, fns = shifted_family(rng, n, 6)
-        h = EnvelopeHeap(n, check=True, shift=shift)
+        h = EnvelopeHeap(shift, check=True)
         for w, b, valley, _ in fns:
             h.insert(w, b, valley)
         for _ in range(n):
-            h.delete_min()
+            pop_value(h)
+        assert h.peek() is None
 
 
 def test_candidate_heap_stays_small():
+    # Each row holds at most two candidates, and each candidate has
+    # exactly one current heap entry: a refresh pushes only what moved.
     rng = random.Random(5)
     n = 10
     shift, fns = shifted_family(rng, n, 25)
-    h = EnvelopeHeap(n, shift=shift)
-    for w, b, valley, _ in fns:
+    h = EnvelopeHeap(shift)
+
+    def assert_small():
+        candidates = sorted(
+            (ln.uid, x) for ln in h._lines for x in {ln.p, ln.q} if x is not None and 1 <= x <= n
+        )
+        assert len(candidates) <= 2 * len(h)
+        current = sorted(
+            (uid, x) for _value, uid, x in h._heap if x in (h._lines[uid].p, h._lines[uid].q)
+        )
+        assert current == candidates
+
+    for k, (w, b, valley, _) in enumerate(fns):
         h.insert(w, b, valley)
-        assert h.candidate_count() <= 2 * len(h)
+        assert_small()
+        if k % 3 == 2:
+            pop_value(h)
+            assert_small()
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +321,13 @@ def op_sequences(draw):
 @given(op_sequences())
 def test_interleaved_ops_match_naive(ops):
     n, shift, lines, deletes = ops
-    h = EnvelopeHeap(n, shift=shift)
+    h = EnvelopeHeap(shift)
     naive = NaiveEnvelope(n)
     for (w, b, valley), delete_after in zip(lines, deletes):
         h.insert(w, b, valley)
         naive.insert(row(w, b, shift))
         if naive.live:
-            assert h.access_min().value == naive.min_value()
+            assert h.peek()[0] == naive.min_value()
         if delete_after and naive.live:
             pop_both(h, naive)
     while naive.live:
@@ -297,8 +341,8 @@ def test_interleaved_ops_match_naive(ops):
 def checked_phase_heaps(seed, num_jobs, num_machines, max_weight):
     """Solve a random instance phase by phase with ``check=True``.
 
-    Each envelope heap a phase opens audits every insert and delete-min
-    the search makes against a brute scan, inline.  Returns the number
+    Each envelope heap a phase opens audits every insert and pop the
+    search makes against a brute scan, inline.  Returns the number
     of heaps opened and the number of heap operations audited.
     """
     rng = random.Random(seed)

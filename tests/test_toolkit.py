@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +83,34 @@ class TestParseInstance:
         # parses fine; the instance itself is infeasible
         with pytest.raises(InfeasibleInstanceError):
             parse_instance("p semimatch 2 1 1\ne 1 1 4\n")
+
+    def test_edgeless_jobs_rejected_before_a_list_per_job(self):
+        # A few bytes of header declare 10**6 jobs but no edge; the
+        # infeasibility is reported without allocating per-job lists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleInstanceError, match="^job 0 has no incident edges"):
+                parse_instance("p semimatch 1000000 1 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_edgeless_job_named_like_the_constructor(self):
+        edges = [(0, 0, 1), (1, 1, 1), (3, 0, 1)]
+        text = "c not canonical\np semimatch 5 2 3\ne 1 1 1\ne 2 2 1\ne 4 1 1\n"
+        with pytest.raises(InfeasibleInstanceError) as built:
+            BipartiteInstance(5, 2, edges)
+        with pytest.raises(InfeasibleInstanceError) as parsed:
+            parse_instance(text)
+        assert str(parsed.value) == str(built.value) == (
+            "job 2 has no incident edges; no assignment exists"
+        )
+
+    def test_body_error_named_before_edgeless_jobs(self):
+        with pytest.raises(IdOutOfRangeError) as exc_info:
+            parse_instance("p semimatch 1000000 1 1\ne 1 2 1\n")
+        assert exc_info.value.line_no == 2
 
     def test_comments_and_blank_lines_skipped(self):
         inst = parse_instance(
@@ -486,12 +515,6 @@ class TestBench:
         with pytest.raises(SolverDisagreementError, match="cost mismatch"):
             run_bench(cases, ["weighted", "baseline"], workers=1)
 
-    def test_workers_env_var(self, monkeypatch):
-        monkeypatch.setenv(bench_mod.WORKERS_ENV_VAR, "7")
-        assert bench_mod.default_workers() == 7
-        monkeypatch.setenv(bench_mod.WORKERS_ENV_VAR, "junk")
-        assert bench_mod.default_workers() == 1
-
 
 SEMIMATCH_FILE = "p semimatch 4 2 5\ne 1 1 1\ne 2 1 1\ne 2 2 1\ne 3 2 1\ne 4 2 1\n"
 COVER_FILE = "p cover 3 2\ne 1 2\ne 2 3\n"
@@ -544,6 +567,11 @@ class TestCliSolve:
 
     def test_infeasible_file(self, runner, tmp_path):
         path = write(tmp_path / "inf.sm", "p semimatch 2 1 1\ne 1 1 4\n")
+        result = runner.invoke(cli_main, ["solve", path])
+        assert result.exit_code == 3
+
+    def test_edgeless_million_job_header_is_infeasible(self, runner, tmp_path):
+        path = write(tmp_path / "big.sm", "p semimatch 1000000 1 0\n")
         result = runner.invoke(cli_main, ["solve", path])
         assert result.exit_code == 3
 

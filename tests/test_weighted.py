@@ -220,6 +220,23 @@ class TestPhaseInvariants:
             assert solve_weighted(inst, stats=checked, check=True) == matching
             assert checked == plain
 
+    def test_seeded_skewed_solve_does_pinned_work(self):
+        # The exact work of one all-edges solve with many ties and zero
+        # weights, recorded once: a change to the envelope heap or the
+        # search that keeps the answer but does more or less work (or
+        # breaks ties differently) shows up here.
+        inst = gen_random(random.Random(12), 60, 4, edge_prob=1.0, min_weight=0, max_weight=100)
+        stats = WeightedStats()
+        matching = solve_weighted(inst, stats=stats)
+        assert cost_of_semi_matching(inst, matching) == 6381
+        assert "".join(map(str, matching.machine_of)) == (
+            "333222221120310032202331000212002103311302330100122303103221"
+        )
+        assert (
+            stats.iterations, sum(stats.group_relaxations), stats.envelope_inserts,
+            stats.envelope_delete_mins, stats.heap_pushes, stats.machine_pops,
+        ) == (60, 3356, 1140, 793, 3241, 1374)
+
     def test_envelope_ops_accounting(self):
         rng = random.Random(33)
         inst = gen_random(rng, 30, 8, edge_prob=0.4, max_weight=100)
