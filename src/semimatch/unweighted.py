@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .core import BipartiteInstance, ConvexMachineCost, SemiMatching
+from .core import BipartiteInstance, ConvexMachineCost, SemiMatching, validate_semi_matching
 
 __all__ = [
     "CancelCounters",
@@ -106,12 +106,14 @@ class CostCenterNetwork:
 
     The slot edges from machines into centers are paired forward/reverse
     arcs (``eid ^ 1`` is the reverse of ``eid``) with remaining-capacity
-    bookkeeping.  :func:`seed_flow` builds them, only into centers at or
-    below the costliest one the seed uses.  ``_adj[x]`` lists exactly
-    the residual slot arcs out of machine or center x, in no particular
-    order (jobs share one empty entry): every change of slot flow goes
-    through :meth:`_push`, which keeps the lists exact (``_pos[eid]`` is
-    the arc's index in its tail's list).
+    bookkeeping: a pair's ``_rem[eid] + _rem[eid ^ 1]`` is its capacity
+    and never changes, so forward arc ``eid`` carries ``_rem[eid ^ 1]``.
+    :func:`seed_flow` builds them, only into centers at or below the
+    costliest one the seed uses.  ``_adj[x]`` lists exactly the residual
+    slot arcs out of machine or center x, in no particular order (jobs
+    share one empty entry): every change of slot flow goes through
+    :meth:`_push`, which keeps the lists exact (``_pos[eid]`` is the
+    arc's index in its tail's list).
     ``comp`` assigns every node to a subproblem during the
     divide-and-conquer; an edge is alive for a search only when both
     endpoints share the search's component.
@@ -124,7 +126,6 @@ class CostCenterNetwork:
     ) -> None:
         nU, nV = instance.num_jobs, instance.num_machines
         self.instance = instance
-        self.costs = costs
         self.num_jobs = nU
         self.num_machines = nV
 
@@ -154,7 +155,7 @@ class CostCenterNetwork:
         self._carried: list[list[int]] = [[] for _ in range(nV)]
         self._where = [0] * nU
         self._machine_center_edges: list[list[tuple[int, int]]] = [[] for _ in range(nV)]
-        self._to, self._cap, self._rem, self._pos = [], [], [], []
+        self._to, self._rem, self._pos = [], [], []
         self._adj: list[Sequence[int]] = [()] * nU + [[] for _ in range(nV + self.num_centers)]
         self.comp = [0] * n_nodes
         self._next_comp = 1
@@ -178,7 +179,8 @@ class CostCenterNetwork:
     # -- flow accounting -------------------------------------------------
 
     def edge_flow(self, eid: int) -> int:
-        return self._cap[eid] - self._rem[eid]
+        """Flow on forward slot arc ``eid``: what its reverse arc can return."""
+        return self._rem[eid ^ 1]
 
     def flow_value(self) -> int:
         return sum(1 for c in self._carrier if c >= 0)
@@ -254,27 +256,14 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
     assignment has the wrong size or puts a job on no machine or along a
     non-edge.  Returns the network for chaining.
     """
+    bad = validate_semi_matching(network.instance, matching)
+    if bad is not None:
+        raise ValueError(f"invalid matching: {bad.kind}: {bad.detail}")
+    if any(network._rem[1::2]):
+        raise ValueError("network already carries flow")
     nU, nV = network.num_jobs, network.num_machines
     machine_of = matching.machine_of
-    if len(machine_of) != nU:
-        raise ValueError(
-            f"invalid matching: size: expected {nU} assignments, got {len(machine_of)}"
-        )
-    job_adj = network.instance.job_adj
-    loads = [0] * nV
-    for u, v in enumerate(machine_of):
-        if v is None or not 0 <= v < nV:
-            raise ValueError(
-                f"invalid matching: unassigned: job {u} has no machine (got {v!r})"
-            )
-        for x, _w in job_adj[u]:
-            if x == v:
-                break
-        else:
-            raise ValueError(f"invalid matching: not-an-edge: ({u}, {v}) is not an edge")
-        loads[v] += 1
-    if network._rem != network._cap:
-        raise ValueError("network already carries flow")
+    loads = matching.degrees(nV)
     marginals = network._marginals
     top = max((marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
     if top is None:  # no jobs
@@ -287,7 +276,7 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
     network._carrier[:] = [nU + v for v in machine_of]
     live = network.center_values[: bisect_right(network.center_values, top)]
     center_of = {val: nU + nV + k for k, val in enumerate(live)}
-    to, cap, pos, adj = network._to, network._cap, network._pos, network._adj
+    to, rem, pos, adj = network._to, network._rem, network._pos, network._adj
     for v in range(nV):
         x = nU + v
         slots = network._machine_center_edges[v]
@@ -299,9 +288,8 @@ def seed_flow(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterN
             pos += (len(adj[x]), 0)
             adj[x].append(len(to))
             to += (center_of[val], x)
-            cap += (mult, 0)
-    network._rem += cap
-    push, rem = network._push, network._rem
+            rem += (mult, 0)
+    push = network._push
     for v, load in enumerate(loads):
         for eid, _val in network._machine_center_edges[v]:
             if load == 0:
@@ -595,12 +583,12 @@ def cancel_all(
     if network.flow_value() != network.num_jobs:
         raise ValueError("cancel_all needs a saturating seeded flow")
     counters = counters if counters is not None else CancelCounters()
-    to, rem, cap = network._to, network._rem, network._cap
+    to, rem = network._to, network._rem
     base = network.num_jobs + network.num_machines
     top = -1
     for per_v in network._machine_center_edges:
         for eid, _val in reversed(per_v):
-            if rem[eid] < cap[eid]:
+            if rem[eid ^ 1]:
                 top = max(top, to[eid] - base)
                 break
     centers = list(range(top + 1))
@@ -629,7 +617,7 @@ def extract_semi_matching(network: CostCenterNetwork) -> SemiMatching:
         filled = load
         for eid, _val in network._machine_center_edges[v]:
             f = network.edge_flow(eid)
-            want = min(filled, network._cap[eid])
+            want = min(filled, f + network._rem[eid])
             assert f == want, f"machine {v}: center usage is not a cheapest prefix"
             filled -= want
     assert network.flow_cost() == expected_cost, "flow cost drifted from assignment cost"

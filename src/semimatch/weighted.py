@@ -29,11 +29,11 @@ yet processed, every unmatched slot -- sits at ``total_potential``, the
 sum of all phase bounds so far.  Potentials are stored as offsets
 against that running total, so a phase only touches the nodes it
 finalized.  The total cancels in every value the search compares, so
-the search works in the offset frame alone: a machine's slot shifts,
-valley table and bounds stay valid across phases and are rebuilt only
-for machines whose slot offsets or prefix length a phase changed.
-``baseline_exploded_solver``
-is a deliberately independent implementation — pruned explicit exploded
+the search works in the offset frame alone: a machine's slot shifts are
+stored once, in that frame, and its valley table stays valid across
+phases and is rebuilt only for machines whose slot shifts or prefix
+length a phase changed.  ``baseline_exploded_solver`` is a
+deliberately independent implementation — pruned explicit exploded
 graph, ordinary Dijkstra, whole-graph potential updates — kept as an
 oracle for the fast path.
 """
@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 
+_INF = float("inf")
+
+
 @dataclass
 class WeightedStats:
     """Per-run counters for the fast weighted solver.
@@ -82,13 +85,26 @@ class WeightedStats:
 
 
 class EktState:
-    """Matching, slot assignment, and potentials between phases.
+    """The weighted solver's state: matching, potentials and search tables.
 
     ``slots[v]`` lists machine v's matched jobs, heaviest first, so the
     job at list index ``i - 1`` occupies exploded slot ``v^i``.  Slot
-    and job potentials are ``total_potential`` (the sum of all phase
-    bounds so far) minus an offset; unmatched jobs have offset zero and
-    unmatched slots store none, so both sit at ``total_potential``.
+    and job potentials are stored against ``total_potential`` (the sum
+    of all phase bounds so far): unmatched jobs have offset zero, and
+    ``shift[v][i - 1]`` is ``p(v^i) - total_potential``.  ``shift[v]``
+    covers the matched slots and then, while v has a free slot, a 0 for
+    the first unmatched one, so ``len(shift[v])`` is v's envelope domain
+    and every unmatched slot sits at ``total_potential``.
+
+    The search tables of :func:`_machine_tables` persist across phases;
+    ``negdiffs[v] is None`` marks v dirty (set by
+    :func:`update_potentials` and :func:`augment`), and the next phase
+    to touch v rebuilds them.  ``pending[v] is None`` marks v untouched
+    this phase; ``GroupedDijkstra._touch`` resets its ``pending``,
+    ``heaps`` and ``last_pushed`` entries before any read, so a new
+    search on a state ends the previous one.  ``source`` is the last
+    phase's source job: a matched job never becomes unmatched again, so
+    the next source is never below it.
     """
 
     def __init__(self, instance: BipartiteInstance) -> None:
@@ -99,11 +115,15 @@ class EktState:
         self.job_slot: list[Optional[tuple[int, int]]] = [None] * nU
         self.total_potential = 0
         self._raw_job: list[int] = [0] * nU
-        self._raw_slot: list[list[int]] = [[] for _ in range(nV)]
+        self.shift: list[list[int]] = [[0] if adj else [] for adj in instance.machine_adj]
         self.iteration = 0
-        # Each machine's smallest edge weight (0 for a machine with none).
-        self.wmin = [min((w for _u, w in adj), default=0) for adj in instance.machine_adj]
-        self._tables = _PhaseTables(nV)
+        self.negdiffs: list[Optional[list[int]]] = [None] * nV
+        self.free_n: list[int] = [0] * nV
+        self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
+        self.pending: list[Optional[list[tuple]]] = [None] * nV
+        self.last_pushed: list[float] = [_INF] * nV
+        self.touched: list[int] = []
+        self.source = 0
 
     # -- potentials -------------------------------------------------------
 
@@ -122,8 +142,8 @@ class EktState:
         unmatched slots makes that the same as picking the truly
         cheapest augmentation.
         """
-        if i <= len(self._raw_slot[v]):
-            return self.total_potential - self._raw_slot[v][i - 1]
+        if i <= len(self.shift[v]):
+            return self.total_potential + self.shift[v][i - 1]
         return self.total_potential
 
     def slot_potentials(self, v: int, n: int) -> list[int]:
@@ -218,61 +238,17 @@ class DijkstraRun:
         return hops
 
 
-_INF = float("inf")
+def _machine_tables(state: EktState, v: int) -> tuple[list[int], int]:
+    """Machine v's search tables, read off ``state.shift[v]``: (negdiffs, free_n).
 
-
-def _machine_tables(state: EktState, v: int) -> tuple[list[int], list[int], int, int]:
-    """Machine v's offset-frame tables: (shift, negdiffs, free_n, base).
-
-    ``shift[i-1]`` is ``p(v^i) - total_potential`` (0 for the first
-    unmatched slot), so ``len(shift)`` is v's envelope domain;
-    ``free_n`` is that slot's index, or 0 when v is
-    full; ``base`` lower-bounds any line's valley value into v up to its
-    intercept (the valley value of a zero-intercept line with v's
-    smallest edge weight).
+    ``negdiffs[i-1]`` is ``p(v^i) - p(v^{i+1})``, non-decreasing in i, so
+    a bisect finds a line's valley; ``free_n`` is the first unmatched
+    slot's index, or 0 when v is full.
     """
-    shift = [-r for r in state._raw_slot[v]]
-    if len(shift) < state.instance.machine_degree(v):
-        shift.append(0)  # the first unmatched slot
-        free_n = len(shift)
-    else:
-        free_n = 0
+    shift = state.shift[v]
     n = len(shift)
     negd = [shift[i] - shift[i + 1] for i in range(n - 1)]
-    wmin = state.wmin[v]
-    g0 = bisect_left(negd, -wmin) + 1
-    return shift, negd, free_n, wmin * g0 - shift[g0 - 1]
-
-
-class _PhaseTables:
-    """Per-machine search tables, allocated once per solve.
-
-    The tables of :func:`_machine_tables` persist across phases;
-    ``shift[v] is None`` marks v dirty (set by :func:`update_potentials`
-    and :func:`augment`), and the next phase to touch v rebuilds them.
-    ``pending[v] is None`` marks v untouched this phase; ``_touch``
-    resets its ``pending``, ``heaps`` and ``last_pushed`` entries before
-    any read, so a new search on a state ends the previous one.
-    ``source`` is the last phase's source job: a matched job never
-    becomes unmatched again, so the next source is never below it.
-    """
-
-    def __init__(self, nV: int) -> None:
-        self.shift: list[Optional[list[int]]] = [None] * nV
-        self.negdiffs: list[list[int]] = [[] for _ in range(nV)]
-        self.free_n: list[int] = [0] * nV
-        self.base: list[int] = [0] * nV
-        self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
-        self.pending: list[Optional[list[tuple]]] = [None] * nV
-        self.last_pushed: list[float] = [_INF] * nV
-        self.touched: list[int] = []
-        self.source = 0
-
-    def reset(self) -> None:
-        pending = self.pending
-        for v in self.touched:
-            pending[v] = None
-        self.touched.clear()
+    return negd, n if n > len(state.slots[v]) else 0
 
 
 class GroupedDijkstra:
@@ -294,8 +270,12 @@ class GroupedDijkstra:
     which cannot win this phase.
 
     Values are computed in the offset frame, where ``total_potential``
-    cancels: a job's line has intercept ``d(u) - _raw_job[u]``, and the
-    machine tables (see :class:`_PhaseTables`) outlive the phase.
+    cancels: a job's line has intercept ``d(u) - _raw_job[u]``, a slot's
+    shift is ``state.shift[v]``, and the machine tables (see
+    :class:`EktState`) outlive the phase.  Each envelope heap takes
+    ``state.shift[v]`` by reference; the potential update and augment
+    change that list in place after the phase, which is safe because
+    ``_touch`` replaces a machine's heap before any later phase reads it.
 
     Relaxations are two-stage.  A group relaxation only computes the
     line's valley value — its minimum over the whole slot range, hence a
@@ -330,27 +310,26 @@ class GroupedDijkstra:
         self.stats = stats
         self._check = check
         self._job_base = state.instance.num_machines
-        tables = self._tables = state._tables
-        tables.reset()
+        pending = state.pending
+        for v in state.touched:
+            pending[v] = None
+        state.touched.clear()
         self.dist_job: dict[int, int] = {}
         self.dist_slot: dict[tuple[int, int], int] = {}
         self.slot_owner: dict[tuple[int, int], int] = {}
-        self.relaxations = 0
-        source = tables.source = state.job_slot.index(None, tables.source)
+        source = state.source = state.job_slot.index(None, state.source)
         self._pq: list[tuple[int, int]] = [(0, self._job_base + source)]
-
-    # -- per-machine phase tables -----------------------------------------
 
     def _touch(self, v: int) -> list[tuple]:
         """Open machine v for this phase; returns its empty pending heap."""
-        t = self._tables
-        if t.shift[v] is None:
-            t.shift[v], t.negdiffs[v], t.free_n[v], t.base[v] = _machine_tables(self.state, v)
+        s = self.state
+        if s.negdiffs[v] is None:
+            s.negdiffs[v], s.free_n[v] = _machine_tables(s, v)
         pend: list[tuple] = []
-        t.pending[v] = pend
-        t.heaps[v] = None
-        t.last_pushed[v] = _INF
-        t.touched.append(v)
+        s.pending[v] = pend
+        s.heaps[v] = None
+        s.last_pushed[v] = _INF
+        s.touched.append(v)
         return pend
 
     def run(self) -> DijkstraRun:
@@ -359,17 +338,15 @@ class GroupedDijkstra:
         job_adj = state.instance.job_adj
         raw_job = state._raw_job
         slots = state.slots
-        t = self._tables
-        shift_l, negdiffs_l = t.shift, t.negdiffs
-        pending_l, last_l = t.pending, t.last_pushed
-        free_l, base_l = t.free_n, t.base
-        heaps = t.heaps
+        shift_l, negdiffs_l = state.shift, state.negdiffs
+        pending_l, last_l = state.pending, state.last_pushed
+        free_l, heaps = state.free_n, state.heaps
         check = self._check
         dist_job = self.dist_job
         pq = self._pq
         ub = _INF  # upper bound on this phase's terminal distance
         push, pop, bis = heapq.heappush, heapq.heappop, bisect_left
-        pushes = relaxed = inserts = mpops = 0
+        pushes = relaxed = inserts = dmins = mpops = 0
         while pq:
             value, node = pop(pq)
             if node >= job_base:
@@ -382,12 +359,10 @@ class GroupedDijkstra:
                     pend = pending_l[v]
                     if pend is None:
                         pend = self._touch(v)
-                    if b + base_l[v] > ub:
-                        continue  # cheapest conceivable slot of v is beyond the terminal
                     g = bis(negdiffs_l[v], -w) + 1
                     fg = w * g + b - shift_l[v][g - 1]
                     if fg > ub:
-                        continue
+                        continue  # even v's best slot for this line is beyond the terminal
                     fn = free_l[v]
                     if fn:
                         tv = w * fn + b  # this line's value at v's first unmatched slot
@@ -441,12 +416,13 @@ class GroupedDijkstra:
             _, i, owner = top  # type: ignore[misc]
             self.slot_owner[(v, i)] = owner
             if i == len(slots[v]) + 1:
-                self.relaxations += relaxed
-                if self.stats is not None:
-                    self.stats.group_relaxations.append(self.relaxations)
-                    self.stats.heap_pushes += pushes
-                    self.stats.envelope_inserts += inserts
-                    self.stats.machine_pops += mpops
+                stats = self.stats
+                if stats is not None:
+                    stats.group_relaxations.append(relaxed)
+                    stats.heap_pushes += pushes
+                    stats.envelope_inserts += inserts
+                    stats.envelope_delete_mins += dmins
+                    stats.machine_pops += mpops
                 return DijkstraRun(
                     dist_job=self.dist_job,
                     dist_slot=self.dist_slot,
@@ -456,8 +432,7 @@ class GroupedDijkstra:
                 )
             self.dist_slot[(v, i)] = value
             nxt = heap.pop()
-            if self.stats is not None:
-                self.stats.envelope_delete_mins += 1
+            dmins += 1
             if pend and (nxt is None or pend[0][0] < nxt):
                 nxt = pend[0][0]
             if nxt is not None:
@@ -486,13 +461,12 @@ def update_potentials(state: EktState, run: DijkstraRun) -> None:
     """
     bound = run.bound
     state.total_potential += bound
-    raw_job, raw_slot = state._raw_job, state._raw_slot
+    raw_job, shift, negdiffs = state._raw_job, state.shift, state.negdiffs
     for u, d in run.dist_job.items():
         raw_job[u] += bound - d
-    shift = state._tables.shift
     for (v, i), d in run.dist_slot.items():
-        raw_slot[v][i - 1] += bound - d
-        shift[v] = None
+        shift[v][i - 1] -= bound - d
+        negdiffs[v] = None
 
 
 def augment(state: EktState, run: DijkstraRun) -> None:
@@ -501,19 +475,21 @@ def augment(state: EktState, run: DijkstraRun) -> None:
     Walk the winning-line owners backwards from the terminal slot: each
     slot on the path takes its owner, which frees the owner's previous
     slot for *its* owner, until the phase's source job starts the chain.
-    The terminal slot keeps potential ``total_potential`` (offset 0), which
+    The terminal slot keeps potential ``total_potential`` (shift 0), which
     keeps its new matching edge tight; the source's potential was already
     folded in by :func:`update_potentials`.  The terminal machine's
-    prefix grows, so it is marked dirty (the others on the path are).
+    prefix grows, so its next free slot, if it has one, gets shift 0 and
+    it is marked dirty (the others on the path are).
     """
     v, i = run.terminal
     if i != state.alpha(v) + 1:
         raise ValueError(f"terminal {run.terminal} is not the first unmatched slot")
-    state._tables.shift[v] = None
+    state.negdiffs[v] = None
     job = run.slot_owner[(v, i)]
     state.slots[v].append(job)
     state.slot_weights[v].append(0)  # placeholder; fixed below
-    state._raw_slot[v].append(0)
+    if i < state.instance.machine_degree(v):
+        state.shift[v].append(0)
     job_adj = state.instance.job_adj
     while True:
         w = dict(job_adj[job])[v]
@@ -581,10 +557,9 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
     """
     inst = state.instance
     total = state.total_potential
-    tables = state._tables
     for v in range(inst.num_machines):
-        if tables.shift[v] is not None:
-            cached = (tables.shift[v], tables.negdiffs[v], tables.free_n[v], tables.base[v])
+        if state.negdiffs[v] is not None:
+            cached = (state.negdiffs[v], state.free_n[v])
             assert cached == _machine_tables(state, v), (
                 f"machine {v}: cached search tables are stale but not marked dirty"
             )
@@ -604,9 +579,10 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
         assert all(a >= b for a, b in zip(ws, ws[1:])), (
             f"machine {v}: slot weights {ws} not non-increasing"
         )
-        # Only matched slots store an offset, so the first free slot (and
-        # every later one) sits at total_potential.
-        assert len(state._raw_slot[v]) == alpha, f"machine {v}: slot offsets out of step"
+        # Shifts cover the matched slots and the first free one, which
+        # (like every later one) sits at total_potential.
+        assert len(state.shift[v]) == state.heap_domain(v), f"machine {v}: slot shifts out of step"
+        assert state.slot_potential(v, alpha + 1) == total, f"machine {v}: free slot left the frame"
         # Sandwich: w_i >= p(v^{i+1}) - p(v^i) >= w_{i+1}.
         pots = state.slot_potentials(v, alpha + 1)
         for i in range(1, alpha + 1):

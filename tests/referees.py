@@ -202,7 +202,7 @@ def seed_flow_per_unit(network: CostCenterNetwork, matching: SemiMatching) -> Co
     bad = validate_semi_matching(network.instance, matching)
     if bad is not None:
         raise ValueError(f"invalid matching: {bad.kind}: {bad.detail}")
-    if network._rem != network._cap:
+    if any(network.edge_flow(e) for per_v in network._machine_center_edges for e, _ in per_v):
         raise ValueError("network already carries flow")
     nU, nV, marginals = network.num_jobs, network.num_machines, network._marginals
     loads = matching.degrees(nV)
@@ -215,7 +215,8 @@ def seed_flow_per_unit(network: CostCenterNetwork, matching: SemiMatching) -> Co
     network._where = [network._carried[v].index(u) for u, v in enumerate(machine_of)]
     live = network.center_values[: bisect_right(network.center_values, top)]
     center_of = {val: nU + nV + k for k, val in enumerate(live)}
-    to, cap, pos, adj = network._to, network._cap, network._pos, network._adj
+    to, pos, adj = network._to, network._pos, network._adj
+    cap: list[int] = []
     for v in range(nV):
         x = nU + v
         slots = network._machine_center_edges[v]

@@ -354,8 +354,7 @@ def checked_phase_heaps(seed, num_jobs, num_machines, max_weight):
     opened = 0
     for _ in range(inst.num_jobs):
         run = GroupedDijkstra(state, stats=stats, check=True).run()
-        tables = state._tables
-        heaps = [tables.heaps[v] for v in tables.touched if tables.heaps[v] is not None]
+        heaps = [state.heaps[v] for v in state.touched if state.heaps[v] is not None]
         assert all(h._check for h in heaps)
         opened += len(heaps)
         update_potentials(state, run)

@@ -173,7 +173,7 @@ class TestNetworkConstruction:
         for inst in instances:
             for costs in (None, ConvexMachineCost.quadratic(inst)):
                 net = build_cost_center_network(inst, costs)
-                assert net._to == net._cap == net._rem == net._pos == []
+                assert net._to == net._rem == net._pos == []
                 assert all(not net._adj[x] for x in range(net.num_nodes))
                 assert net._carrier == [-1] * inst.num_jobs
                 assert net._carried == [[] for _ in range(net.num_machines)]
@@ -204,7 +204,7 @@ class TestSeedAndCancel:
             for matching in (_greedy_seed(inst), anywhere):
                 net = seed_flow(build_cost_center_network(inst, costs), matching)
                 ref = seed_flow_per_unit(build_cost_center_network(inst, costs), matching)
-                names = ("_to", "_cap", "_rem", "_adj", "_pos", "_carrier", "_carried", "_where")
+                names = ("_to", "_rem", "_adj", "_pos", "_carrier", "_carried", "_where")
                 for name in names + ("_machine_center_edges",):
                     assert getattr(net, name) == getattr(ref, name), name
 
@@ -221,7 +221,7 @@ class TestSeedAndCancel:
         ]
         for machine_of, detail in cases:
             net = build_cost_center_network(inst)
-            lists = (net._to, net._cap, net._rem, net._pos, net._carrier, net._where)
+            lists = (net._to, net._rem, net._pos, net._carrier, net._where)
             lists += (*net._carried, *net._adj)
             before = [list(a) for a in lists]
             with pytest.raises(ValueError) as raised:
@@ -445,7 +445,7 @@ class TestSolveUnweighted:
         assert all(net._adj[x] == [] for x in dead)
         top = net.center_value(live - 1)
         for v in range(inst.num_machines):
-            built = [(val, net._cap[e]) for e, val in net._machine_center_edges[v]]
+            built = [(val, net._rem[e] + net._rem[e ^ 1]) for e, val in net._machine_center_edges[v]]
             want = [(val, len(list(grp))) for val, grp in groupby(net._marginals[v]) if val <= top]
             assert built == want, f"machine {v}"
         assert_lists_are_residual(net)
@@ -780,6 +780,8 @@ class TestSolveConvex:
             net = build_cost_center_network(inst, costs)
             seed_flow(net, _greedy_seed(inst))
             if max_machine_degree(inst) > 1:
-                assert max(net._cap[e] for per_v in net._machine_center_edges for e, _ in per_v) > 1
+                assert max(
+                    net._rem[e] + net._rem[e ^ 1] for per_v in net._machine_center_edges for e, _ in per_v
+                ) > 1
             best, _ = brute_force_semi_matching(inst, costs)
             assert convex_cost(inst, solve_convex(inst, costs), costs) == best

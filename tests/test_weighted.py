@@ -85,7 +85,7 @@ class TestValleyComputation:
         state.slot_weights[0] = [9, 6, 4]
         state.job_slot = [(0, 2), (0, 3), (0, 1), None, None]
         state.total_potential = 0
-        state._raw_slot[0] = [0, -5, -7]
+        state.shift[0] = [0, 5, 7, 0]
         gammas = compute_gammas(state)
         assert gammas[(0, 0)] == 1  # w=6 beats the first rise of 5
         assert gammas[(1, 0)] == 2  # w=4 loses to 5, beats 2
@@ -175,6 +175,52 @@ class TestPhaseInvariants:
             )
             assert implicit == exploded_optimum(inst, matched)
 
+    @staticmethod
+    def first_failing_phase(inst, update, aug):
+        """Phase (1-based) whose ``check_invariants`` first fails, or None."""
+        state = EktState(inst)
+        for k in range(1, inst.num_jobs + 1):
+            run = GroupedDijkstra(state).run()
+            update(state, run)
+            aug(state, run)
+            try:
+                check_invariants(state, run)
+            except AssertionError:
+                return k
+        return None
+
+    def test_missed_dirty_mark_fails_in_its_phase(self):
+        # An update that moves a slot's shift but leaves its machine's
+        # cached tables marked clean is caught in that very phase: the
+        # first one that moves a shift on a machine augment does not
+        # dirty anyway.
+        inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
+        moved_at = []
+
+        def update_keeping_marks(state, run):
+            kept = list(state.negdiffs)
+            update_potentials(state, run)
+            state.negdiffs[:] = kept
+            if any(d != run.bound and v != run.terminal[0] for (v, _i), d in run.dist_slot.items()):
+                moved_at.append(state.iteration + 1)
+
+        failed = self.first_failing_phase(inst, update_keeping_marks, augment)
+        assert moved_at and failed == moved_at[0]
+        assert self.first_failing_phase(inst, update_potentials, augment) is None
+
+    def test_missing_free_slot_shift_fails_in_its_phase(self):
+        # An augment that grows a machine's prefix without giving its next
+        # free slot a shift fails the very first phase.
+        inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
+
+        def augment_without_trailing_zero(state, run):
+            v = run.terminal[0]
+            augment(state, run)
+            if len(state.shift[v]) > state.alpha(v):
+                state.shift[v].pop()
+
+        assert self.first_failing_phase(inst, update_potentials, augment_without_trailing_zero) == 1
+
     def test_phase_count_equals_jobs(self):
         rng = random.Random(9)
         inst = gen_random(rng, 12, 5, edge_prob=0.5, max_weight=50)
@@ -236,6 +282,31 @@ class TestPhaseInvariants:
             stats.iterations, sum(stats.group_relaxations), stats.envelope_inserts,
             stats.envelope_delete_mins, stats.heap_pushes, stats.machine_pops,
         ) == (60, 3356, 1140, 793, 3241, 1374)
+
+    def test_seeded_sparse_solve_does_pinned_work(self):
+        # Wide weights on sparse edges: many relaxations land beyond the
+        # phase's terminal bound and are dropped.  Recorded once, like the
+        # skewed solve above, so a change to what the search drops that
+        # keeps the answer but changes the work shows up here.
+        inst = gen_random(random.Random(0), 80, 20, num_edges=800, min_weight=1, max_weight=10**6)
+        stats = WeightedStats()
+        matching = solve_weighted(inst, stats=stats)
+        assert cost_of_semi_matching(inst, matching) == 12210345
+        assert " ".join(map(str, matching.machine_of)) == (
+            "16 13 6 12 13 18 8 3 11 5 14 18 5 13 8 15 15 13 18 11 8 7 8 4 17 14 1 6 11 12 "
+            "1 17 9 0 6 9 10 9 0 18 10 11 6 3 4 17 12 14 14 15 8 0 7 2 4 16 13 9 0 7 "
+            "7 14 2 2 0 5 11 4 16 12 19 0 19 12 10 5 1 7 3 16"
+        )
+        assert stats.group_relaxations == [
+            12, 9, 9, 10, 30, 11, 10, 12, 11, 9, 12, 21, 18, 18, 17, 14, 25, 18, 89, 23,
+            24, 44, 52, 69, 10, 4, 11, 67, 45, 69, 24, 91, 9, 10, 10, 37, 19, 70, 20, 65,
+            107, 115, 18, 72, 106, 83, 118, 86, 24, 91, 49, 31, 83, 183, 18, 93, 42, 220, 71, 108,
+            9, 28, 15, 73, 97, 49, 49, 115, 89, 243, 108, 136, 82, 65, 88, 137, 61, 63, 24, 213,
+        ]
+        assert (
+            stats.iterations, stats.envelope_inserts, stats.envelope_delete_mins,
+            stats.heap_pushes, stats.machine_pops,
+        ) == (80, 665, 386, 1780, 795)
 
     def test_envelope_ops_accounting(self):
         rng = random.Random(33)
