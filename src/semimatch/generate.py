@@ -6,12 +6,15 @@ generators never touch global RNG state.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from random import Random
 from typing import Optional
 
 from .core import BipartiteInstance
 
-__all__ = ["gen_random", "gen_random_graph"]
+__all__ = ["FAMILIES", "gen_family", "gen_random", "gen_random_graph"]
+
+FAMILIES = ("skewed", "all-equal", "mostly-zero", "near-2^31", "chain")
 
 
 def gen_random(
@@ -62,6 +65,43 @@ def gen_random(
 
     edges = [(u, v, weight()) for u, v in sorted(pairs)]
     return BipartiteInstance(num_jobs, num_machines, edges)
+
+
+def gen_family(rng: Random, family: str) -> BipartiteInstance:
+    """A small instance from one adversarial weight family in ``FAMILIES``.
+
+    ``skewed`` joins every job to 2-4 machines at weights 0..100.
+    ``chain`` joins job u to machines 0..n-1-u at ``base + a[u] * b[v]``
+    (a, b rising, b[0] = 0): all lightest edges tie, and each job added in
+    index order takes machine 0 and pushes every earlier job one machine
+    up.  The others weigh a random shape's edges 7, mostly 0, or near
+    2^31 - 1.
+    """
+    if family == "skewed":
+        jobs, machines = rng.randint(10, 40), rng.randint(2, 4)
+        return BipartiteInstance(jobs, machines, [
+            (u, v, rng.randint(0, 100)) for u in range(jobs) for v in range(machines)
+        ])
+    if family == "chain":
+        n = rng.randint(1, 24)
+        a = list(accumulate(rng.randint(1, 3) for _ in range(n)))
+        b = [0, *accumulate(rng.randint(1, 3) for _ in range(n - 1))]
+        base = n * a[-1] * b[-1] + rng.randint(1, 6)  # above any gain from stacking
+        return BipartiteInstance(n, n, [
+            (u, v, base + a[u] * b[v]) for u in range(n) for v in range(n - u)
+        ])
+    weight = {
+        "all-equal": lambda: 7,
+        "mostly-zero": lambda: 0 if rng.random() < 0.8 else rng.randint(1, 3),
+        "near-2^31": lambda: 2**31 - 1 - rng.randint(0, 3),
+    }.get(family)
+    if weight is None:
+        raise ValueError(f"unknown family {family!r}; pick one of {', '.join(FAMILIES)}")
+    shape = gen_random(rng, rng.randint(1, 24), rng.randint(1, 6),
+                       edge_prob=rng.uniform(0.2, 1.0))
+    return BipartiteInstance(shape.num_jobs, shape.num_machines, [
+        (u, v, weight()) for u in range(shape.num_jobs) for v, _w in shape.job_adj[u]
+    ])
 
 
 def gen_random_graph(

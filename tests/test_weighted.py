@@ -12,7 +12,7 @@ from semimatch.core import (
     SemiMatching,
     cost_of_semi_matching,
 )
-from semimatch.generate import gen_random
+from semimatch.generate import FAMILIES, gen_family, gen_random
 from semimatch.oracle import assignment_search_space, brute_force_semi_matching
 from semimatch.unweighted import solve_unweighted
 from semimatch.weighted import (
@@ -125,38 +125,12 @@ def exploded_optimum(inst, jobs):
     return best
 
 
-def family_instance(rng, family):
-    """A seeded instance whose weights follow one adversarial family.
-
-    ``skewed`` joins every job to a few machines with weights 0..100;
-    the others draw a random shape and give every edge weight 7
-    (``all-equal``), mostly 0 (``mostly-zero``) or near 2^31 - 1
-    (``near-2^31``).
-    """
-    if family == "skewed":
-        jobs, machines = rng.randint(10, 40), rng.randint(2, 4)
-        return BipartiteInstance(jobs, machines, [
-            (u, v, rng.randint(0, 100)) for u in range(jobs) for v in range(machines)
-        ])
-    shape = gen_random(rng, rng.randint(1, 24), rng.randint(1, 6),
-                       edge_prob=rng.uniform(0.2, 1.0))
-    if family == "all-equal":
-        weight = lambda: 7
-    elif family == "mostly-zero":
-        weight = lambda: 0 if rng.random() < 0.8 else rng.randint(1, 3)
-    else:
-        weight = lambda: 2**31 - 1 - rng.randint(0, 3)
-    return BipartiteInstance(
-        shape.num_jobs, shape.num_machines,
-        [(u, v, weight()) for u in range(shape.num_jobs) for v, _w in shape.job_adj[u]],
-    )
-
-
 class TestPhaseInvariants:
     @pytest.mark.parametrize("seed", range(12))
     def test_each_phase_keeps_the_matching_extreme(self, seed):
-        # Phase k adds job k-1, so after it exactly jobs 0..k-1 are matched,
-        # as cheaply as any matching of those jobs alone can be.
+        # Phase k adds job order[k-1], so after it exactly the first k jobs
+        # in processing order are matched, as cheaply as any matching of
+        # those jobs alone can be.
         rng = random.Random(seed)
         inst = gen_random(rng, rng.randint(2, 4), rng.randint(1, 2),
                           edge_prob=1.0, max_weight=9)
@@ -167,7 +141,7 @@ class TestPhaseInvariants:
             augment(state, run)
             check_invariants(state, run)
             matched = [u for u in range(inst.num_jobs) if state.job_slot[u] is not None]
-            assert matched == list(range(k))
+            assert matched == sorted(state.order[:k])
             implicit = sum(
                 i * w
                 for v in range(inst.num_machines)
@@ -176,11 +150,11 @@ class TestPhaseInvariants:
             assert implicit == exploded_optimum(inst, matched)
 
     @staticmethod
-    def first_failing_phase(inst, update, aug):
+    def first_failing_phase(inst, update, aug, search=lambda state: GroupedDijkstra(state).run()):
         """Phase (1-based) whose ``check_invariants`` first fails, or None."""
         state = EktState(inst)
         for k in range(1, inst.num_jobs + 1):
-            run = GroupedDijkstra(state).run()
+            run = search(state)
             update(state, run)
             aug(state, run)
             try:
@@ -221,6 +195,22 @@ class TestPhaseInvariants:
 
         assert self.first_failing_phase(inst, update_potentials, augment_without_trailing_zero) == 1
 
+    def test_source_out_of_order_fails_in_its_phase(self):
+        # Searches that swap the sources of phases 4 and 5 leave the
+        # matched set off order[:4] after phase 4 only, which fails there.
+        inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
+
+        def search_swapping_phases_4_and_5(state):
+            order = state.order
+            state.order = order[:3] + [order[4], order[3]] + order[5:]
+            run = GroupedDijkstra(state).run()
+            state.order = order
+            return run
+
+        assert self.first_failing_phase(
+            inst, update_potentials, augment, search_swapping_phases_4_and_5
+        ) == 4
+
     def test_phase_count_equals_jobs(self):
         rng = random.Random(9)
         inst = gen_random(rng, 12, 5, edge_prob=0.5, max_weight=50)
@@ -239,28 +229,28 @@ class TestPhaseInvariants:
             assert max(stats.group_relaxations) <= inst.num_edges
 
     @pytest.mark.parametrize("check", [False, True])
-    @pytest.mark.parametrize("family", ["skewed", "all-equal", "mostly-zero", "near-2^31"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_live_machine_pops_bounded_by_envelope_work(self, family, check):
         # A machine keeps one live frontier entry, so each pop of it
         # finalizes a slot, ends the phase, or follows a batch insert that
         # raised its candidate; superseded entries are dropped uncounted.
         rng = random.Random(4400 + len(family))
         for _ in range(6):
-            inst = family_instance(rng, family)
+            inst = gen_family(rng, family)
             stats = WeightedStats()
             solve_weighted(inst, stats=stats, check=check)
             assert stats.machine_pops <= (
                 stats.envelope_delete_mins + stats.envelope_inserts + stats.iterations
             )
 
-    @pytest.mark.parametrize("family", ["skewed", "all-equal", "mostly-zero", "near-2^31"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_checked_solve_runs_the_user_path(self, family):
         # check=True only audits the heaps: the assignment and every
         # counter (relaxations per phase, envelope inserts and delete-mins,
         # frontier pushes, machine pops) match the unchecked solve exactly.
         rng = random.Random(4500 + len(family))
         for _ in range(6):
-            inst = family_instance(rng, family)
+            inst = gen_family(rng, family)
             plain, checked = WeightedStats(), WeightedStats()
             matching = solve_weighted(inst, stats=plain)
             assert solve_weighted(inst, stats=checked, check=True) == matching
@@ -281,7 +271,7 @@ class TestPhaseInvariants:
         assert (
             stats.iterations, sum(stats.group_relaxations), stats.envelope_inserts,
             stats.envelope_delete_mins, stats.heap_pushes, stats.machine_pops,
-        ) == (60, 3356, 1140, 793, 3241, 1374)
+        ) == (60, 2928, 1030, 680, 2662, 1134)
 
     def test_seeded_sparse_solve_does_pinned_work(self):
         # Wide weights on sparse edges: many relaxations land beyond the
@@ -298,15 +288,15 @@ class TestPhaseInvariants:
             "7 14 2 2 0 5 11 4 16 12 19 0 19 12 10 5 1 7 3 16"
         )
         assert stats.group_relaxations == [
-            12, 9, 9, 10, 30, 11, 10, 12, 11, 9, 12, 21, 18, 18, 17, 14, 25, 18, 89, 23,
-            24, 44, 52, 69, 10, 4, 11, 67, 45, 69, 24, 91, 9, 10, 10, 37, 19, 70, 20, 65,
-            107, 115, 18, 72, 106, 83, 118, 86, 24, 91, 49, 31, 83, 183, 18, 93, 42, 220, 71, 108,
-            9, 28, 15, 73, 97, 49, 49, 115, 89, 243, 108, 136, 82, 65, 88, 137, 61, 63, 24, 213,
+            4, 5, 13, 7, 7, 10, 11, 12, 15, 7, 12, 29, 36, 79, 84, 9, 19, 94, 34, 81,
+            45, 14, 50, 110, 36, 44, 55, 46, 122, 194, 240, 250, 13, 13, 18, 7, 19, 11, 76, 40,
+            172, 72, 131, 19, 27, 10, 113, 19, 155, 95, 11, 21, 234, 8, 39, 11, 10, 38, 52, 40,
+            83, 79, 32, 19, 11, 90, 50, 103, 9, 24, 10, 112, 11, 47, 88, 213, 18, 137, 19, 18,
         ]
         assert (
             stats.iterations, stats.envelope_inserts, stats.envelope_delete_mins,
             stats.heap_pushes, stats.machine_pops,
-        ) == (80, 665, 386, 1780, 795)
+        ) == (80, 665, 373, 1558, 752)
 
     def test_envelope_ops_accounting(self):
         rng = random.Random(33)
@@ -316,6 +306,54 @@ class TestPhaseInvariants:
         total_slots = inst.num_jobs
         assert stats.envelope_inserts <= sum(stats.group_relaxations)
         assert stats.envelope_delete_mins <= sum(stats.group_relaxations) + total_slots
+
+
+class TestProcessingOrder:
+    def test_largest_lightest_edge_first_with_ties_in_index_order(self):
+        inst = BipartiteInstance(5, 2, [
+            (0, 0, 3), (0, 1, 9),  # lightest edge 3
+            (1, 0, 5),             # 5
+            (2, 1, 3), (2, 0, 4),  # 3
+            (3, 0, 8), (3, 1, 5),  # 5
+            (4, 1, 0),             # 0
+        ])
+        assert EktState(inst).order == [1, 3, 0, 2, 4]
+
+    def test_all_equal_weights_keep_index_order_and_its_work(self):
+        # Every edge weighs 7, so the order is the identity and the solve
+        # does exactly the work recorded for it under index order.
+        rng = random.Random(5)
+        inst = gen_family(rng, "all-equal")
+        for other in (gen_family(rng, "all-equal") for _ in range(10)):
+            assert EktState(other).order == list(range(other.num_jobs))
+        assert EktState(inst).order == list(range(20))
+        stats = WeightedStats()
+        matching = solve_weighted(inst, stats=stats)
+        assert "".join(map(str, matching.machine_of)) == "22100101202101201201"
+        assert stats.group_relaxations == [
+            1, 2, 4, 3, 6, 4, 14, 3, 2, 20, 2, 2, 25, 3, 3, 34, 2, 3, 41, 2,
+        ]
+        assert (
+            stats.envelope_inserts, stats.envelope_delete_mins,
+            stats.heap_pushes, stats.machine_pops,
+        ) == (167, 156, 595, 299)
+
+    def test_chain_reroutes_every_matched_job_each_phase(self):
+        rng = random.Random(6)
+        for _ in range(5):
+            inst = gen_family(rng, "chain")
+            state = EktState(inst)
+            assert state.order == list(range(inst.num_jobs))  # lightest edges all tie
+            for k in range(inst.num_jobs):
+                run = GroupedDijkstra(state).run()
+                assert len(run.path(state)) == k + 1
+                update_potentials(state, run)
+                augment(state, run)
+            assert state.matching().machine_of == tuple(reversed(range(inst.num_jobs)))
+
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            gen_family(random.Random(0), "star")
 
 
 class TestAgainstOracles:
@@ -346,15 +384,16 @@ class TestAgainstOracles:
             b = cost_of_semi_matching(inst, solve_unweighted(inst))
             assert a == b
 
-    @pytest.mark.parametrize("family", ["all-equal", "mostly-zero", "near-2^31"])
+    @pytest.mark.parametrize("family", ["all-equal", "mostly-zero", "near-2^31", "chain"])
     @pytest.mark.parametrize("seed", range(8))
     def test_ties_zeros_and_huge_weights_vs_baseline(self, family, seed):
         # Every unreached node shares the potential total_potential; equal
-        # and zero weights make many reduced distances tie, and weights
-        # near 2^31 - 1 push potentials far from zero.
+        # and zero weights make many reduced distances tie, weights near
+        # 2^31 - 1 push potentials far from zero, and chains make every
+        # phase re-route all the jobs matched before it.
         rng = random.Random(7000 + seed)
         for k in range(6):
-            inst = family_instance(rng, family)
+            inst = gen_family(rng, family)
             got = cost_of_semi_matching(inst, solve_weighted(inst, check=(k % 2 == 0)))
             assert got == cost_of_semi_matching(inst, baseline_exploded_solver(inst))
             if assignment_search_space(inst) <= 20_000:
