@@ -238,9 +238,12 @@ class EnvelopeHeap:
         """Delete the index of the minimum; return the next minimum value,
         or None when no live index is left.
 
-        It reuses the top entry that the last :meth:`peek` or :meth:`pop`
-        validated, so call it only right after one of them found a
-        minimum, with no insert in between.
+        Only the line that held the deleted index has a candidate there,
+        so its refresh moves only that candidate, one live index outward
+        (both when ``p == q``); nothing else is pushed.  It reuses the top
+        entry that the last :meth:`peek` or :meth:`pop` validated, so call
+        it only right after one of them found a minimum, with no insert in
+        between.
         """
         value, uid, idx = heapq.heappop(self._heap)
         line = self._lines[uid]

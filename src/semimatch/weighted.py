@@ -103,13 +103,13 @@ class EktState:
     The search tables of :func:`_machine_tables` persist across phases;
     ``negdiffs[v] is None`` marks v dirty (set by
     :func:`update_potentials` and :func:`augment`), and the next phase
-    to touch v rebuilds them.  ``pending[v] is None`` marks v untouched
-    this phase; ``GroupedDijkstra._touch`` resets its ``pending``,
-    ``heaps`` and ``last_pushed`` entries before any read, so a new
-    search on a state ends the previous one.  ``order`` is the
-    processing order, fixed here: the phase run at ``iteration == k``
-    starts from job ``order[k]``, so the matched jobs are always
-    ``order[:iteration]``.
+    to touch v rebuilds them.  ``heaps[v] is None`` means v has no
+    envelope heap this phase; ``touched`` lists the machines that have
+    one, and a new :class:`GroupedDijkstra` resets their ``heaps`` and
+    ``last_pushed`` entries, so a new search on a state ends the
+    previous one.  ``order`` is the processing order, fixed here: the
+    phase run at ``iteration == k`` starts from job ``order[k]``, so the
+    matched jobs are always ``order[:iteration]``.
     """
 
     def __init__(self, instance: BipartiteInstance) -> None:
@@ -125,7 +125,6 @@ class EktState:
         self.negdiffs: list[Optional[list[int]]] = [None] * nV
         self.free_n: list[int] = [0] * nV
         self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
-        self.pending: list[Optional[list[tuple]]] = [None] * nV
         self.last_pushed: list[float] = [_INF] * nV
         self.touched: list[int] = []
         # Heaviest lightest edge first; sorted is stable, so ties keep index order.
@@ -266,38 +265,37 @@ class GroupedDijkstra:
     candidates.  Ties break on (value, node id), with machines assigned
     the low ids: at equal distance a machine pop — possibly the terminal
     — beats job pops, so a phase ends before relaxing a plateau of
-    equal-distance jobs.
+    equal-distance jobs.  A phase whose job is already matched, or that
+    comes after the last job, raises ``ValueError``: its augmenting path
+    would have no unmatched end.
 
     Each machine has one live frontier entry, the last one pushed for
     it: ``last_pushed[v]`` holds its value, and a popped machine entry
     with any other value was superseded and is dropped unread (the lazy
-    deletion form of decrease-key).  ``last_pushed[v]`` is also set,
-    without a push, to a candidate beyond the terminal upper bound,
-    which cannot win this phase.
+    deletion form of decrease-key).  ``last_pushed[v]`` is always v's
+    exact envelope minimum (infinite once no live slot is left), so a
+    live machine pop finalizes a slot or ends the phase; it is set
+    without a push when the minimum lies beyond the terminal upper
+    bound, where it cannot win this phase.
 
     Values are computed in the offset frame, where ``total_potential``
     cancels: a job's line has intercept ``d(u) - _raw_job[u]``, a slot's
     shift is ``state.shift[v]``, and the machine tables (see
     :class:`EktState`) outlive the phase.  Each envelope heap takes
     ``state.shift[v]`` by reference; the potential update and augment
-    change that list in place after the phase, which is safe because
-    ``_touch`` replaces a machine's heap before any later phase reads it.
+    change that list in place after the phase, which is safe because a
+    new search drops every heap before it reads one.
 
-    Relaxations are two-stage.  A group relaxation only computes the
-    line's valley value — its minimum over the whole slot range, hence a
-    lower bound on its minimum over live slots — and parks the line in a
-    per-machine pending heap, advertising the bound as the machine's
-    candidate.  Pending lines are moved into the envelope heap only when
-    the machine surfaces at the global front at a value they could tie
-    or beat; everything else stays parked.  On top of that the search
-    keeps a running upper bound on the phase's terminal distance (the
-    cheapest first-unmatched-slot value seen on any line so far) and
-    drops relaxations whose valley value exceeds it outright: they can
-    influence neither a pop nor the terminal choice.  On 400 jobs fully
-    joined to 4 machines (the weighted-skewed benchmark) that cut drops
-    71 % of the relaxations, and about 1.4k of the 38k lines parked per
-    solve are never inserted; on 400 jobs / 4000 sparse edges the cut
-    drops 79 %.
+    A group relaxation first computes the line's valley value, its
+    minimum over the whole slot range.  The search keeps a running upper
+    bound on the phase's terminal distance (the cheapest
+    first-unmatched-slot value seen on any line so far) and drops a
+    relaxation whose valley value exceeds it outright: it can influence
+    neither a pop nor the terminal choice.  Every other line goes
+    straight into the machine's envelope heap, opened on the first such
+    line.  On 400 jobs fully joined to 4 machines (the weighted-skewed
+    benchmark) that cut drops 71 % of the relaxations, and on 400 jobs /
+    4000 sparse edges (weighted-uniform) 79 %.
 
     ``check=True`` changes nothing in the search: it only builds each
     machine's envelope heap in check mode, so every insert and pop
@@ -312,30 +310,22 @@ class GroupedDijkstra:
         stats: Optional[WeightedStats] = None,
         check: bool = False,
     ) -> None:
+        k = state.iteration
+        if k >= len(state.order) or state.job_slot[state.order[k]] is not None:
+            raise ValueError(f"phase {k} has no unmatched source job")
         self.state = state
         self.stats = stats
         self._check = check
         self._job_base = state.instance.num_machines
-        pending = state.pending
+        heaps, last = state.heaps, state.last_pushed
         for v in state.touched:
-            pending[v] = None
+            heaps[v] = None
+            last[v] = _INF
         state.touched.clear()
         self.dist_job: dict[int, int] = {}
         self.dist_slot: dict[tuple[int, int], int] = {}
         self.slot_owner: dict[tuple[int, int], int] = {}
-        self._pq: list[tuple[int, int]] = [(0, self._job_base + state.order[state.iteration])]
-
-    def _touch(self, v: int) -> list[tuple]:
-        """Open machine v for this phase; returns its empty pending heap."""
-        s = self.state
-        if s.negdiffs[v] is None:
-            s.negdiffs[v], s.free_n[v] = _machine_tables(s, v)
-        pend: list[tuple] = []
-        s.pending[v] = pend
-        s.heaps[v] = None
-        s.last_pushed[v] = _INF
-        s.touched.append(v)
-        return pend
+        self._pq: list[tuple[int, int]] = [(0, self._job_base + state.order[k])]
 
     def run(self) -> DijkstraRun:
         state = self.state
@@ -344,8 +334,8 @@ class GroupedDijkstra:
         raw_job = state._raw_job
         slots = state.slots
         shift_l, negdiffs_l = state.shift, state.negdiffs
-        pending_l, last_l = state.pending, state.last_pushed
-        free_l, heaps = state.free_n, state.heaps
+        last_l, free_l, heaps = state.last_pushed, state.free_n, state.heaps
+        touched = state.touched
         check = self._check
         dist_job = self.dist_job
         pq = self._pq
@@ -361,10 +351,11 @@ class GroupedDijkstra:
                 dist_job[u] = value
                 b = value - raw_job[u]  # d(u) + p(u), less total_potential
                 for v, w in job_adj[u]:
-                    pend = pending_l[v]
-                    if pend is None:
-                        pend = self._touch(v)
-                    g = bis(negdiffs_l[v], -w) + 1
+                    negd = negdiffs_l[v]
+                    if negd is None:
+                        negdiffs_l[v], free_l[v] = _machine_tables(state, v)
+                        negd = negdiffs_l[v]
+                    g = bis(negd, -w) + 1
                     fg = w * g + b - shift_l[v][g - 1]
                     if fg > ub:
                         continue  # even v's best slot for this line is beyond the terminal
@@ -373,52 +364,33 @@ class GroupedDijkstra:
                         tv = w * fn + b  # this line's value at v's first unmatched slot
                         if tv < ub:
                             ub = tv
-                    push(pend, (fg, w, b, g, u))
-                    if fg < last_l[v]:
-                        last_l[v] = fg
-                        push(pq, (fg, v))
-                        pushes += 1
+                    heap = heaps[v]
+                    if heap is None:
+                        heap = heaps[v] = EnvelopeHeap(shift_l[v], check)
+                        touched.append(v)
+                    inserts += 1
+                    if heap.insert(w, b, g, u):
+                        c = fg  # a live valley pins the line's minimum there
+                    else:
+                        top = heap.peek()
+                        if top is None:
+                            continue  # every slot in v's domain already finalized
+                        c = top[0]
+                    if c < last_l[v]:
+                        last_l[v] = c
+                        if c <= ub:
+                            push(pq, (c, v))
+                            pushes += 1
                 relaxed += len(job_adj[u])
                 continue
             v = node
             if value != last_l[v]:
                 continue  # superseded by a later push for v
-            heap = heaps[v]
-            top = None if heap is None else heap.peek()
-            if top is None and heap is not None:
-                continue  # every slot in v's domain already finalized
+            # last_pushed[v] is v's exact envelope minimum, so this pop
+            # finalizes a slot or ends the phase.
             mpops += 1
-            pend = pending_l[v]
-            env_min = _INF if top is None else top[0]
-            # Batch in every parked line below the envelope minimum: each
-            # is a potential winner here or at a later surfacing, and
-            # draining them together avoids one global-queue round trip
-            # per line.  Lines beyond the terminal upper bound can win
-            # nothing this phase and stay parked for good.
-            while pend and pend[0][0] < env_min and pend[0][0] <= ub:
-                fg, w, b, g, owner = pop(pend)
-                if heap is None:
-                    heap = heaps[v] = EnvelopeHeap(shift_l[v], check)
-                inserts += 1
-                if heap.insert(w, b, g, owner):
-                    # A live valley pins the line's minimum at exactly fg,
-                    # below env_min; the heap's top is read again if needed.
-                    env_min = fg
-                    top = None
-                else:
-                    top = heap.peek()
-                    env_min = top[0]  # type: ignore[index]  # a live index remains
-            if env_min != value:
-                if value < env_min != _INF:
-                    # Our entry was only a lower bound; re-advertise.
-                    last_l[v] = env_min
-                    if env_min <= ub:
-                        push(pq, (env_min, v))
-                        pushes += 1
-                continue
-            if top is None:
-                top = heap.peek()  # type: ignore[union-attr]  # env_min == value here
-            _, i, owner = top  # type: ignore[misc]
+            heap = heaps[v]
+            _, i, owner = heap.peek()  # type: ignore[union-attr,misc]
             self.slot_owner[(v, i)] = owner
             if i == len(slots[v]) + 1:
                 stats = self.stats
@@ -436,11 +408,11 @@ class GroupedDijkstra:
                     slot_owner=self.slot_owner,
                 )
             self.dist_slot[(v, i)] = value
-            nxt = heap.pop()
+            nxt = heap.pop()  # type: ignore[union-attr]
             dmins += 1
-            if pend and (nxt is None or pend[0][0] < nxt):
-                nxt = pend[0][0]
-            if nxt is not None:
+            if nxt is None:
+                last_l[v] = _INF  # v's domain is exhausted
+            else:
                 # The next candidate is never below the one just consumed,
                 # so the improvement filter must not swallow it.
                 last_l[v] = nxt

@@ -184,6 +184,24 @@ def test_refresh_that_skips_a_moved_push_fails_the_brute_scan(monkeypatch):
         stream(EnvelopeHeap([0, 3, 5], check=True))
 
 
+def test_checked_pop_of_a_shared_valley_moves_both_candidates():
+    """Popping a valley that is both p and q moves p left and q right,
+    each to the next live index, and keeps each side's value."""
+    heap = EnvelopeHeap([0, 5, 9, 11, 12], check=True)
+    heap.insert(3, 0, 3)  # 3, 1, 0, 1, 3 against the shift; valley 3
+    heap.peek()
+    line = heap._lines[0]
+    assert line.p == line.q == 3
+    assert heap.pop() == 1  # index 3 goes; p moves to 2, q to 4
+    assert (line.p, line.q) == (2, 4)
+    assert heap.peek() == (1, 2, None)
+    assert heap.pop() == 1  # index 2 goes; p moves to 1, q stays
+    assert (line.p, line.q) == (1, 4)
+    assert heap.peek() == (1, 4, None)
+    assert heap.pop() == 3  # index 4 goes; q moves to 5, p stays
+    assert (line.p, line.q) == (1, 5)
+
+
 def test_checked_refresh_rejects_a_candidate_moving_back():
     """In check mode a refresh asserts that p only moves left and q only
     right, the fact that lets an entry's index stand for its freshness."""
@@ -194,6 +212,17 @@ def test_checked_refresh_rejects_a_candidate_moving_back():
     heap._left[1] = heap._right[1] = 1  # revive index 1, which no operation does
     with pytest.raises(AssertionError, match="wrong way"):
         heap._refresh(heap._lines[0])
+
+
+def test_checked_pop_rejects_a_candidate_moving_back():
+    """In check mode a pop's refresh asserts that it moved p only left
+    and q only right of the index it deleted."""
+    heap = EnvelopeHeap([0, 3, 5], check=True)
+    heap.insert(2, 0, 2)  # 2, 1, 1 against the shift; p == q == 2
+    heap.peek()
+    heap._left[1] = 3  # a skip pointer jumping right, which no operation makes
+    with pytest.raises(AssertionError, match="wrong way"):
+        heap.pop()
 
 
 # ---------------------------------------------------------------------------
