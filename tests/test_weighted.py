@@ -312,6 +312,38 @@ class TestPhaseInvariants:
             stats.heap_pushes, stats.machine_pops,
         ) == (80, 925, 373, 1187, 453)
 
+    def test_seeded_chain_solve_does_pinned_work(self):
+        # Every phase reroutes every matched job one machine up, through
+        # long runs of tied lightest edges.  Recorded once, like the solves
+        # above: a change that keeps the answer but pops in another order
+        # shows up in the relaxations, delete-mins or machine pops.
+        inst = gen_family(random.Random(0), "chain")
+        stats = WeightedStats()
+        matching = solve_weighted(inst, stats=stats)
+        assert cost_of_semi_matching(inst, matching) == 111234
+        assert matching.machine_of == tuple(reversed(range(13)))
+        assert stats.group_relaxations == [13, 25, 36, 46, 55, 63, 70, 76, 81, 85, 88, 90, 91]
+        assert (
+            stats.iterations, stats.envelope_inserts, stats.envelope_delete_mins,
+            stats.machine_pops,
+        ) == (13, 568, 78, 91)
+
+    def test_seeded_near_2_31_solve_does_pinned_work(self):
+        # Weights within 3 of 2^31 - 1: distances far past 2^32 and near
+        # ties everywhere.  Recorded once, like the chain solve above.
+        inst = gen_family(random.Random(5), "near-2^31")
+        stats = WeightedStats()
+        matching = solve_weighted(inst, stats=stats)
+        assert cost_of_semi_matching(inst, matching) == 165356240638
+        assert "".join(map(str, matching.machine_of)) == "22112101200102200011"
+        assert stats.group_relaxations == [
+            1, 1, 3, 7, 2, 2, 13, 7, 5, 20, 9, 15, 27, 28, 25, 33, 36, 38, 41, 43,
+        ]
+        assert (
+            stats.iterations, stats.envelope_inserts, stats.envelope_delete_mins,
+            stats.machine_pops,
+        ) == (20, 333, 178, 198)
+
     def test_envelope_ops_accounting(self):
         rng = random.Random(33)
         inst = gen_random(rng, 30, 8, edge_prob=0.4, max_weight=100)
