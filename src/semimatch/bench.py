@@ -17,6 +17,8 @@ last five columns are per-solver counters and stay empty where a solver
 does not track them (``cancel_rounds``/``recursion_depth`` for the
 flow-based unit solvers, ``group_relaxations``/``heap_ops``/
 ``machine_pops`` for the grouped-relaxation weighted solver).
+``heap_ops`` sums the weighted solver's frontier pushes (job entries
+and envelope candidates alike), envelope inserts and delete-mins.
 
 Cases run in parallel across processes when ``workers > 1``; each
 record is computed wholly inside one worker and results are stitched

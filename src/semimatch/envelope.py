@@ -23,12 +23,13 @@ integer intervals that partition ``[1, N]``.  A line owns index ``x`` when
 its certificate is minimal there, ties going to the steeper line.  Each
 owning line carries at most two candidate indices: the live index closest
 to its valley from the left (``p``) and from the right (``q``), clamped to
-its interval.  A lazy binary heap over candidate values answers ``peek``
-and ``pop``.  Intervals and the live set only shrink, so ``p`` only moves
-left and ``q`` only moves right: a line never returns to an index it
-left, and a heap entry is current exactly when its index is still one of
-its line's candidates.  A refresh therefore pushes only a candidate that
-moved, and stale entries are skipped when they reach the top.
+its interval.  The structure keeps no queue of its own: each candidate
+goes onto a binary heap shared with the caller, the ``frontier``.
+Intervals and the live set only shrink, so ``p`` only moves left and
+``q`` only moves right: a line never returns to an index it left, and a
+frontier entry is current exactly when its index is still one of its
+line's candidates.  A refresh therefore pushes only a candidate that
+moved, and the caller drops a stale entry when it pops one.
 
 All arithmetic is exact integer arithmetic; interval breakpoints are floor
 divisions of intercept differences by slope differences.
@@ -36,8 +37,8 @@ divisions of intercept differences by slope differences.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
+from heapq import heappush
 from typing import Any, Optional
 
 
@@ -64,21 +65,27 @@ class _Line:
 class EnvelopeHeap:
     """Min-heap over the rows ``slope*x + intercept - shift[x-1]`` on ``[1, N]``.
 
-    ``N`` is ``len(shift)``.  The heap makes three operations:
-    :meth:`insert` adds a row, :meth:`peek` reads the minimum and
-    :meth:`pop` deletes its index.
+    ``N`` is ``len(shift)``.  Candidates live in ``frontier``, a
+    :mod:`heapq` list the caller owns and may share with other entries
+    and other heaps: each one that moves is pushed as ``(value, key,
+    uid, idx)``, so at equal value the heap's entries pop in ``(uid,
+    idx)`` order and ``key`` tells heaps apart.  The heap makes three
+    operations: :meth:`insert` adds a row, :meth:`current` says whether
+    a popped entry still names a candidate, and :meth:`delete` removes a
+    candidate's index.  The least current entry of this heap in the
+    frontier is its minimum over the live indices.
 
     ``check=True`` makes the heap audit itself, for tests: every insert
     must name a valley inside the domain that is the row's left-most
     minimiser, around which the row is unimodal (else ``ValueError``);
     every refresh must move ``p`` only left and ``q`` only right; after
-    every insert and every pop the minimum must equal a brute scan of all
-    inserted rows over a shadow live set, and each deleted index must
-    attain that minimum (else ``AssertionError``).  That is quadratic
-    work overall.
+    every insert and every delete the least current frontier entry of
+    this heap must equal a brute scan of all inserted rows over a shadow
+    live set, and each deleted index must attain that minimum (else
+    ``AssertionError``).  That is quadratic work overall.
     """
 
-    def __init__(self, shift: list[int], check: bool = False):
+    def __init__(self, shift: list[int], frontier: list, key: int = 0, check: bool = False):
         n = len(shift)
         if n < 1:
             raise ValueError("domain must contain at least index 1")
@@ -91,7 +98,8 @@ class EnvelopeHeap:
         self._env: list[_Line] = []        # envelope lines, slope descending
         self._env_keys: list[int] = []     # negated slopes, for bisect
         self._lines: list[_Line] = []      # every inserted line, by uid
-        self._heap: list[tuple[int, int, int]] = []  # (value, uid, index)
+        self._frontier = frontier
+        self._key = key
         self._shift = shift
         self._check = check
         # Check mode's own record of the live indices, kept apart from the
@@ -116,7 +124,7 @@ class EnvelopeHeap:
         return i
 
     # ------------------------------------------------------------------
-    # candidate pointers and the lazy heap
+    # candidate pointers
 
     def _refresh(self, line: _Line) -> None:
         """Recompute a line's candidates from its interval; push those that moved."""
@@ -130,15 +138,15 @@ class EnvelopeHeap:
             assert p <= line.p and q >= line.q, (
                 f"candidates moved the wrong way: p {line.p} -> {p}, q {line.q} -> {q}"
             )
-        heap, shift = self._heap, self._shift
+        frontier, shift, key = self._frontier, self._shift, self._key
         if p != line.p:
             line.p = p
             if p:
-                heapq.heappush(heap, (line.slope * p + line.intercept - shift[p - 1], line.uid, p))
+                heappush(frontier, (line.slope * p + line.intercept - shift[p - 1], key, line.uid, p))
         if q != line.q:
             line.q = q
             if q <= self.n and q != p:
-                heapq.heappush(heap, (line.slope * q + line.intercept - shift[q - 1], line.uid, q))
+                heappush(frontier, (line.slope * q + line.intercept - shift[q - 1], key, line.uid, q))
 
     def _evict(self, pos: int) -> None:
         """Take the envelope line at ``pos`` off for good; its entries go stale."""
@@ -152,15 +160,11 @@ class EnvelopeHeap:
     def __len__(self) -> int:
         return len(self._lines)
 
-    def insert(
-        self, slope: int, intercept: int, valley: int, payload: Any = None
-    ) -> bool:
+    def insert(self, slope: int, intercept: int, valley: int, payload: Any = None) -> None:
         """Add the row ``slope*x + intercept - shift[x-1]`` with its valley.
 
-        Returns whether ``valley`` is still live, in which case the row's
-        minimum over the live indices is its value there.  O(log n) plus
-        evictions.  Outside check mode the caller vouches that ``valley``
-        is the row's left-most minimiser in ``[1, N]``.
+        O(log n) plus evictions.  Outside check mode the caller vouches
+        that ``valley`` is the row's left-most minimiser in ``[1, N]``.
         """
         if self._check:
             self._check_row(slope, intercept, valley)
@@ -168,9 +172,7 @@ class EnvelopeHeap:
         self._lines.append(line)
         self._place(line)
         if self._check:
-            top = self.peek()
-            self._check_min(None if top is None else top[0])
-        return self._left[valley] == valley
+            self._check_min(self._claimed_min())
 
     def _place(self, line: _Line) -> None:
         """Splice a new line into the envelope, evicting what it covers."""
@@ -222,43 +224,31 @@ class EnvelopeHeap:
         keys.insert(pos, -line.slope)
         self._refresh(line)
 
-    def peek(self) -> Optional[tuple[int, int, Any]]:
-        """``(value, index, payload)`` of the minimum over the live indices,
-        or None when no row covers a live index.  O(1) amortised."""
-        heap, lines = self._heap, self._lines
-        while heap:
-            value, uid, idx = heap[0]
-            line = lines[uid]
-            if idx == line.p or idx == line.q:
-                return value, idx, line.payload
-            heapq.heappop(heap)
-        return None
-
-    def pop(self) -> Optional[int]:
-        """Delete the index of the minimum; return the next minimum value,
-        or None when no live index is left.
-
-        Only the line that held the deleted index has a candidate there,
-        so its refresh moves only that candidate, one live index outward
-        (both when ``p == q``); nothing else is pushed.  It reuses the top
-        entry that the last :meth:`peek` or :meth:`pop` validated, so call
-        it only right after one of them found a minimum, with no insert in
-        between.
-        """
-        value, uid, idx = heapq.heappop(self._heap)
+    def current(self, uid: int, idx: int) -> Optional[_Line]:
+        """The line whose candidate the frontier entry ``(value, key, uid,
+        idx)`` names, or None when the entry is stale: ``idx`` is no longer
+        one of that line's candidates.  O(1)."""
         line = self._lines[uid]
+        return line if idx == line.p or idx == line.q else None
+
+    def delete(self, line: _Line, idx: int) -> None:
+        """Delete index ``idx``, a current candidate of ``line`` whose entry
+        the caller just popped as the least of this heap.
+
+        Only ``line`` has a candidate at ``idx``, so its refresh moves only
+        that candidate, one live index outward (both when ``p == q``), and
+        pushes what moved; no other line changes.
+        """
         if self._check:
-            assert idx == line.p or idx == line.q, "pop without a peek of the current minimum"
+            assert self.current(line.uid, idx) is line, f"index {idx} is not a candidate of its line"
+            value = line.slope * idx + line.intercept - self._shift[idx - 1]
             self._check_min(value, deleting=idx)
             self._shadow_live.discard(idx)
         self._left[idx] = idx - 1
         self._right[idx] = idx + 1
         self._refresh(line)
-        top = self.peek()
-        nxt = None if top is None else top[0]
         if self._check:
-            self._check_min(nxt)
-        return nxt
+            self._check_min(self._claimed_min())
 
     # ------------------------------------------------------------------
     # check mode
@@ -276,10 +266,26 @@ class EnvelopeHeap:
         ):
             raise ValueError(f"row is not unimodal around valley {valley}")
 
+    def _claimed_min(self) -> Optional[int]:
+        """Value of this heap's least current entry in the frontier, read
+        without popping, or None when it has none.
+
+        The scan reads the frontier itself rather than the lines' ``p`` and
+        ``q``, so a candidate that moved without its push shows up too.
+        """
+        key = self._key
+        return min(
+            (
+                e[0] for e in self._frontier
+                if len(e) == 4 and e[1] == key and self.current(e[2], e[3]) is not None
+            ),
+            default=None,
+        )
+
     def _check_min(self, value: Optional[int], deleting: int = 0) -> None:
         """Assert the heap's minimum ``value`` against a brute scan of every row.
 
-        ``deleting`` is the index :meth:`pop` is about to remove; it must
+        ``deleting`` is the index :meth:`delete` is about to remove; it must
         be live in the shadow set and attain the minimum.
         """
         live = self._shadow_live

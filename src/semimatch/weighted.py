@@ -75,9 +75,10 @@ _INF = float("inf")
 class WeightedStats:
     """Per-run counters for the fast weighted solver.
 
-    ``heap_pushes`` counts global frontier pushes; ``machine_pops``
-    counts popped machine entries that were still live (not superseded
-    by a later push) and found a machine with unfinalized slots.
+    ``heap_pushes`` counts pushes onto the phase frontier, job entries
+    and envelope candidates alike; ``machine_pops`` counts popped
+    candidate entries that were still current, each of which finalizes
+    a slot or ends the phase.
     """
 
     iterations: int = 0
@@ -105,11 +106,11 @@ class EktState:
     :func:`update_potentials` and :func:`augment`), and the next phase
     to touch v rebuilds them.  ``heaps[v] is None`` means v has no
     envelope heap this phase; ``touched`` lists the machines that have
-    one, and a new :class:`GroupedDijkstra` resets their ``heaps`` and
-    ``last_pushed`` entries, so a new search on a state ends the
-    previous one.  ``order`` is the processing order, fixed here: the
-    phase run at ``iteration == k`` starts from job ``order[k]``, so the
-    matched jobs are always ``order[:iteration]``.
+    one, and a new :class:`GroupedDijkstra` resets their ``heaps``
+    entries, so a new search on a state ends the previous one.
+    ``order`` is the processing order, fixed here: the phase run at
+    ``iteration == k`` starts from job ``order[k]``, so the matched jobs
+    are always ``order[:iteration]``.
     """
 
     def __init__(self, instance: BipartiteInstance) -> None:
@@ -125,7 +126,6 @@ class EktState:
         self.negdiffs: list[Optional[list[int]]] = [None] * nV
         self.free_n: list[int] = [0] * nV
         self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
-        self.last_pushed: list[float] = [_INF] * nV
         self.touched: list[int] = []
         # Heaviest lightest edge first; sorted is stable, so ties keep index order.
         self.order = sorted(range(nU), key=lambda u: -min(w for _v, w in instance.job_adj[u]))
@@ -261,22 +261,18 @@ class GroupedDijkstra:
 
     The search starts from the phase's job, ``state.order[state.iteration]``,
     alone at distance 0, and touches a machine only when a finalized job
-    first relaxes into it.  The global frontier holds jobs and machine
-    candidates.  Ties break on (value, node id), with machines assigned
-    the low ids: at equal distance a machine pop — possibly the terminal
-    — beats job pops, so a phase ends before relaxing a plateau of
-    equal-distance jobs.  A phase whose job is already matched, or that
-    comes after the last job, raises ``ValueError``: its augmenting path
-    would have no unmatched end.
-
-    Each machine has one live frontier entry, the last one pushed for
-    it: ``last_pushed[v]`` holds its value, and a popped machine entry
-    with any other value was superseded and is dropped unread (the lazy
-    deletion form of decrease-key).  ``last_pushed[v]`` is always v's
-    exact envelope minimum (infinite once no live slot is left), so a
-    live machine pop finalizes a slot or ends the phase; it is set
-    without a push when the minimum lies beyond the terminal upper
-    bound, where it cannot win this phase.
+    first relaxes into it.  One binary heap, the frontier, holds every
+    entry: a job as ``(value, job_base + u)`` and each machine's
+    envelope candidates as ``(value, v, uid, idx)``, pushed by the
+    envelope heap itself.  Machines have the low ids, so at equal
+    distance a machine pop — possibly the terminal — beats job pops,
+    and a phase ends before relaxing a plateau of equal-distance jobs.
+    A popped candidate whose index is no longer its line's ``p`` or
+    ``q`` is stale and dropped; a current one is its machine's envelope
+    minimum, so it finalizes that slot (deleting the index, which
+    refreshes only its line) or ends the phase.  A phase whose job is
+    already matched, or that comes after the last job, raises
+    ``ValueError``: its augmenting path would have no unmatched end.
 
     Values are computed in the offset frame, where ``total_potential``
     cancels: a job's line has intercept ``d(u) - _raw_job[u]``, a slot's
@@ -293,12 +289,14 @@ class GroupedDijkstra:
     relaxation whose valley value exceeds it outright: it can influence
     neither a pop nor the terminal choice.  Every other line goes
     straight into the machine's envelope heap, opened on the first such
-    line.  On 400 jobs fully joined to 4 machines (the weighted-skewed
+    line.  Its candidates may still lie beyond the bound: they stay in
+    the frontier unpopped, since the terminal's entry is at most the
+    bound.  On 400 jobs fully joined to 4 machines (the weighted-skewed
     benchmark) that cut drops 71 % of the relaxations, and on 400 jobs /
     4000 sparse edges (weighted-uniform) 79 %.
 
     ``check=True`` changes nothing in the search: it only builds each
-    machine's envelope heap in check mode, so every insert and pop
+    machine's envelope heap in check mode, so every insert and delete
     this filtered search performs is audited against a brute scan as it
     happens.
     """
@@ -317,15 +315,14 @@ class GroupedDijkstra:
         self.stats = stats
         self._check = check
         self._job_base = state.instance.num_machines
-        heaps, last = state.heaps, state.last_pushed
+        heaps = state.heaps
         for v in state.touched:
             heaps[v] = None
-            last[v] = _INF
         state.touched.clear()
         self.dist_job: dict[int, int] = {}
         self.dist_slot: dict[tuple[int, int], int] = {}
         self.slot_owner: dict[tuple[int, int], int] = {}
-        self._pq: list[tuple[int, int]] = [(0, self._job_base + state.order[k])]
+        self._pq: list[tuple[int, ...]] = [(0, self._job_base + state.order[k])]
 
     def run(self) -> DijkstraRun:
         state = self.state
@@ -334,16 +331,18 @@ class GroupedDijkstra:
         raw_job = state._raw_job
         slots = state.slots
         shift_l, negdiffs_l = state.shift, state.negdiffs
-        last_l, free_l, heaps = state.last_pushed, state.free_n, state.heaps
+        free_l, heaps = state.free_n, state.heaps
         touched = state.touched
         check = self._check
         dist_job = self.dist_job
         pq = self._pq
         ub = _INF  # upper bound on this phase's terminal distance
         push, pop, bis = heapq.heappush, heapq.heappop, bisect_left
-        pushes = relaxed = inserts = dmins = mpops = 0
+        pops = relaxed = inserts = dmins = mpops = 0
         while pq:
-            value, node = pop(pq)
+            entry = pop(pq)
+            pops += 1
+            value, node = entry[0], entry[1]
             if node >= job_base:
                 u = node - job_base
                 if u in dist_job:
@@ -366,37 +365,25 @@ class GroupedDijkstra:
                             ub = tv
                     heap = heaps[v]
                     if heap is None:
-                        heap = heaps[v] = EnvelopeHeap(shift_l[v], check)
+                        heap = heaps[v] = EnvelopeHeap(shift_l[v], pq, v, check)
                         touched.append(v)
                     inserts += 1
-                    if heap.insert(w, b, g, u):
-                        c = fg  # a live valley pins the line's minimum there
-                    else:
-                        top = heap.peek()
-                        if top is None:
-                            continue  # every slot in v's domain already finalized
-                        c = top[0]
-                    if c < last_l[v]:
-                        last_l[v] = c
-                        if c <= ub:
-                            push(pq, (c, v))
-                            pushes += 1
+                    heap.insert(w, b, g, u)
                 relaxed += len(job_adj[u])
                 continue
-            v = node
-            if value != last_l[v]:
-                continue  # superseded by a later push for v
-            # last_pushed[v] is v's exact envelope minimum, so this pop
-            # finalizes a slot or ends the phase.
-            mpops += 1
+            v, i = node, entry[3]
             heap = heaps[v]
-            _, i, owner = heap.peek()  # type: ignore[union-attr,misc]
-            self.slot_owner[(v, i)] = owner
+            line = heap.current(entry[2], i)  # type: ignore[union-attr]
+            if line is None:
+                continue  # a candidate that has since moved
+            mpops += 1
+            self.slot_owner[(v, i)] = line.payload
             if i == len(slots[v]) + 1:
                 stats = self.stats
                 if stats is not None:
                     stats.group_relaxations.append(relaxed)
-                    stats.heap_pushes += pushes
+                    # Every entry but the source's was pushed: popped or left.
+                    stats.heap_pushes += pops + len(pq) - 1
                     stats.envelope_inserts += inserts
                     stats.envelope_delete_mins += dmins
                     stats.machine_pops += mpops
@@ -408,21 +395,11 @@ class GroupedDijkstra:
                     slot_owner=self.slot_owner,
                 )
             self.dist_slot[(v, i)] = value
-            nxt = heap.pop()  # type: ignore[union-attr]
+            heap.delete(line, i)  # type: ignore[union-attr]
             dmins += 1
-            if nxt is None:
-                last_l[v] = _INF  # v's domain is exhausted
-            else:
-                # The next candidate is never below the one just consumed,
-                # so the improvement filter must not swallow it.
-                last_l[v] = nxt
-                if nxt <= ub:
-                    push(pq, (nxt, v))
-                    pushes += 1
             occupant = slots[v][i - 1]
             if occupant not in dist_job:
                 push(pq, (value, job_base + occupant))  # matching edge is tight
-                pushes += 1
         raise AssertionError("no unmatched slot reachable from the source job")
 
 

@@ -44,7 +44,14 @@ from semimatch.weighted import WeightedStats, baseline_exploded_solver, solve_we
 
 from conftest import assert_cancel_bounds, fig2_instance, live_center_count
 from test_cover import connected_graphs
-from test_envelope import NaiveEnvelope, checked_phase_heaps, pop_both, row, shifted_family
+from test_envelope import (
+    NaiveEnvelope,
+    checked_phase_heaps,
+    delete_both,
+    minimum,
+    row,
+    shifted_family,
+)
 
 
 def small_weighted_instance(i):
@@ -158,7 +165,8 @@ def test_criterion_06_invariant_suite_on_every_iteration():
 
 
 def replay_against_naive(events, shift):
-    heap = EnvelopeHeap(shift)
+    frontier = []
+    heap = EnvelopeHeap(shift, frontier)
     naive = NaiveEnvelope(len(shift))
     for event in events:
         if event[0] == "insert":
@@ -167,9 +175,9 @@ def replay_against_naive(events, shift):
             naive.insert(row(w, b, shift))
         else:
             assert event == ("pop",)
-            pop_both(heap, naive)
+            delete_both(heap, frontier, naive)
         if naive.live:
-            assert heap.peek()[0] == naive.min_value()
+            assert minimum(heap, frontier)[0] == naive.min_value()
 
 
 def test_criterion_07_envelope_heap_against_naive_scan():

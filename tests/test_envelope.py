@@ -1,11 +1,14 @@
 """Lower-envelope heap against a naive full-scan reference.
 
 The reference model keeps every inserted row as a plain value table and
-answers peek/pop by scanning all live indices of all rows
+answers its minimum by scanning all live indices of all rows
 — O(|S|*N) per query, unarguable.  The heap must agree on every
-returned *value* (returned indices may differ among exact ties).
+minimum *value* (the indices it deletes may differ among exact ties).
+Each heap here is alone on its own frontier list, which :func:`minimum`
+reads the way the weighted search reads the shared one.
 """
 
+import heapq
 import random
 
 import pytest
@@ -41,25 +44,41 @@ class NaiveEnvelope:
         self.live.discard(x)
 
 
-def pop_value(h):
-    """peek + pop: the minimum value, whose index the pop deletes."""
-    value = h.peek()[0]
-    h.pop()
-    return value
+def minimum(heap, frontier):
+    """``(value, index, payload)`` of the least current entry ``heap`` pushed
+    onto ``frontier``, or None when it has none.  Stale entries on top are
+    popped on the way, as the weighted search drops them."""
+    while frontier:
+        value, _key, uid, idx = frontier[0]
+        line = heap.current(uid, idx)
+        if line is not None:
+            return value, idx, line.payload
+        heapq.heappop(frontier)
+    return None
 
 
-def pop_both(heap, naive):
-    """Pop the heap and mirror it into the naive scan.
+def delete_min(heap, frontier):
+    """Pop the minimum's entry and delete its index, as the search finalizes
+    a slot; return the next minimum value, or None when none is left."""
+    minimum(heap, frontier)
+    _value, _key, uid, idx = heapq.heappop(frontier)
+    heap.delete(heap.current(uid, idx), idx)
+    top = minimum(heap, frontier)
+    return None if top is None else top[0]
+
+
+def delete_both(heap, frontier, naive):
+    """Delete the heap's minimum and mirror it into the naive scan.
 
     The heap may delete any index achieving the minimum, so the naive
-    side follows the index ``peek`` names instead of imposing its own
-    tie-break; it still checks that the choice really is an argmin, and
-    that ``pop`` returns the next minimum.
+    side follows the index the frontier names instead of imposing its
+    own tie-break; it still checks that the choice really is an argmin,
+    and that the next minimum agrees.
     """
-    value, index, _payload = heap.peek()
+    value, index, _payload = minimum(heap, frontier)
     assert value == naive.min_value()
     assert naive.value_at(index) == value
-    nxt = heap.pop()
+    nxt = delete_min(heap, frontier)
     naive.delete(index)
     assert nxt == (naive.min_value() if naive.live else None)
     return value
@@ -75,49 +94,58 @@ def row(w, b, shift):
 
 
 def test_single_increasing_line():
-    h = EnvelopeHeap([0, 0, 0])
-    assert h.insert(2, 0, 1, "a") is True
-    assert h.peek() == (2, 1, "a")
+    f = []
+    h = EnvelopeHeap([0, 0, 0], f)
+    h.insert(2, 0, 1, "a")
+    assert minimum(h, f) == (2, 1, "a")
 
 
 def test_two_lines_min_and_delete():
-    h = EnvelopeHeap([0, 0, 0])
+    f = []
+    h = EnvelopeHeap([0, 0, 0], f)
     h.insert(5, 0, 1)
     h.insert(1, 8, 1)
-    assert h.peek()[0] == 5  # min(5x, x+8) on {1,2,3} = {5,10,11}
-    assert h.pop() == 10
-    assert h.peek()[:2] == (10, 2)
-    assert h.pop() == 11
-    assert h.pop() is None
-    assert h.peek() is None
+    assert minimum(h, f)[0] == 5  # min(5x, x+8) on {1,2,3} = {5,10,11}
+    assert delete_min(h, f) == 10
+    assert minimum(h, f)[:2] == (10, 2)
+    assert delete_min(h, f) == 11
+    assert delete_min(h, f) is None
+    assert minimum(h, f) is None
 
 
 def test_dominated_line_contributes_nothing():
-    h = EnvelopeHeap([0] * 4)
+    f = []
+    h = EnvelopeHeap([0] * 4, f)
     h.insert(2, 0, 1)
-    before = [pop_value(h) for _ in range(2)]
-    h2 = EnvelopeHeap([0] * 4)
+    before = [minimum(h, f)[0], delete_min(h, f)]
+    f2 = []
+    h2 = EnvelopeHeap([0] * 4, f2)
     h2.insert(2, 0, 1)
     h2.insert(2, 100, 1)  # parallel and above: never on the envelope
-    after = [pop_value(h2) for _ in range(2)]
+    assert len(f2) == 1  # ... and so never pushes a candidate
+    after = [minimum(h2, f2)[0], delete_min(h2, f2)]
     assert before == after == [2, 4]
 
 
 def test_empty_heap_peeks_none():
-    assert EnvelopeHeap([0] * 5).peek() is None
+    f = []
+    assert minimum(EnvelopeHeap([0] * 5, f), f) is None
 
 
-def test_insert_reports_a_dead_valley():
-    h = EnvelopeHeap([0, 0, 0], check=True)
-    assert h.insert(1, 0, 1) is True
-    assert h.peek() == (1, 1, None)
-    assert h.pop() == 2  # index 1 goes
-    assert h.insert(1, 5, 1) is False  # its valley, index 1, is dead
-    assert h.peek()[:2] == (2, 2)
+def test_insert_with_a_dead_valley_takes_the_next_live_index():
+    f = []
+    h = EnvelopeHeap([0, 0, 0], f, check=True)
+    h.insert(1, 0, 1)
+    assert minimum(h, f) == (1, 1, None)
+    assert delete_min(h, f) == 2  # index 1 goes
+    h.insert(0, 1, 1, "b")  # 1, 1, 1: owns [2, 3], and its valley 1 is dead
+    line = h._lines[1]
+    assert (line.p, line.q) == (0, 2)  # nothing live on the left; q at 2
+    assert minimum(h, f) == (1, 2, "b")
 
 
 def test_valley_out_of_domain_rejected():
-    h = EnvelopeHeap([0, 0, 0], check=True)
+    h = EnvelopeHeap([0, 0, 0], [], check=True)
     with pytest.raises(ValueError):
         h.insert(1, 0, 4)
 
@@ -131,7 +159,7 @@ def test_valley_out_of_domain_rejected():
     ],
 )
 def test_false_valley_rejected_in_check_mode(slope, shift, valley):
-    h = EnvelopeHeap(shift, check=True)
+    h = EnvelopeHeap(shift, [], check=True)
     with pytest.raises(ValueError):
         h.insert(slope, 0, valley)
     assert len(h) == 0
@@ -145,18 +173,19 @@ def test_sabotaged_refresh_fails_the_brute_scan(monkeypatch):
         placed = line.q is not None
         refresh(self, line)
         if placed and line.p:
-            line.q = self.n + 1  # its heap entry now looks stale and is skipped
+            line.q = self.n + 1  # its frontier entry now looks stale and is dropped
 
-    def stream(heap):
+    def stream(check):
+        f = []
+        heap = EnvelopeHeap([0, 3, 5], f, check=check)
         heap.insert(2, 0, 2)  # 2, 1, 1 against the shift
-        heap.peek()
-        return heap.pop()  # slot 2 goes; the minimum 1 moves right, to slot 3
+        return delete_min(heap, f)  # slot 2 goes; the minimum 1 moves right, to slot 3
 
-    assert stream(EnvelopeHeap([0, 3, 5], check=True)) == 1
+    assert stream(True) == 1
     monkeypatch.setattr(EnvelopeHeap, "_refresh", drop_right_candidate)
-    assert stream(EnvelopeHeap([0, 3, 5])) == 2  # silently wrong
+    assert stream(False) == 2  # silently wrong
     with pytest.raises(AssertionError, match="brute scan"):
-        stream(EnvelopeHeap([0, 3, 5], check=True))
+        stream(True)
 
 
 def test_refresh_that_skips_a_moved_push_fails_the_brute_scan(monkeypatch):
@@ -168,61 +197,62 @@ def test_refresh_that_skips_a_moved_push_fails_the_brute_scan(monkeypatch):
     def skip_moved_pushes(self, line):
         if line.p is None:
             return refresh(self, line)  # a new line pushes as usual
-        heap, self._heap = self._heap, []
+        frontier, self._frontier = self._frontier, []
         refresh(self, line)  # the candidates move; their pushes go nowhere
-        self._heap = heap
+        self._frontier = frontier
 
-    def stream(heap):
+    def stream(check):
+        f = []
+        heap = EnvelopeHeap([0, 3, 5], f, check=check)
         heap.insert(2, 0, 2)  # 2, 1, 1 against the shift
-        heap.peek()
-        return heap.pop()  # slot 2 goes; both candidates move off it
+        return delete_min(heap, f)  # slot 2 goes; both candidates move off it
 
-    assert stream(EnvelopeHeap([0, 3, 5], check=True)) == 1
+    assert stream(True) == 1
     monkeypatch.setattr(EnvelopeHeap, "_refresh", skip_moved_pushes)
-    assert stream(EnvelopeHeap([0, 3, 5])) is None  # silently wrong
+    assert stream(False) is None  # silently wrong
     with pytest.raises(AssertionError, match="brute scan"):
-        stream(EnvelopeHeap([0, 3, 5], check=True))
+        stream(True)
 
 
 def test_checked_pop_of_a_shared_valley_moves_both_candidates():
-    """Popping a valley that is both p and q moves p left and q right,
+    """Deleting a valley that is both p and q moves p left and q right,
     each to the next live index, and keeps each side's value."""
-    heap = EnvelopeHeap([0, 5, 9, 11, 12], check=True)
+    f = []
+    heap = EnvelopeHeap([0, 5, 9, 11, 12], f, check=True)
     heap.insert(3, 0, 3)  # 3, 1, 0, 1, 3 against the shift; valley 3
-    heap.peek()
     line = heap._lines[0]
     assert line.p == line.q == 3
-    assert heap.pop() == 1  # index 3 goes; p moves to 2, q to 4
+    assert delete_min(heap, f) == 1  # index 3 goes; p moves to 2, q to 4
     assert (line.p, line.q) == (2, 4)
-    assert heap.peek() == (1, 2, None)
-    assert heap.pop() == 1  # index 2 goes; p moves to 1, q stays
+    assert minimum(heap, f) == (1, 2, None)
+    assert delete_min(heap, f) == 1  # index 2 goes; p moves to 1, q stays
     assert (line.p, line.q) == (1, 4)
-    assert heap.peek() == (1, 4, None)
-    assert heap.pop() == 3  # index 4 goes; q moves to 5, p stays
+    assert minimum(heap, f) == (1, 4, None)
+    assert delete_min(heap, f) == 3  # index 4 goes; q moves to 5, p stays
     assert (line.p, line.q) == (1, 5)
 
 
 def test_checked_refresh_rejects_a_candidate_moving_back():
     """In check mode a refresh asserts that p only moves left and q only
     right, the fact that lets an entry's index stand for its freshness."""
-    heap = EnvelopeHeap([0, 0, 0, 0], check=True)
+    f = []
+    heap = EnvelopeHeap([0, 0, 0, 0], f, check=True)
     heap.insert(1, 0, 1)  # the row x: its one candidate is index 1
-    heap.peek()
-    assert heap.pop() == 2  # index 1 goes; q moves right, to 2
+    assert delete_min(heap, f) == 2  # index 1 goes; q moves right, to 2
     heap._left[1] = heap._right[1] = 1  # revive index 1, which no operation does
     with pytest.raises(AssertionError, match="wrong way"):
         heap._refresh(heap._lines[0])
 
 
 def test_checked_pop_rejects_a_candidate_moving_back():
-    """In check mode a pop's refresh asserts that it moved p only left
+    """In check mode a delete's refresh asserts that it moved p only left
     and q only right of the index it deleted."""
-    heap = EnvelopeHeap([0, 3, 5], check=True)
+    f = []
+    heap = EnvelopeHeap([0, 3, 5], f, check=True)
     heap.insert(2, 0, 2)  # 2, 1, 1 against the shift; p == q == 2
-    heap.peek()
     heap._left[1] = 3  # a skip pointer jumping right, which no operation makes
     with pytest.raises(AssertionError, match="wrong way"):
-        heap.pop()
+        delete_min(heap, f)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +287,18 @@ def test_random_families_match_naive(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 12)
     shift, fns = shifted_family(rng, n, rng.randint(1, 10))
-    h = EnvelopeHeap(shift)
+    f = []
+    h = EnvelopeHeap(shift, f)
     naive = NaiveEnvelope(n)
     for w, b, valley, _ in fns:
         h.insert(w, b, valley)
         naive.insert(row(w, b, shift))
         if naive.live:
-            assert h.peek()[0] == naive.min_value()
+            assert minimum(h, f)[0] == naive.min_value()
         if rng.random() < 0.5 and naive.live:
-            pop_both(h, naive)
+            delete_both(h, f, naive)
     while naive.live:
-        pop_both(h, naive)
+        delete_both(h, f, naive)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -277,14 +308,17 @@ def test_shift_fast_path_matches_values_path(seed):
     rng = random.Random(1000 + seed)
     n = rng.randint(1, 10)
     shift, fns = shifted_family(rng, n, rng.randint(1, 8))
-    fast = EnvelopeHeap(shift)
-    checked = EnvelopeHeap(shift, check=True)
+    ff, fc = [], []
+    fast = EnvelopeHeap(shift, ff)
+    checked = EnvelopeHeap(shift, fc, check=True)
     for w, b, valley, _ in fns:
-        assert fast.insert(w, b, valley) == checked.insert(w, b, valley)
-        assert fast.peek() == checked.peek()
+        fast.insert(w, b, valley)
+        checked.insert(w, b, valley)
+        assert ff == fc
+        assert minimum(fast, ff) == minimum(checked, fc)
     for _ in range(n):
-        assert fast.pop() == checked.pop()
-        assert fast.peek() == checked.peek()
+        assert delete_min(fast, ff) == delete_min(checked, fc)
+        assert minimum(fast, ff) == minimum(checked, fc)
 
 
 def test_checked_mode_accepts_valid_sequences():
@@ -292,21 +326,24 @@ def test_checked_mode_accepts_valid_sequences():
     for _ in range(10):
         n = rng.randint(1, 8)
         shift, fns = shifted_family(rng, n, 6)
-        h = EnvelopeHeap(shift, check=True)
+        f = []
+        h = EnvelopeHeap(shift, f, check=True)
         for w, b, valley, _ in fns:
             h.insert(w, b, valley)
         for _ in range(n):
-            pop_value(h)
-        assert h.peek() is None
+            delete_min(h, f)
+        assert minimum(h, f) is None
 
 
 def test_candidate_heap_stays_small():
-    # Each row holds at most two candidates, and each candidate has
-    # exactly one current heap entry: a refresh pushes only what moved.
+    # Each row holds at most two current candidates, and each candidate
+    # has exactly one entry in the frontier: a refresh pushes only what
+    # moved.
     rng = random.Random(5)
     n = 10
     shift, fns = shifted_family(rng, n, 25)
-    h = EnvelopeHeap(shift)
+    f = []
+    h = EnvelopeHeap(shift, f)
 
     def assert_small():
         candidates = sorted(
@@ -314,7 +351,7 @@ def test_candidate_heap_stays_small():
         )
         assert len(candidates) <= 2 * len(h)
         current = sorted(
-            (uid, x) for _value, uid, x in h._heap if x in (h._lines[uid].p, h._lines[uid].q)
+            (uid, x) for _value, _key, uid, x in f if h.current(uid, x) is not None
         )
         assert current == candidates
 
@@ -322,7 +359,7 @@ def test_candidate_heap_stays_small():
         h.insert(w, b, valley)
         assert_small()
         if k % 3 == 2:
-            pop_value(h)
+            delete_min(h, f)
             assert_small()
 
 
@@ -350,17 +387,18 @@ def op_sequences(draw):
 @given(op_sequences())
 def test_interleaved_ops_match_naive(ops):
     n, shift, lines, deletes = ops
-    h = EnvelopeHeap(shift)
+    f = []
+    h = EnvelopeHeap(shift, f)
     naive = NaiveEnvelope(n)
     for (w, b, valley), delete_after in zip(lines, deletes):
         h.insert(w, b, valley)
         naive.insert(row(w, b, shift))
         if naive.live:
-            assert h.peek()[0] == naive.min_value()
+            assert minimum(h, f)[0] == naive.min_value()
         if delete_after and naive.live:
-            pop_both(h, naive)
+            delete_both(h, f, naive)
     while naive.live:
-        pop_both(h, naive)
+        delete_both(h, f, naive)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +408,7 @@ def test_interleaved_ops_match_naive(ops):
 def checked_phase_heaps(seed, num_jobs, num_machines, max_weight):
     """Solve a random instance phase by phase with ``check=True``.
 
-    Each envelope heap a phase opens audits every insert and pop the
+    Each envelope heap a phase opens audits every insert and delete the
     search makes against a brute scan, inline.  Returns the number
     of heaps opened and the number of heap operations audited.
     """
