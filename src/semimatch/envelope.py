@@ -28,8 +28,9 @@ goes onto a binary heap shared with the caller, the ``frontier``.
 Intervals and the live set only shrink, so ``p`` only moves left and
 ``q`` only moves right: a line never returns to an index it left, and a
 frontier entry is current exactly when its index is still one of its
-line's candidates.  A refresh therefore pushes only a candidate that
-moved, and the caller drops a stale entry when it pops one.
+line's candidates.  A move therefore pushes only what moved, and the
+caller drops a stale entry when it pops one.  A delete moves only the
+side that held its index.
 
 All arithmetic is exact integer arithmetic; interval breakpoints are floor
 divisions of intercept differences by slope differences.
@@ -46,15 +47,15 @@ class _Line:
     __slots__ = ("uid", "slope", "intercept", "valley", "payload", "x", "y", "p", "q")
 
     def __init__(
-        self, uid: int, slope: int, intercept: int, valley: int, payload: Any
+        self, uid: int, slope: int, intercept: int, valley: int, payload: Any, x: int, y: int
     ) -> None:
         self.uid = uid
         self.slope = slope
         self.intercept = intercept
         self.valley = valley
         self.payload = payload
-        self.x = 1          # envelope interval [x, y]
-        self.y = 0
+        self.x = x          # envelope interval [x, y]
+        self.y = y
         # Live candidates left of/at and right of/at the valley; 0 and N+1
         # when the side has none, None before the line is placed and after
         # it leaves the envelope.
@@ -69,7 +70,8 @@ class EnvelopeHeap:
     :mod:`heapq` list the caller owns and may share with other entries
     and other heaps: each one that moves is pushed as ``(value, key,
     uid, idx)``, so at equal value the heap's entries pop in ``(uid,
-    idx)`` order and ``key`` tells heaps apart.  The heap makes three
+    idx)`` order and ``key`` tells heaps apart.  Uids number the rows
+    that entered the envelope, in insertion order.  The heap makes three
     operations: :meth:`insert` adds a row, :meth:`current` says whether
     a popped entry still names a candidate, and :meth:`delete` removes a
     candidate's index.  The least current entry of this heap in the
@@ -78,7 +80,7 @@ class EnvelopeHeap:
     ``check=True`` makes the heap audit itself, for tests: every insert
     must name a valley inside the domain that is the row's left-most
     minimiser, around which the row is unimodal (else ``ValueError``);
-    every refresh must move ``p`` only left and ``q`` only right; after
+    every move must take ``p`` only left and ``q`` only right; after
     every insert and every delete the least current frontier entry of
     this heap must equal a brute scan of all inserted rows over a shadow
     live set, and each deleted index must attain that minimum (else
@@ -97,43 +99,33 @@ class EnvelopeHeap:
         self._right = list(range(n + 2))
         self._env: list[_Line] = []        # envelope lines, slope descending
         self._env_keys: list[int] = []     # negated slopes, for bisect
-        self._lines: list[_Line] = []      # every inserted line, by uid
+        self._lines: list[_Line] = []      # every line that entered the envelope, by uid
         self._frontier = frontier
         self._key = key
         self._shift = shift
         self._check = check
-        # Check mode's own record of the live indices, kept apart from the
-        # skip pointers it audits.
+        # Check mode's own records of every inserted row and of the live
+        # indices, kept apart from the structure it audits.
+        self._shadow_rows = [] if check else None
         self._shadow_live = set(range(1, n + 1)) if check else None
-
-    # ------------------------------------------------------------------
-    # live-index bookkeeping
-
-    def _find_left(self, i: int) -> int:
-        """Largest live index <= i, or 0 if none."""
-        left = self._left
-        while left[i] != i:
-            left[i] = i = left[left[i]]
-        return i
-
-    def _find_right(self, i: int) -> int:
-        """Smallest live index >= i, or n+1 if none."""
-        right = self._right
-        while right[i] != i:
-            right[i] = i = right[right[i]]
-        return i
 
     # ------------------------------------------------------------------
     # candidate pointers
 
     def _refresh(self, line: _Line) -> None:
-        """Recompute a line's candidates from its interval; push those that moved."""
-        p = self._find_left(min(line.valley, line.y))
-        if p < line.x:
-            p = 0
-        q = self._find_right(max(line.valley, line.x))
-        if q > line.y:
-            q = self.n + 1
+        """Recompute a line's candidates from its interval."""
+        left, right = self._left, self._right
+        x, y, valley = line.x, line.y, line.valley
+        p = valley if valley < y else y
+        while left[p] != p:
+            left[p] = p = left[left[p]]
+        q = valley if valley > x else x
+        while right[q] != q:
+            right[q] = q = right[right[q]]
+        self._move(line, p if p >= x else 0, q if q <= y else self.n + 1)
+
+    def _move(self, line: _Line, p: int, q: int) -> None:
+        """Set a line's candidates to ``p`` and ``q``; push each that moved."""
         if self._check and line.p is not None:
             assert p <= line.p and q >= line.q, (
                 f"candidates moved the wrong way: p {line.p} -> {p}, q {line.q} -> {q}"
@@ -157,9 +149,6 @@ class EnvelopeHeap:
     # ------------------------------------------------------------------
     # public operations
 
-    def __len__(self) -> int:
-        return len(self._lines)
-
     def insert(self, slope: int, intercept: int, valley: int, payload: Any = None) -> None:
         """Add the row ``slope*x + intercept - shift[x-1]`` with its valley.
 
@@ -168,29 +157,27 @@ class EnvelopeHeap:
         """
         if self._check:
             self._check_row(slope, intercept, valley)
-        line = _Line(len(self._lines), slope, intercept, valley, payload)
-        self._lines.append(line)
-        self._place(line)
+            self._shadow_rows.append((slope, intercept))
+        env = self._env
+        pos = bisect_left(self._env_keys, -slope)
+        # A same-slope line survives only with the smaller intercept (equal
+        # lines keep the earlier one); the loser is dropped before it is built.
+        if pos == len(env) or env[pos].slope != slope or intercept < env[pos].intercept:
+            self._place(slope, intercept, valley, payload, pos)
         if self._check:
             self._check_min(self._claimed_min())
 
-    def _place(self, line: _Line) -> None:
-        """Splice a new line into the envelope, evicting what it covers."""
-        env, keys = self._env, self._env_keys
-        pos = bisect_left(keys, -line.slope)
-
-        # A same-slope line survives only with the smaller intercept (equal
-        # lines keep the earlier one); the loser never reaches the envelope.
-        if pos < len(env) and env[pos].slope == line.slope:
-            if line.intercept >= env[pos].intercept:
-                return
-            self._evict(pos)
+    def _place(self, slope: int, intercept: int, valley: int, payload: Any, pos: int) -> None:
+        """Splice a row into the envelope at ``pos``, evicting what it covers."""
+        env = self._env
+        if pos < len(env) and env[pos].slope == slope:
+            self._evict(pos)  # the same-slope line this row beat
 
         # Walk outward evicting neighbours whose interval the new line takes
         # over entirely.  Breakpoints put tie indices on the steeper line.
         while pos > 0:
             left = env[pos - 1]
-            b = (line.intercept - left.intercept) // (left.slope - line.slope)
+            b = (intercept - left.intercept) // (left.slope - slope)
             if b < left.x:
                 self._evict(pos - 1)
                 pos -= 1
@@ -200,7 +187,7 @@ class EnvelopeHeap:
 
         while pos < len(env):
             right = env[pos]
-            c = (right.intercept - line.intercept) // (line.slope - right.slope)
+            c = (right.intercept - intercept) // (slope - right.slope)
             if c >= right.y:
                 self._evict(pos)
             else:
@@ -208,8 +195,8 @@ class EnvelopeHeap:
         hi = self.n if pos == len(env) else c
 
         if lo > hi:
-            # Dominated everywhere: stays off the envelope, contributes no
-            # candidates.  (Cannot co-occur with evictions above.)
+            # Dominated everywhere: never built, contributes no candidates.
+            # (Cannot co-occur with evictions above.)
             return
 
         if pos > 0 and env[pos - 1].y != lo - 1:
@@ -219,9 +206,10 @@ class EnvelopeHeap:
             env[pos].x = hi + 1
             self._refresh(env[pos])
 
-        line.x, line.y = lo, hi
+        line = _Line(len(self._lines), slope, intercept, valley, payload, lo, hi)
+        self._lines.append(line)
         env.insert(pos, line)
-        keys.insert(pos, -line.slope)
+        self._env_keys.insert(pos, -slope)
         self._refresh(line)
 
     def current(self, uid: int, idx: int) -> Optional[_Line]:
@@ -235,18 +223,32 @@ class EnvelopeHeap:
         """Delete index ``idx``, a current candidate of ``line`` whose entry
         the caller just popped as the least of this heap.
 
-        Only ``line`` has a candidate at ``idx``, so its refresh moves only
-        that candidate, one live index outward (both when ``p == q``), and
-        pushes what moved; no other line changes.
+        Only ``line`` has a candidate at ``idx``, and only the side that
+        took it moves, one live index outward (both when ``p == q``); what
+        moved is pushed, and no other line changes.
         """
         if self._check:
             assert self.current(line.uid, idx) is line, f"index {idx} is not a candidate of its line"
             value = line.slope * idx + line.intercept - self._shift[idx - 1]
             self._check_min(value, deleting=idx)
             self._shadow_live.discard(idx)
-        self._left[idx] = idx - 1
-        self._right[idx] = idx + 1
-        self._refresh(line)
+        left, right = self._left, self._right
+        left[idx] = idx - 1
+        right[idx] = idx + 1
+        p, q = line.p, line.q
+        if idx == p:
+            p = idx - 1
+            while left[p] != p:
+                left[p] = p = left[left[p]]
+            if p < line.x:
+                p = 0
+        if idx == q:
+            q = idx + 1
+            while right[q] != q:
+                right[q] = q = right[right[q]]
+            if q > line.y:
+                q = self.n + 1
+        self._move(line, p, q)
         if self._check:
             self._check_min(self._claimed_min())
 
@@ -292,10 +294,10 @@ class EnvelopeHeap:
         if not live:
             assert value is None, f"envelope minimum {value} with no live index"
             return
-        shift = self._shift
+        shift, rows = self._shift, self._shadow_rows
 
         def at(x: int) -> int:
-            return min(ln.slope * x + ln.intercept - shift[x - 1] for ln in self._lines)
+            return min(w * x + b for w, b in rows) - shift[x - 1]
 
         brute = min(at(x) for x in live)
         assert value == brute, f"envelope minimum {value} disagrees with brute scan {brute}"

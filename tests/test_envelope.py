@@ -162,54 +162,92 @@ def test_false_valley_rejected_in_check_mode(slope, shift, valley):
     h = EnvelopeHeap(shift, [], check=True)
     with pytest.raises(ValueError):
         h.insert(slope, 0, valley)
-    assert len(h) == 0
+    assert h._lines == h._shadow_rows == []  # the rejected row left no trace
+
+
+def candidate_moves():
+    """Two short streams whose last step moves a candidate, each returning
+    the minimum after a delete: ``(stream, correct value)``."""
+
+    def by_delete(check):
+        f = []
+        heap = EnvelopeHeap([0, 3, 5], f, check=check)
+        heap.insert(2, 0, 2)  # 2, 1, 1 against the shift; p == q == 2
+        return delete_min(heap, f)  # slot 2 goes; p moves to 1, q to slot 3 (value 1)
+
+    def by_refresh(check):
+        f = []
+        heap = EnvelopeHeap([0, 0, 0], f, check=check)
+        heap.insert(1, 0, 1)  # 1, 2, 3: p == q == 1
+        heap.insert(5, -4, 1)  # 1, 6, 11: takes [1, 1], so the first line's q moves to 2
+        return delete_min(heap, f)  # slot 1 goes; the minimum is the first line at 2
+
+    return [(by_delete, 1), (by_refresh, 2)]
 
 
 def test_sabotaged_refresh_fails_the_brute_scan(monkeypatch):
-    """A checked heap catches a refresh that loses its right candidate."""
-    refresh = EnvelopeHeap._refresh
+    """A checked heap catches a candidate move that loses its right
+    candidate, on a delete and on a neighbour's refresh alike."""
+    move = EnvelopeHeap._move
 
-    def drop_right_candidate(self, line):
-        placed = line.q is not None
-        refresh(self, line)
-        if placed and line.p:
+    def drop_moved_right_candidate(self, line, p, q):
+        moved = line.q is not None and q != line.q
+        move(self, line, p, q)
+        if moved:
             line.q = self.n + 1  # its frontier entry now looks stale and is dropped
 
-    def stream(check):
-        f = []
-        heap = EnvelopeHeap([0, 3, 5], f, check=check)
-        heap.insert(2, 0, 2)  # 2, 1, 1 against the shift
-        return delete_min(heap, f)  # slot 2 goes; the minimum 1 moves right, to slot 3
-
-    assert stream(True) == 1
-    monkeypatch.setattr(EnvelopeHeap, "_refresh", drop_right_candidate)
-    assert stream(False) == 2  # silently wrong
-    with pytest.raises(AssertionError, match="brute scan"):
-        stream(True)
+    for stream, correct in candidate_moves():
+        assert stream(True) == correct
+        with monkeypatch.context() as m:
+            m.setattr(EnvelopeHeap, "_move", drop_moved_right_candidate)
+            assert stream(False) != correct  # silently wrong
+            with pytest.raises(AssertionError, match="brute scan"):
+                stream(True)
 
 
 def test_refresh_that_skips_a_moved_push_fails_the_brute_scan(monkeypatch):
-    """A refresh must push every candidate that moved: an entry is only
-    pushed when its index becomes a candidate, so a skipped push loses
-    that candidate for good."""
-    refresh = EnvelopeHeap._refresh
+    """A candidate move must push every candidate that moved: an entry is
+    only pushed when its index becomes a candidate, so a skipped push loses
+    that candidate for good, on a delete and on a neighbour's refresh."""
+    move = EnvelopeHeap._move
 
-    def skip_moved_pushes(self, line):
+    def skip_moved_pushes(self, line, p, q):
         if line.p is None:
-            return refresh(self, line)  # a new line pushes as usual
+            return move(self, line, p, q)  # a new line pushes as usual
         frontier, self._frontier = self._frontier, []
-        refresh(self, line)  # the candidates move; their pushes go nowhere
+        move(self, line, p, q)  # the candidates move; their pushes go nowhere
         self._frontier = frontier
+
+    for stream, correct in candidate_moves():
+        assert stream(True) == correct
+        with monkeypatch.context() as m:
+            m.setattr(EnvelopeHeap, "_move", skip_moved_pushes)
+            assert stream(False) is None  # silently wrong
+            with pytest.raises(AssertionError, match="brute scan"):
+                stream(True)
+
+
+def test_same_slope_reject_of_the_better_line_fails_the_brute_scan(monkeypatch):
+    """A row dropped as a same-slope loser is never built, yet a checked
+    heap still scans it: an insert that keeps the worse of two parallel
+    lines fails the brute scan."""
+    place = EnvelopeHeap._place
+
+    def keep_the_worse_line(self, slope, intercept, valley, payload, pos):
+        if pos < len(self._env) and self._env[pos].slope == slope:
+            return  # the smaller intercept is dropped as if it had lost
+        place(self, slope, intercept, valley, payload, pos)
 
     def stream(check):
         f = []
-        heap = EnvelopeHeap([0, 3, 5], f, check=check)
-        heap.insert(2, 0, 2)  # 2, 1, 1 against the shift
-        return delete_min(heap, f)  # slot 2 goes; both candidates move off it
+        heap = EnvelopeHeap([0, 0, 0], f, check=check)
+        heap.insert(1, 5, 1)  # 6, 7, 8
+        heap.insert(1, 2, 1)  # 3, 4, 5: the same slope, below it everywhere
+        return minimum(heap, f)[0]
 
-    assert stream(True) == 1
-    monkeypatch.setattr(EnvelopeHeap, "_refresh", skip_moved_pushes)
-    assert stream(False) is None  # silently wrong
+    assert stream(True) == 3
+    monkeypatch.setattr(EnvelopeHeap, "_place", keep_the_worse_line)
+    assert stream(False) == 6  # silently wrong
     with pytest.raises(AssertionError, match="brute scan"):
         stream(True)
 
@@ -258,7 +296,9 @@ def test_checked_pop_rejects_a_candidate_moving_back():
 # ---------------------------------------------------------------------------
 # Synthetic families: shared concave-difference shift arrays make every
 # line w*x + b - shift[x-1] unimodal with exact certificate linkage, the
-# same shape the weighted solver feeds the heap.
+# same shape the weighted solver feeds the heap.  Slopes drawn from 0..3
+# make parallel lines common: a same-slope loser then arrives before and
+# after its winner, and after a winner was evicted.
 
 
 def make_shift(rng, n):
@@ -270,11 +310,11 @@ def make_shift(rng, n):
     return [s - base for s in shift]
 
 
-def shifted_family(rng, n, k):
+def shifted_family(rng, n, k, max_slope=40):
     shift = make_shift(rng, n)
     fns = []
     for _ in range(k):
-        w = rng.randint(0, 40)
+        w = rng.randint(0, max_slope)
         b = rng.randint(0, 60)
         seq = [w * x + b - shift[x - 1] for x in range(1, n + 1)]
         valley = seq.index(min(seq)) + 1
@@ -284,41 +324,43 @@ def shifted_family(rng, n, k):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_families_match_naive(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 12)
-    shift, fns = shifted_family(rng, n, rng.randint(1, 10))
-    f = []
-    h = EnvelopeHeap(shift, f)
-    naive = NaiveEnvelope(n)
-    for w, b, valley, _ in fns:
-        h.insert(w, b, valley)
-        naive.insert(row(w, b, shift))
-        if naive.live:
-            assert minimum(h, f)[0] == naive.min_value()
-        if rng.random() < 0.5 and naive.live:
+    for max_slope in (40, 3):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        shift, fns = shifted_family(rng, n, rng.randint(1, 10), max_slope)
+        f = []
+        h = EnvelopeHeap(shift, f)
+        naive = NaiveEnvelope(n)
+        for w, b, valley, _ in fns:
+            h.insert(w, b, valley)
+            naive.insert(row(w, b, shift))
+            if naive.live:
+                assert minimum(h, f)[0] == naive.min_value()
+            if rng.random() < 0.5 and naive.live:
+                delete_both(h, f, naive)
+        while naive.live:
             delete_both(h, f, naive)
-    while naive.live:
-        delete_both(h, f, naive)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_shift_fast_path_matches_values_path(seed):
     """The shift fast path agrees with the rows' values, which a checked
     heap re-derives by evaluating every row at every live index."""
-    rng = random.Random(1000 + seed)
-    n = rng.randint(1, 10)
-    shift, fns = shifted_family(rng, n, rng.randint(1, 8))
-    ff, fc = [], []
-    fast = EnvelopeHeap(shift, ff)
-    checked = EnvelopeHeap(shift, fc, check=True)
-    for w, b, valley, _ in fns:
-        fast.insert(w, b, valley)
-        checked.insert(w, b, valley)
-        assert ff == fc
-        assert minimum(fast, ff) == minimum(checked, fc)
-    for _ in range(n):
-        assert delete_min(fast, ff) == delete_min(checked, fc)
-        assert minimum(fast, ff) == minimum(checked, fc)
+    for max_slope in (40, 3):
+        rng = random.Random(1000 + seed)
+        n = rng.randint(1, 10)
+        shift, fns = shifted_family(rng, n, rng.randint(1, 8), max_slope)
+        ff, fc = [], []
+        fast = EnvelopeHeap(shift, ff)
+        checked = EnvelopeHeap(shift, fc, check=True)
+        for w, b, valley, _ in fns:
+            fast.insert(w, b, valley)
+            checked.insert(w, b, valley)
+            assert ff == fc
+            assert minimum(fast, ff) == minimum(checked, fc)
+        for _ in range(n):
+            assert delete_min(fast, ff) == delete_min(checked, fc)
+            assert minimum(fast, ff) == minimum(checked, fc)
 
 
 def test_checked_mode_accepts_valid_sequences():
@@ -349,7 +391,7 @@ def test_candidate_heap_stays_small():
         candidates = sorted(
             (ln.uid, x) for ln in h._lines for x in {ln.p, ln.q} if x is not None and 1 <= x <= n
         )
-        assert len(candidates) <= 2 * len(h)
+        assert len(candidates) <= 2 * len(h._lines)
         current = sorted(
             (uid, x) for _value, _key, uid, x in f if h.current(uid, x) is not None
         )
@@ -373,9 +415,10 @@ def op_sequences(draw):
     rng = random.Random(draw(st.integers(0, 2**20)))
     shift = make_shift(rng, n)
     k = draw(st.integers(1, 8))
+    max_slope = draw(st.sampled_from([30, 3]))
     lines = []
     for _ in range(k):
-        w = draw(st.integers(0, 30))
+        w = draw(st.integers(0, max_slope))
         b = draw(st.integers(0, 40))
         seq = [w * x + b - shift[x - 1] for x in range(1, n + 1)]
         lines.append((w, b, seq.index(min(seq)) + 1))
