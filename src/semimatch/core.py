@@ -20,6 +20,7 @@ All ids are dense and 0-based.  Instances are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from operator import index
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -68,20 +69,25 @@ class BipartiteInstance:
     are rejected, as are out-of-range ids and weights outside
     ``[0, 2**31)``, each with a ``ValueError`` naming the field.  A job
     with no edge can never be assigned, so such instances are rejected
-    up front with :class:`InfeasibleInstanceError`.  Machines with no
-    edges are legal; they simply never receive work.
+    up front with :class:`InfeasibleInstanceError`, before anything is
+    allocated per job.  Machines with no edges are legal; they simply
+    never receive work.
 
-    The instance stores ``num_edges`` and two adjacencies:
-    ``job_adj[u]`` holds job u's ``(machine, weight)`` pairs in input
-    order, and ``machine_adj[v]`` machine v's ``(job, weight)`` pairs in
+    The instance stores ``num_edges`` and its adjacency as id tuples in
+    compressed-sparse-row form: ``job_machines[u]`` holds job u's
+    machines in input order, and ``machine_jobs[v]`` machine v's jobs in
     job order (for constructor input given out of job order, that is
     not the input order, so unit solvers may pick a different optimal
-    assignment than one that followed the input).  ``edges`` is derived
-    from ``job_adj`` on each read, as ``(job, machine, weight)`` triples
-    in job order.
+    assignment than one that followed the input).  ``job_weights[u]``
+    holds job u's weights in the same order, but is ``None`` when every
+    weight is 1.  ``job_adj``, ``machine_adj`` and ``edges`` are views
+    derived on each read, as ``(machine, weight)``, ``(job, weight)`` and
+    ``(job, machine, weight)`` tuples in the orders above.
     """
 
-    __slots__ = ("num_jobs", "num_machines", "num_edges", "job_adj", "machine_adj")
+    __slots__ = (
+        "num_jobs", "num_machines", "num_edges", "job_machines", "machine_jobs", "job_weights"
+    )
 
     def __init__(
         self,
@@ -93,7 +99,7 @@ class BipartiteInstance:
         num_machines = _integer(num_machines, "machine count")
         if num_jobs < 0 or num_machines < 0:
             raise ValueError("vertex counts must be non-negative")
-        job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
+        jobs, machines, weights = [], [], []
         stride = num_machines + 1
         seen: set[int] = set()
         for edge in edges:
@@ -116,27 +122,64 @@ class BipartiteInstance:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            job_adj[u].append((v, w))
-        self._build(num_machines, job_adj)
+            jobs.append(u)
+            machines.append(v)
+            weights.append(w)
+        self._build(num_jobs, num_machines, jobs, machines, weights)
 
-    def _build(self, num_machines: int, job_adj: list[list[tuple[int, int]]]) -> None:
-        """Fill in the instance from each job's list of ``(machine,
-        weight)`` pairs, whose ids, weights and uniqueness the caller has
-        checked; rejects edgeless jobs.  ``machine_adj`` is read off
-        ``job_adj`` in one pass, so it lists each machine's jobs in job
-        order."""
-        machine_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_machines)]
-        for u, adj in enumerate(job_adj):
-            if not adj:
-                raise _edgeless_job(u)
-            for v, w in adj:
-                machine_adj[v].append((u, w))
+    def _build(self, num_jobs: int, num_machines: int, jobs, machines, weights) -> None:
+        """Fill in the instance from its edges, given in input order as
+        lists of job ids, machine ids and weights (``None`` for all 1)
+        whose ranges and uniqueness the caller has checked.  Rejects
+        edgeless jobs, naming the lowest; with fewer edges than jobs,
+        before it allocates per job.  ``machine_jobs`` is read off
+        ``job_machines`` in one pass, so it lists jobs in job order."""
+        if num_jobs > len(jobs):
+            hit = set(jobs)
+            raise _edgeless_job(next(u for u in count() if u not in hit))
+        job_machines: list[list[int]] = [[] for _ in range(num_jobs)]
+        for u, v in zip(jobs, machines):
+            job_machines[u].append(v)
+        if not all(job_machines):
+            raise _edgeless_job(job_machines.index([]))
+        if weights is None or weights.count(1) == len(weights):
+            self.job_weights = None
+        else:
+            job_weights: list[list[int]] = [[] for _ in range(num_jobs)]
+            for u, w in zip(jobs, weights):
+                job_weights[u].append(w)
+            self.job_weights = tuple(map(tuple, job_weights))
+        machine_jobs: list[list[int]] = [[] for _ in range(num_machines)]
+        for u, vs in enumerate(job_machines):
+            for v in vs:
+                machine_jobs[v].append(u)
 
-        self.num_jobs = len(job_adj)
+        self.num_jobs = num_jobs
         self.num_machines = num_machines
-        self.num_edges = sum(map(len, job_adj))
-        self.job_adj = tuple(map(tuple, job_adj))
-        self.machine_adj = tuple(map(tuple, machine_adj))
+        self.num_edges = len(jobs)
+        self.job_machines = tuple(map(tuple, job_machines))
+        self.machine_jobs = tuple(map(tuple, machine_jobs))
+
+    def weights(self, u: int) -> tuple[int, ...]:
+        """Job u's edge weights, parallel to ``job_machines[u]``."""
+        ws = self.job_weights
+        return (1,) * len(self.job_machines[u]) if ws is None else ws[u]
+
+    def weight(self, u: int, v: int) -> int:
+        """The weight of edge (u, v); ``ValueError`` when there is none."""
+        i = self.job_machines[u].index(v)
+        return 1 if self.job_weights is None else self.job_weights[u][i]
+
+    @property
+    def job_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each job's ``(machine, weight)`` pairs, in input order."""
+        return tuple(tuple(zip(vs, self.weights(u))) for u, vs in enumerate(self.job_machines))
+
+    @property
+    def machine_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each machine's ``(job, weight)`` pairs, in job order."""
+        ids = self.machine_jobs
+        return tuple(tuple((u, self.weight(u, v)) for u in ids[v]) for v in range(len(ids)))
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -144,10 +187,10 @@ class BipartiteInstance:
         return tuple((u, v, w) for u, adj in enumerate(self.job_adj) for v, w in adj)
 
     def machine_degree(self, v: int) -> int:
-        return len(self.machine_adj[v])
+        return len(self.machine_jobs[v])
 
     def is_unit_weight(self) -> bool:
-        return all(w == 1 for adj in self.job_adj for _v, w in adj)
+        return self.job_weights is None
 
     def __repr__(self) -> str:
         return (
@@ -173,12 +216,11 @@ class SemiMatching:
         """Per-machine lists of assigned job weights."""
         loads: list[list[int]] = [[] for _ in range(instance.num_machines)]
         for u, v in enumerate(self.machine_of):
-            for vv, w in instance.job_adj[u]:
-                if vv == v:
-                    loads[v].append(w)
-                    break
-            else:
-                raise KeyError(f"no edge ({u}, {v})")
+            try:
+                w = instance.weight(u, v)
+            except ValueError:
+                raise KeyError(f"no edge ({u}, {v})") from None
+            loads[v].append(w)
         return loads
 
     def degrees(self, num_machines: int) -> list[int]:
@@ -249,10 +291,7 @@ def validate_semi_matching(
     for u, v in enumerate(matching.machine_of):
         if v is None or not 0 <= v < instance.num_machines:
             return Violation("unassigned", f"job {u} has no machine (got {v!r})")
-        for vv, _w in instance.job_adj[u]:
-            if vv == v:
-                break
-        else:
+        if v not in instance.job_machines[u]:
             return Violation("not-an-edge", f"({u}, {v}) is not an edge")
     return None
 

@@ -332,16 +332,18 @@ def find_center(graph: GeneralGraph) -> EdgeCover:
             job_of[v] = i
         for i, v in enumerate(odds):
             machine_of[v] = i
-        cross: list[list[tuple[int, int]]] = [[] for _ in evens]
+        jobs, machines = [], []
         for a, b in graph.edges:
             if job_of[a] >= 0 and machine_of[b] >= 0:
-                cross[job_of[a]].append((machine_of[b], 1))
+                jobs.append(job_of[a])
+                machines.append(machine_of[b])
             elif job_of[b] >= 0 and machine_of[a] >= 0:
-                cross[job_of[b]].append((machine_of[a], 1))
+                jobs.append(job_of[b])
+                machines.append(machine_of[a])
         # The ids are in range and the edges distinct, since the graph's
         # are: skip the constructor's checks.
         instance = BipartiteInstance.__new__(BipartiteInstance)
-        instance._build(len(odds), cross)
+        instance._build(len(evens), len(odds), jobs, machines, None)
         assignment = solve_unweighted(instance)
         for i, j in enumerate(assignment.machine_of):
             a, b = evens[i], odds[j]

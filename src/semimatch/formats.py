@@ -33,34 +33,30 @@ everything :func:`emit_instance` writes without comments, is read in
 one bulk pass.  The subset: the header is on line 1, every body line is
 exactly ``e <job> <machine> <weight>`` ended by ``\n``, fields are
 separated by single spaces, ids match ``[1-9][0-9]*`` and weights
-``0|[1-9][0-9]*``.  On such text ``int()`` and ``splitlines()`` read
-what the line loop reads.  The pass matches the header once, then takes
-the body in slices of about 16 KiB cut at newlines: it checks each
-slice against one regular expression for a run of body lines, and
-converts it by ``split()`` and ``map(int, ...)`` over every fourth
-token, with ``max`` for the range checks and one set of
-``job * (machines + 1) + machine`` keys for the duplicate check.  The
-pass declines whenever the text is outside the subset or an id, weight,
-duplicate or the edge count is wrong; the line loop then parses the
-text from the start and names the first bad line with the same class,
-line number and message as if the bulk pass did not exist.  There is no
-second accepted language: the line loop accepts every text the bulk
-pass does, and builds the same instance from it.
-
-The body is checked slice by slice because the regular expression's
-``*`` keeps a backtracking entry for every line it has matched: about
-350 bytes a line, a 30 MB peak under ``tracemalloc`` for a 9·10^4-line
-body matched whole, against about 450 KB for one 16 KiB slice.
+``0|[1-9][0-9]*``, so ``int()`` reads what the line loop reads.  The
+pass matches the header once, then takes the body in slices of about
+16 KiB cut at newlines: it checks each slice against one regular
+expression for a run of body lines (which keeps a backtracking entry
+per matched line, ~30 MB for a 9·10^4-line body matched whole),
+converts every fourth token by ``map(int, ...)`` straight into id and
+weight columns, and checks ranges with ``max`` and duplicates with one
+set of ``job * (machines + 1) + machine`` keys.  The instance is built
+from the columns; no tuple is made per edge.  The pass declines
+whenever the text is outside the subset or an id, weight, duplicate or
+the edge count is wrong; the line loop then parses the text from the
+start and names the first bad line with the same class, line number and
+message as if the bulk pass did not exist.  The line loop accepts every
+text the bulk pass does, and builds the same instance from it.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import count, repeat
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import MAX_WEIGHT, BipartiteInstance, SemiMatchError, _edgeless_job
+from .core import MAX_WEIGHT, BipartiteInstance, SemiMatchError
 from .cover import GeneralGraph
 
 __all__ = [
@@ -141,13 +137,13 @@ def _parse_canonical(text: str) -> Optional[BipartiteInstance]:
     except ValueError:  # a count longer than int()'s digit limit
         return None
     start = match.end()
-    # Every job needs an edge, so more jobs than edges fails anyway;
-    # declining first keeps the per-job lists as small as the text.
+    # Every job needs an edge, so more jobs than edges fails anyway: leave
+    # the text to the line loop, which names the first edgeless job.
     if num_jobs > num_edges or text.count("\n", start) != num_edges:
         return None
     stride = num_machines + 1
     seen: set[int] = set()
-    job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs + 1)]  # 1-based
+    jobs, machines, weights = [], [], []  # 0-based columns
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
         chunk = text[start:end]
@@ -156,20 +152,21 @@ def _parse_canonical(text: str) -> Optional[BipartiteInstance]:
             return None
         tokens = chunk.split()  # e, job, machine, weight, e, ...
         try:
-            jobs = list(map(int, tokens[1::4]))
-            machines = list(map(int, tokens[2::4]))
-            weights = list(map(int, tokens[3::4]))
+            us = list(map(int, tokens[1::4]))
+            vs = list(map(int, tokens[2::4]))
+            ws = list(map(int, tokens[3::4]))
         except ValueError:  # a field longer than int()'s digit limit
             return None
-        if max(jobs) > num_jobs or max(machines) > num_machines or max(weights) > MAX_WEIGHT:
+        if max(us) > num_jobs or max(vs) > num_machines or max(ws) > MAX_WEIGHT:
             return None
-        seen.update(map(add, map(mul, jobs, repeat(stride)), machines))
-        for u, v, w in zip(jobs, machines, weights):
-            job_adj[u].append((v - 1, w))
+        seen.update(map(add, map(mul, us, repeat(stride)), vs))
+        jobs += map(sub, us, repeat(1))
+        machines += map(sub, vs, repeat(1))
+        weights += ws
     if len(seen) != num_edges:
         return None
     instance = BipartiteInstance.__new__(BipartiteInstance)
-    instance._build(num_machines, job_adj[1:])
+    instance._build(num_jobs, num_machines, jobs, machines, weights)
     return instance
 
 
@@ -227,11 +224,11 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
 
     # Each line's fields convert in one try; _int_field runs only to name
     # the bad one.  A pair's duplicate key is one integer, id * (n + 1) + id.
-    # A semimatch edge is kept as its job and its (machine, weight) pair,
-    # which go into per-job lists once the whole body has been checked, so
-    # a body error is named before the header's job count is allocated.
-    jobs: list[int] = []
-    edges: list[tuple[int, int]] = []
+    # A semimatch edge goes into three columns, which the instance builds
+    # from once the whole body has been checked, so a body error is named
+    # before anything is allocated per job.
+    jobs, machines, weights = [], [], []
+    edges: list[tuple[int, int]] = []  # cover edges
     seen: set[int] = set()
     for line_no, raw in lines:
         tokens = raw.split()
@@ -242,7 +239,7 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             if tag == "c":
                 continue
             raise ParseError(line_no, f"unknown record {tag!r}, expected 'e'")
-        if len(edges) == num_edges:
+        if len(seen) == num_edges:
             raise CountMismatchError(
                 line_no, f"header declared {num_edges} edges but the body has more"
             )
@@ -275,7 +272,8 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
                 raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
             seen.add(key)
             jobs.append(job - 1)
-            edges.append((machine - 1, weight))
+            machines.append(machine - 1)
+            weights.append(weight)
         else:
             if len(tokens) != 3:
                 raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
@@ -299,23 +297,15 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             seen.add(key)
             edges.append((a - 1, b - 1))
 
-    if len(edges) != num_edges:
+    if len(seen) != num_edges:
         raise CountMismatchError(
             header_line,
-            f"header declared {num_edges} edges but the body has {len(edges)}",
+            f"header declared {num_edges} edges but the body has {len(seen)}",
         )
     if kind == "cover":
         return GeneralGraph(num_vertices, edges)
-    if num_jobs > num_edges:
-        # Some job has no edge: name the lowest without a list per job,
-        # which a few bytes of header could make gigabytes.
-        hit = set(jobs)
-        raise _edgeless_job(next(u for u in count() if u not in hit))
-    job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
-    for u, edge in zip(jobs, edges):
-        job_adj[u].append(edge)
     instance = BipartiteInstance.__new__(BipartiteInstance)
-    instance._build(num_machines, job_adj)
+    instance._build(num_jobs, num_machines, jobs, machines, weights)
     return instance
 
 
@@ -327,15 +317,14 @@ def emit_instance(
     """Render an instance in the canonical on-disk form (sorted edges)."""
     out = [f"c {c}" for c in comments]
     if isinstance(instance, BipartiteInstance):
-        triples = sorted(
-            (u, v, w)
-            for u, machines in enumerate(instance.job_adj)
-            for v, w in machines
-        )
         out.append(
-            f"p semimatch {instance.num_jobs} {instance.num_machines} {len(triples)}"
+            f"p semimatch {instance.num_jobs} {instance.num_machines} {instance.num_edges}"
         )
-        out.extend(f"e {u + 1} {v + 1} {w}" for u, v, w in triples)
+        # Jobs come in ascending order and a job's machines are distinct,
+        # so sorting each job's (machine, weight) pairs sorts the edges.
+        for u, vs in enumerate(instance.job_machines, start=1):
+            pairs = sorted(zip(vs, instance.weights(u - 1)))
+            out.extend(f"e {u} {v + 1} {w}" for v, w in pairs)
     else:
         out.append(f"p cover {instance.num_vertices} {instance.num_edges}")
         out.extend(f"e {a + 1} {b + 1}" for a, b in sorted(instance.edges))

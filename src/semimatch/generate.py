@@ -100,7 +100,7 @@ def gen_family(rng: Random, family: str) -> BipartiteInstance:
     shape = gen_random(rng, rng.randint(1, 24), rng.randint(1, 6),
                        edge_prob=rng.uniform(0.2, 1.0))
     return BipartiteInstance(shape.num_jobs, shape.num_machines, [
-        (u, v, weight()) for u in range(shape.num_jobs) for v, _w in shape.job_adj[u]
+        (u, v, weight()) for u in range(shape.num_jobs) for v in shape.job_machines[u]
     ])
 
 

@@ -8,6 +8,7 @@ forever.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -26,10 +27,7 @@ __all__ = [
 
 def assignment_search_space(instance: BipartiteInstance) -> int:
     """Number of assignments a brute-force sweep would visit."""
-    total = 1
-    for adj in instance.job_adj:
-        total *= len(adj)
-    return total
+    return prod(map(len, instance.job_machines))
 
 
 def brute_force_semi_matching(
@@ -75,7 +73,7 @@ def brute_force_semi_matching(
             best_cost = partial
             best = tuple(chosen)
             return
-        for v, w in instance.job_adj[u]:
+        for v, w in zip(instance.job_machines[u], instance.weights(u)):
             delta = marginal(v, w)
             chosen[u] = v
             loads[v] += 1

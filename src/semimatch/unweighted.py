@@ -70,11 +70,11 @@ class CancelCounters:
     source-to-sink distances of the successful rounds, which must be
     strictly increasing.  ``units_cancelled`` is the total flow moved
     between centers.  ``edges_scanned`` counts the arcs the layering
-    examines, plus every ``machine_adj`` entry a bottom-up layering step
+    examines, plus every ``machine_jobs`` entry a bottom-up layering step
     probes, plus the backward blocking-flow search's probes: the slot
-    arcs it reads start arcs from, each ``machine_adj`` entry and slot
+    arcs it reads start arcs from, each ``machine_jobs`` entry and slot
     edge it tries and each step from a job to its carrier.  A job's
-    out-arcs count as its ``job_adj`` entries but its carrier.
+    out-arcs count as its ``job_machines`` entries but its carrier.
     """
 
     rounds_per_cancel: list[int] = field(default_factory=list)
@@ -102,7 +102,7 @@ class CostCenterNetwork:
     of it; ``_carried[v]`` lists machine v's jobs, job u at index
     ``_where[u]``.  :func:`seed_flow` fills the three and only
     :meth:`_move` changes them.  Job u's residual out-arcs go to the
-    other machines of ``instance.job_adj[u]``.
+    other machines of ``instance.job_machines[u]``.
 
     The slot edges from machines into centers are paired forward/reverse
     arcs (``eid ^ 1`` is the reverse of ``eid``) with remaining-capacity
@@ -131,7 +131,7 @@ class CostCenterNetwork:
 
         # Effective marginal list per machine (unit case: 1, 2, ..., deg).
         marginals: list[Sequence[int]] = []
-        for v, jobs in enumerate(instance.machine_adj):
+        for v, jobs in enumerate(instance.machine_jobs):
             deg = len(jobs)
             if costs is None:
                 marginals.append(range(1, deg + 1))
@@ -306,7 +306,7 @@ def _component_machines(network: CostCenterNetwork, comp: int) -> list[int]:
     nU, comp_of = network.num_jobs, network.comp
     return [
         nU + v
-        for v, jobs in enumerate(network.instance.machine_adj)
+        for v, jobs in enumerate(network.instance.machine_jobs)
         if jobs and comp_of[nU + v] == comp
     ]
 
@@ -360,8 +360,8 @@ def _cancel(
     comp_of = network.comp
     dist, seen, arc = network._dist, network._seen, network._arc
     nU = network.num_jobs
-    job_adj = network.instance.job_adj
-    jobs_of = network.instance.machine_adj
+    job_machines = network.instance.job_machines
+    jobs_of = network.instance.machine_jobs
     slot_edges = network._machine_center_edges
     machine_degree = sum(len(jobs_of[b - nU]) for b in machines)
 
@@ -405,8 +405,8 @@ def _cancel(
                                 nxt.append(y)
                                 unseen_degree -= len(jobs_of[y - nU])
                     elif not bottom_up:
-                        scanned += len(job_adj[x]) - 1
-                        for v, _w in job_adj[x]:
+                        scanned += len(job_machines[x]) - 1
+                        for v in job_machines[x]:
                             y = nU + v
                             if seen[y] != stamp and comp_of[y] == comp:
                                 seen[y] = stamp
@@ -418,7 +418,7 @@ def _cancel(
                     for b in unseen:
                         if seen[b] == stamp:
                             continue
-                        for u, _w in jobs_of[b - nU]:
+                        for u in jobs_of[b - nU]:
                             scanned += 1
                             if seen[u] == stamp:
                                 seen[b] = stamp
@@ -437,7 +437,7 @@ def _cancel(
                     for u in jobs:
                         seen[u] = stamp
                         dist[u] = level
-                        job_arcs += len(job_adj[u]) - 1
+                        job_arcs += len(job_machines[u]) - 1
                     nxt += jobs
                     for e in adj[x]:
                         y = to[e]
@@ -492,7 +492,7 @@ def _cancel(
                 n = len(jobs)
                 first = i = arc[y]
                 while i < n:
-                    u = jobs[i][0]
+                    u = jobs[i]
                     if seen[u] == stamp and dist[u] == want:
                         break
                     i += 1
@@ -631,10 +631,10 @@ def _greedy_seed(instance: BipartiteInstance) -> SemiMatching:
     """
     loads = [0] * instance.num_machines
     out = []
-    for adj in instance.job_adj:
-        best = adj[0][0]
+    for adj in instance.job_machines:
+        best = adj[0]
         best_load = loads[best]
-        for v, _w in adj:
+        for v in adj:
             load = loads[v]
             if load < best_load or (load == best_load and v < best):
                 best, best_load = v, load

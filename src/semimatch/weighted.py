@@ -121,14 +121,19 @@ class EktState:
         self.job_slot: list[Optional[tuple[int, int]]] = [None] * nU
         self.total_potential = 0
         self._raw_job: list[int] = [0] * nU
-        self.shift: list[list[int]] = [[0] if adj else [] for adj in instance.machine_adj]
+        self.shift: list[list[int]] = [[0] if us else [] for us in instance.machine_jobs]
         self.iteration = 0
         self.negdiffs: list[Optional[list[int]]] = [None] * nV
         self.free_n: list[int] = [0] * nV
         self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
         self.touched: list[int] = []
+        # Each job's (machine, weight) pairs: zipping the instance's id and
+        # weight tuples on every pop would cost the search more than this.
+        self.pairs = [
+            tuple(zip(vs, instance.weights(u))) for u, vs in enumerate(instance.job_machines)
+        ]
         # Heaviest lightest edge first; sorted is stable, so ties keep index order.
-        self.order = sorted(range(nU), key=lambda u: -min(w for _v, w in instance.job_adj[u]))
+        self.order = sorted(range(nU), key=lambda u: -min(instance.weights(u)))
 
     # -- potentials -------------------------------------------------------
 
@@ -181,7 +186,8 @@ def _potential_diffs(state: EktState, v: int, n: int) -> list[int]:
 
 def _adj_desc(instance: BipartiteInstance, v: int) -> list[tuple[int, int]]:
     """Machine v's edges as (weight, job), heaviest first, job id breaking ties."""
-    return sorted(((w, u) for u, w in instance.machine_adj[v]), key=lambda t: (-t[0], t[1]))
+    pairs = [(instance.weight(u, v), u) for u in instance.machine_jobs[v]]
+    return sorted(pairs, key=lambda t: (-t[0], t[1]))
 
 
 def compute_gammas(state: EktState) -> dict[tuple[int, int], int]:
@@ -327,7 +333,7 @@ class GroupedDijkstra:
     def run(self) -> DijkstraRun:
         state = self.state
         job_base = self._job_base
-        job_adj = state.instance.job_adj
+        pairs = state.pairs
         raw_job = state._raw_job
         slots = state.slots
         shift_l, negdiffs_l = state.shift, state.negdiffs
@@ -349,7 +355,7 @@ class GroupedDijkstra:
                     continue
                 dist_job[u] = value
                 b = value - raw_job[u]  # d(u) + p(u), less total_potential
-                for v, w in job_adj[u]:
+                for v, w in pairs[u]:
                     negd = negdiffs_l[v]
                     if negd is None:
                         negdiffs_l[v], free_l[v] = _machine_tables(state, v)
@@ -369,7 +375,7 @@ class GroupedDijkstra:
                         touched.append(v)
                     inserts += 1
                     heap.insert(w, b, g, u)
-                relaxed += len(job_adj[u])
+                relaxed += len(pairs[u])
                 continue
             v, i = node, entry[3]
             heap = heaps[v]
@@ -444,9 +450,9 @@ def augment(state: EktState, run: DijkstraRun) -> None:
     state.slot_weights[v].append(0)  # placeholder; fixed below
     if i < state.instance.machine_degree(v):
         state.shift[v].append(0)
-    job_adj = state.instance.job_adj
+    weight = state.instance.weight
     while True:
-        w = dict(job_adj[job])[v]
+        w = weight(job, v)
         state.slots[v][i - 1] = job
         state.slot_weights[v][i - 1] = w
         ws = state.slot_weights[v]
@@ -531,7 +537,7 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
         alpha = state.alpha(v)
         assert alpha <= inst.machine_degree(v)
         ws = state.slot_weights[v]
-        assert ws == [dict(inst.job_adj[u])[v] for u in state.slots[v]]
+        assert ws == [inst.weight(u, v) for u in state.slots[v]]
         assert all(a >= b for a, b in zip(ws, ws[1:])), (
             f"machine {v}: slot weights {ws} not non-increasing"
         )
@@ -549,7 +555,7 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
 
     for u in range(inst.num_jobs):
         pu = state.job_potential(u)
-        for v, w in inst.job_adj[u]:
+        for v, w in state.pairs[u]:
             n = state.heap_domain(v)
             for i in range(1, n + 1):
                 red = i * w + pu - state.slot_potential(v, i)
@@ -569,7 +575,7 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
 
     if run is not None:
         for u, d in run.dist_job.items():
-            for v, w in inst.job_adj[u]:
+            for v, w in state.pairs[u]:
                 n = state.heap_domain(v)
                 # f over the *current* state is still unimodal; check shape.
                 seq = [
@@ -596,7 +602,7 @@ def _pruned_exploded_edges(
     """
     nU = instance.num_jobs
     for u in range(nU):
-        stream = [(w, v, 1, w) for v, w in instance.job_adj[u]]
+        stream = [(w, v, 1, w) for v, w in zip(instance.job_machines[u], instance.weights(u))]
         heapq.heapify(stream)
         taken = 0
         while stream and taken < nU:

@@ -5,14 +5,16 @@ has since replaced by a faster form (the per-token instance parser, the
 per-unit seed); others are public entry points that only the tests
 call (``cancel`` on chosen centers, ``reachable_partition``); the rest
 are small views of instances and networks that only the tests read
-(``weight``, ``describe_node``, ``residual_successors``).
+(``weight``, ``layout``, ``describe_node``, ``residual_successors``),
+and the per-edge tuple adjacency instances once stored
+(``tuple_adjacency``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import groupby
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from semimatch import unweighted
 from semimatch.core import (
@@ -157,14 +159,37 @@ def parse_instance_by_records(text: str) -> Union[BipartiteInstance, GeneralGrap
 
 def weight(instance: BipartiteInstance, u: int, v: int) -> int:
     """Weight of edge (u, v); raises KeyError if absent."""
-    for vv, w in instance.job_adj[u]:
+    for vv, w in zip(instance.job_machines[u], instance.weights(u)):
         if vv == v:
             return w
     raise KeyError(f"no edge ({u}, {v})")
 
 
+def layout(instance: BipartiteInstance):
+    """What an instance stores: its ids per job and per machine, and its
+    weights per job (``None`` when every weight is 1)."""
+    return instance.job_machines, instance.machine_jobs, instance.job_weights
+
+
 def max_machine_degree(instance: BipartiteInstance) -> int:
-    return max((len(a) for a in instance.machine_adj), default=0)
+    return max((len(us) for us in instance.machine_jobs), default=0)
+
+
+def tuple_adjacency(num_jobs: int, num_machines: int, edges: Iterable[Sequence[int]]):
+    """``(job_adj, machine_adj, edges)`` as an instance built from the
+    same constructor input once stored them, one tuple per edge: each
+    job's ``(machine, weight)`` pairs in input order, each machine's
+    ``(job, weight)`` pairs in job order, and the ``(job, machine,
+    weight)`` triples in job order."""
+    job_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_jobs)]
+    for u, v, *w in edges:
+        job_adj[u].append((v, w[0] if w else 1))
+    machine_adj: list[list[tuple[int, int]]] = [[] for _ in range(num_machines)]
+    for u, adj in enumerate(job_adj):
+        for v, w in adj:
+            machine_adj[v].append((u, w))
+    triples = tuple((u, v, w) for u, adj in enumerate(job_adj) for v, w in adj)
+    return tuple(map(tuple, job_adj)), tuple(map(tuple, machine_adj)), triples
 
 
 def describe_node(network: CostCenterNetwork, x: int) -> tuple[str, int]:
@@ -186,7 +211,7 @@ def residual_successors(network: CostCenterNetwork, x: int) -> list[int]:
     """Residual out-neighbours of x, ignoring components."""
     nU = network.num_jobs
     if x < nU:
-        return [nU + v for v, _w in network.instance.job_adj[x] if nU + v != network._carrier[x]]
+        return [nU + v for v in network.instance.job_machines[x] if nU + v != network._carrier[x]]
     slots = [network._to[e] for e in network._adj[x] if network._rem[e] > 0]
     if x < nU + network.num_machines:
         return network._carried[x - nU] + slots

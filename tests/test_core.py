@@ -1,10 +1,17 @@
 """Instance construction, cost evaluation, and assignment validation."""
 
+import importlib.util
+import random
+import sys
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from semimatch.core import (
     MAX_COST,
+    MAX_WEIGHT,
     BipartiteInstance,
     ConvexMachineCost,
     CostOverflowError,
@@ -16,10 +23,10 @@ from semimatch.core import (
     machine_cost,
     validate_semi_matching,
 )
-
+from semimatch import formats, generate
 
 from conftest import fig2_instance
-from referees import weight
+from referees import layout, tuple_adjacency, weight
 
 
 class TestMachineCost:
@@ -90,7 +97,9 @@ class TestInstanceValidation:
 
     def test_integer_like_fields_are_read_as_ints(self):
         inst = BipartiteInstance(1, 1, [(False, False, True)])
-        assert inst.job_adj == (((0, 1),),)
+        assert (inst.job_machines, inst.machine_jobs) == (((0,),), ((0,),))
+        assert inst.is_unit_weight() and inst.job_adj == (((0, 1),),)
+        assert type(inst.job_machines[0][0]) is type(inst.machine_jobs[0][0]) is int
         assert type(inst.job_adj[0][0][1]) is int
 
     def test_isolated_job_infeasible(self):
@@ -101,6 +110,127 @@ class TestInstanceValidation:
         inst = BipartiteInstance(1, 1, [(0, 0)])
         assert weight(inst, 0, 0) == 1
         assert inst.is_unit_weight()
+
+    def test_edgeless_jobs_fail_before_a_list_per_job(self):
+        # 10**6 declared jobs and no edge: the lowest edgeless job is
+        # named without allocating anything per job.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleInstanceError, match="^job 0 has no incident edges"):
+                BipartiteInstance(10**6, 1, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def expected_layout(job_adj, machine_adj, _edges):
+    """The layout read off the per-edge tuple referee's adjacency."""
+    weights = tuple(tuple(w for _v, w in adj) for adj in job_adj)
+    return (
+        tuple(tuple(v for v, _w in adj) for adj in job_adj),
+        tuple(tuple(u for u, _w in adj) for adj in machine_adj),
+        None if all(w == 1 for ws in weights for w in ws) else weights,
+    )
+
+
+def shuffled_instance(rng, weight):
+    """Shuffled edges of a random instance, with idle machines."""
+    jobs, machines = rng.randint(1, 30), rng.randint(1, 8)
+    edges = [
+        (u, v, weight())
+        for u in range(jobs)
+        for v in rng.sample(range(machines), rng.randint(1, machines))
+    ]
+    rng.shuffle(edges)
+    return jobs, machines + rng.randint(0, 3), edges
+
+
+WEIGHTS = {
+    "unit": lambda rng: 1,
+    "zero": lambda rng: rng.choice([0, 0, 1]),
+    "max": lambda rng: rng.choice([1, MAX_WEIGHT, MAX_WEIGHT - 1]),
+    "one 2": lambda rng: 1,  # and then one weight 2
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_builder_gives_the_same_layout(self, seed, weights):
+        rng = random.Random(seed)
+        jobs, machines, edges = shuffled_instance(rng, lambda: WEIGHTS[weights](rng))
+        if weights == "one 2":
+            u, v, _ = edges[rng.randrange(len(edges))]
+            edges = [(a, b, 2 if (a, b) == (u, v) else w) for a, b, w in edges]
+        want = expected_layout(*tuple_adjacency(jobs, machines, edges))
+        # The text keeps the shuffled edge order; a comment line sends it
+        # down the line loop instead of the bulk pass.
+        text = f"p semimatch {jobs} {machines} {len(edges)}\n" + "".join(
+            f"e {u + 1} {v + 1} {w}\n" for u, v, w in edges
+        )
+        built = [
+            BipartiteInstance(jobs, machines, edges),
+            formats._parse_canonical(text),
+            formats._parse_lines("c a comment\n" + text),
+        ]
+        columns = BipartiteInstance.__new__(BipartiteInstance)
+        columns._build(jobs, machines, *map(list, zip(*edges)))
+        for inst in built + [columns]:
+            assert layout(inst) == want
+            assert (inst.num_jobs, inst.num_machines, inst.num_edges) == (
+                jobs, machines, len(edges)
+            )
+            # The unit marker is set exactly when every weight is 1.
+            unit = all(w == 1 for _u, _v, w in edges)
+            assert inst.is_unit_weight() == (inst.job_weights is None) == unit
+        assert unit == (weights == "unit")
+
+    def test_unit_build_without_weights(self):
+        # find_center passes no weight column: the instance is unit.
+        inst = BipartiteInstance.__new__(BipartiteInstance)
+        inst._build(2, 3, [1, 0, 1], [2, 0, 0], None)
+        assert layout(inst) == (((0,), (2, 0)), ((0, 1), (), (1,)), None)
+        assert inst.is_unit_weight() and inst.weights(1) == (1, 1)
+        assert inst.job_adj == (((0, 1),), ((2, 1), (0, 1)))
+
+    def test_weights_and_weight_read_the_parallel_tuples(self):
+        inst = BipartiteInstance(2, 3, [(1, 2, 7), (0, 0, 0), (1, 0, MAX_WEIGHT)])
+        assert inst.job_weights == ((0,), (7, MAX_WEIGHT))
+        assert [inst.weight(1, 2), inst.weight(1, 0), inst.weight(0, 0)] == [7, MAX_WEIGHT, 0]
+        with pytest.raises(ValueError):
+            inst.weight(0, 1)
+        assert inst.machine_adj == (((0, 0), (1, MAX_WEIGHT)), (), ((1, 7),))
+        assert inst.edges == ((0, 0, 0), (1, 2, 7), (1, 0, MAX_WEIGHT))
+
+    def test_views_equal_the_tuple_layout_on_every_pool_instance(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "pool_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        inputs = []
+
+        def recording(num_jobs, num_machines, edges):
+            inputs.append((num_jobs, num_machines, list(edges)))
+            return BipartiteInstance(num_jobs, num_machines, inputs[-1][2])
+
+        monkeypatch.setattr(workloads, "BipartiteInstance", recording)
+        monkeypatch.setattr(generate, "BipartiteInstance", recording)
+        checked = 0
+        for workload in workloads.WORKLOADS.values():
+            if workload.kind == "cover":
+                continue
+            for index in range(workloads.POOL_SIZE):
+                inputs.clear()
+                inst = workload.instance(index)
+                assert len(inputs) == 1
+                old = tuple_adjacency(*inputs[0])
+                assert (inst.job_adj, inst.machine_adj, inst.edges) == old
+                assert layout(inst) == expected_layout(*old)
+                checked += 1
+        assert checked == 3 * workloads.POOL_SIZE
 
 
 class TestAssignmentCost:

@@ -386,6 +386,7 @@ class TestFindCenter:
         assert len(built) >= 10
         for inst in built:
             checked = BipartiteInstance(inst.num_jobs, inst.num_machines, inst.edges)
-            assert inst.job_adj == checked.job_adj
-            assert inst.machine_adj == checked.machine_adj
+            assert inst.job_machines == checked.job_machines
+            assert inst.machine_jobs == checked.machine_jobs
+            assert inst.job_weights is checked.job_weights is None
             assert inst.edges == checked.edges

@@ -32,9 +32,9 @@ from semimatch.formats import (
     parse_assignment,
     parse_instance,
 )
-from semimatch.generate import gen_random
+from semimatch.generate import gen_random, gen_random_graph
 
-from referees import parse_instance_by_records, weight
+from referees import layout, parse_instance_by_records, weight
 
 
 class TestParseInstance:
@@ -160,9 +160,27 @@ class TestEmitRoundTrips:
         assert emit_instance(again) == emit_instance(inst)
         # The parser skips the constructor's checks but builds the same instance.
         rebuilt = BipartiteInstance(inst.num_jobs, inst.num_machines, again.edges)
-        assert (again.edges, again.job_adj, again.machine_adj) == (
-            rebuilt.edges, rebuilt.job_adj, rebuilt.machine_adj
-        )
+        assert layout(again) == layout(rebuilt)
+        assert again.edges == rebuilt.edges
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_emit_equals_a_sort_of_every_edge(self, seed):
+        # Shuffled constructor input, cover text and an empty body all
+        # come out as a sort of (u, v, w) triples over every edge would
+        # write them.
+        rng = random.Random(seed)
+        jobs, machines = rng.randint(0, 20), rng.randint(1, 6)
+        edges = [
+            (u, v, rng.choice([0, 1, 1, 5, MAX_WEIGHT]))
+            for u in range(jobs)
+            for v in rng.sample(range(machines), rng.randint(1, machines))
+        ]
+        rng.shuffle(edges)
+        inst = BipartiteInstance(jobs, machines, edges)
+        n, pairs = gen_random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9))
+        rng.shuffle(pairs)
+        for x in (inst, BipartiteInstance(0, machines, []), GeneralGraph(n, pairs)):
+            assert emit_instance(x, comments=["c"]) == emit_by_sorting_triples(x, ["c"])
 
     def test_comments_go_first_and_reparse_cleanly(self):
         inst = gen_random(random.Random(3), 4, 2, edge_prob=1.0)
@@ -196,6 +214,20 @@ class TestEmitRoundTrips:
             parse_assignment(bad)
 
 
+def emit_by_sorting_triples(instance, comments):
+    """``emit_instance`` as it read before it sorted per job: one sort of
+    every edge's ``(job, machine, weight)`` triple."""
+    out = [f"c {c}" for c in comments]
+    if isinstance(instance, BipartiteInstance):
+        triples = sorted(instance.edges)
+        out.append(f"p semimatch {instance.num_jobs} {instance.num_machines} {len(triples)}")
+        out.extend(f"e {u + 1} {v + 1} {w}" for u, v, w in triples)
+    else:
+        out.append(f"p cover {instance.num_vertices} {instance.num_edges}")
+        out.extend(f"e {a + 1} {b + 1}" for a, b in sorted(instance.edges))
+    return "\n".join(out) + "\n"
+
+
 def parse_outcome(parse, text):
     """What ``parse`` makes of ``text``: the parsed instance's contents,
     or the class, line number and message of what it raised."""
@@ -204,7 +236,7 @@ def parse_outcome(parse, text):
     except Exception as exc:  # every outcome is compared, not only ParseError
         return type(exc), getattr(exc, "line_no", None), str(exc)
     if isinstance(got, BipartiteInstance):
-        return "semimatch", got.num_jobs, got.num_machines, got.edges, got.job_adj, got.machine_adj
+        return "semimatch", got.num_jobs, got.num_machines, got.edges, layout(got)
     return "cover", got.num_vertices, got.edges, got.adj
 
 
@@ -390,8 +422,7 @@ class TestBulkPass:
         monkeypatch.setattr(formats, "_parse_lines", None)  # never called
         got = parse_instance(text)
         assert got.num_edges == want.num_edges == inst.num_edges >= 100_000
-        assert got.job_adj == want.job_adj == inst.job_adj
-        assert got.machine_adj == want.machine_adj
+        assert layout(got) == layout(want) == layout(inst)
 
     @pytest.mark.parametrize(
         "how, falls_back",
@@ -456,7 +487,7 @@ class TestBulkPass:
         )
         text = emit_instance(inst)
         again = parse_instance(text)
-        assert (again.job_adj, again.machine_adj) == (inst.job_adj, inst.machine_adj)
+        assert layout(again) == layout(inst)
         assert emit_instance(again) == text
 
 

@@ -158,7 +158,7 @@ class TestNetworkConstruction:
     def test_job_arrays_equal_a_per_edge_build(self, seed):
         # Edge by edge, an unseeded network records nothing: no edge is
         # an arc, no job has a carrier and no machine carries a job.
-        # Edges arrive shuffled, so job_adj order is not edge order, and
+        # Edges arrive shuffled, so job_machines order is not edge order, and
         # a few extra machines have no edge at all.
         rng = random.Random(seed)
         jobs, machines = rng.randint(1, 40), rng.randint(1, 12)
@@ -169,7 +169,7 @@ class TestNetworkConstruction:
             zipf_instance(rng, rng.randint(20, 80), rng.randint(10, 40)),
             BipartiteInstance(0, rng.randint(0, 2), []),
         ]
-        assert not all(instances[0].machine_adj)
+        assert not all(instances[0].machine_jobs)
         for inst in instances:
             for costs in (None, ConvexMachineCost.quadratic(inst)):
                 net = build_cost_center_network(inst, costs)
@@ -199,7 +199,7 @@ class TestSeedAndCancel:
         rng = random.Random(seed)
         inst = zipf_instance(rng, rng.randint(20, 80), rng.randint(5, 20))
         step = ConvexMachineCost.from_callable(inst, lambda k: sum(i // 3 + 1 for i in range(k)))
-        anywhere = SemiMatching(tuple(rng.choice(a)[0] for a in inst.job_adj))
+        anywhere = SemiMatching(tuple(rng.choice(vs) for vs in inst.job_machines))
         for costs in (None, step):
             for matching in (_greedy_seed(inst), anywhere):
                 net = seed_flow(build_cost_center_network(inst, costs), matching)
@@ -653,7 +653,7 @@ class TestBackwardBlockingFlow:
         edges += [(u, v) for u in range(jobs) for v in range(1, machines) if rng.random() < 0.6]
         inst = BipartiteInstance(jobs, machines, edges)
         while True:
-            seeded = SemiMatching(tuple(rng.choice(inst.job_adj[u])[0] for u in range(jobs)))
+            seeded = SemiMatching(tuple(rng.choice(inst.job_machines[u]) for u in range(jobs)))
             loads = seeded.degrees(machines)
             if 2 <= loads[0] <= 4 and max(loads) >= 4:
                 break
@@ -726,7 +726,7 @@ class TestBackwardBlockingFlow:
         edges = [(u, v) for u in range(jobs) for v in rng.sample(range(machines), 2)]
         inst = BipartiteInstance(jobs, machines, edges)
         net = build_cost_center_network(inst)
-        seed_flow(net, SemiMatching(tuple(rng.choice(inst.job_adj[u])[0] for u in range(jobs))))
+        seed_flow(net, SemiMatching(tuple(rng.choice(inst.job_machines[u]) for u in range(jobs))))
         observed_cancel_all(net)
         got = unit_cost(inst, extract_semi_matching(net))
         assert got == unit_cost(inst, baseline_exploded_solver(inst))

@@ -112,7 +112,11 @@ def exploded_optimum(inst, jobs):
     """Exhaustive minimum cost of any exploded matching covering exactly ``jobs``."""
     best = None
     choices = [
-        [(v, i, w) for v, w in inst.job_adj[u] for i in range(1, inst.machine_degree(v) + 1)]
+        [
+            (v, i, w)
+            for v, w in zip(inst.job_machines[u], inst.weights(u))
+            for i in range(1, inst.machine_degree(v) + 1)
+        ]
         for u in jobs
     ]
     for combo in itertools.product(*choices):
