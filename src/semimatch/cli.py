@@ -166,10 +166,14 @@ def verify(instance_path: str, solution_path: str) -> None:
             _fail(EXIT_OVERFLOW, str(exc))
     else:
         edge_set = set(instance.edges)
+        listed: set[tuple[int, int]] = set()
         for a, b in pairs:
             e = (a, b) if a < b else (b, a)
             if e not in edge_set:
                 _fail(EXIT_VERIFY_FAILED, f"({a + 1}, {b + 1}) is not a graph edge")
+            if e in listed:
+                _fail(EXIT_VERIFY_FAILED, f"cover edge ({e[0] + 1}, {e[1] + 1}) listed twice")
+            listed.add(e)
         try:
             cover = EdgeCover(instance.num_vertices, pairs)
         except ValueError as exc:

@@ -20,43 +20,38 @@ trailer.
 
 Malformed text never escapes as a stray exception: every syntactic
 failure is a :class:`ParseError` subclass carrying the offending line
-number.  (A well-formed file describing an unsolvable instance, e.g. a
-job with no edges, still raises the semantic
-:class:`~semimatch.core.InfeasibleInstanceError` from the instance
-constructor — that is a property of the instance, not of the text.)
+number.  (A well-formed file describing an unsolvable instance, a job
+or a vertex with no edges, still raises the semantic
+:class:`~semimatch.core.InfeasibleInstanceError` — that is a property
+of the instance, not of the text.)
 
 Emission is canonical — edges sorted, no comments — so
 ``emit(parse(emit(x))) == emit(x)`` byte for byte.
 
-Semimatch text in a strict subset of the language, which includes
-everything :func:`emit_instance` writes without comments, is read in
-one bulk pass.  The subset: the header is on line 1, every body line is
-exactly ``e <job> <machine> <weight>`` ended by ``\n``, fields are
-separated by single spaces, ids match ``[1-9][0-9]*`` and weights
-``0|[1-9][0-9]*``, so ``int()`` reads what the line loop reads.  The
-pass matches the header once, then takes the body in slices of about
-16 KiB cut at newlines: it checks each slice against one regular
-expression for a run of body lines (which keeps a backtracking entry
-per matched line, ~30 MB for a 9·10^4-line body matched whole),
-converts every fourth token by ``map(int, ...)`` straight into id and
-weight columns, and checks ranges with ``max`` and duplicates with one
-set of ``job * (machines + 1) + machine`` keys.  The instance is built
-from the columns; no tuple is made per edge.  The pass declines
-whenever the text is outside the subset or an id, weight, duplicate or
-the edge count is wrong; the line loop then parses the text from the
-start and names the first bad line with the same class, line number and
-message as if the bulk pass did not exist.  The line loop accepts every
-text the bulk pass does, and builds the same instance from it.
+Instance text is read in one loop.  The header is the first line that
+is neither blank nor a comment, found among the leading lines only.
+The body is read in slices of about 16 KiB, each cut after a newline.
+A ``semimatch`` slice in a strict subset of the language, which holds
+every body :func:`emit_instance` writes, is converted in bulk: every
+line is exactly ``e <job> <machine> <weight>\n`` with single spaces,
+ids ``[1-9][0-9]*`` and weights ``0|[1-9][0-9]*``, so ``int()`` reads
+what the line code reads.  One regular expression checks the slice (it
+keeps a backtracking entry per line, so it never runs on the whole
+body); ``map(int, ...)`` converts it straight into id and weight
+columns; ``max`` checks ranges and one set of ``job * (machines + 1) +
+machine`` keys checks duplicates.  Any other slice, or one that breaks
+a rule, is read line by line, which names the first bad line with the
+same class, line number and message however its slice was tried.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from itertools import chain, count, repeat
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .core import MAX_WEIGHT, BipartiteInstance, SemiMatchError
+from .core import MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError, SemiMatchError
 from .cover import GeneralGraph
 
 __all__ = [
@@ -112,62 +107,59 @@ def _int_field(line_no: int, token: str, what: str, err=ParseError) -> int:
         raise err(line_no, f"{what} {token!r} is not an integer") from None
 
 
-# The bulk pass's subset of semimatch text: the header, matched once, and
-# the body lines of one slice.  See the module docstring for the slices.
-_CANONICAL_HEADER = re.compile(
-    r"p semimatch (0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n"
-)
+# A body slice in the bulk conversion's subset; see the module docstring.
 _CANONICAL_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*)\n)*")
 
-#: The bulk pass checks and converts the body in slices of about this
-#: many characters.
+_HEADERS = {
+    "semimatch": "p semimatch <jobs> <machines> <edges>",
+    "cover": "p cover <vertices> <edges>",
+}
+
+#: The body is read in slices of about this many characters.
 _CHUNK = 1 << 14
 
 
-def _parse_canonical(text: str) -> Optional[BipartiteInstance]:
-    """The instance of canonical ``p semimatch`` text, or None whenever
-    the text is not canonical or breaks a rule the line loop enforces:
-    an id out of range, a weight over MAX_WEIGHT, a duplicate edge or a
-    wrong edge count."""
-    match = _CANONICAL_HEADER.match(text)
-    if match is None:
-        return None
-    try:
-        num_jobs, num_machines, num_edges = map(int, match.groups())
-    except ValueError:  # a count longer than int()'s digit limit
-        return None
-    start = match.end()
-    # Every job needs an edge, so more jobs than edges fails anyway: leave
-    # the text to the line loop, which names the first edgeless job.
-    if num_jobs > num_edges or text.count("\n", start) != num_edges:
-        return None
-    stride = num_machines + 1
-    seen: set[int] = set()
-    jobs, machines, weights = [], [], []  # 0-based columns
+def _leading_lines(text: str):
+    """Yield the lines of ``text`` with their ends, as ``str.splitlines``
+    cuts them, reading only as far as the caller takes."""
+    start = 0
     while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk = text[start:end]
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines(keepends=True)
         start = end
-        if _CANONICAL_LINES.fullmatch(chunk) is None:
-            return None
-        tokens = chunk.split()  # e, job, machine, weight, e, ...
-        try:
-            us = list(map(int, tokens[1::4]))
-            vs = list(map(int, tokens[2::4]))
-            ws = list(map(int, tokens[3::4]))
-        except ValueError:  # a field longer than int()'s digit limit
-            return None
-        if max(us) > num_jobs or max(vs) > num_machines or max(ws) > MAX_WEIGHT:
-            return None
-        seen.update(map(add, map(mul, us, repeat(stride)), vs))
-        jobs += map(sub, us, repeat(1))
-        machines += map(sub, vs, repeat(1))
-        weights += ws
-    if len(seen) != num_edges:
-        return None
-    instance = BipartiteInstance.__new__(BipartiteInstance)
-    instance._build(num_jobs, num_machines, jobs, machines, weights)
-    return instance
+
+
+def _convert_slice(chunk: str, num_jobs: int, num_machines: int, room: int, seen: set[int],
+                   jobs: list[int], machines: list[int], weights: list[int]) -> int:
+    """Append a body slice in the bulk subset to the 0-based columns and
+    its keys to ``seen``, and return its line count; or return 0 and
+    change nothing when the slice is outside the subset, has more than
+    ``room`` lines, an id out of range, a weight over MAX_WEIGHT or a
+    duplicate edge."""
+    if _CANONICAL_LINES.fullmatch(chunk) is None:
+        return 0
+    tokens = chunk.split()  # e, job, machine, weight, e, ...
+    if len(tokens) > 4 * room:
+        return 0
+    try:
+        us = list(map(int, tokens[1::4]))
+        vs = list(map(int, tokens[2::4]))
+        ws = list(map(int, tokens[3::4]))
+    except ValueError:  # a field longer than int()'s digit limit
+        return 0
+    if max(us) > num_jobs or max(vs) > num_machines or max(ws) > MAX_WEIGHT:
+        return 0
+    stride = num_machines + 1
+    before = len(seen)
+    seen.update(map(add, map(mul, us, repeat(stride)), vs))
+    if len(seen) - before < len(us):  # a duplicate: take the slice's keys back out
+        seen.clear()
+        seen.update((u + 1) * stride + v + 1 for u, v in zip(jobs, machines))
+        return 0
+    jobs += map(sub, us, repeat(1))
+    machines += map(sub, vs, repeat(1))
+    weights += ws
+    return len(us)
 
 
 def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
@@ -175,17 +167,14 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
 
     The header's kind decides the result: ``p semimatch`` gives a
     :class:`BipartiteInstance`, ``p cover`` a :class:`GeneralGraph`.
-    Canonical semimatch text takes the bulk pass; all other text, and
-    canonical text the bulk pass declines, takes the line loop.
+    Body slices in the bulk subset are converted whole, the rest line by
+    line (see the module docstring).  An isolated cover vertex raises
+    :class:`InfeasibleInstanceError`, before anything is allocated per
+    vertex when there are more than twice as many vertices as edges.
     """
-    instance = _parse_canonical(text)
-    return instance if instance is not None else _parse_lines(text)
-
-
-def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
-    """Parse any instance text line by line, naming the first bad line."""
-    lines = enumerate(text.splitlines(), start=1)
-    for line_no, raw in lines:
+    start = 0
+    for line_no, raw in enumerate(_leading_lines(text), start=1):
+        start += len(raw)
         tokens = raw.split()
         if tokens and tokens[0] != "c":
             break
@@ -194,30 +183,18 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
     if tokens[0] != "p":
         raise MalformedHeaderError(line_no, f"expected 'p' header, got {tokens[0]!r}")
     kind = tokens[1] if len(tokens) > 1 else ""
-    if kind == "semimatch":
-        if len(tokens) != 5:
-            raise MalformedHeaderError(
-                line_no, "semimatch header needs 'p semimatch <jobs> <machines> <edges>'"
-            )
-        counts = [
-            _int_field(line_no, t, "header count", MalformedHeaderError)
-            for t in tokens[2:]
-        ]
-        num_jobs, num_machines, num_edges = counts
-    elif kind == "cover":
-        if len(tokens) != 4:
-            raise MalformedHeaderError(
-                line_no, "cover header needs 'p cover <vertices> <edges>'"
-            )
-        counts = [
-            _int_field(line_no, t, "header count", MalformedHeaderError)
-            for t in tokens[2:]
-        ]
-        num_vertices, num_edges = counts
-    else:
+    usage = _HEADERS.get(kind)
+    if usage is None:
         raise MalformedHeaderError(
             line_no, f"unknown problem kind {kind!r} (expected semimatch or cover)"
         )
+    if len(tokens) != len(usage.split()):
+        raise MalformedHeaderError(line_no, f"{kind} header needs {usage!r}")
+    counts = [_int_field(line_no, t, "header count", MalformedHeaderError) for t in tokens[2:]]
+    if kind == "semimatch":
+        num_jobs, num_machines, num_edges = counts
+    else:
+        num_vertices, num_edges = counts
     header_line = line_no
     if any(c < 0 for c in counts):
         raise MalformedHeaderError(header_line, "header counts must be non-negative")
@@ -230,72 +207,82 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
     jobs, machines, weights = [], [], []
     edges: list[tuple[int, int]] = []  # cover edges
     seen: set[int] = set()
-    for line_no, raw in lines:
-        tokens = raw.split()
-        if not tokens:
-            continue
-        tag = tokens[0]
-        if tag != "e":
-            if tag == "c":
-                continue
-            raise ParseError(line_no, f"unknown record {tag!r}, expected 'e'")
-        if len(seen) == num_edges:
-            raise CountMismatchError(
-                line_no, f"header declared {num_edges} edges but the body has more"
-            )
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
         if kind == "semimatch":
-            if len(tokens) != 4:
-                raise BadWeightError(
-                    line_no, "semimatch edge needs 'e <job> <machine> <weight>'"
+            room = num_edges - len(seen)
+            converted = _convert_slice(chunk, num_jobs, num_machines, room, seen, jobs, machines, weights)
+            if converted:
+                line_no += converted
+                continue
+        for line_no, raw in enumerate(chunk.splitlines(), line_no + 1):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            tag = tokens[0]
+            if tag != "e":
+                if tag == "c":
+                    continue
+                raise ParseError(line_no, f"unknown record {tag!r}, expected 'e'")
+            if len(seen) == num_edges:
+                raise CountMismatchError(
+                    line_no, f"header declared {num_edges} edges but the body has more"
                 )
-            try:
-                job, machine, weight = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            except ValueError:
-                _int_field(line_no, tokens[1], "job id")
-                _int_field(line_no, tokens[2], "machine id")
-                _int_field(line_no, tokens[3], "weight", BadWeightError)
-                raise  # unreachable: one of the three raised
-            if not 1 <= job <= num_jobs:
-                raise IdOutOfRangeError(
-                    line_no, f"job id {job} out of range [1, {num_jobs}]"
-                )
-            if not 1 <= machine <= num_machines:
-                raise IdOutOfRangeError(
-                    line_no, f"machine id {machine} out of range [1, {num_machines}]"
-                )
-            if weight < 0 or weight > MAX_WEIGHT:
-                raise BadWeightError(
-                    line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
-                )
-            key = job * (num_machines + 1) + machine
-            if key in seen:
-                raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
-            seen.add(key)
-            jobs.append(job - 1)
-            machines.append(machine - 1)
-            weights.append(weight)
-        else:
-            if len(tokens) != 3:
-                raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
-            try:
-                a, b = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                _int_field(line_no, tokens[1], "vertex id")
-                _int_field(line_no, tokens[2], "vertex id")
-                raise  # unreachable: one of the two raised
-            for vid in (a, b):
-                if not 1 <= vid <= num_vertices:
-                    raise IdOutOfRangeError(
-                        line_no, f"vertex id {vid} out of range [1, {num_vertices}]"
+            if kind == "semimatch":
+                if len(tokens) != 4:
+                    raise BadWeightError(
+                        line_no, "semimatch edge needs 'e <job> <machine> <weight>'"
                     )
-            if a == b:
-                raise ParseError(line_no, f"self-loop at vertex {a}")
-            lo, hi = (a, b) if a < b else (b, a)
-            key = lo * (num_vertices + 1) + hi
-            if key in seen:
-                raise ParseError(line_no, f"duplicate edge ({lo}, {hi})")
-            seen.add(key)
-            edges.append((a - 1, b - 1))
+                try:
+                    job, machine, weight = int(tokens[1]), int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    _int_field(line_no, tokens[1], "job id")
+                    _int_field(line_no, tokens[2], "machine id")
+                    _int_field(line_no, tokens[3], "weight", BadWeightError)
+                    raise  # unreachable: one of the three raised
+                if not 1 <= job <= num_jobs:
+                    raise IdOutOfRangeError(
+                        line_no, f"job id {job} out of range [1, {num_jobs}]"
+                    )
+                if not 1 <= machine <= num_machines:
+                    raise IdOutOfRangeError(
+                        line_no, f"machine id {machine} out of range [1, {num_machines}]"
+                    )
+                if weight < 0 or weight > MAX_WEIGHT:
+                    raise BadWeightError(
+                        line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
+                    )
+                key = job * (num_machines + 1) + machine
+                if key in seen:
+                    raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
+                seen.add(key)
+                jobs.append(job - 1)
+                machines.append(machine - 1)
+                weights.append(weight)
+            else:
+                if len(tokens) != 3:
+                    raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
+                try:
+                    a, b = int(tokens[1]), int(tokens[2])
+                except ValueError:
+                    _int_field(line_no, tokens[1], "vertex id")
+                    _int_field(line_no, tokens[2], "vertex id")
+                    raise  # unreachable: one of the two raised
+                for vid in (a, b):
+                    if not 1 <= vid <= num_vertices:
+                        raise IdOutOfRangeError(
+                            line_no, f"vertex id {vid} out of range [1, {num_vertices}]"
+                        )
+                if a == b:
+                    raise ParseError(line_no, f"self-loop at vertex {a}")
+                lo, hi = (a, b) if a < b else (b, a)
+                key = lo * (num_vertices + 1) + hi
+                if key in seen:
+                    raise ParseError(line_no, f"duplicate edge ({lo}, {hi})")
+                seen.add(key)
+                edges.append((a - 1, b - 1))
 
     if len(seen) != num_edges:
         raise CountMismatchError(
@@ -303,7 +290,16 @@ def _parse_lines(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             f"header declared {num_edges} edges but the body has {len(seen)}",
         )
     if kind == "cover":
-        return GeneralGraph(num_vertices, edges)
+        # With more than two vertices per edge some vertex is isolated:
+        # name it without building the graph's per-vertex lists.
+        graph = GeneralGraph(num_vertices, edges) if num_vertices <= 2 * len(edges) else None
+        if graph is None or not all(graph.adj):
+            hit = set(chain.from_iterable(edges))
+            isolated = next(v for v in count() if v not in hit)
+            raise InfeasibleInstanceError(
+                f"vertex {isolated} has no incident edges; no edge cover exists"
+            )
+        return graph
     instance = BipartiteInstance.__new__(BipartiteInstance)
     instance._build(num_jobs, num_machines, jobs, machines, weights)
     return instance

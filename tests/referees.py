@@ -20,6 +20,7 @@ from semimatch import unweighted
 from semimatch.core import (
     MAX_WEIGHT,
     BipartiteInstance,
+    InfeasibleInstanceError,
     SemiMatching,
     validate_semi_matching,
 )
@@ -151,7 +152,13 @@ def parse_instance_by_records(text: str) -> Union[BipartiteInstance, GeneralGrap
         )
     if kind == "semimatch":
         return BipartiteInstance(num_jobs, num_machines, edges)
-    return GeneralGraph(num_vertices, edges)
+    graph = GeneralGraph(num_vertices, edges)
+    for v in range(num_vertices):
+        if not graph.adj[v]:
+            raise InfeasibleInstanceError(
+                f"vertex {v} has no incident edges; no edge cover exists"
+            )
+    return graph
 
 
 # -- views the library itself never needs ----------------------------------

@@ -164,15 +164,15 @@ class TestLayout:
             u, v, _ = edges[rng.randrange(len(edges))]
             edges = [(a, b, 2 if (a, b) == (u, v) else w) for a, b, w in edges]
         want = expected_layout(*tuple_adjacency(jobs, machines, edges))
-        # The text keeps the shuffled edge order; a comment line sends it
-        # down the line loop instead of the bulk pass.
+        # The text keeps the shuffled edge order.  Its body converts in
+        # bulk; with CRLF line ends every line is read one at a time.
         text = f"p semimatch {jobs} {machines} {len(edges)}\n" + "".join(
             f"e {u + 1} {v + 1} {w}\n" for u, v, w in edges
         )
         built = [
             BipartiteInstance(jobs, machines, edges),
-            formats._parse_canonical(text),
-            formats._parse_lines("c a comment\n" + text),
+            formats.parse_instance(text),
+            formats.parse_instance(text.replace("\n", "\r\n")),
         ]
         columns = BipartiteInstance.__new__(BipartiteInstance)
         columns._build(jobs, machines, *map(list, zip(*edges)))

@@ -1,5 +1,6 @@
 """Disk format, benchmark harness, and command-line interface."""
 
+import os
 import random
 import re
 import tracemalloc
@@ -20,7 +21,7 @@ from semimatch.bench import (
 )
 from semimatch.cli import main as cli_main
 from semimatch.core import MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError
-from semimatch.cover import GeneralGraph
+from semimatch.cover import GeneralGraph, minimum_edge_cover
 from semimatch.formats import (
     BadWeightError,
     CountMismatchError,
@@ -95,6 +96,35 @@ class TestParseInstance:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_isolated_vertices_rejected_before_a_list_per_vertex(self):
+        # The cover twin of the test above: 10**6 vertices, no edge.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleInstanceError, match="^vertex 0 has no incident edges"):
+                parse_instance("p cover 1000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "num_vertices, edges, isolated",
+        [
+            (5, [(2, 0)], 1),  # more than twice as many vertices as edges
+            (4, [(0, 1), (2, 0)], 3),
+            (6, [(5, 0), (0, 1), (3, 5)], 2),
+        ],
+    )
+    def test_isolated_vertex_named_like_minimum_edge_cover(self, num_vertices, edges, isolated):
+        graph = GeneralGraph(num_vertices, edges)
+        with pytest.raises(InfeasibleInstanceError) as covered:
+            minimum_edge_cover(graph)
+        with pytest.raises(InfeasibleInstanceError) as parsed:
+            parse_instance(emit_instance(graph, comments=["isolated"]))
+        assert str(parsed.value) == str(covered.value) == (
+            f"vertex {isolated} has no incident edges; no edge cover exists"
+        )
 
     def test_edgeless_job_named_like_the_constructor(self):
         edges = [(0, 0, 1), (1, 1, 1), (3, 0, 1)]
@@ -392,10 +422,20 @@ def near_canonical(base, how):
     return newline.join(lines)
 
 
+# Where a body slice is read line by line for a change outside the body
+# lines: the slice holding the first line the header's counts rule out.
+FIRST_LINE_RULED_OUT = {
+    "edges -1": r"[^\n]*\n\Z",  # the last edge is one too many
+    "jobs -1": r"^e 1000 ",
+    "machines -1": r"^e \d+ 60 ",
+    "no trailing newline": r"[^\n]+\Z",
+}
+
+
 class TestBulkPass:
-    """Canonical semimatch text takes the bulk pass; anything else, and
-    canonical text with an error, takes the line loop and gets exactly
-    the referee's outcome."""
+    """A body slice in the bulk subset is converted whole; any other
+    slice, and one with an error, is read line by line, and the outcome
+    is exactly the referee's."""
 
     @pytest.fixture(scope="class")
     def base(self):
@@ -404,25 +444,43 @@ class TestBulkPass:
         return text
 
     @pytest.fixture
-    def line_loop_calls(self, monkeypatch):
+    def slices(self, monkeypatch):
+        """Every body slice offered to the bulk converter, with the
+        number of lines it converted (0: the slice was read line by line)."""
         calls = []
 
-        def spy(text):
-            calls.append(text)
-            return parse_lines(text)
+        def spy(chunk, *args):
+            calls.append((chunk, convert(chunk, *args)))
+            return calls[-1][1]
 
-        parse_lines = formats._parse_lines
-        monkeypatch.setattr(formats, "_parse_lines", spy)
+        convert = formats._convert_slice
+        monkeypatch.setattr(formats, "_convert_slice", spy)
         return calls
 
-    def test_large_instance_matches_the_referee(self, monkeypatch):
+    @staticmethod
+    def offsets(text, slices):
+        """Where each slice starts in ``text``; the slices follow one
+        another from the line after the header."""
+        start = text.index("\n", text.index("p semimatch")) + 1
+        starts = []
+        for chunk, _converted in slices:
+            assert text.startswith(chunk, start)
+            starts.append(start)
+            start += len(chunk)
+        return starts
+
+    def test_large_instance_matches_the_referee(self, slices):
         inst = gen_random(random.Random(11), 10_000, 1_000, num_edges=100_000)
         text = emit_instance(inst)
         want = parse_instance_by_records(text)
-        monkeypatch.setattr(formats, "_parse_lines", None)  # never called
-        got = parse_instance(text)
-        assert got.num_edges == want.num_edges == inst.num_edges >= 100_000
-        assert layout(got) == layout(want) == layout(inst)
+        for text in (text, emit_instance(inst, comments=["seed 11"])):
+            slices.clear()
+            got = parse_instance(text)
+            assert got.num_edges == want.num_edges == inst.num_edges >= 100_000
+            assert layout(got) == layout(want) == layout(inst)
+            # Every slice converts in bulk, and together they are the body.
+            assert len(slices) > 1 and all(converted for _chunk, converted in slices)
+            assert self.offsets(text, slices)[0] + sum(map(len, (c for c, _ in slices))) == len(text)
 
     @pytest.mark.parametrize(
         "how, falls_back",
@@ -432,50 +490,67 @@ class TestBulkPass:
             ("job id 0", True),
             ("weight 2**31", True),
             ("5000-digit weight", True),
-            ("5000-digit edge count", True),
+            # The header fails: no slice is read at all.
+            ("5000-digit edge count", False),
+            # int() reads these, so the rest of the body still converts.
             ("leading zero", True),
             ("leading zero weight", True),
             ("plus sign", True),
             ("digit separator", True),
             ("no trailing newline", True),
-            ("CRLF", True),
+            ("CRLF", True),  # every slice
             ("tab", True),
             ("double space", True),
-            ("comment before the header", True),
+            ("comment before the header", False),
             ("comment mid-body", True),
             ("edges -1", True),
-            ("edges +1", True),
+            # Every slice converts; the count fails at the end.
+            ("edges +1", False),
             # A repeated line: one line too many, but as many distinct
             # edges as the header declares.
             ("extra line", True),
             ("jobs -1", True),  # job 1000 out of range
-            # More jobs than edges: some job has no edge, so the bulk
-            # pass declines before it allocates a list per job.
-            ("jobs +8000", True),
+            # More jobs than edges: some job has no edge, and the build
+            # names it before it allocates a list per job.
+            ("jobs +8000", False),
             ("machines -1", True),  # machine 60 out of range
-            # Still canonical: job 1001 has no edge, and the bulk pass
-            # raises the line loop's InfeasibleInstanceError itself.
+            # Job 1001 has no edge, and the build raises the referee's
+            # InfeasibleInstanceError.
             ("jobs +1", False),
-            ("machines +1", False),  # still canonical, with an idle machine
+            ("machines +1", False),  # an idle machine
         ],
     )
-    def test_near_canonical_text(self, base, line_loop_calls, how, falls_back):
+    def test_near_canonical_text(self, base, slices, how, falls_back):
         text = near_canonical(base, how)
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
-        assert line_loop_calls == ([text] if falls_back else [])
+        starts = self.offsets(text, slices)
+        if outcome[0] == "semimatch":  # parsed, so every slice was offered
+            assert starts[-1] + len(slices[-1][0]) == len(text)
+        if not falls_back:
+            held = []
+        elif how == "CRLF":
+            held = starts
+        else:
+            # The slice holding the change, or the line the counts rule out.
+            pattern = FIRST_LINE_RULED_OUT.get(how)
+            at = (
+                len(os.path.commonprefix([base, text])) if pattern is None
+                else re.search(pattern, text, re.M).start()
+            )
+            held = [max(s for s in starts if s <= at)]
+            assert at < held[0] + len(slices[starts.index(held[0])][0])
+        assert [s for s, (_c, converted) in zip(starts, slices) if not converted] == held
 
     def test_expressions_compile_on_python_3_10(self):
         # Possessive repeats and atomic groups arrived in Python 3.11's re.
-        for expr in (formats._CANONICAL_HEADER, formats._CANONICAL_LINES):
+        expressions = [v for v in vars(formats).values() if isinstance(v, re.Pattern)]
+        assert formats._CANONICAL_LINES in expressions
+        for expr in expressions:
             assert re.search(r"[*+?}]\+|\(\?>", expr.pattern) is None
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_emitted_text_never_reaches_the_line_loop(self, monkeypatch, seed):
-        def line_loop(text):
-            raise AssertionError("canonical text reached the line loop")
-
-        monkeypatch.setattr(formats, "_parse_lines", line_loop)
+    def test_emitted_text_never_reaches_the_line_loop(self, slices, seed):
         rng = random.Random(seed)
         inst = gen_random(
             rng,
@@ -485,10 +560,24 @@ class TestBulkPass:
             min_weight=rng.choice([0, 1]),
             max_weight=rng.choice([1, 9, MAX_WEIGHT]),
         )
-        text = emit_instance(inst)
+        # semimatch gen writes its seed as a comment before the header.
+        text = emit_instance(inst, comments=[f"seed {seed}"])
         again = parse_instance(text)
         assert layout(again) == layout(inst)
-        assert emit_instance(again) == text
+        assert emit_instance(again, comments=[f"seed {seed}"]) == text
+        assert len(slices) == (inst.num_edges > 0)
+        assert all(converted for _chunk, converted in slices)
+
+    @pytest.mark.parametrize("max_weight", [1, 9])
+    def test_gen_output_converts_in_bulk(self, slices, max_weight):
+        result = CliRunner().invoke(cli_main, [
+            "gen", "--jobs", "3000", "--machines", "40", "--edge-prob", "0.05",
+            "--max-weight", str(max_weight), "--seed", "1",
+        ])
+        assert result.exit_code == 0 and result.output.startswith("c seed 1\n")
+        inst = parse_instance(result.output)
+        assert len(slices) > 1 and all(converted for _chunk, converted in slices)
+        assert sum(converted for _chunk, converted in slices) == inst.num_edges
 
 
 class TestBench:
@@ -606,6 +695,12 @@ class TestCliSolve:
         result = runner.invoke(cli_main, ["solve", path])
         assert result.exit_code == 3
 
+    def test_isolated_million_vertex_header_is_infeasible(self, runner, tmp_path):
+        path = write(tmp_path / "big.cov", "p cover 1000000 0\n")
+        result = runner.invoke(cli_main, ["solve", path])
+        assert result.exit_code == 3
+        assert "vertex 0 has no incident edges" in result.output
+
     def test_baseline_solver_agrees(self, runner, tmp_path):
         text = emit_instance(
             gen_random(random.Random(11), 8, 3, edge_prob=0.7, max_weight=9)
@@ -651,6 +746,15 @@ class TestCliVerify:
         leaves_one_out = write(tmp_path / "gap.sol", "a 1 2\ncost 3\n")
         result = runner.invoke(cli_main, ["verify", inst_path, leaves_one_out])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("twice", ["a 1 2\na 2 1\n", "a 2 1\na 2 1\n"])
+    def test_cover_edge_listed_twice(self, runner, tmp_path, twice):
+        # Without the repeat this is the optimal cover, of cost 5.
+        inst_path = write(tmp_path / "g.cov", COVER_FILE)
+        sol_path = write(tmp_path / "twice.sol", twice + "a 2 3\ncost 5\n")
+        result = runner.invoke(cli_main, ["verify", inst_path, sol_path])
+        assert result.exit_code == 4, result.output
+        assert "cover edge (1, 2) listed twice" in result.output
 
     def test_cost_overflow(self, runner, tmp_path):
         # 93 000 jobs of weight 2^31-1 on one machine cost about
@@ -710,6 +814,28 @@ class TestCliGen:
     def test_seed_required(self, runner):
         result = runner.invoke(cli_main, ["gen"])
         assert result.exit_code != 0
+
+
+class TestCliRoundTrip:
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            ["--jobs", "40", "--machines", "8", "--max-weight", "1"],
+            ["--jobs", "40", "--machines", "8", "--max-weight", "50"],
+            ["--kind", "cover", "--vertices", "30", "--edge-prob", "0.1"],
+        ],
+        ids=["unit", "weighted", "cover"],
+    )
+    def test_gen_solve_verify(self, runner, tmp_path, gen_args):
+        inst, sol = str(tmp_path / "inst"), str(tmp_path / "sol")
+        made = runner.invoke(cli_main, ["gen", *gen_args, "--seed", "3", "-o", inst])
+        assert made.exit_code == 0, made.output
+        solved = runner.invoke(cli_main, ["solve", inst, "-o", sol])
+        assert solved.exit_code == 0, solved.output
+        _pairs, cost = parse_assignment(open(sol).read())
+        checked = runner.invoke(cli_main, ["verify", inst, sol])
+        assert checked.exit_code == 0, checked.output
+        assert checked.output == f"OK cost {cost}\n"
 
 
 class TestCliBenchAndOracle:
