@@ -58,13 +58,18 @@ class GeneralGraph:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
             norm.append((a, b))
+        self._build(num_vertices, norm)
+
+    def _build(self, num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
+        """Fill in the graph from ``(lo, hi)`` edges whose ranges and
+        uniqueness the caller has checked."""
         adj: list[list[int]] = [[] for _ in range(num_vertices)]
-        for a, b in norm:
+        for a, b in edges:
             adj[a].append(b)
             adj[b].append(a)
         self.num_vertices = num_vertices
-        self.edges = tuple(norm)
-        self.adj = tuple(tuple(ns) for ns in adj)
+        self.edges = tuple(edges)
+        self.adj = tuple(map(tuple, adj))
 
     @property
     def num_edges(self) -> int:
@@ -78,13 +83,19 @@ class EdgeCover:
     """An edge subset touching every vertex, with its degree profile.
 
     Construction validates the covering property, so holding an
-    ``EdgeCover`` is proof of ``deg >= 1`` everywhere.
+    ``EdgeCover`` is proof of ``deg >= 1`` everywhere.  An edge listed
+    twice, in either orientation, is rejected.
     """
 
     __slots__ = ("num_vertices", "edges", "degrees")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]) -> None:
-        canon = frozenset((a, b) if a < b else (b, a) for a, b in edges)
+        pairs = [(a, b) if a < b else (b, a) for a, b in edges]
+        canon = frozenset(pairs)
+        if len(canon) < len(pairs):
+            once: set[tuple[int, int]] = set()
+            a, b = next(e for e in pairs if e in once or once.add(e))
+            raise ValueError(f"edge ({a}, {b}) listed twice")
         deg = [0] * num_vertices
         for a, b in canon:
             if a == b or not (0 <= a < num_vertices and 0 <= b < num_vertices):

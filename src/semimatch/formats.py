@@ -35,20 +35,24 @@ A ``semimatch`` slice in a strict subset of the language, which holds
 every body :func:`emit_instance` writes, is converted in bulk: every
 line is exactly ``e <job> <machine> <weight>\n`` with single spaces,
 ids ``[1-9][0-9]*`` and weights ``0|[1-9][0-9]*``, so ``int()`` reads
-what the line code reads.  One regular expression checks the slice (it
-keeps a backtracking entry per line, so it never runs on the whole
-body); ``map(int, ...)`` converts it straight into id and weight
-columns; ``max`` checks ranges and one set of ``job * (machines + 1) +
-machine`` keys checks duplicates.  Any other slice, or one that breaks
-a rule, is read line by line, which names the first bad line with the
-same class, line number and message however its slice was tried.
+what the line code reads and each id has one spelling.  One regular
+expression checks the slice (it keeps a backtracking entry per line, so
+it never runs on the whole body); a table of id spellings, no longer
+than the body allows, decodes ids straight to 0-based ints, and weights
+convert only from the first slice with one that is not 1.  ``max``
+checks ranges.  Keys ``job * machines + machine`` that strictly
+increase, as emitted text's do, cannot repeat; a set of them checks
+duplicates from the first slice out of order or read line by line.  Any
+other slice, or one that breaks a rule, is read line by line, which
+names the first bad line with the same class, line number and message
+however its slice was tried.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, count, repeat
-from operator import add, mul, sub
+from itertools import chain, count, islice, repeat
+from operator import add, lt, mul
 from typing import Iterable, Sequence, Union
 
 from .core import MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError, SemiMatchError
@@ -129,36 +133,51 @@ def _leading_lines(text: str):
         start = end
 
 
-def _convert_slice(chunk: str, num_jobs: int, num_machines: int, room: int, seen: set[int],
+class _Ids(dict):
+    """The 0-based int of each id spelling ``"k"`` up to some bound; a
+    spelling above it converts with ``int()``."""
+
+    def __missing__(self, token: str) -> int:
+        return int(token) - 1
+
+
+def _convert_slice(chunk: str, counts: list[int], ids: _Ids, seen: set[int],
                    jobs: list[int], machines: list[int], weights: list[int]) -> int:
-    """Append a body slice in the bulk subset to the 0-based columns and
-    its keys to ``seen``, and return its line count; or return 0 and
-    change nothing when the slice is outside the subset, has more than
-    ``room`` lines, an id out of range, a weight over MAX_WEIGHT or a
-    duplicate edge."""
+    """Append a body slice in the bulk subset to the columns and return
+    its line count; or return 0 and change nothing when the slice is
+    outside the subset, takes the body past the header's edge count, or has
+    an id out of range, a weight over MAX_WEIGHT, a duplicate edge or,
+    while ``seen`` is empty, a key not above the one before.  ``weights``
+    ends at the last weight that is not 1."""
     if _CANONICAL_LINES.fullmatch(chunk) is None:
         return 0
+    num_jobs, num_machines, num_edges = counts
     tokens = chunk.split()  # e, job, machine, weight, e, ...
-    if len(tokens) > 4 * room:
+    if len(tokens) > 4 * (num_edges - len(jobs)):
         return 0
     try:
-        us = list(map(int, tokens[1::4]))
-        vs = list(map(int, tokens[2::4]))
-        ws = list(map(int, tokens[3::4]))
+        us = list(map(ids.__getitem__, tokens[1::4]))
+        vs = list(map(ids.__getitem__, tokens[2::4]))
+        ws = tokens[3::4]
+        ws = None if ws.count("1") == len(ws) else list(map(int, ws))
     except ValueError:  # a field longer than int()'s digit limit
         return 0
-    if max(us) > num_jobs or max(vs) > num_machines or max(ws) > MAX_WEIGHT:
+    if max(us) >= num_jobs or max(vs) >= num_machines or ws and max(ws) > MAX_WEIGHT:
         return 0
-    stride = num_machines + 1
-    before = len(seen)
-    seen.update(map(add, map(mul, us, repeat(stride)), vs))
-    if len(seen) - before < len(us):  # a duplicate: take the slice's keys back out
-        seen.clear()
-        seen.update((u + 1) * stride + v + 1 for u, v in zip(jobs, machines))
+    keys = list(map(add, map(mul, us, repeat(num_machines)), vs))  # as the line code's
+    if seen:  # the keys of every edge so far
+        seen.update(keys)
+        if len(seen) < len(jobs) + len(keys):  # a duplicate: the line code rebuilds the set
+            seen.clear()
+            return 0
+    elif jobs and keys[0] <= jobs[-1] * num_machines + machines[-1]:
         return 0
-    jobs += map(sub, us, repeat(1))
-    machines += map(sub, vs, repeat(1))
-    weights += ws
+    elif not all(map(lt, keys, islice(keys, 1, None))):
+        return 0
+    if ws:
+        weights += chain(repeat(1, len(jobs) - len(weights)), ws)
+    jobs += us
+    machines += vs
     return len(us)
 
 
@@ -191,32 +210,40 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
     if len(tokens) != len(usage.split()):
         raise MalformedHeaderError(line_no, f"{kind} header needs {usage!r}")
     counts = [_int_field(line_no, t, "header count", MalformedHeaderError) for t in tokens[2:]]
-    if kind == "semimatch":
-        num_jobs, num_machines, num_edges = counts
-    else:
-        num_vertices, num_edges = counts
     header_line = line_no
     if any(c < 0 for c in counts):
         raise MalformedHeaderError(header_line, "header counts must be non-negative")
 
     # Each line's fields convert in one try; _int_field runs only to name
-    # the bad one.  A pair's duplicate key is one integer, id * (n + 1) + id.
-    # A semimatch edge goes into three columns, which the instance builds
-    # from once the whole body has been checked, so a body error is named
+    # the bad one.  A pair's duplicate key is one integer.  A semimatch
+    # edge goes into two id columns, and into the weight column only once
+    # some weight is not 1.  The instance builds from the columns
+    # once the whole body has been checked, so a body error is named
     # before anything is allocated per job.
     jobs, machines, weights = [], [], []
     edges: list[tuple[int, int]] = []  # cover edges
     seen: set[int] = set()
+    if kind == "semimatch":
+        num_jobs, num_machines, num_edges = counts
+        # No more ids than body lines (8 characters at least), so that a
+        # huge header over a small body allocates little.
+        top = min(max(num_jobs, num_machines), (len(text) - start) // 8)
+        ids = _Ids(zip(map(str, range(1, top + 1)), range(top)))
+        column = jobs
+    else:
+        num_vertices, num_edges = counts
+        column = edges
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
         chunk = text[start:end]
         start = end
         if kind == "semimatch":
-            room = num_edges - len(seen)
-            converted = _convert_slice(chunk, num_jobs, num_machines, room, seen, jobs, machines, weights)
+            converted = _convert_slice(chunk, counts, ids, seen, jobs, machines, weights)
             if converted:
                 line_no += converted
                 continue
+            if not seen:
+                seen.update(map(add, map(mul, jobs, repeat(num_machines)), machines))
         for line_no, raw in enumerate(chunk.splitlines(), line_no + 1):
             tokens = raw.split()
             if not tokens:
@@ -226,7 +253,7 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
                 if tag == "c":
                     continue
                 raise ParseError(line_no, f"unknown record {tag!r}, expected 'e'")
-            if len(seen) == num_edges:
+            if len(column) == num_edges:
                 raise CountMismatchError(
                     line_no, f"header declared {num_edges} edges but the body has more"
                 )
@@ -254,13 +281,14 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
                     raise BadWeightError(
                         line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
                     )
-                key = job * (num_machines + 1) + machine
+                key = (job - 1) * num_machines + machine - 1
                 if key in seen:
                     raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
                 seen.add(key)
+                if weight != 1:
+                    weights += chain(repeat(1, len(jobs) - len(weights)), (weight,))
                 jobs.append(job - 1)
                 machines.append(machine - 1)
-                weights.append(weight)
             else:
                 if len(tokens) != 3:
                     raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
@@ -282,26 +310,30 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
                 if key in seen:
                     raise ParseError(line_no, f"duplicate edge ({lo}, {hi})")
                 seen.add(key)
-                edges.append((a - 1, b - 1))
+                edges.append((lo - 1, hi - 1))
 
-    if len(seen) != num_edges:
+    if len(column) != num_edges:
         raise CountMismatchError(
             header_line,
-            f"header declared {num_edges} edges but the body has {len(seen)}",
+            f"header declared {num_edges} edges but the body has {len(column)}",
         )
     if kind == "cover":
         # With more than two vertices per edge some vertex is isolated:
         # name it without building the graph's per-vertex lists.
-        graph = GeneralGraph(num_vertices, edges) if num_vertices <= 2 * len(edges) else None
-        if graph is None or not all(graph.adj):
-            hit = set(chain.from_iterable(edges))
-            isolated = next(v for v in count() if v not in hit)
-            raise InfeasibleInstanceError(
-                f"vertex {isolated} has no incident edges; no edge cover exists"
-            )
-        return graph
+        if num_vertices <= 2 * len(edges):
+            graph = GeneralGraph.__new__(GeneralGraph)
+            graph._build(num_vertices, edges)
+            if all(graph.adj):
+                return graph
+        hit = set(chain.from_iterable(edges))
+        isolated = next(v for v in count() if v not in hit)
+        raise InfeasibleInstanceError(
+            f"vertex {isolated} has no incident edges; no edge cover exists"
+        )
+    if weights:
+        weights += repeat(1, len(jobs) - len(weights))
     instance = BipartiteInstance.__new__(BipartiteInstance)
-    instance._build(num_jobs, num_machines, jobs, machines, weights)
+    instance._build(num_jobs, num_machines, jobs, machines, weights or None)
     return instance
 
 

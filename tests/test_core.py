@@ -157,27 +157,38 @@ WEIGHTS = {
 class TestLayout:
     @pytest.mark.parametrize("weights", sorted(WEIGHTS))
     @pytest.mark.parametrize("seed", range(8))
-    def test_every_builder_gives_the_same_layout(self, seed, weights):
+    def test_every_builder_gives_the_same_layout(self, seed, weights, monkeypatch):
         rng = random.Random(seed)
         jobs, machines, edges = shuffled_instance(rng, lambda: WEIGHTS[weights](rng))
         if weights == "one 2":
             u, v, _ = edges[rng.randrange(len(edges))]
             edges = [(a, b, 2 if (a, b) == (u, v) else w) for a, b, w in edges]
         want = expected_layout(*tuple_adjacency(jobs, machines, edges))
-        # The text keeps the shuffled edge order.  Its body converts in
-        # bulk; with CRLF line ends every line is read one at a time.
-        text = f"p semimatch {jobs} {machines} {len(edges)}\n" + "".join(
-            f"e {u + 1} {v + 1} {w}\n" for u, v, w in edges
+        # The text keeps the shuffled edge order.  Its one body slice is
+        # read line by line when a key falls out of order, and with CRLF
+        # line ends it always is; the body in edge order converts in bulk.
+        def text_of(edges):
+            return f"p semimatch {jobs} {machines} {len(edges)}\n" + "".join(
+                f"e {u + 1} {v + 1} {w}\n" for u, v, w in edges
+            )
+
+        text, in_order = text_of(edges), sorted(edges)
+        routes, convert = [], formats._convert_slice
+        monkeypatch.setattr(
+            formats, "_convert_slice", lambda *args: routes.append(convert(*args)) or routes[-1]
         )
         built = [
             BipartiteInstance(jobs, machines, edges),
             formats.parse_instance(text),
             formats.parse_instance(text.replace("\n", "\r\n")),
         ]
+        bulk = formats.parse_instance(text_of(in_order))
+        assert routes == [0 if edges != in_order else len(edges), 0, len(edges)]
         columns = BipartiteInstance.__new__(BipartiteInstance)
         columns._build(jobs, machines, *map(list, zip(*edges)))
-        for inst in built + [columns]:
-            assert layout(inst) == want
+        in_order_want = expected_layout(*tuple_adjacency(jobs, machines, in_order))
+        for inst, expected in zip(built + [columns, bulk], [want] * 4 + [in_order_want]):
+            assert layout(inst) == expected
             assert (inst.num_jobs, inst.num_machines, inst.num_edges) == (
                 jobs, machines, len(edges)
             )

@@ -74,6 +74,18 @@ class TestEdgeCoverContainer:
         assert cov.centers() == frozenset({0})
         assert len(cov) == 3
 
+    @pytest.mark.parametrize(
+        "edges, repeat",
+        [
+            ([(0, 1), (1, 0), (1, 2)], (0, 1)),
+            ([(1, 2), (0, 1), (1, 2)], (1, 2)),
+            ([(2, 1), (0, 1), (1, 2), (0, 1)], (1, 2)),
+        ],
+    )
+    def test_repeated_edge_rejected(self, edges, repeat):
+        with pytest.raises(ValueError, match=rf"^edge \({repeat[0]}, {repeat[1]}\) listed twice$"):
+            EdgeCover(3, edges)
+
     def test_degree_one_everywhere_has_no_centers(self):
         cov = EdgeCover(4, [(0, 1), (2, 3)])
         assert cov.centers() == frozenset()

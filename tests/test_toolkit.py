@@ -97,6 +97,17 @@ class TestParseInstance:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_huge_header_with_a_tiny_body_allocates_nothing_per_id(self):
+        # The id table is bounded by the body's length, not by the header.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleInstanceError, match="^job 1 has no incident edges"):
+                parse_instance("p semimatch 100000000 100000000 1\ne 1 1 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_isolated_vertices_rejected_before_a_list_per_vertex(self):
         # The cover twin of the test above: 10**6 vertices, no edge.
         tracemalloc.start()
@@ -398,6 +409,10 @@ def near_canonical(base, how):
             "double space": f"e {job}  {machine} {w}",
             "comment mid-body": f"c mid-body\n{lines[7000]}",
             "extra line": f"{lines[7000]}\n{lines[7000]}",
+            "duplicate of an earlier slice": lines[1],
+            "weight 2": f"e {job} {machine} 2",
+            # Past the id table, which stops at an eighth of the body's length.
+            "machine id above the table": f"e {job} 1000000 {w}",
             # Over int()'s 4300-digit limit for str, so int() fails.
             "5000-digit weight": f"e {job} {machine} {'9' * 5000}",
         }
@@ -417,6 +432,10 @@ def near_canonical(base, how):
             newline = "\r\n"
         elif change == "comment before the header":
             lines.insert(0, "c lead")
+        elif change == "swap":  # lines 7001 and 7002
+            lines[7000:7002] = lines[7001], lines[7000]
+        elif change == "unit body":
+            lines = [re.sub(r" \d+$", " 1", line) if line[:1] == "e" else line for line in lines]
         else:
             raise ValueError(change)
     return newline.join(lines)
@@ -469,18 +488,56 @@ class TestBulkPass:
             start += len(chunk)
         return starts
 
-    def test_large_instance_matches_the_referee(self, slices):
-        inst = gen_random(random.Random(11), 10_000, 1_000, num_edges=100_000)
-        text = emit_instance(inst)
+    @pytest.fixture(scope="class")
+    def large(self):
+        """A unit instance of the paper's size, 10**4 jobs and 10**5 edges."""
+        return gen_random(random.Random(11), 10_000, 1_000, num_edges=100_000)
+
+    def test_large_instance_matches_the_referee(self, large, slices, monkeypatch):
+        text = emit_instance(large)
         want = parse_instance_by_records(text)
-        for text in (text, emit_instance(inst, comments=["seed 11"])):
+        spy, state = formats._convert_slice, []
+
+        def keep_state(chunk, *args):
+            state[:] = args
+            return spy(chunk, *args)
+
+        monkeypatch.setattr(formats, "_convert_slice", keep_state)
+        for text in (text, emit_instance(large, comments=["seed 11"])):
             slices.clear()
             got = parse_instance(text)
-            assert got.num_edges == want.num_edges == inst.num_edges >= 100_000
-            assert layout(got) == layout(want) == layout(inst)
+            assert got.num_edges == want.num_edges == large.num_edges >= 100_000
+            assert layout(got) == layout(want) == layout(large)
+            assert got.job_weights is None
             # Every slice converts in bulk, and together they are the body.
             assert len(slices) > 1 and all(converted for _chunk, converted in slices)
             assert self.offsets(text, slices)[0] + sum(map(len, (c for c, _ in slices))) == len(text)
+            # Keys in order need no set, and unit weights no column.
+            _counts, _ids, seen, _jobs, _machines, weights = state
+            assert seen == set() and weights == []
+
+    def test_large_instance_parses_in_little_memory(self, large):
+        text = emit_instance(large)
+        tracemalloc.start()
+        try:
+            parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
+    def test_ids_above_the_table_convert_in_bulk(self, slices):
+        # Machine ids from 19001 on are past the id table, which stops at
+        # an eighth of the body's length; int() reads them.
+        machines = list(range(1, 1001)) + list(range(19001, 20001))
+        text = "p semimatch 3 20000 4001\n" + "".join(
+            [f"e 1 {v} 1\n" for v in machines] + [f"e 2 {v} 3\n" for v in machines] + ["e 3 5 1\n"]
+        )
+        assert len(text) // 8 < 19000
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert outcome[0] == "semimatch" and outcome[4][0][1][-1] == 19999
+        assert len(slices) > 1 and all(converted for _chunk, converted in slices)
 
     @pytest.mark.parametrize(
         "how, falls_back",
@@ -518,12 +575,24 @@ class TestBulkPass:
             # InfeasibleInstanceError.
             ("jobs +1", False),
             ("machines +1", False),  # an idle machine
+            # Legal, but out of order: the slice that breaks the order is
+            # read line by line, and the later ones convert in bulk.
+            ("swap", True),
+            ("duplicate of an earlier slice", True),
+            # The slice converts into a weight column, 1s before it.
+            ("unit body, weight 2", False),
+            ("unit body, weight 2, tab", True),
+            ("unit body", False),
+            # Legal, but its key is out of order.
+            ("machines +1000000, machine id above the table", True),
         ],
     )
     def test_near_canonical_text(self, base, slices, how, falls_back):
         text = near_canonical(base, how)
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
+        if how.startswith("unit body"):  # a weight column only for a weight 2
+            assert (outcome[4][2] is None) == (how == "unit body")
         starts = self.offsets(text, slices)
         if outcome[0] == "semimatch":  # parsed, so every slice was offered
             assert starts[-1] + len(slices[-1][0]) == len(text)
@@ -534,13 +603,51 @@ class TestBulkPass:
         else:
             # The slice holding the change, or the line the counts rule out.
             pattern = FIRST_LINE_RULED_OUT.get(how)
+            # The first of several changes only sets the scene for the edit.
+            origin = near_canonical(base, how.split(", ")[0]) if ", " in how else base
             at = (
-                len(os.path.commonprefix([base, text])) if pattern is None
+                len(os.path.commonprefix([origin, text])) if pattern is None
                 else re.search(pattern, text, re.M).start()
             )
             held = [max(s for s in starts if s <= at)]
             assert at < held[0] + len(slices[starts.index(held[0])][0])
         assert [s for s, (_c, converted) in zip(starts, slices) if not converted] == held
+
+    def test_a_repeat_across_a_slice_boundary_is_named(self, base, slices):
+        # Each slice's keys increase; only the first key of the second
+        # slice against the last of the first shows the repeat.
+        parse_instance(base)
+        first = slices[0][0]
+        cut = base.index("\n") + 1 + len(first)
+        text = base[:cut] + first.splitlines()[-1] + base[base.index("\n", cut):]
+        slices.clear()
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert outcome[0] is ParseError and "duplicate edge" in outcome[2]
+        assert [converted > 0 for _chunk, converted in slices] == [True, False]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_shuffled_canonical_bodies_match_the_referee(self, base, slices, seed):
+        # A run of body lines, or the whole body, shuffled, and in every
+        # other text one of them replaced by a copy of some other line.
+        rng = random.Random(seed)
+        header, *body, end = base.split("\n")
+        lo, hi = (0, len(body)) if seed % 4 == 0 else sorted(rng.sample(range(len(body)), 2))
+        run = body[lo:hi]
+        rng.shuffle(run)
+        body[lo:hi] = run
+        if seed % 2:
+            body[rng.randrange(lo, hi)] = rng.choice(body)
+        text = "\n".join([header, *body, end])
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        # The slices before the run convert in bulk.  A slice that breaks
+        # the order is read line by line, after which a set of keys checks
+        # every slice: with no copy, no other slice is read line by line.
+        first = len(header) + 1 + sum(map(len, body[:lo])) + lo
+        starts = self.offsets(text, slices)
+        assert all(c for s, (chunk, c) in zip(starts, slices) if s + len(chunk) <= first)
+        assert seed % 2 or sum(not c for _chunk, c in slices) <= 1
 
     def test_expressions_compile_on_python_3_10(self):
         # Possessive repeats and atomic groups arrived in Python 3.11's re.
