@@ -41,15 +41,12 @@ def live_center_count(network, seed):
     """Number of cost centers at or below the costliest one ``seed`` uses.
 
     ``seed`` is the assignment loaded by ``seed_flow``; each machine's
-    units fill its cheapest marginals, so its costliest used center has
-    the value of its ``load``-th marginal.  ``seed_flow`` builds slot
-    edges into these centers only, and ``cancel_all`` recurses over them.
+    units fill its cheapest slots, so its costliest used center is the
+    one its ``load``-th slot feeds.  ``cancel_all`` recurses over these
+    centers only.
     """
     loads = seed.degrees(network.num_machines)
-    top = max((network._marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
-    if top is None:
-        return 0
-    return sum(1 for val in network.center_values if val <= top)
+    return 1 + max((network._rank[v][k - 1] for v, k in enumerate(loads) if k), default=-1)
 
 
 def assert_cancel_bounds(counters, num_jobs, live):

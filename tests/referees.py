@@ -2,18 +2,17 @@
 
 The tests check the library against these.  Some are code the library
 has since replaced by a faster form (the per-token instance parser, the
-per-unit seed); others are public entry points that only the tests
-call (``cancel`` on chosen centers, ``reachable_partition``); the rest
-are small views of instances and networks that only the tests read
-(``weight``, ``layout``, ``describe_node``, ``residual_successors``),
-and the per-edge tuple adjacency instances once stored
-(``tuple_adjacency``).
+seed built from its definition); others are public entry points that
+only the tests call (``cancel`` on chosen centers,
+``reachable_partition``); the rest are small views of instances and
+networks that only the tests read (``weight``, ``layout``,
+``describe_node``), the explicit slot arcs a network now implies by its
+loads (``residual_successors``), and the per-edge tuple adjacency
+instances once stored (``tuple_adjacency``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import groupby
 from typing import Iterable, Optional, Sequence, Union
 
 from semimatch import unweighted
@@ -214,15 +213,35 @@ def assigned_machine(network: CostCenterNetwork, u: int) -> Optional[int]:
     return None if c < 0 else c - network.num_jobs
 
 
+def live_top(network: CostCenterNetwork) -> int:
+    """The costliest center a used slot feeds, or -1 with no flow."""
+    return max(
+        (rank[len(jobs) - 1] for rank, jobs in zip(network._rank, network._carried) if jobs),
+        default=-1,
+    )
+
+
 def residual_successors(network: CostCenterNetwork, x: int) -> list[int]:
-    """Residual out-neighbours of x, ignoring components."""
-    nU = network.num_jobs
+    """Residual out-neighbours of x, ignoring components.
+
+    The slot arcs are derived from the loads: a machine's go to the
+    jobs it carries and to each distinct center among its free slots,
+    up to the costliest center in use, and a center's go to every
+    machine with a used slot in it."""
+    nU, nV = network.num_jobs, network.num_machines
     if x < nU:
         return [nU + v for v in network.instance.job_machines[x] if nU + v != network._carrier[x]]
-    slots = [network._to[e] for e in network._adj[x] if network._rem[e] > 0]
-    if x < nU + network.num_machines:
-        return network._carried[x - nU] + slots
-    return slots
+    top = live_top(network)
+    if x < nU + nV:
+        jobs = network._carried[x - nU]
+        free = sorted({k for k in network._rank[x - nU][len(jobs):] if k <= top})
+        return jobs + [network.center_node(k) for k in free]
+    k = x - nU - nV
+    return [
+        nU + v
+        for v, (rank, jobs) in enumerate(zip(network._rank, network._carried))
+        if k in rank[: len(jobs)]
+    ]
 
 
 # -- the cost-center network ----------------------------------------------
@@ -230,43 +249,17 @@ def residual_successors(network: CostCenterNetwork, x: int) -> list[int]:
 
 def seed_flow_per_unit(network: CostCenterNetwork, matching: SemiMatching) -> CostCenterNetwork:
     """``seed_flow`` after ``validate_semi_matching``, filling the carrier
-    record from its definition and each slot edge one unit at a time."""
+    record from its definition."""
     bad = validate_semi_matching(network.instance, matching)
     if bad is not None:
         raise ValueError(f"invalid matching: {bad.kind}: {bad.detail}")
-    if any(network.edge_flow(e) for per_v in network._machine_center_edges for e, _ in per_v):
+    if any(c >= 0 for c in network._carrier):
         raise ValueError("network already carries flow")
-    nU, nV, marginals = network.num_jobs, network.num_machines, network._marginals
-    loads = matching.degrees(nV)
-    top = max((marginals[v][k - 1] for v, k in enumerate(loads) if k), default=None)
-    if top is None:  # no jobs
-        return network
+    nU, nV = network.num_jobs, network.num_machines
     machine_of = matching.machine_of
     network._carrier = [nU + v for v in machine_of]
     network._carried = [[u for u in range(nU) if machine_of[u] == v] for v in range(nV)]
     network._where = [network._carried[v].index(u) for u, v in enumerate(machine_of)]
-    live = network.center_values[: bisect_right(network.center_values, top)]
-    center_of = {val: nU + nV + k for k, val in enumerate(live)}
-    to, pos, adj = network._to, network._pos, network._adj
-    cap: list[int] = []
-    for v in range(nV):
-        x = nU + v
-        slots = network._machine_center_edges[v]
-        for val, grp in groupby(marginals[v]):
-            if val > top:
-                break
-            mult = sum(1 for _ in grp)
-            slots.append((len(to), val))
-            pos += (len(adj[x]), 0)
-            adj[x].append(len(to))
-            to += (center_of[val], x)
-            cap += (mult, 0)
-    network._rem += cap
-    rem = network._rem
-    for v, load in enumerate(loads):
-        for _ in range(load):
-            eid = next(e for e, _val in network._machine_center_edges[v] if rem[e])
-            network._push(eid, 1)
     return network
 
 
@@ -289,9 +282,9 @@ def cancel(
     Center arguments are 0-based positions into ``center_values``.
     Every source must be strictly more expensive than every sink, so
     each unit moved lowers the flow cost by the value difference of its
-    endpoint centers, and every center with slot edges in the
-    subproblem must be one or the other.  The job-side flow value is
-    untouched.
+    endpoint centers, and every center that a machine of the subproblem
+    has a slot into, up to the costliest center in use, must be one or
+    the other.  The job-side flow value is untouched.
     """
     sources = sorted(set(sources))
     sinks = sorted(set(sinks))
@@ -309,19 +302,18 @@ def cancel(
     if len(comps) != 1:
         raise ValueError("sources and sinks span different subproblems")
     comp = comps.pop()
-    ends = {network.center_node(k) for k in sources + sinks}
-    to, comp_of = network._to, network.comp
-    for per_v in network._machine_center_edges:
-        for e, _val in per_v:
-            x = to[e]
-            if comp_of[x] == comp == comp_of[to[e ^ 1]] and x not in ends:
-                raise ValueError(
-                    f"center {describe_node(network, x)[1]} has slot edges in the "
-                    "subproblem but is neither a source nor a sink"
-                )
+    ends = set(sources + sinks)
+    top, nU = live_top(network), network.num_jobs
+    for v, rank in enumerate(network._rank):
+        if network.comp[nU + v] == comp:
+            for k in rank:
+                if k <= top and k not in ends:
+                    raise ValueError(
+                        f"center {k} has slots in the subproblem but is neither a source nor a sink"
+                    )
     counters = counters if counters is not None else CancelCounters()
     machines = unweighted._component_machines(network, comp)
-    unweighted._cancel(network, comp, sources, sinks, machines, counters)
+    unweighted._cancel(network, comp, sources, machines, counters)
     return network
 
 

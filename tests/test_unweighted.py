@@ -32,6 +32,7 @@ from referees import (
     assigned_machine,
     cancel,
     describe_node,
+    live_top,
     max_machine_degree,
     reachable_partition,
     residual_successors,
@@ -64,28 +65,37 @@ def star_instance(rng, spokes, jobs, machines):
     return BipartiteInstance(spokes + jobs, machines, edges)
 
 
-def assert_lists_are_residual(network):
-    """Every machine and center lists exactly its residual slot arcs, and
-    the carrier record is whole: ``_carried[v]`` holds exactly the jobs
-    whose carrier is machine v, each at its ``_where`` index, and each
-    machine's slot edges carry one unit per job it carries."""
-    expected = [[] for _ in range(network.num_nodes)]
-    for e in range(len(network._to)):
-        if network._rem[e] > 0:
-            expected[network._to[e ^ 1]].append(e)
-    for x in range(network.num_nodes):
-        assert sorted(network._adj[x]) == expected[x], f"node {describe_node(network, x)}"
-        for i, e in enumerate(network._adj[x]):
-            assert network._pos[e] == i
-    carrier, where = network._carrier, network._where
+def assert_loads_are_consistent(network):
+    """The carrier record is whole and the loads keep the range invariant.
+
+    ``_carried[v]`` holds exactly the jobs whose carrier is machine v,
+    each at its ``_where`` index, and no more than v has slots.  Each
+    component's centers form one contiguous range ``[lo, hi]`` (component
+    0 may also keep the centers above the costliest one in use, which
+    cancel_all never splits), and each machine of the component fills
+    every slot into a center below ``lo`` and none into a center above
+    ``hi``: its slots into other components' centers are full exactly
+    when they lie below its own."""
+    carrier, where, comp_of = network._carrier, network._where, network.comp
     for v, carried in enumerate(network._carried):
         x = network.machine_node(v)
         on_v = [u for u in range(network.num_jobs) if carrier[u] == x]
         assert sorted(carried) == on_v, f"machine {v} lists {carried}, carries {on_v}"
         assert all(carried[where[u]] == u for u in carried), f"machine {v}"
-        flow = sum(network.edge_flow(e) for e, _val in network._machine_center_edges[v])
-        assert flow == len(carried), f"machine {v}: {flow} units for {len(carried)} jobs"
+        assert len(carried) <= len(network._rank[v]), f"machine {v} carries more than its slots"
     assert sum(map(len, network._carried)) == network.flow_value()
+    top, lo, start = live_top(network), {}, 0
+    runs = [(c, len(list(grp))) for c, grp in groupby(comp_of[network.num_nodes - network.num_centers:])]
+    for i, (c, n) in enumerate(runs):
+        dead_tail = i == len(runs) - 1 and c == 0 and start > top
+        assert c not in lo or dead_tail, f"component {c}'s centers are not one range"
+        lo.setdefault(c, start)
+        start += n
+    for v, rank in enumerate(network._rank):
+        c, load = comp_of[network.machine_node(v)], len(network._carried[v])
+        for i, k in enumerate(rank):
+            if comp_of[network.center_node(k)] != c:
+                assert (i < load) == (k < lo[c]), f"machine {v}, slot {i} breaks the range"
 
 
 def plain_layers(network, comp, sources):
@@ -128,36 +138,44 @@ class TestNetworkConstruction:
         net = build_cost_center_network(fig2_instance())
         assert net.num_centers == 3
         assert [net.center_value(k) for k in range(3)] == [1, 2, 3]
-        assert net._machine_center_edges == [[], []]  # seeding builds the slots
+        # machine 0 (degree 2) has slots into the first two centers and
+        # machine 1 into all three; no slot carries a unit yet
+        assert [list(rank) for rank in net._rank] == [[0, 1], [0, 1, 2]]
+        assert net._carried == [[], []]
         seed_flow(net, SemiMatching((0, 1, 1, 1)))
-        # the seed uses center 3, so machine 0 (degree 2) feeds the first
-        # two centers and machine 1 all three
-        assert [val for _e, val in net._machine_center_edges[0]] == [1, 2]
-        assert [val for _e, val in net._machine_center_edges[1]] == [1, 2, 3]
+        # the seed uses center 3 through machine 1, whose three slots are
+        # full; machine 0 fills its first slot and can still feed center 2
+        assert [len(jobs) for jobs in net._carried] == [1, 3]
+        assert residual_successors(net, net.machine_node(0)) == [0, net.center_node(1)]
+        assert residual_successors(net, net.machine_node(1)) == [1, 2, 3]
+        assert residual_successors(net, net.center_node(2)) == [net.machine_node(1)]
 
     def test_slots_stop_at_the_seeded_top(self):
         net = build_cost_center_network(fig2_instance())
         seed_flow(net, SemiMatching((0, 0, 1, 1)))
-        # loads 2 and 2: no slot into center 3, which has no arc at all
-        assert [val for _e, val in net._machine_center_edges[1]] == [1, 2]
-        assert net._adj[net.center_node(2)] == []
-        assert net.center_node(2) not in net._to
-        assert_lists_are_residual(net)
+        # loads 2 and 2: machine 1's free slot feeds center 3, above the
+        # costliest center in use, so center 3 has no arc at all
+        c3 = net.center_node(2)
+        assert residual_successors(net, net.machine_node(1)) == [2, 3]
+        assert residual_successors(net, c3) == []
+        assert all(c3 not in residual_successors(net, x) for x in range(net.num_nodes))
+        assert_loads_are_consistent(net)
 
     def test_single_edge_shape(self):
         net = build_cost_center_network(BipartiteInstance(1, 1, [(0, 0)]))
         # source and sink are implicit: 3 real nodes (u, v, c1), 2 real edges
         assert net.num_nodes == 3
         assert net.num_centers == 1
-        assert net._to == []  # the job edge is the carrier record, not an arc
+        assert net._rank == [range(1)]  # one slot, implied by the load, not an arc
         seed_flow(net, SemiMatching((0,)))
-        assert len(net._to) == 2  # the slot edge and its twin
-        assert net._carrier == [net.machine_node(0)]
+        assert net._carrier == [net.machine_node(0)]  # the job edge is the carrier record
+        assert net._carried == [[0]]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_job_arrays_equal_a_per_edge_build(self, seed):
-        # Edge by edge, an unseeded network records nothing: no edge is
-        # an arc, no job has a carrier and no machine carries a job.
+        # Edge by edge, an unseeded network records nothing: no job has a
+        # carrier, no machine carries a job and no slot arc is residual.
+        # Machine v's slots feed the centers of its first deg marginals.
         # Edges arrive shuffled, so job_machines order is not edge order, and
         # a few extra machines have no edge at all.
         rng = random.Random(seed)
@@ -173,12 +191,33 @@ class TestNetworkConstruction:
         for inst in instances:
             for costs in (None, ConvexMachineCost.quadratic(inst)):
                 net = build_cost_center_network(inst, costs)
-                assert net._to == net._rem == net._pos == []
-                assert all(not net._adj[x] for x in range(net.num_nodes))
+                marginals = costs.marginals if costs else [range(1, inst.num_jobs + 1)] * inst.num_machines
+                assert [[net.center_value(k) for k in rank] for rank in net._rank] == [
+                    list(marginals[v][: inst.machine_degree(v)]) for v in range(inst.num_machines)
+                ]
+                assert all(not residual_successors(net, x) for x in range(inst.num_jobs, net.num_nodes))
                 assert net._carrier == [-1] * inst.num_jobs
                 assert net._carried == [[] for _ in range(net.num_machines)]
                 assert net.flow_value() == 0
-                assert_lists_are_residual(net)
+                assert_loads_are_consistent(net)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unit_centers_equal_the_set_of_marginals(self, seed):
+        # Unit costs number the centers 1..max degree without a set over
+        # the marginals; that is the set-derived tuple, also with no jobs.
+        rng = random.Random(seed)
+        instances = [
+            gen_random(rng, rng.randint(1, 40), rng.randint(1, 12), edge_prob=rng.uniform(0.05, 1.0)),
+            zipf_instance(rng, rng.randint(20, 80), rng.randint(10, 40)),
+            BipartiteInstance(0, rng.randint(0, 3), []),
+        ]
+        for inst in instances:
+            net = build_cost_center_network(inst)
+            marginals = {m for jobs in inst.machine_jobs for m in range(1, len(jobs) + 1)}
+            assert net.center_values == tuple(sorted(marginals))
+            twin = build_cost_center_network(inst, ConvexMachineCost.triangular(inst))
+            assert net.center_values == twin.center_values
+            assert list(map(list, net._rank)) == twin._rank
 
     def test_convex_marginals_become_center_values(self):
         inst = BipartiteInstance(3, 1, [(0, 0), (1, 0), (2, 0)])
@@ -204,9 +243,11 @@ class TestSeedAndCancel:
             for matching in (_greedy_seed(inst), anywhere):
                 net = seed_flow(build_cost_center_network(inst, costs), matching)
                 ref = seed_flow_per_unit(build_cost_center_network(inst, costs), matching)
-                names = ("_to", "_rem", "_adj", "_pos", "_carrier", "_carried", "_where")
-                for name in names + ("_machine_center_edges",):
+                for name in ("_rank", "_carrier", "_carried", "_where"):
                     assert getattr(net, name) == getattr(ref, name), name
+                # Each machine's units fill its cheapest slots.
+                want = convex_cost(inst, matching, costs) if costs else unit_cost(inst, matching)
+                assert net.flow_cost() == want
 
     def test_seed_flow_rejects_a_bad_assignment_and_leaves_the_network(self):
         inst = fig2_instance()
@@ -221,8 +262,7 @@ class TestSeedAndCancel:
         ]
         for machine_of, detail in cases:
             net = build_cost_center_network(inst)
-            lists = (net._to, net._rem, net._pos, net._carrier, net._where)
-            lists += (*net._carried, *net._adj)
+            lists = (net._carrier, net._where, *net._carried)
             before = [list(a) for a in lists]
             with pytest.raises(ValueError) as raised:
                 seed_flow(net, SemiMatching(machine_of))
@@ -231,7 +271,7 @@ class TestSeedAndCancel:
                 seed_flow_per_unit(build_cost_center_network(inst), SemiMatching(machine_of))
             assert str(refereed.value) == str(raised.value)
             assert [list(a) for a in lists] == before
-            assert net._machine_center_edges == [[], []]
+            assert net.flow_value() == 0
         net = seed_flow(build_cost_center_network(inst), SemiMatching((0, 1, 1, 1)))
         with pytest.raises(ValueError, match="^network already carries flow$"):
             seed_flow(net, SemiMatching((0, 0, 1, 1)))
@@ -278,8 +318,8 @@ class TestSeedAndCancel:
             cancel(net, [1], [0, 1])
 
     def test_cancel_rejects_a_center_between_the_ranges(self):
-        # Machine 1 has slot edges into all three centers; center 1 would
-        # sit strictly inside the layered graph, which the search rules out.
+        # Machine 1 has slots into all three centers; center 1 would sit
+        # strictly inside the layered graph, which the search rules out.
         net = build_cost_center_network(fig2_instance())
         seed_flow(net, SemiMatching((0, 1, 1, 1)))
         with pytest.raises(ValueError, match="center 1 .* neither a source nor a sink"):
@@ -304,19 +344,47 @@ class TestSeedAndCancel:
         assert extract_semi_matching(net).machine_of == seeded.machine_of
 
     def test_lists_hold_exactly_the_residual_arcs(self):
+        # The loads imply the residual slot arcs: one per used slot from
+        # its center into the machine, one per free slot from the machine
+        # into its center, up to the costliest center in use.
+        def slot_arcs(net):
+            top, arcs = live_top(net), set()
+            for v, rank in enumerate(net._rank):
+                x = net.machine_node(v)
+                for i, k in enumerate(rank):
+                    if i < len(net._carried[v]):
+                        arcs.add((net.center_node(k), x))
+                    elif k <= top:
+                        arcs.add((x, net.center_node(k)))
+            return arcs
+
         net = build_cost_center_network(fig2_instance())
-        assert_lists_are_residual(net)  # no flow: no job listed
-        seed_flow(net, SemiMatching((0, 1, 1, 1)))
-        assert_lists_are_residual(net)
-        cancel(net, [2], [0, 1])
-        assert_lists_are_residual(net)
+        for step in ("unseeded", "seeded", "cancelled"):
+            if step == "seeded":
+                seed_flow(net, SemiMatching((0, 1, 1, 1)))
+            elif step == "cancelled":
+                cancel(net, [2], [0, 1])
+            assert_loads_are_consistent(net)
+            derived = {
+                (x, y)
+                for x in range(net.num_jobs, net.num_nodes)
+                for y in residual_successors(net, x)
+                if y >= net.num_jobs
+            }
+            assert derived == slot_arcs(net), step
+        assert slot_arcs(net) == {
+            (net.center_node(0), net.machine_node(0)),
+            (net.center_node(1), net.machine_node(0)),
+            (net.center_node(0), net.machine_node(1)),
+            (net.center_node(1), net.machine_node(1)),
+        }  # loads 2 and 2: machine 1's free slot lies above the top
         assert assigned_machine(net, 1) == 0
 
     def test_public_cancel_on_a_freshly_seeded_network(self):
         # No cancel_all: the split runs through the centers the seed uses,
-        # and the sources reach above the seeded top, where no slot edge
-        # is built.  The step cost merges equal marginals into slot edges
-        # of capacity 3, which a unit can cross without saturating them.
+        # and the sources reach above the seeded top, which no slot feeds.
+        # The step cost ties marginals in runs of three, so a machine's
+        # used and free slots can feed the same center.
         moved = 0
         for seed in range(8):
             rng = random.Random(seed)
@@ -335,12 +403,12 @@ class TestSeedAndCancel:
                 moved += counters.units_cancelled
                 assert net.flow_value() == inst.num_jobs
                 assert net.flow_cost() <= seeded_cost
-                assert_lists_are_residual(net)
+                assert_loads_are_consistent(net)
                 S, _rest = reachable_partition(net, upper)
                 assert not {net.center_node(k) for k in lower} & S
                 # Finishing with cancel_all reaches the optimum.
                 cancel_all(net)
-                assert_lists_are_residual(net)
+                assert_loads_are_consistent(net)
                 got = convex_cost(inst, extract_semi_matching(net), costs)
                 assert got == convex_cost(inst, solve_convex(inst, costs), costs)
         assert moved > 0
@@ -438,17 +506,17 @@ class TestSolveUnweighted:
         counters = CancelCounters()
         cancel_all(net, counters=counters)
         assert len(counters.rounds_per_cancel) == live - 1
-        # Centers above the seeded top have no arc in or out, and each
-        # machine has one slot edge per distinct marginal up to the top.
+        # Centers above the seeded top have no arc in or out, and machine
+        # v's slots feed the centers of the marginals 1..deg in order.
         dead = {net.center_node(k) for k in range(live, net.num_centers)}
-        assert not dead.intersection(net._to)
-        assert all(net._adj[x] == [] for x in dead)
-        top = net.center_value(live - 1)
+        assert all(residual_successors(net, x) == [] for x in dead)
+        assert not dead.intersection(
+            y for x in range(net.num_nodes) if x not in dead for y in residual_successors(net, x)
+        )
         for v in range(inst.num_machines):
-            built = [(val, net._rem[e] + net._rem[e ^ 1]) for e, val in net._machine_center_edges[v]]
-            want = [(val, len(list(grp))) for val, grp in groupby(net._marginals[v]) if val <= top]
-            assert built == want, f"machine {v}"
-        assert_lists_are_residual(net)
+            want = list(range(1, inst.machine_degree(v) + 1))
+            assert [net.center_value(k) for k in net._rank[v]] == want, f"machine {v}"
+        assert_loads_are_consistent(net)
         got = unit_cost(inst, extract_semi_matching(net))
         assert got == unit_cost(inst, baseline_exploded_solver(inst))
 
@@ -465,7 +533,7 @@ class TestSolveUnweighted:
         ]
         directions = {"bottom-up": 0, "top-down": 0}
 
-        def check_layering(network, comp, sources, sinks, machines, counters):
+        def check_layering(network, comp, sources, machines, counters):
             # The search is handed exactly its component's machines.  The
             # first layering stops at the nearest sink, and the last,
             # failed one labels exactly the residually reachable nodes,
@@ -478,9 +546,13 @@ class TestSolveUnweighted:
             before, seen_dirs = plain_layers(network, comp, sources)
             for way, n in seen_dirs.items():
                 directions[way] += n
-            nearest = min((before.get(network.center_node(k)) for k in sinks), key=lambda d: (d is None, d))
+            cut = network.center_node(sources[0])  # the centers below it are the sinks
+            nearest = min(
+                (d for x, d in before.items() if describe_node(network, x)[0] == "center" and x < cut),
+                default=None,
+            )
             n_calls = len(counters.distances_per_cancel)
-            reachable = real_cancel(network, comp, sources, sinks, machines, counters)
+            reachable = real_cancel(network, comp, sources, machines, counters)
             first = counters.distances_per_cancel[n_calls][:1]
             assert first == ([] if nearest is None else [nearest])
             after, _ = plain_layers(network, comp, sources)
@@ -529,14 +601,13 @@ class TestSolveUnweighted:
 
 
 def observed_cancel_all(net):
-    """``cancel_all`` with every job move and slot push watched.  Asserts
-    that each job an augmentation moves is dead (label -1) for the rest
-    of its round, and that layer distances strictly increase within each
-    call; fails after 10 s instead of hanging.  Returns the counters and
-    the largest number of units one push moved."""
+    """``cancel_all`` with every job move watched.  Asserts that each job
+    an augmentation moves is dead (label -1) for the rest of its round,
+    that layer distances strictly increase within each call, and that
+    the loads end consistent; fails after 10 s instead of hanging.
+    Returns the counters and the number of job moves."""
     moved = []  # (round stamp, job)
-    biggest = [0]
-    move, push = net._move, net._push
+    move = net._move
 
     def watched_move(u, x):
         moved.append((net._stamp, u))
@@ -545,19 +616,15 @@ def observed_cancel_all(net):
                 assert net._dist[job] == -1, f"job {job} moved but still alive in its round"
         move(u, x)
 
-    def watched_push(e, delta):
-        biggest[0] = max(biggest[0], delta)
-        push(e, delta)
-
-    net._move, net._push = watched_move, watched_push
+    net._move = watched_move
     counters = CancelCounters()
     with deadline(10, "the cancellation"):
         cancel_all(net, counters=counters)
-    del net._move, net._push
+    del net._move
     for dists in counters.distances_per_cancel:
         assert all(a < b for a, b in zip(dists, dists[1:])), dists
-    assert_lists_are_residual(net)
-    return counters, biggest[0]
+    assert_loads_are_consistent(net)
+    return counters, len(moved)
 
 
 def chain_instance(k):
@@ -641,12 +708,12 @@ class TestBackwardBlockingFlow:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_layer_paths_cross_merged_slots(self, seed):
-        # Step marginals 1,1,1,2,2,2,3,3,3 give slot edges of capacity 3.
-        # Machine 0 sees every job and carries two to four of them, and
-        # some machine carries four, so machine 0 gets a second slot edge.
-        # Move two or three of its units from its cheapest slot into that,
-        # which keeps the flow saturating; the way back is a path of two
-        # layers, center -> machine 0 -> center, and one push moves them all.
+        # Step marginals 1,1,1,2,2,2,3,3,3 tie in runs of three.  Machine 0
+        # sees every job and carries two or four of them, so its costliest
+        # used slot and its cheapest free one feed the same center, and
+        # some machine carries four.  A center is a source or a sink, so
+        # that machine is fed by a source or feeds a sink, never both: no
+        # path has two layers, and every cancelled unit moves a job.
         rng = random.Random(seed)
         jobs, machines = rng.randint(6, 8), rng.randint(2, 4)
         edges = [(u, 0) for u in range(jobs)]
@@ -655,36 +722,30 @@ class TestBackwardBlockingFlow:
         while True:
             seeded = SemiMatching(tuple(rng.choice(inst.job_machines[u]) for u in range(jobs)))
             loads = seeded.degrees(machines)
-            if 2 <= loads[0] <= 4 and max(loads) >= 4:
+            if loads[0] in (2, 4) and max(loads) >= 4:
                 break
         step = ConvexMachineCost.from_callable(inst, lambda k: sum(i // 3 + 1 for i in range(k)))
-        net = build_cost_center_network(inst, step)
-        seed_flow(net, seeded)
-        (cheap, _), (dear, _) = net._machine_center_edges[0][:2]
-        shift = min(net.edge_flow(cheap), net._rem[dear], 3)
-        assert shift >= 2
-        net._push(cheap ^ 1, shift)
-        net._push(dear, shift)
-        assert net.flow_value() == jobs
-        counters, biggest = observed_cancel_all(net)
-        assert 2 in [d for dists in counters.distances_per_cancel for d in dists]
-        assert biggest >= 2
+        net = seed_flow(build_cost_center_network(inst, step), seeded)
+        rank = net._rank[0]
+        assert rank[loads[0] - 1] == rank[loads[0]]  # the tie straddles the load
+        counters, moves = observed_cancel_all(net)
+        assert 2 not in [d for dists in counters.distances_per_cancel for d in dists]
+        assert moves >= counters.units_cancelled
         best, _ = brute_force_semi_matching(inst, step)
         assert convex_cost(inst, extract_semi_matching(net), step) == best
 
     def test_a_path_through_a_job_moves_one_unit(self):
         # Six jobs may run on either machine and the seed puts all six on
-        # machine 0.  Step marginals 1,1,1,2,2,2 merge into slot edges of
-        # capacity 3, so the path from the value-2 center through machine 0,
-        # a job and machine 1 into the value-1 center has room for three
-        # units at both ends, but its job edge carries one: the round takes
-        # three paths of one unit each.
+        # machine 0.  Step marginals 1,1,1,2,2,2 tie in runs of three, so
+        # machine 0 has three used slots in the value-2 center and machine
+        # 1 three free slots into the value-1 center, but a job edge
+        # carries one unit: the round takes three paths of one job each.
         inst = BipartiteInstance(6, 2, [(u, v) for u in range(6) for v in range(2)])
         step = ConvexMachineCost.from_callable(inst, lambda k: sum(i // 3 + 1 for i in range(k)))
         net = seed_flow(build_cost_center_network(inst, step), SemiMatching((0,) * 6))
-        counters, biggest = observed_cancel_all(net)
+        counters, moves = observed_cancel_all(net)
         assert counters.distances_per_cancel == [[4]]
-        assert counters.units_cancelled == 3 and biggest == 1
+        assert counters.units_cancelled == 3 and moves == 3
         got = extract_semi_matching(net)
         assert got.degrees(2) == [3, 3]
         assert convex_cost(inst, got, step) == brute_force_semi_matching(inst, step)[0]
@@ -693,11 +754,11 @@ class TestBackwardBlockingFlow:
         # Machine 0 carries six jobs, three of them free to move to
         # machines 3..5, which carry nothing; machines 1 and 2 carry five,
         # one of them free to move to machine 0.  Cancelling centers 3.. into
-        # 0..2 drains machine 0's centers 3..5, but its slot edges stay, so
-        # cancel_all (top 4) later meets center 5 with slot edges and no
-        # place among sources or sinks.  Sources [4] reach machine 0 on
-        # level 3, where both sink 3 and center 5 sit on level 4; only one
-        # unit may move, into sink 3.
+        # 0..2 drains machine 0's centers 3..5, so in cancel_all (top 4)
+        # machine 0 has free slots into sink 3, source 4 and center 5,
+        # above the top, which is neither.  Sources [4] reach machine 0 on
+        # level 3, whose next slot feeds sink 3; only one unit may move,
+        # into sink 3.
         edges = [(u, 0) for u in range(6)] + [(3 + i, 3 + i) for i in range(3)]
         edges += [(6, 0), (6, 1), (7, 0), (7, 2)]
         edges += [(u, 1) for u in range(8, 12)] + [(u, 2) for u in range(12, 16)]
@@ -769,7 +830,7 @@ class TestSolveConvex:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_merged_slot_edges_match_brute_force(self, seed):
-        # Equal marginals merge into one slot edge of capacity > 1: all of
+        # Equal marginals make a machine's slots share a center: all of
         # them under the linear cost, runs of three under the step cost.
         rng = random.Random(seed)
         inst = gen_random(rng, rng.randint(1, 8), rng.randint(1, 4), edge_prob=0.6)
@@ -780,8 +841,6 @@ class TestSolveConvex:
             net = build_cost_center_network(inst, costs)
             seed_flow(net, _greedy_seed(inst))
             if max_machine_degree(inst) > 1:
-                assert max(
-                    net._rem[e] + net._rem[e ^ 1] for per_v in net._machine_center_edges for e, _ in per_v
-                ) > 1
+                assert any(rank[i] == rank[i + 1] for rank in net._rank for i in range(len(rank) - 1))
             best, _ = brute_force_semi_matching(inst, costs)
             assert convex_cost(inst, solve_convex(inst, costs), costs) == best
