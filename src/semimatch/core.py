@@ -20,8 +20,8 @@ All ids are dense and 0-based.  Instances are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from operator import index
+from itertools import count, islice, repeat
+from operator import add, index, itemgetter, lt, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 #: Edge weights must fit in an unsigned 31-bit integer.
@@ -54,6 +54,30 @@ def _edgeless_job(u: int) -> InfeasibleInstanceError:
     return InfeasibleInstanceError(f"job {u} has no incident edges; no assignment exists")
 
 
+def _bulk_columns(num_jobs: int, num_machines: int, edges):
+    """The columns ``(jobs, machines, weights or None)`` of ``edges``, checked
+    in bulk as :class:`BipartiteInstance` describes, or ``None`` for the loop."""
+    if not edges or type(edges) not in (list, tuple):
+        return None
+    if not {tuple, list}.issuperset(map(type, edges)):
+        return None
+    sizes = set(map(len, edges))
+    if sizes not in ({2}, {3}):
+        return None
+    columns = [list(map(itemgetter(k), edges)) for k in range(sizes.pop())]
+    if any(set(map(type, column)) != {int} for column in columns):
+        return None
+    jobs, machines, *weights = columns
+    bounds = [num_jobs - 1, num_machines - 1, MAX_WEIGHT]
+    if any(min(column) < 0 or max(column) > top for column, top in zip(columns, bounds)):
+        return None
+    # Pairs in strictly increasing order cannot repeat; others need a set.
+    if not all(map(lt, zip(jobs, machines), islice(zip(jobs, machines), 1, None))):
+        if len(set(map(add, map(mul, jobs, repeat(num_machines + 1)), machines))) < len(jobs):
+            return None
+    return jobs, machines, weights[0] if weights else None
+
+
 def _checked_cost(value: int) -> int:
     if value > MAX_COST:
         raise CostOverflowError(f"cost {value} exceeds the 64-bit accumulator")
@@ -72,6 +96,14 @@ class BipartiteInstance:
     up front with :class:`InfeasibleInstanceError`, before anything is
     allocated per job.  Machines with no edges are legal; they simply
     never receive work.
+
+    A list or tuple whose edges are all 2-tuples or all 3-tuples (or
+    lists) with fields of type ``int`` is checked in bulk, one pass per
+    column; edges in increasing ``(job, machine)`` order need no set to
+    rule out duplicates.  Other input (a generator, ``bool`` or other
+    integer-like fields, mixed edge lengths), and input that fails a
+    bulk check, is read edge by edge, which names the first bad edge;
+    every error keeps its class and message either way.
 
     The instance stores ``num_edges`` and its adjacency as id tuples in
     compressed-sparse-row form: ``job_machines[u]`` holds job u's
@@ -99,6 +131,10 @@ class BipartiteInstance:
         num_machines = _integer(num_machines, "machine count")
         if num_jobs < 0 or num_machines < 0:
             raise ValueError("vertex counts must be non-negative")
+        columns = _bulk_columns(num_jobs, num_machines, edges)
+        if columns is not None:
+            self._build(num_jobs, num_machines, *columns)
+            return
         jobs, machines, weights = [], [], []
         stride = num_machines + 1
         seen: set[int] = set()

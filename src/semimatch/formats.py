@@ -350,9 +350,16 @@ def emit_instance(
         )
         # Jobs come in ascending order and a job's machines are distinct,
         # so sorting each job's (machine, weight) pairs sorts the edges.
+        # A unit job's lines are one join of its machine ids.
+        names = list(map(str, range(1, instance.num_machines + 1)))
+        weights = instance.job_weights
         for u, vs in enumerate(instance.job_machines, start=1):
-            pairs = sorted(zip(vs, instance.weights(u - 1)))
-            out.extend(f"e {u} {v + 1} {w}" for v, w in pairs)
+            if weights is None:
+                ids = map(names.__getitem__, sorted(vs))
+                out.append(f"e {u} " + f" 1\ne {u} ".join(ids) + " 1")
+            else:
+                pairs = sorted(zip(vs, weights[u - 1]))
+                out.extend(f"e {u} {names[v]} {w}" for v, w in pairs)
     else:
         out.append(f"p cover {instance.num_vertices} {instance.num_edges}")
         out.extend(f"e {a + 1} {b + 1}" for a, b in sorted(instance.edges))

@@ -128,7 +128,8 @@ def gen_random_graph(
         deg[b] += 1
     for x in range(num_vertices):
         if deg[x] == 0:
-            y = rng.choice([z for z in range(num_vertices) if z != x])
+            k = rng.randrange(num_vertices - 1)  # the draw choice() makes from the others
+            y = k + (k >= x)
             pairs.add((min(x, y), max(x, y)))
             deg[x] += 1
             deg[y] += 1

@@ -1,10 +1,28 @@
 """Shared fixtures and the running example instance."""
 
+import importlib.util
 import math
 import signal
+import sys
 from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
 
 from semimatch.core import BipartiteInstance
+
+
+@pytest.fixture
+def pool_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded from the file: the benchmark's
+    seeded generators and their instance pools."""
+    spec = importlib.util.spec_from_file_location(
+        "pool_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @contextmanager

@@ -1,10 +1,7 @@
 """Instance construction, cost evaluation, and assignment validation."""
 
-import importlib.util
 import random
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +20,7 @@ from semimatch.core import (
     machine_cost,
     validate_semi_matching,
 )
-from semimatch import formats, generate
+from semimatch import core, formats, generate
 
 from conftest import fig2_instance
 from referees import layout, tuple_adjacency, weight
@@ -60,6 +57,90 @@ class TestMachineCost:
     def test_overflow_detected(self):
         with pytest.raises(CostOverflowError):
             machine_cost([2**31 - 1] * 100_000)
+
+
+def criterion_9_pairs():
+    """The edges of criterion 9's unit instance, as sorted pairs."""
+    inst = generate.gen_random(random.Random(0xAC09), 10_000, 1_000, num_edges=100_000)
+    return [(u, v) for u, vs in enumerate(inst.job_machines) for v in vs]
+
+
+# Constructor inputs by name: whether the bulk pass takes each, and
+# whether it builds an instance.
+ROUTE_CASES = {
+    "pairs sorted": (True, True),
+    "pairs shuffled": (True, True),
+    "triples sorted": (True, True),
+    "triples shuffled": (True, True),
+    "triples of unit weight": (True, True),
+    "lists": (True, True),
+    "tuple of triples": (True, True),
+    "generator": (False, True),
+    "bools": (False, True),
+    "mixed pairs and triples": (False, True),
+    "float in the last weight": (False, False),
+    "job id too high": (False, False),
+    "job id negative": (False, False),
+    "machine id too high": (False, False),
+    "machine id negative": (False, False),
+    "weight too high": (False, False),
+    "weight negative": (False, False),
+    "duplicate in order": (False, False),
+    "duplicate out of order": (False, False),
+    "two bad edges": (False, False),
+    "edge not a sequence": (False, False),
+    "edge too long": (False, False),
+}
+
+
+def route_input(case):
+    """``(num_jobs, num_machines, edges)`` for a case of ``ROUTE_CASES``;
+    ``edges()`` makes the input afresh, as a generator must be."""
+    rng = random.Random(case)
+    jobs, machines = 12, 5
+    triples = [
+        (u, v, rng.randint(0, 9))
+        for u in range(jobs)
+        for v in sorted(rng.sample(range(machines), rng.randint(1, machines)))
+    ]
+    shuffled = rng.sample(triples, len(triples))
+    edges = {
+        "pairs sorted": [(u, v) for u, v, _ in triples],
+        "pairs shuffled": [(u, v) for u, v, _ in shuffled],
+        "triples sorted": triples,
+        "triples shuffled": shuffled,
+        "triples of unit weight": [(u, v, 1) for u, v, _ in shuffled],
+        "lists": [list(e) for e in shuffled],
+        "tuple of triples": tuple(triples),
+        "generator": None,
+        "bools": [(True, False, w) if (u, v) == (1, 0) else (u, v, w) for u, v, w in triples],
+        "mixed pairs and triples": [e[:2] if i % 2 else e for i, e in enumerate(triples)],
+        "float in the last weight": triples[:-1] + [(*triples[-1][:2], 1.5)],
+        "job id too high": triples + [(jobs, 0, 1)],
+        "job id negative": [(-1, 0, 1)] + triples,
+        "machine id too high": triples + [(0, machines, 1)],
+        "machine id negative": shuffled + [(3, -1, 1)],
+        "weight too high": shuffled[:5] + [(0, 0, MAX_WEIGHT + 1)] + shuffled[5:],
+        "weight negative": triples + [(0, 0, -1)],
+        "duplicate in order": triples[:3] + [triples[2]] + triples[3:],
+        "duplicate out of order": shuffled + [(*shuffled[0][:2], 3)],
+        "two bad edges": triples[:2] + [(0, machines, 1)] + triples[2:] + [(jobs, 0, 1)],
+        "edge not a sequence": triples + [7],
+        "edge too long": triples + [(0, 0, 1, 1)],
+    }[case]
+    if edges is None:
+        return jobs, machines, lambda: (e for e in triples)
+    return jobs, machines, lambda: edges
+
+
+def construction_outcome(num_jobs, num_machines, edges):
+    """The constructor's outcome: the instance's edge count and layout,
+    or the class and message of what it raised."""
+    try:
+        inst = BipartiteInstance(num_jobs, num_machines, edges)
+    except Exception as exc:  # every outcome is compared
+        return type(exc), str(exc)
+    return inst.num_edges, layout(inst)
 
 
 class TestInstanceValidation:
@@ -122,6 +203,51 @@ class TestInstanceValidation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("case", ROUTE_CASES)
+    def test_both_routes_give_the_same_outcome(self, monkeypatch, case):
+        # The bulk column pass builds what the per-edge loop builds, and
+        # anything it cannot take falls to the loop, which names the
+        # first bad edge with the same class and message.
+        num_jobs, num_machines, edges = route_input(case)
+        taken = []
+
+        def spy(*args):
+            columns = bulk_columns(*args)
+            taken.append(columns is not None)
+            return None if off else columns
+
+        bulk_columns, off = core._bulk_columns, False
+        monkeypatch.setattr(core, "_bulk_columns", spy)
+        got = construction_outcome(num_jobs, num_machines, edges())
+        bulk, builds = ROUTE_CASES[case]
+        assert taken == [bulk]
+        assert (type(got[0]) is int) == builds  # an edge count, or an exception class
+        off = True
+        assert construction_outcome(num_jobs, num_machines, edges()) == got
+
+    def test_two_bad_edges_name_the_first(self):
+        edges = [(0, 0, 1), (1, 9, 1), (2, 0, 1), (0, 1, -4)]
+        with pytest.raises(ValueError, match=r"^machine id 9 out of range \[0, 2\)$"):
+            BipartiteInstance(3, 2, edges)
+        edges[1], edges[3] = edges[3], edges[1]
+        with pytest.raises(ValueError, match=r"^weight -4 outside \[0, 2\*\*31\)$"):
+            BipartiteInstance(3, 2, edges)
+
+    def test_criterion_9_instance_builds_in_little_memory(self):
+        # 10**4 jobs and 10**5 sorted (job, machine) pairs: the bulk pass
+        # peaks at about 6.3 MiB above its start; the per-edge loop, with
+        # its key set, at about 14.2 MiB.
+        edges = criterion_9_pairs()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            inst = BipartiteInstance(10_000, 1_000, edges)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert inst.num_edges == 100_000 and inst.job_weights is None
+        assert peak < 10 << 20
 
 
 def expected_layout(job_adj, machine_adj, _edges):
@@ -214,13 +340,9 @@ class TestLayout:
         assert inst.machine_adj == (((0, 0), (1, MAX_WEIGHT)), (), ((1, 7),))
         assert inst.edges == ((0, 0, 0), (1, 2, 7), (1, 0, MAX_WEIGHT))
 
-    def test_views_equal_the_tuple_layout_on_every_pool_instance(self, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "pool_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-        spec.loader.exec_module(workloads)
+    def test_views_equal_the_tuple_layout_on_every_pool_instance(self, monkeypatch,
+                                                                 pool_workloads):
+        workloads = pool_workloads
         inputs = []
 
         def recording(num_jobs, num_machines, edges):

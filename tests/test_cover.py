@@ -63,6 +63,39 @@ class TestGraphConstruction:
         assert all(a < b for a, b in g.edges)
 
 
+def gen_random_graph_by_listing(rng, num_vertices, edge_prob):
+    """``gen_random_graph`` as it read when an isolated vertex drew its
+    partner with ``rng.choice`` from a list of the other vertices."""
+    pairs = set()
+    for a in range(num_vertices):
+        for b in range(a + 1, num_vertices):
+            if rng.random() < edge_prob:
+                pairs.add((a, b))
+    deg = [0] * num_vertices
+    for a, b in pairs:
+        deg[a] += 1
+        deg[b] += 1
+    for x in range(num_vertices):
+        if deg[x] == 0:
+            y = rng.choice([z for z in range(num_vertices) if z != x])
+            pairs.add((min(x, y), max(x, y)))
+            deg[x] += 1
+            deg[y] += 1
+    return num_vertices, sorted(pairs)
+
+
+class TestRandomGraph:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partners_are_drawn_as_choice_from_a_list_draws_them(self, seed):
+        rng = random.Random(seed)
+        cases = [(2, 0.0), (2, 1.0), (3, 0.0), (40, 0.0)]
+        cases += [(rng.randint(2, 60), rng.choice([0.0, 0.01, 0.05, 0.3])) for _ in range(150)]
+        for i, (n, p) in enumerate(cases):
+            rng, referee = random.Random(f"{seed}:{i}"), random.Random(f"{seed}:{i}")
+            assert gen_random_graph(rng, n, p) == gen_random_graph_by_listing(referee, n, p)
+            assert rng.getstate() == referee.getstate()
+
+
 class TestEdgeCoverContainer:
     def test_uncovered_vertex_rejected(self):
         with pytest.raises(ValueError, match="uncovered"):

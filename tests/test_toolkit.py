@@ -218,10 +218,37 @@ class TestEmitRoundTrips:
         ]
         rng.shuffle(edges)
         inst = BipartiteInstance(jobs, machines, edges)
+        # A unit instance with two-digit machine ids, which emit joins.
+        wide = rng.randint(10, 30)
+        unit = BipartiteInstance(jobs, wide, [
+            (u, v, 1) for u in range(jobs) for v in rng.sample(range(wide), rng.randint(1, wide))
+        ])
         n, pairs = gen_random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.9))
         rng.shuffle(pairs)
-        for x in (inst, BipartiteInstance(0, machines, []), GeneralGraph(n, pairs)):
+        for x in (inst, unit, BipartiteInstance(0, wide, []), GeneralGraph(n, pairs)):
             assert emit_instance(x, comments=["c"]) == emit_by_sorting_triples(x, ["c"])
+
+    def test_emit_equals_a_sort_of_every_edge_on_pool_instances(self, pool_workloads):
+        for workload in pool_workloads.WORKLOADS.values():
+            if workload.kind == "cover":
+                continue
+            for index in (3, 12):
+                inst = workload.instance(index)
+                assert emit_instance(inst) == emit_by_sorting_triples(inst, [])
+
+    def test_criterion_9_instance_emits_in_little_memory(self):
+        # Unit jobs are written one join each: about 4.3 MiB above the
+        # start, against 9.1 MiB for a line per edge.
+        inst = gen_random(random.Random(0xAC09), 10_000, 1_000, num_edges=100_000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            text = emit_instance(inst)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 100_001
+        assert peak < 6 << 20
 
     def test_comments_go_first_and_reparse_cleanly(self):
         inst = gen_random(random.Random(3), 4, 2, edge_prob=1.0)
