@@ -54,6 +54,19 @@ def _edgeless_job(u: int) -> InfeasibleInstanceError:
     return InfeasibleInstanceError(f"job {u} has no incident edges; no assignment exists")
 
 
+def _columns_ok(num_jobs: int, num_machines: int, jobs, machines, weights) -> bool:
+    """Whether the ids are in range, the weights (if any) in ``[0,
+    MAX_WEIGHT]``, and no ``(job, machine)`` pair repeats."""
+    bounds = [num_jobs - 1, num_machines - 1, MAX_WEIGHT]
+    for column, top in zip([jobs, machines, weights or ()], bounds):
+        if column and (min(column) < 0 or max(column) > top):
+            return False
+    # Pairs in strictly increasing order cannot repeat; others need a set.
+    if all(map(lt, zip(jobs, machines), islice(zip(jobs, machines), 1, None))):
+        return True
+    return len(set(map(add, map(mul, jobs, repeat(num_machines)), machines))) == len(jobs)
+
+
 def _bulk_columns(num_jobs: int, num_machines: int, edges):
     """The columns ``(jobs, machines, weights or None)`` of ``edges``, checked
     in bulk as :class:`BipartiteInstance` describes, or ``None`` for the loop."""
@@ -68,14 +81,10 @@ def _bulk_columns(num_jobs: int, num_machines: int, edges):
     if any(set(map(type, column)) != {int} for column in columns):
         return None
     jobs, machines, *weights = columns
-    bounds = [num_jobs - 1, num_machines - 1, MAX_WEIGHT]
-    if any(min(column) < 0 or max(column) > top for column, top in zip(columns, bounds)):
+    weights = weights[0] if weights else None
+    if not _columns_ok(num_jobs, num_machines, jobs, machines, weights):
         return None
-    # Pairs in strictly increasing order cannot repeat; others need a set.
-    if not all(map(lt, zip(jobs, machines), islice(zip(jobs, machines), 1, None))):
-        if len(set(map(add, map(mul, jobs, repeat(num_machines + 1)), machines))) < len(jobs):
-            return None
-    return jobs, machines, weights[0] if weights else None
+    return jobs, machines, weights
 
 
 def _checked_cost(value: int) -> int:
@@ -112,9 +121,8 @@ class BipartiteInstance:
     not the input order, so unit solvers may pick a different optimal
     assignment than one that followed the input).  ``job_weights[u]``
     holds job u's weights in the same order, but is ``None`` when every
-    weight is 1.  ``job_adj``, ``machine_adj`` and ``edges`` are views
-    derived on each read, as ``(machine, weight)``, ``(job, weight)`` and
-    ``(job, machine, weight)`` tuples in the orders above.
+    weight is 1.  ``job_adj`` is a view derived on each read, as each
+    job's ``(machine, weight)`` pairs in input order.
     """
 
     __slots__ = (
@@ -210,17 +218,6 @@ class BipartiteInstance:
     def job_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each job's ``(machine, weight)`` pairs, in input order."""
         return tuple(tuple(zip(vs, self.weights(u))) for u, vs in enumerate(self.job_machines))
-
-    @property
-    def machine_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each machine's ``(job, weight)`` pairs, in job order."""
-        ids = self.machine_jobs
-        return tuple(tuple((u, self.weight(u, v)) for u in ids[v]) for v in range(len(ids)))
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """Every edge as a ``(job, machine, weight)`` triple, in job order."""
-        return tuple((u, v, w) for u, adj in enumerate(self.job_adj) for v, w in adj)
 
     def machine_degree(self, v: int) -> int:
         return len(self.machine_jobs[v])
@@ -342,7 +339,8 @@ class ConvexMachineCost:
     non-negativity (the solvers require non-negative costs).
 
     Only the first ``deg(v)`` marginals of a machine can ever be used, so
-    that is all that is stored.
+    that is all that is stored.  Marginals must be integers; a machine
+    past the end of the table has none.
     """
 
     __slots__ = ("marginals",)
@@ -350,7 +348,7 @@ class ConvexMachineCost:
     def __init__(self, marginals: Sequence[Sequence[int]]) -> None:
         checked = []
         for v, seq in enumerate(marginals):
-            seq = tuple(int(x) for x in seq)
+            seq = tuple(_integer(x, f"machine {v}: marginal") for x in seq)
             if any(x < 0 for x in seq):
                 raise ValueError(f"machine {v}: negative marginal in {seq}")
             if any(b < a for a, b in zip(seq, seq[1:])):
@@ -389,12 +387,16 @@ class ConvexMachineCost:
         """f(k) = k; every assignment then costs exactly num_jobs."""
         return cls.from_callable(instance, lambda k: k)
 
+    def prefix(self, v: int, k: int) -> tuple[int, ...]:
+        """Machine v's k cheapest marginals; ``ValueError`` when it has fewer."""
+        seq = self.marginals[v] if v < len(self.marginals) else ()
+        if len(seq) < k:
+            raise ValueError(f"machine {v}: {len(seq)} marginals but degree {k}")
+        return seq[:k]
+
     def value(self, v: int, k: int) -> int:
         """f_v(k) = sum of the k cheapest marginals of machine v."""
-        seq = self.marginals[v]
-        if k > len(seq):
-            raise ValueError(f"machine {v} has only {len(seq)} marginals, asked {k}")
-        return sum(seq[:k])
+        return sum(self.prefix(v, k))
 
 
 def convex_cost(

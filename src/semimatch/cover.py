@@ -25,29 +25,47 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
+from operator import index
 from typing import Iterable, Optional, Sequence
 
-from .core import BipartiteInstance, InfeasibleInstanceError
+from .core import BipartiteInstance, InfeasibleInstanceError, _integer
 from .unweighted import solve_unweighted
+
+
+def _pair(edge) -> tuple[int, int]:
+    """``edge``'s two vertex ids as ints; ``ValueError`` naming an edge
+    that is not a pair, or an id that is not an integer."""
+    try:
+        a, b = edge
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r} is not a pair") from None
+    try:
+        return index(a), index(b)
+    except TypeError:
+        _integer(a, "vertex id")
+        _integer(b, "vertex id")
+        raise  # unreachable: one of the two raised
 
 
 class GeneralGraph:
     """A simple undirected graph with dense 0-based vertex ids.
 
     Edges may arrive in either orientation; they are stored
-    canonically with the smaller endpoint first.  Self-loops and
-    duplicates are rejected.
+    canonically with the smaller endpoint first.  Ids must be integers
+    (anything :func:`operator.index` accepts); an edge that is not a
+    pair, self-loops and duplicates are rejected.
     """
 
     __slots__ = ("num_vertices", "edges", "adj")
 
     def __init__(self, num_vertices: int, edges: Iterable[Sequence[int]]) -> None:
+        num_vertices = _integer(num_vertices, "vertex count")
         if num_vertices < 0:
             raise ValueError("vertex count must be non-negative")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         for edge in edges:
-            a, b = edge
+            a, b = _pair(edge)
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):
                 raise ValueError(f"edge ({a}, {b}) out of range [0, {num_vertices})")
             if a == b:
@@ -83,14 +101,15 @@ class EdgeCover:
     """An edge subset touching every vertex, with its degree profile.
 
     Construction validates the covering property, so holding an
-    ``EdgeCover`` is proof of ``deg >= 1`` everywhere.  An edge listed
-    twice, in either orientation, is rejected.
+    ``EdgeCover`` is proof of ``deg >= 1`` everywhere.  Ids are checked
+    as :class:`GeneralGraph` checks them; an edge listed twice, in either
+    orientation, is rejected.
     """
 
     __slots__ = ("num_vertices", "edges", "degrees")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]) -> None:
-        pairs = [(a, b) if a < b else (b, a) for a, b in edges]
+        pairs = [(a, b) if a < b else (b, a) for a, b in map(_pair, edges)]
         canon = frozenset(pairs)
         if len(canon) < len(pairs):
             once: set[tuple[int, int]] = set()

@@ -28,34 +28,34 @@ of the instance, not of the text.)
 Emission is canonical — edges sorted, no comments — so
 ``emit(parse(emit(x))) == emit(x)`` byte for byte.
 
-Instance text is read in one loop.  The header is the first line that
-is neither blank nor a comment, found among the leading lines only.
-The body is read in slices of about 16 KiB, each cut after a newline.
-A ``semimatch`` slice in a strict subset of the language, which holds
-every body :func:`emit_instance` writes, is converted in bulk: every
-line is exactly ``e <job> <machine> <weight>\n`` with single spaces,
-ids ``[1-9][0-9]*`` and weights ``0|[1-9][0-9]*``, so ``int()`` reads
-what the line code reads and each id has one spelling.  One regular
-expression checks the slice (it keeps a backtracking entry per line, so
-it never runs on the whole body); a table of id spellings, no longer
-than the body allows, decodes ids straight to 0-based ints, and weights
-convert only from the first slice with one that is not 1.  ``max``
-checks ranges.  Keys ``job * machines + machine`` that strictly
-increase, as emitted text's do, cannot repeat; a set of them checks
-duplicates from the first slice out of order or read line by line.  Any
-other slice, or one that breaks a rule, is read line by line, which
-names the first bad line with the same class, line number and message
-however its slice was tried.
+The header, the first line that is neither blank nor a comment, is
+found one line at a time; the body after it is read in slices of about
+16 KiB, each cut after a newline.  A ``semimatch`` body is read whole
+by one of two routes.  The bulk route takes bodies in a strict subset
+of the language, which holds every body :func:`emit_instance` writes:
+every line is exactly ``e <job> <machine> <weight>\n`` with single
+spaces, ids ``[1-9][0-9]*`` and weights ``0|[1-9][0-9]*``, so ``int()``
+reads what the line loop reads and each id has one spelling.  One
+regular expression checks each slice (it keeps a backtracking entry per
+line, so it never runs on the whole body); a table of id spellings, no
+longer than the body allows, decodes ids straight to 0-based ints;
+weights convert only from the first slice with one that is not 1.  The
+columns are kept if the body has the declared number of edges and
+passes the bulk check that :class:`~semimatch.core.BipartiteInstance`
+also runs.  Any other body, and every ``cover`` body, is read by the
+line loop, one slice at a time and with ``semimatch`` ids through the
+same table; it names the first bad line.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, count, islice, repeat
-from operator import add, lt, mul
+from itertools import chain, count, repeat
 from typing import Iterable, Sequence, Union
 
-from .core import MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError, SemiMatchError
+from .core import (
+    MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError, SemiMatchError, _columns_ok
+)
 from .cover import GeneralGraph
 
 __all__ = [
@@ -119,18 +119,23 @@ _HEADERS = {
     "cover": "p cover <vertices> <edges>",
 }
 
-#: The body is read in slices of about this many characters.
+#: The text is read in slices of about this many characters.
 _CHUNK = 1 << 14
 
 
-def _leading_lines(text: str):
-    """Yield the lines of ``text`` with their ends, as ``str.splitlines``
-    cuts them, reading only as far as the caller takes."""
-    start = 0
+def _slices(text: str, start: int, size: int = _CHUNK):
+    """Yield ``text[start:]`` in slices cut after the first newline at
+    least ``size`` characters in; with ``size`` 0, one line each."""
     while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield from text[start:end].splitlines(keepends=True)
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield text[start:end]
         start = end
+
+
+def _lines(text: str, start: int, size: int = _CHUNK):
+    """The lines of ``text[start:]`` with their ends, as
+    ``str.splitlines`` cuts them, split one slice at a time."""
+    return chain.from_iterable(c.splitlines(keepends=True) for c in _slices(text, start, size))
 
 
 class _Ids(dict):
@@ -141,44 +146,40 @@ class _Ids(dict):
         return int(token) - 1
 
 
-def _convert_slice(chunk: str, counts: list[int], ids: _Ids, seen: set[int],
-                   jobs: list[int], machines: list[int], weights: list[int]) -> int:
-    """Append a body slice in the bulk subset to the columns and return
-    its line count; or return 0 and change nothing when the slice is
-    outside the subset, takes the body past the header's edge count, or has
-    an id out of range, a weight over MAX_WEIGHT, a duplicate edge or,
-    while ``seen`` is empty, a key not above the one before.  ``weights``
-    ends at the last weight that is not 1."""
-    if _CANONICAL_LINES.fullmatch(chunk) is None:
-        return 0
+def _read_bulk(text: str, start: int, counts: list[int], ids: _Ids):
+    """The columns ``(jobs, machines, weights)`` of the ``semimatch`` body
+    ``text[start:]``, with ``weights`` cut after the last weight that is
+    not 1; or ``None``, as soon as a slice is outside the bulk subset or
+    takes the body past the declared edge count, and when the body has
+    fewer edges or fails :func:`~semimatch.core._columns_ok`."""
     num_jobs, num_machines, num_edges = counts
-    tokens = chunk.split()  # e, job, machine, weight, e, ...
-    if len(tokens) > 4 * (num_edges - len(jobs)):
-        return 0
-    try:
-        us = list(map(ids.__getitem__, tokens[1::4]))
-        vs = list(map(ids.__getitem__, tokens[2::4]))
+    jobs, machines, weights = [], [], []
+    for chunk in _slices(text, start):
+        if _CANONICAL_LINES.fullmatch(chunk) is None:
+            return None
+        tokens = chunk.split()  # e, job, machine, weight, e, ...
+        if len(tokens) > 4 * (num_edges - len(jobs)):
+            return None
         ws = tokens[3::4]
-        ws = None if ws.count("1") == len(ws) else list(map(int, ws))
-    except ValueError:  # a field longer than int()'s digit limit
-        return 0
-    if max(us) >= num_jobs or max(vs) >= num_machines or ws and max(ws) > MAX_WEIGHT:
-        return 0
-    keys = list(map(add, map(mul, us, repeat(num_machines)), vs))  # as the line code's
-    if seen:  # the keys of every edge so far
-        seen.update(keys)
-        if len(seen) < len(jobs) + len(keys):  # a duplicate: the line code rebuilds the set
-            seen.clear()
-            return 0
-    elif jobs and keys[0] <= jobs[-1] * num_machines + machines[-1]:
-        return 0
-    elif not all(map(lt, keys, islice(keys, 1, None))):
-        return 0
-    if ws:
-        weights += chain(repeat(1, len(jobs) - len(weights)), ws)
-    jobs += us
-    machines += vs
-    return len(us)
+        try:
+            if ws.count("1") < len(ws):
+                weights += chain(repeat(1, len(jobs) - len(weights)), map(int, ws))
+            jobs += map(ids.__getitem__, tokens[1::4])
+            machines += map(ids.__getitem__, tokens[2::4])
+        except ValueError:  # a field longer than int()'s digit limit
+            return None
+    if len(jobs) < num_edges or not _columns_ok(num_jobs, num_machines, jobs, machines, weights):
+        return None
+    return jobs, machines, weights
+
+
+def _bipartite(num_jobs: int, num_machines: int, jobs, machines, weights) -> BipartiteInstance:
+    """The instance of checked columns, ``weights`` padded with 1s."""
+    if weights:
+        weights += repeat(1, len(jobs) - len(weights))
+    instance = BipartiteInstance.__new__(BipartiteInstance)
+    instance._build(num_jobs, num_machines, jobs, machines, weights or None)
+    return instance
 
 
 def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
@@ -186,13 +187,16 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
 
     The header's kind decides the result: ``p semimatch`` gives a
     :class:`BipartiteInstance`, ``p cover`` a :class:`GeneralGraph`.
-    Body slices in the bulk subset are converted whole, the rest line by
-    line (see the module docstring).  An isolated cover vertex raises
-    :class:`InfeasibleInstanceError`, before anything is allocated per
-    vertex when there are more than twice as many vertices as edges.
+    A ``semimatch`` body in the bulk subset is converted whole, any
+    other body line by line (see the module docstring).  An isolated
+    cover vertex raises :class:`InfeasibleInstanceError`, before
+    anything is allocated per vertex when there are more than twice as
+    many vertices as edges.
     """
+    # The header is found one line at a time, so that only the lines up
+    # to it are split.
     start = 0
-    for line_no, raw in enumerate(_leading_lines(text), start=1):
+    for line_no, raw in enumerate(_lines(text, 0, 0), start=1):
         start += len(raw)
         tokens = raw.split()
         if tokens and tokens[0] != "c":
@@ -214,127 +218,115 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
     if any(c < 0 for c in counts):
         raise MalformedHeaderError(header_line, "header counts must be non-negative")
 
-    # Each line's fields convert in one try; _int_field runs only to name
-    # the bad one.  A pair's duplicate key is one integer.  A semimatch
-    # edge goes into two id columns, and into the weight column only once
-    # some weight is not 1.  The instance builds from the columns
-    # once the whole body has been checked, so a body error is named
-    # before anything is allocated per job.
-    jobs, machines, weights = [], [], []
-    edges: list[tuple[int, int]] = []  # cover edges
-    seen: set[int] = set()
     if kind == "semimatch":
         num_jobs, num_machines, num_edges = counts
         # No more ids than body lines (8 characters at least), so that a
         # huge header over a small body allocates little.
         top = min(max(num_jobs, num_machines), (len(text) - start) // 8)
         ids = _Ids(zip(map(str, range(1, top + 1)), range(top)))
-        column = jobs
+        columns = _read_bulk(text, start, counts, ids)
+        if columns is not None:
+            return _bipartite(num_jobs, num_machines, *columns)
     else:
         num_vertices, num_edges = counts
-        column = edges
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk = text[start:end]
-        start = end
+
+    # The line route.  Each line's fields convert in one try; _int_field
+    # runs only to name the bad one.  A pair's duplicate key is one
+    # integer.  A semimatch edge goes into two id columns, and into the
+    # weight column only once some weight is not 1.  The instance builds
+    # from the columns once the whole body has been checked, so a body
+    # error is named before anything is allocated per job.
+    jobs, machines, weights = [], [], []
+    edges: list[tuple[int, int]] = []  # cover edges
+    column = jobs if kind == "semimatch" else edges
+    seen: set[int] = set()
+    for line_no, raw in enumerate(_lines(text, start), start=header_line + 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        tag = tokens[0]
+        if tag != "e":
+            if tag == "c":
+                continue
+            raise ParseError(line_no, f"unknown record {tag!r}, expected 'e'")
+        if len(column) == num_edges:
+            raise CountMismatchError(
+                line_no, f"header declared {num_edges} edges but the body has more"
+            )
         if kind == "semimatch":
-            converted = _convert_slice(chunk, counts, ids, seen, jobs, machines, weights)
-            if converted:
-                line_no += converted
-                continue
-            if not seen:
-                seen.update(map(add, map(mul, jobs, repeat(num_machines)), machines))
-        for line_no, raw in enumerate(chunk.splitlines(), line_no + 1):
-            tokens = raw.split()
-            if not tokens:
-                continue
-            tag = tokens[0]
-            if tag != "e":
-                if tag == "c":
-                    continue
-                raise ParseError(line_no, f"unknown record {tag!r}, expected 'e'")
-            if len(column) == num_edges:
-                raise CountMismatchError(
-                    line_no, f"header declared {num_edges} edges but the body has more"
+            if len(tokens) != 4:
+                raise BadWeightError(
+                    line_no, "semimatch edge needs 'e <job> <machine> <weight>'"
                 )
-            if kind == "semimatch":
-                if len(tokens) != 4:
-                    raise BadWeightError(
-                        line_no, "semimatch edge needs 'e <job> <machine> <weight>'"
-                    )
-                try:
-                    job, machine, weight = int(tokens[1]), int(tokens[2]), int(tokens[3])
-                except ValueError:
-                    _int_field(line_no, tokens[1], "job id")
-                    _int_field(line_no, tokens[2], "machine id")
-                    _int_field(line_no, tokens[3], "weight", BadWeightError)
-                    raise  # unreachable: one of the three raised
-                if not 1 <= job <= num_jobs:
+            try:
+                job, machine, weight = ids[tokens[1]], ids[tokens[2]], int(tokens[3])
+            except ValueError:
+                _int_field(line_no, tokens[1], "job id")
+                _int_field(line_no, tokens[2], "machine id")
+                _int_field(line_no, tokens[3], "weight", BadWeightError)
+                raise  # unreachable: one of the three raised
+            if not 0 <= job < num_jobs:
+                raise IdOutOfRangeError(
+                    line_no, f"job id {job + 1} out of range [1, {num_jobs}]"
+                )
+            if not 0 <= machine < num_machines:
+                raise IdOutOfRangeError(
+                    line_no, f"machine id {machine + 1} out of range [1, {num_machines}]"
+                )
+            if weight < 0 or weight > MAX_WEIGHT:
+                raise BadWeightError(
+                    line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
+                )
+            key = job * num_machines + machine
+            if key in seen:
+                raise ParseError(line_no, f"duplicate edge ({job + 1}, {machine + 1})")
+            seen.add(key)
+            if weight != 1:
+                weights += chain(repeat(1, len(jobs) - len(weights)), (weight,))
+            jobs.append(job)
+            machines.append(machine)
+        else:
+            if len(tokens) != 3:
+                raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
+            try:
+                a, b = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                _int_field(line_no, tokens[1], "vertex id")
+                _int_field(line_no, tokens[2], "vertex id")
+                raise  # unreachable: one of the two raised
+            for vid in (a, b):
+                if not 1 <= vid <= num_vertices:
                     raise IdOutOfRangeError(
-                        line_no, f"job id {job} out of range [1, {num_jobs}]"
+                        line_no, f"vertex id {vid} out of range [1, {num_vertices}]"
                     )
-                if not 1 <= machine <= num_machines:
-                    raise IdOutOfRangeError(
-                        line_no, f"machine id {machine} out of range [1, {num_machines}]"
-                    )
-                if weight < 0 or weight > MAX_WEIGHT:
-                    raise BadWeightError(
-                        line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
-                    )
-                key = (job - 1) * num_machines + machine - 1
-                if key in seen:
-                    raise ParseError(line_no, f"duplicate edge ({job}, {machine})")
-                seen.add(key)
-                if weight != 1:
-                    weights += chain(repeat(1, len(jobs) - len(weights)), (weight,))
-                jobs.append(job - 1)
-                machines.append(machine - 1)
-            else:
-                if len(tokens) != 3:
-                    raise ParseError(line_no, "cover edge needs 'e <u> <v>' (no weight)")
-                try:
-                    a, b = int(tokens[1]), int(tokens[2])
-                except ValueError:
-                    _int_field(line_no, tokens[1], "vertex id")
-                    _int_field(line_no, tokens[2], "vertex id")
-                    raise  # unreachable: one of the two raised
-                for vid in (a, b):
-                    if not 1 <= vid <= num_vertices:
-                        raise IdOutOfRangeError(
-                            line_no, f"vertex id {vid} out of range [1, {num_vertices}]"
-                        )
-                if a == b:
-                    raise ParseError(line_no, f"self-loop at vertex {a}")
-                lo, hi = (a, b) if a < b else (b, a)
-                key = lo * (num_vertices + 1) + hi
-                if key in seen:
-                    raise ParseError(line_no, f"duplicate edge ({lo}, {hi})")
-                seen.add(key)
-                edges.append((lo - 1, hi - 1))
+            if a == b:
+                raise ParseError(line_no, f"self-loop at vertex {a}")
+            lo, hi = (a, b) if a < b else (b, a)
+            key = lo * (num_vertices + 1) + hi
+            if key in seen:
+                raise ParseError(line_no, f"duplicate edge ({lo}, {hi})")
+            seen.add(key)
+            edges.append((lo - 1, hi - 1))
 
     if len(column) != num_edges:
         raise CountMismatchError(
             header_line,
             f"header declared {num_edges} edges but the body has {len(column)}",
         )
-    if kind == "cover":
-        # With more than two vertices per edge some vertex is isolated:
-        # name it without building the graph's per-vertex lists.
-        if num_vertices <= 2 * len(edges):
-            graph = GeneralGraph.__new__(GeneralGraph)
-            graph._build(num_vertices, edges)
-            if all(graph.adj):
-                return graph
-        hit = set(chain.from_iterable(edges))
-        isolated = next(v for v in count() if v not in hit)
-        raise InfeasibleInstanceError(
-            f"vertex {isolated} has no incident edges; no edge cover exists"
-        )
-    if weights:
-        weights += repeat(1, len(jobs) - len(weights))
-    instance = BipartiteInstance.__new__(BipartiteInstance)
-    instance._build(num_jobs, num_machines, jobs, machines, weights or None)
-    return instance
+    if kind == "semimatch":
+        return _bipartite(num_jobs, num_machines, jobs, machines, weights)
+    # With more than two vertices per edge some vertex is isolated:
+    # name it without building the graph's per-vertex lists.
+    if num_vertices <= 2 * len(edges):
+        graph = GeneralGraph.__new__(GeneralGraph)
+        graph._build(num_vertices, edges)
+        if all(graph.adj):
+            return graph
+    hit = set(chain.from_iterable(edges))
+    isolated = next(v for v in count() if v not in hit)
+    raise InfeasibleInstanceError(
+        f"vertex {isolated} has no incident edges; no edge cover exists"
+    )
 
 
 def emit_instance(

@@ -57,13 +57,15 @@ def brute_force_semi_matching(
     chosen: list[int] = [-1] * nU
     loads = [0] * nV
     piles: list[list[int]] = [[] for _ in range(nV)]  # weighted only
+    if costs is not None:
+        table = [costs.prefix(v, len(jobs)) for v, jobs in enumerate(instance.machine_jobs)]
 
     def marginal(v: int, w: int) -> int:
         if weighted:
             return w + sum(min(x, w) for x in piles[v])
         if costs is None:
             return loads[v] + 1
-        return costs.marginals[v][loads[v]]
+        return table[v][loads[v]]
 
     def rec(u: int, partial: int) -> None:
         nonlocal best_cost, best

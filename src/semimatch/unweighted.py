@@ -142,15 +142,7 @@ class CostCenterNetwork:
             )
             self._rank = [range(len(jobs)) for jobs in jobs_of]
         else:
-            marginals = []
-            for v, jobs in enumerate(jobs_of):
-                deg = len(jobs)
-                seq = costs.marginals[v]
-                if len(seq) < deg:
-                    raise ValueError(
-                        f"machine {v}: {len(seq)} marginals but degree {deg}"
-                    )
-                marginals.append(seq[:deg])
+            marginals = [costs.prefix(v, len(jobs)) for v, jobs in enumerate(jobs_of)]
             self.center_values = tuple(sorted({m for seq in marginals for m in seq}))
             index = {val: k for k, val in enumerate(self.center_values)}
             self._rank = [[index[m] for m in seq] for seq in marginals]

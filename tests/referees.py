@@ -6,9 +6,10 @@ seed built from its definition); others are public entry points that
 only the tests call (``cancel`` on chosen centers,
 ``reachable_partition``); the rest are small views of instances and
 networks that only the tests read (``weight``, ``layout``,
-``describe_node``), the explicit slot arcs a network now implies by its
-loads (``residual_successors``), and the per-edge tuple adjacency
-instances once stored (``tuple_adjacency``).
+``edge_triples``, ``describe_node``), the explicit slot arcs a network
+now implies by its loads (``residual_successors``), and the per-edge
+tuple adjacency instances once stored and then offered as views
+(``tuple_adjacency``).
 """
 
 from __future__ import annotations
@@ -179,6 +180,16 @@ def layout(instance: BipartiteInstance):
 
 def max_machine_degree(instance: BipartiteInstance) -> int:
     return max((len(us) for us in instance.machine_jobs), default=0)
+
+
+def edge_triples(instance: BipartiteInstance) -> tuple[tuple[int, int, int], ...]:
+    """Every edge of ``instance`` as a ``(job, machine, weight)`` triple,
+    in job order and, within a job, in input order."""
+    return tuple(
+        (u, v, w)
+        for u, vs in enumerate(instance.job_machines)
+        for v, w in zip(vs, instance.weights(u))
+    )
 
 
 def tuple_adjacency(num_jobs: int, num_machines: int, edges: Iterable[Sequence[int]]):

@@ -23,7 +23,7 @@ from semimatch.core import (
 from semimatch import core, formats, generate
 
 from conftest import fig2_instance
-from referees import layout, tuple_adjacency, weight
+from referees import edge_triples, layout, tuple_adjacency, weight
 
 
 class TestMachineCost:
@@ -290,18 +290,17 @@ class TestLayout:
             u, v, _ = edges[rng.randrange(len(edges))]
             edges = [(a, b, 2 if (a, b) == (u, v) else w) for a, b, w in edges]
         want = expected_layout(*tuple_adjacency(jobs, machines, edges))
-        # The text keeps the shuffled edge order.  Its one body slice is
-        # read line by line when a key falls out of order, and with CRLF
-        # line ends it always is; the body in edge order converts in bulk.
+        # The text keeps the shuffled edge order, and its body converts in
+        # bulk all the same; with CRLF line ends it is read line by line.
         def text_of(edges):
             return f"p semimatch {jobs} {machines} {len(edges)}\n" + "".join(
                 f"e {u + 1} {v + 1} {w}\n" for u, v, w in edges
             )
 
         text, in_order = text_of(edges), sorted(edges)
-        routes, convert = [], formats._convert_slice
+        routes, read_bulk = [], formats._read_bulk
         monkeypatch.setattr(
-            formats, "_convert_slice", lambda *args: routes.append(convert(*args)) or routes[-1]
+            formats, "_read_bulk", lambda *args: routes.append(read_bulk(*args)) or routes[-1]
         )
         built = [
             BipartiteInstance(jobs, machines, edges),
@@ -309,7 +308,7 @@ class TestLayout:
             formats.parse_instance(text.replace("\n", "\r\n")),
         ]
         bulk = formats.parse_instance(text_of(in_order))
-        assert routes == [0 if edges != in_order else len(edges), 0, len(edges)]
+        assert [columns is not None for columns in routes] == [True, False, True]
         columns = BipartiteInstance.__new__(BipartiteInstance)
         columns._build(jobs, machines, *map(list, zip(*edges)))
         in_order_want = expected_layout(*tuple_adjacency(jobs, machines, in_order))
@@ -337,8 +336,10 @@ class TestLayout:
         assert [inst.weight(1, 2), inst.weight(1, 0), inst.weight(0, 0)] == [7, MAX_WEIGHT, 0]
         with pytest.raises(ValueError):
             inst.weight(0, 1)
-        assert inst.machine_adj == (((0, 0), (1, MAX_WEIGHT)), (), ((1, 7),))
-        assert inst.edges == ((0, 0, 0), (1, 2, 7), (1, 0, MAX_WEIGHT))
+        triples = edge_triples(inst)
+        assert triples == ((0, 0, 0), (1, 2, 7), (1, 0, MAX_WEIGHT))
+        machine_adj = tuple_adjacency(2, 3, triples)[1]
+        assert machine_adj == (((0, 0), (1, MAX_WEIGHT)), (), ((1, 7),))
 
     def test_views_equal_the_tuple_layout_on_every_pool_instance(self, monkeypatch,
                                                                  pool_workloads):
@@ -360,7 +361,9 @@ class TestLayout:
                 inst = workload.instance(index)
                 assert len(inputs) == 1
                 old = tuple_adjacency(*inputs[0])
-                assert (inst.job_adj, inst.machine_adj, inst.edges) == old
+                triples = edge_triples(inst)
+                assert (inst.job_adj, triples) == (old[0], old[2])
+                assert tuple_adjacency(inst.num_jobs, inst.num_machines, triples) == old
                 assert layout(inst) == expected_layout(*old)
                 checked += 1
         assert checked == 3 * workloads.POOL_SIZE
@@ -449,6 +452,36 @@ class TestConvexCost:
         inst = fig2_instance()
         with pytest.raises(ValueError):
             ConvexMachineCost.from_callable(inst, lambda k: k + 1)
+
+    @pytest.mark.parametrize(
+        "marginals, field",
+        [
+            # Used to be read as (1, 2).
+            ([[1.7, 2]], "machine 0: marginal 1.7"),
+            # Used to be read as (3,).
+            ([[1], ["3"]], "machine 1: marginal '3'"),
+            ([[1, 2.0]], "machine 0: marginal 2.0"),
+        ],
+    )
+    def test_non_integer_marginal_rejected(self, marginals, field):
+        with pytest.raises(ValueError, match=f"^{field} is not an integer$"):
+            ConvexMachineCost(marginals)
+
+    def test_integer_like_marginals_are_read_as_ints(self):
+        costs = ConvexMachineCost([[False, True, True]])
+        assert costs.marginals == ((0, 1, 1),) and type(costs.marginals[0][1]) is int
+
+    def test_a_machine_past_the_table_has_no_marginals(self):
+        # Machine 1 is idle, so its cost is 0; a table one machine short
+        # used to raise IndexError here.
+        inst = BipartiteInstance(1, 2, [(0, 0)])
+        costs = ConvexMachineCost([[1]])
+        assert convex_cost(inst, SemiMatching((0,)), costs) == 1
+        assert costs.value(1, 0) == 0 and costs.prefix(1, 0) == ()
+        with pytest.raises(ValueError, match=r"^machine 1: 0 marginals but degree 1$"):
+            costs.value(1, 1)
+        with pytest.raises(ValueError, match=r"^machine 1: 0 marginals but degree 1$"):
+            convex_cost(inst, SemiMatching((1,)), costs)
 
     @given(st.lists(st.integers(0, 50), min_size=0, max_size=8))
     def test_value_is_prefix_sum(self, margs):

@@ -23,6 +23,7 @@ from semimatch.generate import gen_random_graph
 from semimatch.oracle import brute_force_balanced_cover
 
 from conftest import deadline
+from referees import edge_triples
 
 
 def path(n):
@@ -56,6 +57,26 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             GeneralGraph(2, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "num_vertices, edges, message",
+        [
+            # Used to fail inside _build: list indices must be integers.
+            (3, [(0, 1.0)], "vertex id 1.0 is not an integer"),
+            (3, [(0, 1), ("2", 1)], "vertex id '2' is not an integer"),
+            # Used to say only "too many values to unpack".
+            (3, [(0, 1, 5)], r"edge \(0, 1, 5\) is not a pair"),
+            (3, [(0, 1), 2], "edge 2 is not a pair"),
+            (3.0, [(0, 1)], "vertex count 3.0 is not an integer"),
+        ],
+    )
+    def test_rejects_what_is_not_a_pair_of_integers(self, num_vertices, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneralGraph(num_vertices, edges)
+
+    def test_integer_like_ids_are_read_as_ints(self):
+        g = GeneralGraph(2, [(True, False)])
+        assert g.edges == ((0, 1),) and type(g.edges[0][0]) is int
 
     def test_edges_are_canonical(self):
         g = GeneralGraph(3, [(2, 0), (1, 0)])
@@ -118,6 +139,24 @@ class TestEdgeCoverContainer:
     def test_repeated_edge_rejected(self, edges, repeat):
         with pytest.raises(ValueError, match=rf"^edge \({repeat[0]}, {repeat[1]}\) listed twice$"):
             EdgeCover(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # Used to fail in the degree count: list indices must be integers.
+            ([(0, 1.0), (1, 2)], "vertex id 1.0 is not an integer"),
+            ([(0, 1), (1, "2")], "vertex id '2' is not an integer"),
+            ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair"),
+        ],
+    )
+    def test_rejects_what_is_not_a_pair_of_integers(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EdgeCover(3, edges)
+
+    def test_integer_like_ids_are_read_as_ints(self):
+        cov = EdgeCover(3, iter([(True, False), (2, 1)]))
+        assert cov.edges == frozenset({(0, 1), (1, 2)}) and cov.degrees == (1, 2, 1)
+        assert {type(v) for e in cov.edges for v in e} == {int}
 
     def test_degree_one_everywhere_has_no_centers(self):
         cov = EdgeCover(4, [(0, 1), (2, 3)])
@@ -430,8 +469,8 @@ class TestFindCenter:
             find_center(GeneralGraph(n, edges))
         assert len(built) >= 10
         for inst in built:
-            checked = BipartiteInstance(inst.num_jobs, inst.num_machines, inst.edges)
+            checked = BipartiteInstance(inst.num_jobs, inst.num_machines, edge_triples(inst))
             assert inst.job_machines == checked.job_machines
             assert inst.machine_jobs == checked.machine_jobs
             assert inst.job_weights is checked.job_weights is None
-            assert inst.edges == checked.edges
+            assert edge_triples(inst) == edge_triples(checked)

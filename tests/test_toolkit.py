@@ -1,6 +1,5 @@
 """Disk format, benchmark harness, and command-line interface."""
 
-import os
 import random
 import re
 import tracemalloc
@@ -35,7 +34,7 @@ from semimatch.formats import (
 )
 from semimatch.generate import gen_random, gen_random_graph
 
-from referees import layout, parse_instance_by_records, weight
+from referees import edge_triples, layout, parse_instance_by_records, weight
 
 
 class TestParseInstance:
@@ -200,9 +199,9 @@ class TestEmitRoundTrips:
         again = parse_instance(text)
         assert emit_instance(again) == emit_instance(inst)
         # The parser skips the constructor's checks but builds the same instance.
-        rebuilt = BipartiteInstance(inst.num_jobs, inst.num_machines, again.edges)
+        rebuilt = BipartiteInstance(inst.num_jobs, inst.num_machines, edge_triples(again))
         assert layout(again) == layout(rebuilt)
-        assert again.edges == rebuilt.edges
+        assert edge_triples(again) == edge_triples(rebuilt)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_emit_equals_a_sort_of_every_edge(self, seed):
@@ -287,7 +286,7 @@ def emit_by_sorting_triples(instance, comments):
     every edge's ``(job, machine, weight)`` triple."""
     out = [f"c {c}" for c in comments]
     if isinstance(instance, BipartiteInstance):
-        triples = sorted(instance.edges)
+        triples = sorted(edge_triples(instance))
         out.append(f"p semimatch {instance.num_jobs} {instance.num_machines} {len(triples)}")
         out.extend(f"e {u + 1} {v + 1} {w}" for u, v, w in triples)
     else:
@@ -304,7 +303,7 @@ def parse_outcome(parse, text):
     except Exception as exc:  # every outcome is compared, not only ParseError
         return type(exc), getattr(exc, "line_no", None), str(exc)
     if isinstance(got, BipartiteInstance):
-        return "semimatch", got.num_jobs, got.num_machines, got.edges, layout(got)
+        return "semimatch", got.num_jobs, got.num_machines, edge_triples(got), layout(got)
     return "cover", got.num_vertices, got.edges, got.adj
 
 
@@ -468,20 +467,10 @@ def near_canonical(base, how):
     return newline.join(lines)
 
 
-# Where a body slice is read line by line for a change outside the body
-# lines: the slice holding the first line the header's counts rule out.
-FIRST_LINE_RULED_OUT = {
-    "edges -1": r"[^\n]*\n\Z",  # the last edge is one too many
-    "jobs -1": r"^e 1000 ",
-    "machines -1": r"^e \d+ 60 ",
-    "no trailing newline": r"[^\n]+\Z",
-}
-
-
 class TestBulkPass:
-    """A body slice in the bulk subset is converted whole; any other
-    slice, and one with an error, is read line by line, and the outcome
-    is exactly the referee's."""
+    """A ``semimatch`` body in the bulk subset is converted whole; any
+    other body, and one with an error, is read line by line, and the
+    outcome is exactly the referee's."""
 
     @pytest.fixture(scope="class")
     def base(self):
@@ -490,58 +479,44 @@ class TestBulkPass:
         return text
 
     @pytest.fixture
-    def slices(self, monkeypatch):
-        """Every body slice offered to the bulk converter, with the
-        number of lines it converted (0: the slice was read line by line)."""
+    def reads(self, monkeypatch):
+        """Every call of the bulk reader: the offset of the body it was
+        given and the columns it returned (``None``: the body was read
+        line by line)."""
         calls = []
 
-        def spy(chunk, *args):
-            calls.append((chunk, convert(chunk, *args)))
+        def spy(text, start, *args):
+            calls.append((start, read_bulk(text, start, *args)))
             return calls[-1][1]
 
-        convert = formats._convert_slice
-        monkeypatch.setattr(formats, "_convert_slice", spy)
+        read_bulk = formats._read_bulk
+        monkeypatch.setattr(formats, "_read_bulk", spy)
         return calls
 
     @staticmethod
-    def offsets(text, slices):
-        """Where each slice starts in ``text``; the slices follow one
-        another from the line after the header."""
-        start = text.index("\n", text.index("p semimatch")) + 1
-        starts = []
-        for chunk, _converted in slices:
-            assert text.startswith(chunk, start)
-            starts.append(start)
-            start += len(chunk)
-        return starts
+    def routes(reads):
+        """For each read, whether it converted the body."""
+        return [columns is not None for _start, columns in reads]
 
     @pytest.fixture(scope="class")
     def large(self):
         """A unit instance of the paper's size, 10**4 jobs and 10**5 edges."""
         return gen_random(random.Random(11), 10_000, 1_000, num_edges=100_000)
 
-    def test_large_instance_matches_the_referee(self, large, slices, monkeypatch):
+    def test_large_instance_matches_the_referee(self, large, reads):
         text = emit_instance(large)
         want = parse_instance_by_records(text)
-        spy, state = formats._convert_slice, []
-
-        def keep_state(chunk, *args):
-            state[:] = args
-            return spy(chunk, *args)
-
-        monkeypatch.setattr(formats, "_convert_slice", keep_state)
         for text in (text, emit_instance(large, comments=["seed 11"])):
-            slices.clear()
+            reads.clear()
             got = parse_instance(text)
             assert got.num_edges == want.num_edges == large.num_edges >= 100_000
             assert layout(got) == layout(want) == layout(large)
             assert got.job_weights is None
-            # Every slice converts in bulk, and together they are the body.
-            assert len(slices) > 1 and all(converted for _chunk, converted in slices)
-            assert self.offsets(text, slices)[0] + sum(map(len, (c for c, _ in slices))) == len(text)
-            # Keys in order need no set, and unit weights no column.
-            _counts, _ids, seen, _jobs, _machines, weights = state
-            assert seen == set() and weights == []
+            # The body, from the line after the header on, converts in
+            # bulk, and unit weights make no weight column.
+            [(start, (jobs, _machines, weights))] = reads
+            assert start == text.index("\n", text.index("p semimatch")) + 1
+            assert len(jobs) == large.num_edges and weights == []
 
     def test_large_instance_parses_in_little_memory(self, large):
         text = emit_instance(large)
@@ -553,7 +528,30 @@ class TestBulkPass:
             tracemalloc.stop()
         assert peak < 10 << 20
 
-    def test_ids_above_the_table_convert_in_bulk(self, slices):
+    @pytest.mark.parametrize("how, bound", [("comment mid-body", 16), ("bad last line", 13)])
+    def test_the_line_route_parses_in_little_memory(self, large, how, bound):
+        # Read line by line, the body is still split one slice at a time
+        # and its ids still decode through the id table.  Peaks: about 13.3
+        # and 10.7 MiB; splitting the whole text at once, or converting ids
+        # with int(), adds 2 to 7 MiB.
+        lines = emit_instance(large).split("\n")
+        if how == "comment mid-body":
+            lines.insert(len(lines) // 2, "c mid-body")
+        else:
+            lines[-2] += "x"
+        text = "\n".join(lines)
+        tracemalloc.start()
+        try:
+            try:
+                parse_instance(text)
+            except BadWeightError:
+                assert how == "bad last line"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound << 20
+
+    def test_ids_above_the_table_convert_in_bulk(self, reads):
         # Machine ids from 19001 on are past the id table, which stops at
         # an eighth of the body's length; int() reads them.
         machines = list(range(1, 1001)) + list(range(19001, 20001))
@@ -564,7 +562,7 @@ class TestBulkPass:
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome[0] == "semimatch" and outcome[4][0][1][-1] == 19999
-        assert len(slices) > 1 and all(converted for _chunk, converted in slices)
+        assert self.routes(reads) == [True]
 
     @pytest.mark.parametrize(
         "how, falls_back",
@@ -574,22 +572,23 @@ class TestBulkPass:
             ("job id 0", True),
             ("weight 2**31", True),
             ("5000-digit weight", True),
-            # The header fails: no slice is read at all.
+            # The header fails: no body is read at all.
             ("5000-digit edge count", False),
-            # int() reads these, so the rest of the body still converts.
+            # int() reads these, but only the line loop does.
             ("leading zero", True),
             ("leading zero weight", True),
             ("plus sign", True),
             ("digit separator", True),
             ("no trailing newline", True),
-            ("CRLF", True),  # every slice
+            ("CRLF", True),
             ("tab", True),
             ("double space", True),
             ("comment before the header", False),
             ("comment mid-body", True),
             ("edges -1", True),
-            # Every slice converts; the count fails at the end.
-            ("edges +1", False),
+            # Every line is in the subset, but there is one edge too few:
+            # the line loop reads the body and the count fails at the end.
+            ("edges +1", True),
             # A repeated line: one line too many, but as many distinct
             # edges as the header declares.
             ("extra line", True),
@@ -602,59 +601,42 @@ class TestBulkPass:
             # InfeasibleInstanceError.
             ("jobs +1", False),
             ("machines +1", False),  # an idle machine
-            # Legal, but out of order: the slice that breaks the order is
-            # read line by line, and the later ones convert in bulk.
-            ("swap", True),
+            # Legal, but out of order: a set of keys rules out repeats.
+            ("swap", False),
             ("duplicate of an earlier slice", True),
-            # The slice converts into a weight column, 1s before it.
+            # The body converts into a weight column, 1s before it.
             ("unit body, weight 2", False),
             ("unit body, weight 2, tab", True),
             ("unit body", False),
-            # Legal, but its key is out of order.
-            ("machines +1000000, machine id above the table", True),
+            # Legal, and past the id table, but its key is out of order.
+            ("machines +1000000, machine id above the table", False),
         ],
     )
-    def test_near_canonical_text(self, base, slices, how, falls_back):
+    def test_near_canonical_text(self, base, reads, how, falls_back):
         text = near_canonical(base, how)
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         if how.startswith("unit body"):  # a weight column only for a weight 2
             assert (outcome[4][2] is None) == (how == "unit body")
-        starts = self.offsets(text, slices)
-        if outcome[0] == "semimatch":  # parsed, so every slice was offered
-            assert starts[-1] + len(slices[-1][0]) == len(text)
-        if not falls_back:
-            held = []
-        elif how == "CRLF":
-            held = starts
+        if how == "5000-digit edge count":
+            assert reads == []
         else:
-            # The slice holding the change, or the line the counts rule out.
-            pattern = FIRST_LINE_RULED_OUT.get(how)
-            # The first of several changes only sets the scene for the edit.
-            origin = near_canonical(base, how.split(", ")[0]) if ", " in how else base
-            at = (
-                len(os.path.commonprefix([origin, text])) if pattern is None
-                else re.search(pattern, text, re.M).start()
-            )
-            held = [max(s for s in starts if s <= at)]
-            assert at < held[0] + len(slices[starts.index(held[0])][0])
-        assert [s for s, (_c, converted) in zip(starts, slices) if not converted] == held
+            assert self.routes(reads) == [not falls_back]
 
-    def test_a_repeat_across_a_slice_boundary_is_named(self, base, slices):
-        # Each slice's keys increase; only the first key of the second
-        # slice against the last of the first shows the repeat.
-        parse_instance(base)
-        first = slices[0][0]
-        cut = base.index("\n") + 1 + len(first)
+    def test_a_repeat_across_a_slice_boundary_is_named(self, base, reads):
+        # The first line of the second slice repeats the last of the
+        # first, and every other pair is in order.
+        start = base.index("\n") + 1
+        cut = start + len(next(formats._slices(base, start)))
+        first = base[start:cut]
         text = base[:cut] + first.splitlines()[-1] + base[base.index("\n", cut):]
-        slices.clear()
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome[0] is ParseError and "duplicate edge" in outcome[2]
-        assert [converted > 0 for _chunk, converted in slices] == [True, False]
+        assert self.routes(reads) == [False]
 
     @pytest.mark.parametrize("seed", range(16))
-    def test_shuffled_canonical_bodies_match_the_referee(self, base, slices, seed):
+    def test_shuffled_canonical_bodies_match_the_referee(self, base, reads, seed):
         # A run of body lines, or the whole body, shuffled, and in every
         # other text one of them replaced by a copy of some other line.
         rng = random.Random(seed)
@@ -668,13 +650,18 @@ class TestBulkPass:
         text = "\n".join([header, *body, end])
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
-        # The slices before the run convert in bulk.  A slice that breaks
-        # the order is read line by line, after which a set of keys checks
-        # every slice: with no copy, no other slice is read line by line.
-        first = len(header) + 1 + sum(map(len, body[:lo])) + lo
-        starts = self.offsets(text, slices)
-        assert all(c for s, (chunk, c) in zip(starts, slices) if s + len(chunk) <= first)
-        assert seed % 2 or sum(not c for _chunk, c in slices) <= 1
+        # Out of order, the body still converts in bulk, unless a copy
+        # repeats an edge, which the line loop then names.
+        assert seed % 2 or outcome[0] == "semimatch"
+        assert self.routes(reads) == [outcome[0] == "semimatch"]
+
+    def test_a_shuffled_body_converts_in_bulk(self, large, reads):
+        header, *body = emit_instance(large).splitlines(keepends=True)
+        random.Random(3).shuffle(body)
+        text = header + "".join(body)
+        got = parse_instance(text)
+        assert layout(got) == layout(parse_instance_by_records(text))
+        assert self.routes(reads) == [True]
 
     def test_expressions_compile_on_python_3_10(self):
         # Possessive repeats and atomic groups arrived in Python 3.11's re.
@@ -684,7 +671,7 @@ class TestBulkPass:
             assert re.search(r"[*+?}]\+|\(\?>", expr.pattern) is None
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_emitted_text_never_reaches_the_line_loop(self, slices, seed):
+    def test_emitted_text_never_reaches_the_line_loop(self, reads, seed):
         rng = random.Random(seed)
         inst = gen_random(
             rng,
@@ -699,19 +686,31 @@ class TestBulkPass:
         again = parse_instance(text)
         assert layout(again) == layout(inst)
         assert emit_instance(again, comments=[f"seed {seed}"]) == text
-        assert len(slices) == (inst.num_edges > 0)
-        assert all(converted for _chunk, converted in slices)
+        assert self.routes(reads) == [True]
+
+    def test_every_pool_text_converts_in_bulk(self, reads, pool_workloads):
+        checked = 0
+        for workload in pool_workloads.WORKLOADS.values():
+            if workload.kind == "cover":
+                continue
+            for index in range(pool_workloads.POOL_SIZE):
+                text = workload.text(index)
+                reads.clear()
+                assert emit_instance(parse_instance(text)) == text
+                assert self.routes(reads) == [True]
+                checked += 1
+        assert checked == 3 * pool_workloads.POOL_SIZE == 48
 
     @pytest.mark.parametrize("max_weight", [1, 9])
-    def test_gen_output_converts_in_bulk(self, slices, max_weight):
+    def test_gen_output_converts_in_bulk(self, reads, max_weight):
         result = CliRunner().invoke(cli_main, [
             "gen", "--jobs", "3000", "--machines", "40", "--edge-prob", "0.05",
             "--max-weight", str(max_weight), "--seed", "1",
         ])
         assert result.exit_code == 0 and result.output.startswith("c seed 1\n")
         inst = parse_instance(result.output)
-        assert len(slices) > 1 and all(converted for _chunk, converted in slices)
-        assert sum(converted for _chunk, converted in slices) == inst.num_edges
+        [(_start, (jobs, _machines, _weights))] = reads
+        assert len(jobs) == inst.num_edges and len(result.output) > 2 * formats._CHUNK
 
 
 class TestBench:

@@ -796,6 +796,25 @@ class TestBackwardBlockingFlow:
 
 
 class TestSolveConvex:
+    def test_a_cost_table_short_of_an_idle_machine_solves(self):
+        # Used to raise IndexError in the network build.
+        inst = BipartiteInstance(1, 2, [(0, 0)])
+        costs = ConvexMachineCost([[1]])
+        assert solve_convex(inst, costs).machine_of == (0,)
+        assert brute_force_semi_matching(inst, costs) == (1, SemiMatching((0,)))
+
+    @pytest.mark.parametrize("table", [[[1]], [[1], [2]]])
+    def test_a_cost_table_short_of_a_used_machine_is_named(self, table):
+        # Machine 1 has degree 2 but no marginals, or only one.
+        inst = BipartiteInstance(2, 2, [(0, 0), (0, 1), (1, 1)])
+        costs = ConvexMachineCost(table)
+        have = len(table[1]) if len(table) > 1 else 0
+        message = rf"^machine 1: {have} marginals but degree 2$"
+        with pytest.raises(ValueError, match=message):
+            solve_convex(inst, costs)
+        with pytest.raises(ValueError, match=message):
+            brute_force_semi_matching(inst, costs)
+
     def test_triangular_equals_unweighted(self):
         rng = random.Random(77)
         for _ in range(40):
