@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice, repeat
-from operator import add, index, itemgetter, lt, mul
+from operator import add, contains, getitem, index, itemgetter, lt, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 #: Edge weights must fit in an unsigned 31-bit integer.
@@ -56,15 +56,22 @@ def _edgeless_job(u: int) -> InfeasibleInstanceError:
 
 def _columns_ok(num_jobs: int, num_machines: int, jobs, machines, weights) -> bool:
     """Whether the ids are in range, the weights (if any) in ``[0,
-    MAX_WEIGHT]``, and no ``(job, machine)`` pair repeats."""
-    bounds = [num_jobs - 1, num_machines - 1, MAX_WEIGHT]
-    for column, top in zip([jobs, machines, weights or ()], bounds):
+    MAX_WEIGHT]``, and no ``(job, machine)`` pair repeats.
+
+    The order test runs first.  Pairs in strictly increasing order
+    cannot repeat, and their job column is non-decreasing, so its ends
+    are its range; unordered pairs scan the job column for its range and
+    need a key set.  Machines and weights are always scanned."""
+    if not jobs:
+        return True
+    ordered = all(map(lt, zip(jobs, machines), islice(zip(jobs, machines), 1, None)))
+    low, high = (jobs[0], jobs[-1]) if ordered else (min(jobs), max(jobs))
+    if low < 0 or high >= num_jobs:
+        return False
+    for column, top in ((machines, num_machines - 1), (weights or (), MAX_WEIGHT)):
         if column and (min(column) < 0 or max(column) > top):
             return False
-    # Pairs in strictly increasing order cannot repeat; others need a set.
-    if all(map(lt, zip(jobs, machines), islice(zip(jobs, machines), 1, None))):
-        return True
-    return len(set(map(add, map(mul, jobs, repeat(num_machines)), machines))) == len(jobs)
+    return ordered or len(set(map(add, map(mul, jobs, repeat(num_machines)), machines))) == len(jobs)
 
 
 def _bulk_columns(num_jobs: int, num_machines: int, edges):
@@ -246,13 +253,26 @@ class SemiMatching:
         object.__setattr__(self, "machine_of", tuple(self.machine_of))
 
     def machine_loads(self, instance: BipartiteInstance) -> list[list[int]]:
-        """Per-machine lists of assigned job weights."""
+        """Per-machine lists of assigned job weights.
+
+        Raises ``ValueError`` when the matching does not assign exactly
+        ``instance.num_jobs`` jobs, and ``KeyError`` naming the first
+        job assigned along a non-edge.  Each job's position in its
+        adjacency, and from it its weight, is read in one pass over the
+        columns."""
+        machine_of = self.machine_of
+        size = _size_problem(instance, machine_of)
+        if size is not None:
+            raise ValueError(size)
+        job_machines, job_weights = instance.job_machines, instance.job_weights
+        try:
+            positions = list(map(tuple.index, job_machines, machine_of))
+        except ValueError:
+            u = next(u for u, (vs, v) in enumerate(zip(job_machines, machine_of)) if v not in vs)
+            raise KeyError(f"no edge ({u}, {machine_of[u]})") from None
+        weights = repeat(1) if job_weights is None else map(getitem, job_weights, positions)
         loads: list[list[int]] = [[] for _ in range(instance.num_machines)]
-        for u, v in enumerate(self.machine_of):
-            try:
-                w = instance.weight(u, v)
-            except ValueError:
-                raise KeyError(f"no edge ({u}, {v})") from None
+        for v, w in zip(machine_of, weights):
             loads[v].append(w)
         return loads
 
@@ -297,13 +317,32 @@ def machine_cost(weights: Iterable[int]) -> int:
 def cost_of_semi_matching(instance: BipartiteInstance, matching: SemiMatching) -> int:
     """Total cost of an assignment, summed over machines.
 
-    The matching must be valid for the instance (every job assigned along
-    an existing edge); cost of an invalid matching is undefined and this
-    function may raise ``KeyError``.
+    The matching must be valid for the instance: ``ValueError`` when it
+    does not assign exactly ``instance.num_jobs`` jobs, ``KeyError``
+    naming the first job assigned along a non-edge (see
+    :meth:`SemiMatching.machine_loads`).  On a unit instance, once one
+    pass has checked every job's machine against its adjacency, the cost
+    is read off the degree vector: a machine of load ``d`` costs
+    ``d*(d+1)/2``.
     """
+    machine_of = matching.machine_of
+    if (
+        instance.job_weights is None
+        and len(machine_of) == instance.num_jobs
+        and all(map(contains, instance.job_machines, machine_of))
+    ):
+        degrees = matching.degrees(instance.num_machines)
+        return _checked_cost(sum(d * (d + 1) // 2 for d in degrees))
     return _checked_cost(
         sum(machine_cost(ws) for ws in matching.machine_loads(instance))
     )
+
+
+def _size_problem(instance: BipartiteInstance, machine_of) -> Optional[str]:
+    """What is wrong with the number of assignments, if anything."""
+    if len(machine_of) != instance.num_jobs:
+        return f"expected {instance.num_jobs} assignments, got {len(machine_of)}"
+    return None
 
 
 def validate_semi_matching(
@@ -316,11 +355,9 @@ def validate_semi_matching(
     assignments, a job without a machine, or a job assigned along a
     non-existent edge.
     """
-    if len(matching.machine_of) != instance.num_jobs:
-        return Violation(
-            "size",
-            f"expected {instance.num_jobs} assignments, got {len(matching.machine_of)}",
-        )
+    size = _size_problem(instance, matching.machine_of)
+    if size is not None:
+        return Violation("size", size)
     for u, v in enumerate(matching.machine_of):
         if v is None or not 0 <= v < instance.num_machines:
             return Violation("unassigned", f"job {u} has no machine (got {v!r})")

@@ -45,6 +45,10 @@ passes the bulk check that :class:`~semimatch.core.BipartiteInstance`
 also runs.  Any other body, and every ``cover`` body, is read by the
 line loop, one slice at a time and with ``semimatch`` ids through the
 same table; it names the first bad line.
+
+Solution text is read in one loop over its lines.  The two ids of an
+``a`` record convert in one ``try``; only when that fails are they
+converted again one at a time, to name the bad token.
 """
 
 from __future__ import annotations
@@ -93,15 +97,6 @@ class IdOutOfRangeError(ParseError):
 
 class BadWeightError(ParseError):
     """Edge weight missing, non-integer, negative, or over MAX_WEIGHT."""
-
-
-def _records(text: str):
-    """Yield ``(line_no, tokens)`` for every significant line."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        yield line_no, tokens
 
 
 def _int_field(line_no: int, token: str, what: str, err=ParseError) -> int:
@@ -373,25 +368,33 @@ def parse_assignment(text: str) -> tuple[tuple[tuple[int, int], ...], int]:
     """
     pairs: list[tuple[int, int]] = []
     cost: int | None = None
-    for line_no, tokens in _records(text):
-        if tokens[0] == "cost":
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        tag = tokens[0]
+        if tag == "a":
+            if cost is not None:
+                raise ParseError(line_no, "'a' record after the cost trailer")
+            if len(tokens) != 3:
+                raise ParseError(line_no, "assignment record needs 'a <x> <y>'")
+            try:
+                x, y = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                _int_field(line_no, tokens[1], "id")
+                _int_field(line_no, tokens[2], "id")
+                raise  # unreachable: one of the two raised
+            if x < 1 or y < 1:
+                raise IdOutOfRangeError(line_no, f"ids must be 1-based, got {x}, {y}")
+            pairs.append((x - 1, y - 1))
+        elif tag == "cost":
             if cost is not None:
                 raise ParseError(line_no, "second 'cost' trailer")
             if len(tokens) != 2:
                 raise ParseError(line_no, "cost trailer needs 'cost <value>'")
             cost = _int_field(line_no, tokens[1], "cost")
-        elif tokens[0] == "a":
-            if cost is not None:
-                raise ParseError(line_no, "'a' record after the cost trailer")
-            if len(tokens) != 3:
-                raise ParseError(line_no, "assignment record needs 'a <x> <y>'")
-            x = _int_field(line_no, tokens[1], "id")
-            y = _int_field(line_no, tokens[2], "id")
-            if x < 1 or y < 1:
-                raise IdOutOfRangeError(line_no, f"ids must be 1-based, got {x}, {y}")
-            pairs.append((x - 1, y - 1))
-        else:
-            raise ParseError(line_no, f"unknown record {tokens[0]!r}")
+        elif tag != "c":
+            raise ParseError(line_no, f"unknown record {tag!r}")
     if cost is None:
         raise ParseError(0, "missing 'cost' trailer")
     return tuple(pairs), cost

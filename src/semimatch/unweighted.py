@@ -74,11 +74,12 @@ class CancelCounters:
     source-to-sink distances of the successful rounds, which must be
     strictly increasing.  ``units_cancelled`` is the total flow moved
     between centers.  ``edges_scanned`` counts what the searches probe,
-    and no slot arc is among it.  Each layering probes every machine of
-    the component once for a used slot in a source (level 1), tests
-    each machine it expands for a free slot into a sink, and examines
-    the arcs out of the jobs and machines it labels; a bottom-up step
-    adds every ``machine_jobs`` entry it probes.  The backward
+    and no slot arc is among it.  The first layering of a call probes
+    every machine of the component once for a used slot in a source
+    (level 1), and each later one only the previous layering's level 1;
+    each layering tests every machine it expands for a free slot into a
+    sink, and examines the arcs out of the jobs and machines it labels;
+    a bottom-up step adds every ``machine_jobs`` entry it probes.  The backward
     blocking-flow search adds each ``machine_jobs`` entry it tries,
     each step from a job to its carrier and each test of a level-1
     machine for a used slot still in a source.  A job's out-arcs count
@@ -279,6 +280,11 @@ def _cancel(
     machines whose top used slot is at or above the cut, and a machine
     reaches a sink when its next slot is below it.  No center sits on a
     middle level: the sources are level 0 and a sink ends the layering.
+    Level 1 can only shrink from one round to the next, so a round
+    re-tests only the last round's level 1: an augmentation lowers the
+    load of its level-1 end machine only, raises only its start
+    machine's, into a sink slot below the cut, and each machine inside
+    the path gives up one job and takes one.
 
     Jobs link only to machines, so machines fill the odd layers.  A job
     is entered only from its carrier, so a scanned machine's jobs are
@@ -321,6 +327,7 @@ def _cancel(
     distances: list[int] = []
     scanned = 0
     reachable: list[int] = []
+    level_one = machines  # the machines that may sit on level 1
 
     while True:
         rounds += 1
@@ -332,14 +339,15 @@ def _cancel(
             dist[x] = 0
         frontier = []  # level 1: the machines whose top used slot is a source
         unseen, unseen_degree = machines, machine_degree
-        scanned += len(machines)
-        for b in machines:
+        scanned += len(level_one)
+        for b in level_one:
             jobs = carried[b - nU]
             if jobs and rank[b - nU][len(jobs) - 1] >= cut:
                 seen[b] = stamp
                 dist[b] = 1
                 frontier.append(b)
                 unseen_degree -= len(jobs_of[b - nU])
+        level_one = frontier
         marked = src_nodes + frontier
         level = 1
         ends: list[int] = []  # machines of level D-1 whose next slot is a sink

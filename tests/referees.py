@@ -9,7 +9,9 @@ networks that only the tests read (``weight``, ``layout``,
 ``edge_triples``, ``describe_node``), the explicit slot arcs a network
 now implies by its loads (``residual_successors``), and the per-edge
 tuple adjacency instances once stored and then offered as views
-(``tuple_adjacency``).
+(``tuple_adjacency``).  The cost accounting and the solution parser
+have per-job and per-record twins too (``machine_loads_per_job``,
+``cost_per_job``, ``parse_assignment_by_records``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from semimatch.core import (
     BipartiteInstance,
     InfeasibleInstanceError,
     SemiMatching,
+    machine_cost,
     validate_semi_matching,
 )
 from semimatch.cover import GeneralGraph
@@ -159,6 +162,58 @@ def parse_instance_by_records(text: str) -> Union[BipartiteInstance, GeneralGrap
                 f"vertex {v} has no incident edges; no edge cover exists"
             )
     return graph
+
+
+def parse_assignment_by_records(text: str) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``parse_assignment`` over a record generator, one field at a time:
+    the same pairs, cost, error classes, line numbers and messages."""
+    pairs: list[tuple[int, int]] = []
+    cost: Optional[int] = None
+    for line_no, tokens in _records(text):
+        if tokens[0] == "cost":
+            if cost is not None:
+                raise ParseError(line_no, "second 'cost' trailer")
+            if len(tokens) != 2:
+                raise ParseError(line_no, "cost trailer needs 'cost <value>'")
+            cost = _int_field(line_no, tokens[1], "cost")
+        elif tokens[0] == "a":
+            if cost is not None:
+                raise ParseError(line_no, "'a' record after the cost trailer")
+            if len(tokens) != 3:
+                raise ParseError(line_no, "assignment record needs 'a <x> <y>'")
+            x = _int_field(line_no, tokens[1], "id")
+            y = _int_field(line_no, tokens[2], "id")
+            if x < 1 or y < 1:
+                raise IdOutOfRangeError(line_no, f"ids must be 1-based, got {x}, {y}")
+            pairs.append((x - 1, y - 1))
+        else:
+            raise ParseError(line_no, f"unknown record {tokens[0]!r}")
+    if cost is None:
+        raise ParseError(0, "missing 'cost' trailer")
+    return tuple(pairs), cost
+
+
+# -- cost accounting -------------------------------------------------------
+
+
+def machine_loads_per_job(instance: BipartiteInstance, matching: SemiMatching) -> list[list[int]]:
+    """``SemiMatching.machine_loads`` on a matching of the right size, one
+    ``instance.weight`` call per job: the same loads, or the same
+    ``KeyError`` naming the first job assigned along a non-edge."""
+    loads: list[list[int]] = [[] for _ in range(instance.num_machines)]
+    for u, v in enumerate(matching.machine_of):
+        try:
+            w = instance.weight(u, v)
+        except ValueError:
+            raise KeyError(f"no edge ({u}, {v})") from None
+        loads[v].append(w)
+    return loads
+
+
+def cost_per_job(instance: BipartiteInstance, matching: SemiMatching) -> int:
+    """``cost_of_semi_matching`` on a matching of the right size: every
+    machine's load through ``machine_cost``, unit weights included."""
+    return sum(machine_cost(ws) for ws in machine_loads_per_job(instance, matching))
 
 
 # -- views the library itself never needs ----------------------------------

@@ -23,7 +23,23 @@ from semimatch.core import (
 from semimatch import core, formats, generate
 
 from conftest import fig2_instance
-from referees import edge_triples, layout, tuple_adjacency, weight
+from referees import (
+    cost_per_job,
+    edge_triples,
+    layout,
+    machine_loads_per_job,
+    parse_instance_by_records,
+    tuple_adjacency,
+    weight,
+)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the class and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # every outcome is compared
+        return type(exc), str(exc)
 
 
 class TestMachineCost:
@@ -226,6 +242,23 @@ class TestInstanceValidation:
         off = True
         assert construction_outcome(num_jobs, num_machines, edges()) == got
 
+    @pytest.mark.parametrize(
+        "jobs, bad", [([-1, 0, 1], -1), ([0, 1, 2], 2)], ids=["first job -1", "last job past the end"]
+    )
+    def test_ordered_columns_are_ranged_by_their_ends(self, jobs, bad):
+        # Strictly increasing pairs: the job column's ends are its range.
+        machines = [0, 1, 0]
+        assert not core._columns_ok(2, 2, jobs, machines, None)
+        with pytest.raises(ValueError, match=rf"^job id {bad} out of range \[0, 2\)$"):
+            BipartiteInstance(2, 2, list(zip(jobs, machines)))
+        text = "p semimatch 2 2 3\n" + "".join(f"e {u + 1} {v + 1} 1\n" for u, v in zip(jobs, machines))
+        with pytest.raises(formats.IdOutOfRangeError) as got:
+            formats.parse_instance(text)
+        with pytest.raises(formats.IdOutOfRangeError) as want:
+            parse_instance_by_records(text)
+        assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
+        assert str(got.value).endswith(f"job id {bad + 1} out of range [1, 2]")
+
     def test_two_bad_edges_name_the_first(self):
         edges = [(0, 0, 1), (1, 9, 1), (2, 0, 1), (0, 1, -4)]
         with pytest.raises(ValueError, match=r"^machine id 9 out of range \[0, 2\)$"):
@@ -420,6 +453,62 @@ class TestAssignmentCost:
             SemiMatching((0, 0, 0, 1)).machine_loads(inst)
         with pytest.raises(KeyError, match=r"no edge \(0, 1\)"):
             cost_of_semi_matching(inst, SemiMatching((1, 0, 1, 1)))
+
+    @pytest.mark.parametrize("weights", [None, [4, 5, 6, 7]], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("machine_of", [(0, 1), (0, 1, 1, 0)], ids=["short", "long"])
+    def test_a_matching_of_the_wrong_size_is_named(self, weights, machine_of):
+        # Once costed as a partial assignment (short) or failed with a
+        # bare IndexError (long).
+        edges = [(0, 0), (1, 0), (1, 1), (2, 1)]
+        if weights is not None:
+            edges = [(u, v, w) for (u, v), w in zip(edges, weights)]
+        inst = BipartiteInstance(3, 2, edges)
+        matching = SemiMatching(machine_of)
+        message = f"^expected 3 assignments, got {len(machine_of)}$"
+        with pytest.raises(ValueError, match=message):
+            matching.machine_loads(inst)
+        with pytest.raises(ValueError, match=message):
+            cost_of_semi_matching(inst, matching)
+        assert validate_semi_matching(inst, matching).detail == message[1:-1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cost_and_loads_match_the_per_job_referee(self, seed):
+        # Unit and weighted instances from shuffled edges, with zero
+        # weights and weights near 2**31 - 1; matchings that are valid,
+        # or put the first, a middle or the last job on a non-edge, on
+        # None, on -1 or on a machine past the last.
+        rng = random.Random(seed)
+        num_jobs, num_machines = rng.randint(1, 12), rng.randint(1, 6)
+        kind = ("unit", "small", "zero", "huge")[seed % 4]
+        draw = {
+            "unit": lambda: 1,
+            "small": lambda: rng.randint(0, 9),
+            "zero": lambda: rng.choice([0, 0, 1]),
+            "huge": lambda: MAX_WEIGHT - rng.randint(0, 3),
+        }[kind]
+        edges = [
+            (u, v, draw())
+            for u in range(num_jobs)
+            for v in rng.sample(range(num_machines), rng.randint(1, num_machines))
+        ]
+        rng.shuffle(edges)
+        inst = BipartiteInstance(num_jobs, num_machines, edges)
+        assert inst.is_unit_weight() or kind != "unit"
+        cases = [[rng.choice(vs) for vs in inst.job_machines] for _ in range(4)]
+        for u in {0, num_jobs // 2, num_jobs - 1}:
+            off = [v for v in range(num_machines) if v not in inst.job_machines[u]]
+            for bad in [None, -1, num_machines, *off[:1]]:
+                cases.append(cases[0][:u] + [bad] + cases[0][u + 1:])
+        cases.append(cases[0][:-1] + [-1])
+        cases[-1][num_jobs // 2] = num_machines  # two non-edges: the first is named
+        for machine_of in cases:
+            matching = SemiMatching(machine_of)
+            assert outcome(lambda: matching.machine_loads(inst)) == outcome(
+                lambda: machine_loads_per_job(inst, matching)
+            )
+            assert outcome(lambda: cost_of_semi_matching(inst, matching)) == outcome(
+                lambda: cost_per_job(inst, matching)
+            )
 
 class TestConvexCost:
     def test_triangular_matches_unit_cost(self):

@@ -19,8 +19,13 @@ from semimatch.bench import (
     run_bench,
 )
 from semimatch.cli import main as cli_main
-from semimatch.core import MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError
-from semimatch.cover import GeneralGraph, minimum_edge_cover
+from semimatch.core import (
+    MAX_WEIGHT,
+    BipartiteInstance,
+    InfeasibleInstanceError,
+    cost_of_semi_matching,
+)
+from semimatch.cover import GeneralGraph, find_center, minimum_edge_cover
 from semimatch.formats import (
     BadWeightError,
     CountMismatchError,
@@ -33,8 +38,16 @@ from semimatch.formats import (
     parse_instance,
 )
 from semimatch.generate import gen_random, gen_random_graph
+from semimatch.unweighted import solve_unweighted
+from semimatch.weighted import solve_weighted
 
-from referees import edge_triples, layout, parse_instance_by_records, weight
+from referees import (
+    edge_triples,
+    layout,
+    parse_assignment_by_records,
+    parse_instance_by_records,
+    weight,
+)
 
 
 class TestParseInstance:
@@ -184,6 +197,15 @@ class TestParseInstance:
             pass
 
 
+BAD_ASSIGNMENTS = [
+    "a 1 1\n",  # no cost trailer
+    "cost 3\ncost 3\n",  # two trailers
+    "a 0 1\ncost 2\n",  # ids are 1-based
+    "b 1 1\ncost 0\n",  # unknown record
+    "cost 1\na 1 1\n",  # trailer must come last
+]
+
+
 class TestEmitRoundTrips:
     @pytest.mark.parametrize("seed", range(40))
     def test_semimatch_emit_parse_emit_is_identity(self, seed):
@@ -266,19 +288,81 @@ class TestEmitRoundTrips:
         assert back == pairs
         assert cost == 17
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "a 1 1\n",  # no cost trailer
-            "cost 3\ncost 3\n",  # two trailers
-            "a 0 1\ncost 2\n",  # ids are 1-based
-            "b 1 1\ncost 0\n",  # unknown record
-            "cost 1\na 1 1\n",  # trailer must come last
-        ],
-    )
+    @pytest.mark.parametrize("bad", BAD_ASSIGNMENTS)
     def test_bad_assignments(self, bad):
         with pytest.raises(ParseError):
             parse_assignment(bad)
+
+
+def assignment_outcome(parse, text):
+    """What ``parse`` makes of solution ``text``: its pairs and cost, or
+    the class, line number and message of what it raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # every outcome is compared, not only ParseError
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+ASSIGNMENT_LINES = [
+    "a 1 2", "a 3 1", "a 0 1", "a 1 -1", "a +1 2", "a 1_0 3", "a x 1", "a 1 y", "a 1",
+    "a 1 1 1", "a", "cost 7", "cost -2", "cost", "cost x", "cost 1 2", "c a comment",
+    "c", "", "   ", "b 1 1", "A 1 2",
+]
+
+
+class TestParseAssignmentAgainstReferee:
+    """``parse_assignment`` reads each line in one loop and converts both
+    ids in one try; the per-record referee reads one field at a time."""
+
+    @pytest.mark.parametrize(
+        "text",
+        BAD_ASSIGNMENTS
+        + [
+            "a 1\ncost 0\n",
+            "a x 1\ncost 0\n",
+            "a 1 x\ncost 0\n",
+            "a 1 1 1\ncost 0\n",
+            "a 1 1\ncost\n",
+            "a 1 1\ncost x\n",
+            "c one\n\na 1 2\n   \nc two words\na 2 1\n\ncost 5\nc after\n\n",
+            "a 1 2\r\na 2 1\r\n\r\ncost 3\r\n",
+            "a 1 2\r\nb\r\ncost 3\r\n",
+            "a 1 1\ncost 1\na 2 2\n",
+            "a 1 1\ncost 1\na 2\n",
+            "a 1 0\ncost 1\n",
+            "",
+            "c only a comment\n",
+        ],
+    )
+    def test_listed_texts(self, text):
+        got = assignment_outcome(parse_assignment, text)
+        assert got == assignment_outcome(parse_assignment_by_records, text)
+
+    @given(
+        st.lists(st.sampled_from(ASSIGNMENT_LINES), max_size=8),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_random_line_mixes(self, lines, end):
+        text = end.join(lines) + end
+        got = assignment_outcome(parse_assignment, text)
+        assert got == assignment_outcome(parse_assignment_by_records, text)
+
+    def test_an_emitted_solution_of_each_pool_workload(self, pool_workloads):
+        for name, workload in pool_workloads.WORKLOADS.items():
+            inst = workload.instance(0)
+            if workload.kind == "cover":
+                cover = find_center(inst)
+                text = emit_assignment(sorted(cover.edges), cover.balanced_cost())
+            else:
+                solve = solve_unweighted if workload.kind == "unit" else solve_weighted
+                matching = solve(inst)
+                text = emit_assignment(
+                    enumerate(matching.machine_of), cost_of_semi_matching(inst, matching)
+                )
+            got = assignment_outcome(parse_assignment, text)
+            assert got == assignment_outcome(parse_assignment_by_records, text), name
+            assert got[1] == pool_workloads.load_references()[name][0], name
 
 
 def emit_by_sorting_triples(instance, comments):

@@ -584,6 +584,63 @@ class TestSolveUnweighted:
             assert got == unit_cost(inst, solve_unweighted(inst))
         assert directions["bottom-up"] and directions["top-down"], directions
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_one_only_shrinks_within_a_call(self, seed, monkeypatch):
+        # Each round after the first re-tests only the last round's level 1.
+        # A spy on the layering's distance labels records, per round, the
+        # machines put on level 1 and the machines whose top used slot is
+        # a source when the round starts; the two must be equal, and no
+        # round may add a machine to the round before it.
+        rng = random.Random(seed)
+        spokes = rng.randint(30, 60)
+        instances = [
+            zipf_instance(rng, rng.randint(200, 400), rng.randint(10, 30)),
+            star_instance(rng, spokes, rng.randint(10, spokes), rng.randint(3, 8)),
+            zipf_instance(random.Random(seed), 1000, 100, draws=3),
+        ]
+        calls = []  # per _cancel call, per round: (labelled, expected)
+
+        def spied_cancel(network, comp, sources, machines, counters):
+            nU, cut, rounds = network.num_jobs, sources[0], []
+
+            class Labels(list):
+                def __setitem__(self, x, d):
+                    if d == 0 and (not rounds or rounds[-1][2] != network._stamp):
+                        top_is_source = {
+                            b for b in machines
+                            if network._carried[b - nU]
+                            and network._rank[b - nU][len(network._carried[b - nU]) - 1] >= cut
+                        }
+                        rounds.append((set(), top_is_source, network._stamp))
+                    elif d == 1:
+                        rounds[-1][0].add(x)
+                    super().__setitem__(x, d)
+
+            plain = network._dist
+            network._dist = Labels(plain)
+            try:
+                return real_cancel(network, comp, sources, machines, counters)
+            finally:
+                plain[:] = network._dist
+                network._dist = plain
+                calls.append([(labelled, expected) for labelled, expected, _ in rounds])
+
+        real_cancel = unweighted._cancel
+        shrunk = 0
+        for inst in instances:
+            want, first, counters = solve_unweighted(inst), len(calls), CancelCounters()
+            with monkeypatch.context() as m:
+                m.setattr(unweighted, "_cancel", spied_cancel)
+                assert solve_unweighted(inst, stats=counters) == want
+            assert [len(rounds) for rounds in calls[first:]] == counters.rounds_per_cancel
+        for rounds in calls:
+            for labelled, expected in rounds:
+                assert labelled == expected
+            for (earlier, _), (later, _) in zip(rounds, rounds[1:]):
+                assert later <= earlier
+                shrunk += later < earlier
+        assert shrunk, "no round dropped a machine from level 1"
+
     def test_no_cost_reducing_residual_path_remains(self):
         rng = random.Random(11)
         for _ in range(15):
