@@ -186,6 +186,27 @@ class TestPhaseInvariants:
         assert moved_at and failed == moved_at[0]
         assert self.first_failing_phase(inst, update_potentials, augment) is None
 
+    def test_slot_above_the_frame_fails_in_its_phase(self):
+        # An update that raises a finalized slot's potential instead of
+        # lowering it puts the slot above total_potential, which the
+        # search's weight stop relies on never happening: the first phase
+        # that finalizes a slot short of its bound fails, on that check.
+        inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
+        state = EktState(inst)
+        for _ in range(inst.num_jobs):
+            run = GroupedDijkstra(state).run()
+            update_potentials(state, run)
+            raised = {vi: run.bound - d for vi, d in run.dist_slot.items() if d < run.bound}
+            for (v, i), gap in raised.items():
+                state.shift[v][i - 1] += 2 * gap
+            augment(state, run)
+            if raised:
+                with pytest.raises(AssertionError, match="a slot passed the frame"):
+                    check_invariants(state, run)
+                return
+            check_invariants(state, run)
+        pytest.fail("no phase finalized a slot short of its bound")
+
     def test_missing_free_slot_shift_fails_in_its_phase(self):
         # An augment that grows a machine's prefix without giving its next
         # free slot a shift fails the very first phase.
@@ -289,7 +310,7 @@ class TestPhaseInvariants:
         assert (
             stats.iterations, sum(stats.group_relaxations), stats.envelope_inserts,
             stats.envelope_delete_mins, stats.heap_pushes, stats.machine_pops,
-        ) == (60, 2928, 1161, 680, 2216, 740)
+        ) == (60, 2928, 1089, 680, 2144, 740)
 
     def test_seeded_sparse_solve_does_pinned_work(self):
         # Wide weights on sparse edges: many relaxations land beyond the
@@ -314,7 +335,7 @@ class TestPhaseInvariants:
         assert (
             stats.iterations, stats.envelope_inserts, stats.envelope_delete_mins,
             stats.heap_pushes, stats.machine_pops,
-        ) == (80, 925, 373, 1557, 453)
+        ) == (80, 710, 373, 1340, 453)
 
     def test_seeded_chain_solve_does_pinned_work(self):
         # Every phase reroutes every matched job one machine up, through
@@ -346,7 +367,7 @@ class TestPhaseInvariants:
         assert (
             stats.iterations, stats.envelope_inserts, stats.envelope_delete_mins,
             stats.machine_pops,
-        ) == (20, 333, 178, 198)
+        ) == (20, 331, 178, 198)
 
     def test_envelope_ops_accounting(self):
         rng = random.Random(33)
@@ -404,6 +425,92 @@ class TestProcessingOrder:
     def test_unknown_family_is_refused(self):
         with pytest.raises(ValueError, match="unknown family"):
             gen_family(random.Random(0), "star")
+
+
+def stop_instances(seed):
+    """Weighted family instances and random ones, tie-heavy to wide-weight."""
+    rng = random.Random(seed)
+    for family in FAMILIES:
+        for _ in range(4):
+            yield gen_family(rng, family)
+    for max_weight in (3, 100, 10**6):
+        for _ in range(4):
+            yield gen_random(rng, rng.randint(2, 30), rng.randint(1, 8),
+                             edge_prob=rng.uniform(0.2, 1.0), min_weight=0,
+                             max_weight=max_weight)
+
+
+def with_job_edges(inst, arrange):
+    """``inst`` rebuilt with each job's ``(machine, weight)`` pairs put in
+    the order ``arrange`` returns."""
+    return BipartiteInstance(inst.num_jobs, inst.num_machines, [
+        (u, v, w) for u, pairs in enumerate(inst.job_adj) for v, w in arrange(list(pairs))
+    ])
+
+
+class TestWeightStop:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stop_drops_only_lines_beyond_the_bound(self, seed):
+        # Each phase, every line of a popped job whose minimum over its
+        # machine's domain is at most the phase bound reached the
+        # machine's envelope heap: the lightest-first weight stop, like
+        # the valley cut, drops only lines that could never pop.
+        for inst in stop_instances(4600 + seed):
+            state = EktState(inst)
+            for _ in range(inst.num_jobs):
+                run = GroupedDijkstra(state, check=True).run()
+                total = state.total_potential
+                for u, d in run.dist_job.items():
+                    b = d + state.job_potential(u) - total
+                    for v, w in state.pairs[u]:
+                        valley = min(b + i * w - s for i, s in enumerate(state.shift[v], start=1))
+                        if valley <= run.bound:
+                            heap = state.heaps[v]
+                            assert heap is not None and (w, b) in heap._shadow_rows, (
+                                f"phase {state.iteration}: job {u}'s line on machine {v} "
+                                f"has valley {valley} <= bound {run.bound} but was dropped"
+                            )
+                update_potentials(state, run)
+                augment(state, run)
+                check_invariants(state, run)
+
+    def test_pairs_are_lightest_first_ties_in_input_order(self):
+        inst = BipartiteInstance(2, 4, [
+            (0, 2, 5), (0, 0, 3), (0, 3, 5), (0, 1, 3),
+            (1, 3, 0), (1, 1, 9),
+        ])
+        assert EktState(inst).pairs == [((0, 3), (1, 3), (2, 5), (3, 5)), ((3, 0), (1, 9))]
+
+    def test_job_edge_order_does_not_matter(self):
+        # Each job's edges reversed, or shuffled, change neither the
+        # assignment nor the search's pops, only which lines above the
+        # bound an envelope heap is offered.
+        rng = random.Random(4700)
+        sparse = gen_random(random.Random(0), 80, 20, num_edges=800,
+                            min_weight=1, max_weight=10**6)
+        families = [gen_family(rng, family) for family in FAMILIES for _ in range(4)]
+
+        def shuffled(pairs):
+            rng.shuffle(pairs)
+            return pairs
+
+        for inst in [sparse, *families]:
+            base = WeightedStats()
+            matching = solve_weighted(inst, stats=base)
+            assert cost_of_semi_matching(inst, matching) == cost_of_semi_matching(
+                inst, baseline_exploded_solver(inst)
+            )
+            for arrange in (lambda pairs: pairs[::-1], shuffled):
+                other = with_job_edges(inst, arrange)
+                stats = WeightedStats()
+                assert solve_weighted(other, stats=stats) == matching
+                assert (
+                    stats.iterations, stats.group_relaxations,
+                    stats.envelope_delete_mins, stats.machine_pops,
+                ) == (
+                    base.iterations, base.group_relaxations,
+                    base.envelope_delete_mins, base.machine_pops,
+                )
 
 
 class TestAgainstOracles:
