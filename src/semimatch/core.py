@@ -353,11 +353,14 @@ def validate_semi_matching(
     Returns ``None`` when the assignment is a valid semi-matching, else a
     :class:`Violation` describing the first problem found: wrong number of
     assignments, a job without a machine, or a job assigned along a
-    non-existent edge.
+    non-existent edge.  One pass checks adjacency; the jobs are walked
+    one at a time only to name the first violation.
     """
     size = _size_problem(instance, matching.machine_of)
     if size is not None:
         return Violation("size", size)
+    if all(map(contains, instance.job_machines, matching.machine_of)):
+        return None
     for u, v in enumerate(matching.machine_of):
         if v is None or not 0 <= v < instance.num_machines:
             return Violation("unassigned", f"job {u} has no machine (got {v!r})")

@@ -87,6 +87,10 @@ class EnvelopeHeap:
     ``AssertionError``).  That is quadratic work overall.
     """
 
+    # Check mode's own records of the inserted rows and the live indices.
+    _shadow_rows: Optional[list] = None
+    _shadow_live: Optional[set] = None
+
     def __init__(self, shift: list[int], frontier: list, key: int = 0, check: bool = False):
         n = len(shift)
         if n < 1:
@@ -96,7 +100,7 @@ class EnvelopeHeap:
         # live index <= i / >= i (0 and n+1 are dead sentinels).  Index x
         # in [1, n] is live exactly when _left[x] == x.
         self._left = list(range(n + 2))
-        self._right = list(range(n + 2))
+        self._right = self._left[:]
         self._env: list[_Line] = []        # envelope lines, slope descending
         self._env_keys: list[int] = []     # negated slopes, for bisect
         self._lines: list[_Line] = []      # every line that entered the envelope, by uid
@@ -104,10 +108,9 @@ class EnvelopeHeap:
         self._key = key
         self._shift = shift
         self._check = check
-        # Check mode's own records of every inserted row and of the live
-        # indices, kept apart from the structure it audits.
-        self._shadow_rows = [] if check else None
-        self._shadow_live = set(range(1, n + 1)) if check else None
+        if check:
+            self._shadow_rows = []
+            self._shadow_live = set(range(1, n + 1))
 
     # ------------------------------------------------------------------
     # candidate pointers

@@ -47,7 +47,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import count, islice
+from operator import itemgetter, sub
 from typing import Iterator, Optional
 
 from .core import (
@@ -77,9 +78,9 @@ class WeightedStats:
     """Per-run counters for the fast weighted solver.
 
     ``group_relaxations[k]`` counts the edges of every job phase k
-    popped, those the search examined and those its weight stop skipped
-    alike.  ``heap_pushes`` counts pushes onto the phase frontier, job
-    entries and envelope candidates alike; ``machine_pops`` counts
+    popped, those the search examined and those it skipped alike.
+    ``heap_pushes`` counts pushes onto the phase frontier, job entries
+    and envelope candidates alike; ``machine_pops`` counts
     popped candidate entries that were still current, each of which
     finalizes a slot or ends the phase.
     """
@@ -104,13 +105,15 @@ class EktState:
     the first unmatched one, so ``len(shift[v])`` is v's envelope domain
     and every unmatched slot sits at ``total_potential``.  No slot's
     potential ever passes ``total_potential``: a phase adds at most its
-    bound to any node, so every ``shift[v]`` entry is <= 0.  Hence,
-    weights being non-negative, a job's line ``b + i*w - shift[v][i - 1]``
-    is at least ``b + w`` at every slot, so ``b + w`` bounds its valley
-    value from below.
-    ``pairs[u]`` lists job u's (machine, weight) pairs lightest first,
-    ties in input order, so the search can stop at the first pair whose
-    ``b + w`` alone passes its bound.
+    bound to any node, so every ``shift[v]`` entry is <= 0.
+    ``pairs[u]`` lists job u's (machine, weight, edge) triples lightest
+    first, ties in input order.  A job's line ``b + i*w - shift[v][i - 1]``
+    has valley value ``b + H``, where ``H = min_i (i*w - shift[v][i - 1])``
+    depends on the edge alone; ``floor[e]`` is at most edge e's ``H``: its
+    weight at first (every shift is <= 0), then the last ``H`` the search
+    computed.  ``H`` never falls: :func:`update_potentials` only lowers
+    shifts, and :func:`augment` only adds a free slot at shift 0, whose
+    ``(n+1)*w`` is at least the old free slot's ``n*w``.
 
     The search tables of :func:`_machine_tables` persist across phases;
     ``negdiffs[v] is None`` marks v dirty (set by
@@ -138,15 +141,16 @@ class EktState:
         self.free_n: list[int] = [0] * nV
         self.heaps: list[Optional[EnvelopeHeap]] = [None] * nV
         self.touched: list[int] = []
-        # Each job's (machine, weight) pairs, lightest first, ties in input
-        # order: zipping the instance's id and weight tuples on every pop
-        # would cost the search more than this, and the search stops at
-        # the first pair too heavy for its bound.
+        # Each job's (machine, weight, edge) triples, lightest first, ties in
+        # input order; edges are numbered job by job in input order, and
+        # floor[e] starts at edge e's weight.
         light = itemgetter(1)
-        self.pairs = [
-            tuple(sorted(zip(vs, instance.weights(u)), key=light))
-            for u, vs in enumerate(instance.job_machines)
-        ]
+        self.pairs: list[tuple[tuple[int, int, int], ...]] = []
+        self.floor: list[int] = []
+        for u, vs in enumerate(instance.job_machines):
+            ws = instance.weights(u)
+            self.pairs.append(tuple(sorted(zip(vs, ws, count(len(self.floor))), key=light)))
+            self.floor += ws
         # Heaviest lightest edge first; sorted is stable, so ties keep index order.
         self.order = sorted(range(nU), key=lambda u: -self.pairs[u][0][1])
 
@@ -273,8 +277,7 @@ def _machine_tables(state: EktState, v: int) -> tuple[list[int], int]:
     """
     shift = state.shift[v]
     n = len(shift)
-    negd = [shift[i] - shift[i + 1] for i in range(n - 1)]
-    return negd, n if n > len(state.slots[v]) else 0
+    return list(map(sub, shift, islice(shift, 1, None))), n if n > len(state.slots[v]) else 0
 
 
 class GroupedDijkstra:
@@ -305,21 +308,22 @@ class GroupedDijkstra:
 
     The search keeps a running upper bound on the phase's terminal
     distance (the cheapest first-unmatched-slot value seen on any line
-    so far).  A popped job relaxes its edges lightest first and stops at
-    the first whose ``b + w`` passes that bound: since every slot shift
-    is <= 0 (see :class:`EktState`), that line's valley value, and every
-    later, heavier line's, passes it too, and the bound only falls.
-    Every other relaxation computes the line's valley value, its minimum
-    over the whole slot range, and is dropped outright when that exceeds
-    the bound: it can influence neither a pop nor the terminal choice.
+    so far).  A popped job relaxes its edges lightest first and skips
+    each whose ``b + floor[e]`` passes that bound, since its valley value
+    does too (see :class:`EktState`); when even ``b + w`` passes it, so
+    does every later, heavier pair's, and the loop stops, as the bound
+    only falls.  Every other relaxation computes the line's valley value,
+    its minimum over the whole slot range, keeps it as the edge's floor,
+    and is dropped outright when it exceeds the bound: it can influence
+    neither a pop nor the terminal choice.
     The rest go straight into the machine's envelope heap, opened on the
     first such line.  Its candidates may still lie beyond the bound:
     they stay in the frontier unpopped, since the terminal's entry is at
     most the bound.  Over the 16 pool instances of 400 jobs / 4000
     sparse edges (the weighted-uniform benchmark) the stop ends 71 % of
-    the relaxations and the valley cut drops 13 % more; on 400 jobs fully
-    joined to 4 machines (weighted-skewed), with weights 0..100, the
-    stop ends 0.05 % and the cut 71 %.
+    the relaxations, the floor skips 9 % and the valley cut drops 4 %;
+    on 400 jobs fully joined to 4 machines (weighted-skewed), with
+    weights 0..100, they take 0.05 %, 65 % and 6 %.
 
     ``check=True`` changes nothing in the search: it only builds each
     machine's envelope heap in check mode, so every insert and delete
@@ -353,7 +357,7 @@ class GroupedDijkstra:
     def run(self) -> DijkstraRun:
         state = self.state
         job_base = self._job_base
-        pairs = state.pairs
+        pairs, floor = state.pairs, state.floor
         raw_job = state._raw_job
         slots = state.slots
         shift_l, negdiffs_l = state.shift, state.negdiffs
@@ -375,16 +379,18 @@ class GroupedDijkstra:
                     continue
                 dist_job[u] = value
                 b = value - raw_job[u]  # d(u) + p(u), less total_potential
-                for v, w in pairs[u]:
-                    if b + w > ub:
-                        break  # this pair's valley value, and every later one's, passes ub
+                for v, w, e in pairs[u]:
+                    if b + floor[e] > ub:
+                        if b + w > ub:
+                            break  # this pair's valley value, and every later one's, passes ub
+                        continue  # its valley value is at least b + floor[e]
                     negd = negdiffs_l[v]
                     if negd is None:
                         negdiffs_l[v], free_l[v] = _machine_tables(state, v)
                         negd = negdiffs_l[v]
                     g = bis(negd, -w) + 1
-                    fg = w * g + b - shift_l[v][g - 1]
-                    if fg > ub:
+                    h = floor[e] = w * g - shift_l[v][g - 1]
+                    if h + b > ub:
                         continue  # even v's best slot for this line is beyond the terminal
                     fn = free_l[v]
                     if fn:
@@ -401,9 +407,9 @@ class GroupedDijkstra:
                 continue
             v, i = node, entry[3]
             heap = heaps[v]
-            line = heap.current(entry[2], i)  # type: ignore[union-attr]
-            if line is None:
-                continue  # a candidate that has since moved
+            line = heap._lines[entry[2]]  # type: ignore[union-attr]
+            if i != line.p and i != line.q:
+                continue  # a candidate that has since moved (EnvelopeHeap.current)
             mpops += 1
             self.slot_owner[(v, i)] = line.payload
             if i == len(slots[v]) + 1:
@@ -580,7 +586,9 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
 
     for u in range(inst.num_jobs):
         pu = state.job_potential(u)
-        for v, w in state.pairs[u]:
+        for v, w, e in state.pairs[u]:
+            valley = min(i * w - s for i, s in enumerate(state.shift[v], start=1))
+            assert w <= state.floor[e] <= valley, f"edge ({u}, {v}): floor above its valley"
             n = state.heap_domain(v)
             for i in range(1, n + 1):
                 red = i * w + pu - state.slot_potential(v, i)
@@ -600,7 +608,7 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
 
     if run is not None:
         for u, d in run.dist_job.items():
-            for v, w in state.pairs[u]:
+            for v, w, _e in state.pairs[u]:
                 n = state.heap_domain(v)
                 # f over the *current* state is still unimodal; check shape.
                 seq = [

@@ -445,6 +445,29 @@ class TestAssignmentCost:
         for machine_of, want in cases:
             assert validate_semi_matching(inst, SemiMatching(machine_of)) == want
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_validate_names_each_kind_at_any_job(self, weighted):
+        # One bad job, first, in the middle or last, is named with its
+        # kind and message, and of two bad jobs the earlier is named.
+        rng = random.Random(31)
+        edges = [(u, v, rng.randint(0, 9) if weighted else 1)
+                 for u in range(30) for v in rng.sample(range(8), 3)]
+        inst = BipartiteInstance(30, 8, edges)
+        good = [vs[0] for vs in inst.job_machines]
+        assert validate_semi_matching(inst, SemiMatching(good)) is None
+        for u in (0, 15, 29):
+            off = next(v for v in range(8) if v not in inst.job_machines[u])
+            for bad, want in [
+                (None, Violation("unassigned", f"job {u} has no machine (got None)")),
+                (8, Violation("unassigned", f"job {u} has no machine (got 8)")),
+                (off, Violation("not-an-edge", f"({u}, {off}) is not an edge")),
+            ]:
+                machine_of = good[:u] + [bad] + good[u + 1:]
+                assert validate_semi_matching(inst, SemiMatching(machine_of)) == want
+                if u < 29:
+                    machine_of[-1] = -1
+                    assert validate_semi_matching(inst, SemiMatching(machine_of)) == want
+
     def test_machine_loads_read_each_jobs_own_weight(self):
         inst = fig2_instance(weights=[5, 6, 7, 8, 9])
         assert SemiMatching((0, 1, 1, 1)).machine_loads(inst) == [[5], [7, 8, 9]]

@@ -207,6 +207,20 @@ class TestPhaseInvariants:
             check_invariants(state, run)
         pytest.fail("no phase finalized a slot short of its bound")
 
+    def test_floor_above_its_valley_fails_in_its_phase(self):
+        # A floor the search wrote too high would let it skip a line whose
+        # valley is within the bound; the check after that phase fails.
+        inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
+        state = EktState(inst)
+        run = GroupedDijkstra(state).run()
+        update_potentials(state, run)
+        augment(state, run)
+        check_invariants(state, run)
+        v, w, e = state.pairs[0][0]
+        state.floor[e] = 1 + min(i * w - s for i, s in enumerate(state.shift[v], start=1))
+        with pytest.raises(AssertionError, match="floor above its valley"):
+            check_invariants(state, run)
+
     def test_missing_free_slot_shift_fails_in_its_phase(self):
         # An augment that grows a machine's prefix without giving its next
         # free slot a shift fails the very first phase.
@@ -453,8 +467,9 @@ class TestWeightStop:
     def test_stop_drops_only_lines_beyond_the_bound(self, seed):
         # Each phase, every line of a popped job whose minimum over its
         # machine's domain is at most the phase bound reached the
-        # machine's envelope heap: the lightest-first weight stop, like
-        # the valley cut, drops only lines that could never pop.
+        # machine's envelope heap: the lightest-first weight stop and the
+        # valley-floor skip, like the valley cut, drop only lines that
+        # could never pop.
         for inst in stop_instances(4600 + seed):
             state = EktState(inst)
             for _ in range(inst.num_jobs):
@@ -462,7 +477,7 @@ class TestWeightStop:
                 total = state.total_potential
                 for u, d in run.dist_job.items():
                     b = d + state.job_potential(u) - total
-                    for v, w in state.pairs[u]:
+                    for v, w, _e in state.pairs[u]:
                         valley = min(b + i * w - s for i, s in enumerate(state.shift[v], start=1))
                         if valley <= run.bound:
                             heap = state.heaps[v]
@@ -479,7 +494,13 @@ class TestWeightStop:
             (0, 2, 5), (0, 0, 3), (0, 3, 5), (0, 1, 3),
             (1, 3, 0), (1, 1, 9),
         ])
-        assert EktState(inst).pairs == [((0, 3), (1, 3), (2, 5), (3, 5)), ((3, 0), (1, 9))]
+        # Each pair carries its edge's index, counted job by job in input
+        # order, and each edge's valley floor starts at its weight.
+        state = EktState(inst)
+        assert state.pairs == [
+            ((0, 3, 1), (1, 3, 3), (2, 5, 0), (3, 5, 2)), ((3, 0, 4), (1, 9, 5)),
+        ]
+        assert state.floor == [5, 3, 5, 3, 0, 9]
 
     def test_job_edge_order_does_not_matter(self):
         # Each job's edges reversed, or shuffled, change neither the
