@@ -1,18 +1,23 @@
-"""Check that two checkouts' weighted solvers do the same work.
+"""Check that two checkouts parse and solve the benchmark pool alike.
 
 Usage, from anywhere::
 
     python3 scripts/same_work.py PARENT CHANGE
 
 ``PARENT`` and ``CHANGE`` are checkout directories, each with its own
-``perfbench/`` and ``src/``.  In each one a child process solves the 16
-pool instances of weighted-uniform and of weighted-skewed with
-``solve_weighted(instance, stats=WeightedStats())`` and reports each
-assignment and every counter of the stats object.  The script names the
-first instance whose assignment or any counter differs between the two
-checkouts and exits 1; when all 32 agree it says so and exits 0.  A
-change that makes the weighted search cheaper without changing what it
-finds, or how often it relaxes, pushes and pops, passes this check.
+``perfbench/`` and ``src/``.  In each one a child process parses the 16
+pool texts of unit-zipf, weighted-uniform and weighted-skewed with
+``parse_instance``, as the benchmark does, and solves each instance with
+its workload's solver: ``solve_unweighted(instance,
+stats=CancelCounters())`` for unit-zipf and ``solve_weighted(instance,
+stats=WeightedStats())`` for the weighted ones.  It reports each
+instance's layout (``job_machines``, ``machine_jobs``, ``job_weights``),
+the assignment and every field of the stats object.  The script names
+the first instance whose layout, assignment or any counter differs
+between the two checkouts and exits 1; when all 48 agree it says so and
+exits 0.  A change that makes parsing or solving cheaper without
+changing what it builds or finds, or how much search it does, passes
+this check.
 """
 
 from __future__ import annotations
@@ -23,23 +28,29 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("weighted-uniform", "weighted-skewed")
+WORKLOADS = ("unit-zipf", "weighted-uniform", "weighted-skewed")
 
 CHILD = """
 import dataclasses, json, sys
 sys.path[:0] = ["src", "perfbench"]
+from semimatch.formats import parse_instance
+from semimatch.unweighted import CancelCounters, solve_unweighted
 from semimatch.weighted import WeightedStats, solve_weighted
 from workloads import POOL_SIZE, WORKLOADS
 for name in sys.argv[1:]:
+    unit = WORKLOADS[name].kind == "unit"
+    solve, Stats = (solve_unweighted, CancelCounters) if unit else (solve_weighted, WeightedStats)
     for i in range(POOL_SIZE):
-        stats = WeightedStats()
-        matching = solve_weighted(WORKLOADS[name].instance(i), stats=stats)
-        print(json.dumps([name, i, matching.machine_of, dataclasses.asdict(stats)]))
+        instance = parse_instance(WORKLOADS[name].text(i))
+        layout = [instance.job_machines, instance.machine_jobs, instance.job_weights]
+        stats = Stats()
+        matching = solve(instance, stats=stats)
+        print(json.dumps([name, i, layout, matching.machine_of, dataclasses.asdict(stats)]))
 """
 
 
 def work(checkout: Path) -> list[list]:
-    """Each weighted pool instance's (workload, index, assignment, stats)."""
+    """Each pool instance's (workload, index, layout, assignment, stats)."""
     out = subprocess.run(
         [sys.executable, "-c", CHILD, *WORKLOADS],
         cwd=checkout, capture_output=True, text=True, check=True,
@@ -51,7 +62,11 @@ def first_difference(parent: list[list], change: list[list]) -> str | None:
     """What differs on the first instance that differs, or None."""
     if len(parent) != len(change):
         return f"{len(parent)} instances solved in the parent, {len(change)} in the change"
-    for (name, i, p_match, p_stats), (_, _, c_match, c_stats) in zip(parent, change):
+    for (name, i, p_layout, p_match, p_stats), (_, _, c_layout, c_match, c_stats) in zip(
+        parent, change
+    ):
+        if p_layout != c_layout:
+            return f"{name} instance {i}: the parsed layouts differ"
         if p_match != c_match:
             return f"{name} instance {i}: the assignments differ"
         for key in p_stats.keys() | c_stats.keys():
@@ -70,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     if diff is not None:
         print(diff)
         return 1
-    print(f"same work on all {len(parent)} weighted pool instances")
+    print(f"same layout, assignment and counters on all {len(parent)} pool instances")
     return 0
 
 

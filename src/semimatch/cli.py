@@ -157,13 +157,15 @@ def verify(instance_path: str, solution_path: str) -> None:
         if missing:
             _fail(EXIT_VERIFY_FAILED, f"jobs without an assignment: {missing[:5]}")
         matching = SemiMatching(tuple(machine_of))
-        violation = validate_semi_matching(instance, matching)
-        if violation is not None:
-            _fail(EXIT_VERIFY_FAILED, f"{violation.kind}: {violation.detail}")
+        # The cost checks adjacency in the same pass; only a failure is
+        # validated again, to name the violation.
         try:
             actual = cost_of_semi_matching(instance, matching)
         except CostOverflowError as exc:
             _fail(EXIT_OVERFLOW, str(exc))
+        except (KeyError, ValueError):
+            violation = validate_semi_matching(instance, matching)
+            _fail(EXIT_VERIFY_FAILED, f"{violation.kind}: {violation.detail}")
     else:
         edge_set = set(instance.edges)
         listed: set[tuple[int, int]] = set()

@@ -20,7 +20,7 @@ All ids are dense and 0-based.  Instances are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import add, contains, getitem, index, itemgetter, lt, mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -54,23 +54,21 @@ def _edgeless_job(u: int) -> InfeasibleInstanceError:
     return InfeasibleInstanceError(f"job {u} has no incident edges; no assignment exists")
 
 
-def _columns_ok(num_jobs: int, num_machines: int, jobs, machines, weights) -> bool:
-    """Whether the ids are in range, the weights (if any) in ``[0,
-    MAX_WEIGHT]``, and no ``(job, machine)`` pair repeats.
-
-    The order test runs first.  Pairs in strictly increasing order
-    cannot repeat, and their job column is non-decreasing, so its ends
-    are its range; unordered pairs scan the job column for its range and
-    need a key set.  Machines and weights are always scanned."""
+def _columns_ok(num_jobs: int, num_machines: int, jobs, machines, weights, ranged=False) -> bool:
+    """Whether the ids are in range (unless ``ranged`` says the caller
+    has proven that), the weights (if any) in ``[0, MAX_WEIGHT]``, and
+    no ``(job, machine)`` pair repeats.  The order test runs first: pairs
+    in strictly increasing order cannot repeat, and their job column's
+    ends are its range; other pairs scan for it and need a key set."""
     if not jobs:
         return True
     ordered = all(map(lt, zip(jobs, machines), islice(zip(jobs, machines), 1, None)))
-    low, high = (jobs[0], jobs[-1]) if ordered else (min(jobs), max(jobs))
-    if low < 0 or high >= num_jobs:
-        return False
-    for column, top in ((machines, num_machines - 1), (weights or (), MAX_WEIGHT)):
-        if column and (min(column) < 0 or max(column) > top):
+    if not ranged:
+        low, high = (jobs[0], jobs[-1]) if ordered else (min(jobs), max(jobs))
+        if low < 0 or high >= num_jobs or min(machines) < 0 or max(machines) >= num_machines:
             return False
+    if weights and (min(weights) < 0 or max(weights) > MAX_WEIGHT):
+        return False
     return ordered or len(set(map(add, map(mul, jobs, repeat(num_machines)), machines))) == len(jobs)
 
 
@@ -180,11 +178,11 @@ class BipartiteInstance:
 
     def _build(self, num_jobs: int, num_machines: int, jobs, machines, weights) -> None:
         """Fill in the instance from its edges, given in input order as
-        lists of job ids, machine ids and weights (``None`` for all 1)
-        whose ranges and uniqueness the caller has checked.  Rejects
-        edgeless jobs, naming the lowest; with fewer edges than jobs,
-        before it allocates per job.  ``machine_jobs`` is read off
-        ``job_machines`` in one pass, so it lists jobs in job order."""
+        lists of job ids, machine ids and weights (``None`` for all 1, or
+        cut short of trailing 1s) whose ranges and uniqueness the caller
+        has checked.  Rejects edgeless jobs, naming the lowest; with fewer
+        edges than jobs, before it allocates per job.  ``machine_jobs`` is
+        read off ``job_machines`` in one pass, so it lists jobs in job order."""
         if num_jobs > len(jobs):
             hit = set(jobs)
             raise _edgeless_job(next(u for u in count() if u not in hit))
@@ -197,7 +195,7 @@ class BipartiteInstance:
             self.job_weights = None
         else:
             job_weights: list[list[int]] = [[] for _ in range(num_jobs)]
-            for u, w in zip(jobs, weights):
+            for u, w in zip(jobs, chain(weights, repeat(1))):
                 job_weights[u].append(w)
             self.job_weights = tuple(map(tuple, job_weights))
         machine_jobs: list[list[int]] = [[] for _ in range(num_machines)]

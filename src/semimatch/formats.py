@@ -35,16 +35,15 @@ by one of two routes.  The bulk route takes bodies in a strict subset
 of the language, which holds every body :func:`emit_instance` writes:
 every line is exactly ``e <job> <machine> <weight>\n`` with single
 spaces, ids ``[1-9][0-9]*`` and weights ``0|[1-9][0-9]*``, so ``int()``
-reads what the line loop reads and each id has one spelling.  One
-regular expression checks each slice (it keeps a backtracking entry per
-line, so it never runs on the whole body); a table of id spellings, no
-longer than the body allows, decodes ids straight to 0-based ints;
-weights convert only from the first slice with one that is not 1.  The
-columns are kept if the body has the declared number of edges and
-passes the bulk check that :class:`~semimatch.core.BipartiteInstance`
-also runs.  Any other body, and every ``cover`` body, is read by the
-line loop, one slice at a time and with ``semimatch`` ids through the
-same table; it names the first bad line.
+reads what the line loop reads and each id has one spelling.  A slice
+is split once on single spaces, and the pieces prove that it is such
+lines (:func:`_read_bulk`); ids decode through one table per side, so
+each is proven in range as it decodes.  The columns are kept if the
+body has the declared number of edges and no pair repeats, the test
+that :class:`~semimatch.core.BipartiteInstance` also runs.  Any other
+body, and every ``cover`` body, is read by the line loop, one slice at
+a time and with ``semimatch`` ids through the same tables; it names the
+first bad line.
 
 Solution text is read in one loop over its lines.  The two ids of an
 ``a`` record convert in one ``try``; only when that fails are they
@@ -106,8 +105,8 @@ def _int_field(line_no: int, token: str, what: str, err=ParseError) -> int:
         raise err(line_no, f"{what} {token!r} is not an integer") from None
 
 
-# A body slice in the bulk conversion's subset; see the module docstring.
-_CANONICAL_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*)\n)*")
+# A bulk slice's weight tails, joined by spaces: "<w>\ne " per line, "<w>\n" last.
+_WEIGHT_TAILS = re.compile(r"(?:(?:0|[1-9][0-9]*)\ne )*(?:0|[1-9][0-9]*)\n")
 
 _HEADERS = {
     "semimatch": "p semimatch <jobs> <machines> <edges>",
@@ -134,47 +133,51 @@ def _lines(text: str, start: int, size: int = _CHUNK):
 
 
 class _Ids(dict):
-    """The 0-based int of each id spelling ``"k"`` up to some bound; a
-    spelling above it converts with ``int()``."""
+    """Id spelling ``"k"`` to ``k - 1`` for ``k`` in ``1..count``: the
+    ``names`` given, and on a miss any other canonical ``[1-9][0-9]*``.
+    Any other spelling raises ``KeyError``."""
+
+    def __init__(self, names: list[str], count: int) -> None:
+        super().__init__(zip(names, range(count)))
+        self.count = count
 
     def __missing__(self, token: str) -> int:
-        return int(token) - 1
+        if token.isascii() and token.isdigit() and token[0] != "0" and int(token) <= self.count:
+            return int(token) - 1
+        raise KeyError(token)
 
 
-def _read_bulk(text: str, start: int, counts: list[int], ids: _Ids):
+def _read_bulk(text: str, start: int, counts: list[int], job_ids: _Ids, machine_ids: _Ids):
     """The columns ``(jobs, machines, weights)`` of the ``semimatch`` body
-    ``text[start:]``, with ``weights`` cut after the last weight that is
-    not 1; or ``None``, as soon as a slice is outside the bulk subset or
-    takes the body past the declared edge count, and when the body has
-    fewer edges or fails :func:`~semimatch.core._columns_ok`."""
+    ``text[start:]``, ``weights`` cut after the last weight that is not
+    1; or ``None`` as soon as a slice is outside the bulk subset or
+    passes the declared edge count, and when the body has fewer edges
+    or repeats a pair.  Split on spaces, ``n`` lines ``e J M W\n`` give
+    ``"e"``, then J, M and a tail ``"W\ne"`` per line (``"W\n"`` last);
+    and ``3n + 1`` such pieces, with ids the tables decode, join back
+    into exactly such lines."""
     num_jobs, num_machines, num_edges = counts
     jobs, machines, weights = [], [], []
     for chunk in _slices(text, start):
-        if _CANONICAL_LINES.fullmatch(chunk) is None:
+        pieces = chunk.split(" ")
+        lines, odd = divmod(len(pieces) - 1, 3)
+        if odd or pieces[0] != "e" or not 0 < lines <= num_edges - len(jobs):
             return None
-        tokens = chunk.split()  # e, job, machine, weight, e, ...
-        if len(tokens) > 4 * (num_edges - len(jobs)):
-            return None
-        ws = tokens[3::4]
+        tails = pieces[3::3]
         try:
-            if ws.count("1") < len(ws):
-                weights += chain(repeat(1, len(jobs) - len(weights)), map(int, ws))
-            jobs += map(ids.__getitem__, tokens[1::4])
-            machines += map(ids.__getitem__, tokens[2::4])
-        except ValueError:  # a field longer than int()'s digit limit
+            if tails.count("1\ne") != lines - 1 or tails[-1] != "1\n":
+                tails = " ".join(tails)
+                if _WEIGHT_TAILS.fullmatch(tails) is None:
+                    return None
+                weights += chain(repeat(1, len(jobs) - len(weights)), map(int, tails.split("\ne ")))
+            jobs += map(job_ids.__getitem__, pieces[1::3])
+            machines += map(machine_ids.__getitem__, pieces[2::3])
+        except (KeyError, ValueError):  # an id off its table, a weight past int()'s digit limit
             return None
-    if len(jobs) < num_edges or not _columns_ok(num_jobs, num_machines, jobs, machines, weights):
+    if len(jobs) < num_edges:
         return None
-    return jobs, machines, weights
-
-
-def _bipartite(num_jobs: int, num_machines: int, jobs, machines, weights) -> BipartiteInstance:
-    """The instance of checked columns, ``weights`` padded with 1s."""
-    if weights:
-        weights += repeat(1, len(jobs) - len(weights))
-    instance = BipartiteInstance.__new__(BipartiteInstance)
-    instance._build(num_jobs, num_machines, jobs, machines, weights or None)
-    return instance
+    ok = _columns_ok(num_jobs, num_machines, jobs, machines, weights, ranged=True)
+    return (jobs, machines, weights) if ok else None
 
 
 def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
@@ -218,19 +221,24 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
         # No more ids than body lines (8 characters at least), so that a
         # huge header over a small body allocates little.
         top = min(max(num_jobs, num_machines), (len(text) - start) // 8)
-        ids = _Ids(zip(map(str, range(1, top + 1)), range(top)))
-        columns = _read_bulk(text, start, counts, ids)
+        names = list(map(str, range(1, top + 1)))
+        job_ids, machine_ids = _Ids(names, num_jobs), _Ids(names, num_machines)
+        columns = _read_bulk(text, start, counts, job_ids, machine_ids)
         if columns is not None:
-            return _bipartite(num_jobs, num_machines, *columns)
+            del names, job_ids, machine_ids  # freed before the build, the peak of a parse
+            instance = BipartiteInstance.__new__(BipartiteInstance)
+            instance._build(num_jobs, num_machines, *columns)
+            return instance
     else:
         num_vertices, num_edges = counts
 
-    # The line route.  Each line's fields convert in one try; _int_field
-    # runs only to name the bad one.  A pair's duplicate key is one
-    # integer.  A semimatch edge goes into two id columns, and into the
-    # weight column only once some weight is not 1.  The instance builds
-    # from the columns once the whole body has been checked, so a body
-    # error is named before anything is allocated per job.
+    # The line route.  Each line's fields convert in one try, ids through
+    # the tables, which prove their range; off them, ids convert with
+    # int() and are checked.  A pair's duplicate key is one integer.  A
+    # semimatch edge goes into two id columns, and into the weight column
+    # only once some weight is not 1.  The instance builds from the
+    # columns once the whole body has been checked, so a body error is
+    # named before anything is allocated per job.
     jobs, machines, weights = [], [], []
     edges: list[tuple[int, int]] = []  # cover edges
     column = jobs if kind == "semimatch" else edges
@@ -250,28 +258,19 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             )
         if kind == "semimatch":
             if len(tokens) != 4:
-                raise BadWeightError(
-                    line_no, "semimatch edge needs 'e <job> <machine> <weight>'"
-                )
+                raise BadWeightError(line_no, "semimatch edge needs 'e <job> <machine> <weight>'")
             try:
-                job, machine, weight = ids[tokens[1]], ids[tokens[2]], int(tokens[3])
-            except ValueError:
-                _int_field(line_no, tokens[1], "job id")
-                _int_field(line_no, tokens[2], "machine id")
-                _int_field(line_no, tokens[3], "weight", BadWeightError)
-                raise  # unreachable: one of the three raised
-            if not 0 <= job < num_jobs:
-                raise IdOutOfRangeError(
-                    line_no, f"job id {job + 1} out of range [1, {num_jobs}]"
-                )
-            if not 0 <= machine < num_machines:
-                raise IdOutOfRangeError(
-                    line_no, f"machine id {machine + 1} out of range [1, {num_machines}]"
-                )
+                job, machine, weight = job_ids[tokens[1]], machine_ids[tokens[2]], int(tokens[3])
+            except (KeyError, ValueError):  # an id off its table, or a bad field
+                job = _int_field(line_no, tokens[1], "job id")
+                machine = _int_field(line_no, tokens[2], "machine id")
+                weight = _int_field(line_no, tokens[3], "weight", BadWeightError)
+                for vid, what, top in ((job, "job", num_jobs), (machine, "machine", num_machines)):
+                    if not 1 <= vid <= top:
+                        raise IdOutOfRangeError(line_no, f"{what} id {vid} out of range [1, {top}]")
+                job, machine = job - 1, machine - 1
             if weight < 0 or weight > MAX_WEIGHT:
-                raise BadWeightError(
-                    line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]"
-                )
+                raise BadWeightError(line_no, f"weight {weight} outside [0, {MAX_WEIGHT}]")
             key = job * num_machines + machine
             if key in seen:
                 raise ParseError(line_no, f"duplicate edge ({job + 1}, {machine + 1})")
@@ -309,7 +308,9 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             f"header declared {num_edges} edges but the body has {len(column)}",
         )
     if kind == "semimatch":
-        return _bipartite(num_jobs, num_machines, jobs, machines, weights)
+        instance = BipartiteInstance.__new__(BipartiteInstance)
+        instance._build(num_jobs, num_machines, jobs, machines, weights)
+        return instance
     # With more than two vertices per edge some vertex is isolated:
     # name it without building the graph's per-vertex lists.
     if num_vertices <= 2 * len(edges):

@@ -525,6 +525,12 @@ def near_canonical(base, how):
             "machine id above the table": f"e {job} 1000000 {w}",
             # Over int()'s 4300-digit limit for str, so int() fails.
             "5000-digit weight": f"e {job} {machine} {'9' * 5000}",
+            # As many space-split pieces as the canonical line, but the job
+            # piece holds "\ne" and the weight piece is empty.
+            "job split off": f"e {job}\ne {machine} {w}",
+            "weight left empty": f"e {job} {machine} ",
+            "trailing space": f"e {job} {machine} {w} ",
+            "CRLF line": f"e {job} {machine} {w}\r",
         }
         counts = change.split(" ")
         if change in edits:
@@ -536,6 +542,8 @@ def near_canonical(base, how):
             lines[0] = " ".join(header)
         elif change == "5000-digit edge count":
             lines[0] = lines[0].rsplit(" ", 1)[0] + " 1" + "0" * 4999
+        elif change == "last weight 2":
+            lines[-2] = lines[-2].rsplit(" ", 1)[0] + " 2"
         elif change == "no trailing newline":
             lines.pop()
         elif change == "CRLF":
@@ -635,18 +643,52 @@ class TestBulkPass:
             tracemalloc.stop()
         assert peak < bound << 20
 
-    def test_ids_above_the_table_convert_in_bulk(self, reads):
-        # Machine ids from 19001 on are past the id table, which stops at
-        # an eighth of the body's length; int() reads them.
+    @staticmethod
+    def above_the_table(spelling="19500"):
+        """Text whose machine ids from 19001 on are past the id table,
+        which stops at an eighth of the body's length, with machine 19500
+        of job 2 spelled ``spelling``."""
         machines = list(range(1, 1001)) + list(range(19001, 20001))
         text = "p semimatch 3 20000 4001\n" + "".join(
             [f"e 1 {v} 1\n" for v in machines] + [f"e 2 {v} 3\n" for v in machines] + ["e 3 5 1\n"]
         )
         assert len(text) // 8 < 19000
+        return text.replace("e 2 19500 3\n", f"e 2 {spelling} 3\n")
+
+    def test_ids_above_the_table_convert_in_bulk(self, reads):
+        # A miss on the table converts a canonical spelling.
+        text = self.above_the_table()
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome[0] == "semimatch" and outcome[4][0][1][-1] == 19999
         assert self.routes(reads) == [True]
+
+    @pytest.mark.parametrize("spelling", ["019500", "+19500", "\u0661\u0669\u0665\u0660\u0660"])
+    def test_other_spellings_above_the_table_are_read_by_lines(self, reads, spelling):
+        # int() reads these as it reads 19500, but only the line loop does.
+        text = self.above_the_table(spelling)
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert outcome == parse_outcome(parse_instance_by_records, self.above_the_table())
+        assert self.routes(reads) == [False]
+
+    @pytest.mark.parametrize("side", ["job", "machine"])
+    def test_each_side_has_its_own_id_table(self, reads, side):
+        # 3 jobs and 50 machines, or the reverse.  The last line's id 4 on
+        # the side of 3 is past its own count but within the other's.
+        small, large = 3, 50
+        pairs = [(u, v) for u in range(1, small + 1) for v in range(1, large + 1)]
+        if side == "machine":
+            pairs = sorted((v, u) for u, v in pairs)
+        pairs[-1] = (small + 1, 1) if side == "job" else (large, small + 1)
+        counts = (small, large) if side == "job" else (large, small)
+        text = f"p semimatch {counts[0]} {counts[1]} {len(pairs)}\n" + "".join(
+            f"e {u} {v} 1\n" for u, v in pairs
+        )
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert outcome[0] is IdOutOfRangeError and f"{side} id 4 out of range [1, 3]" in outcome[2]
+        assert self.routes(reads) == [False]
 
     @pytest.mark.parametrize(
         "how, falls_back",
@@ -694,6 +736,18 @@ class TestBulkPass:
             ("unit body", False),
             # Legal, and past the id table, but its key is out of order.
             ("machines +1000000, machine id above the table", False),
+            # Canonical, but past the machine count: the table's miss
+            # converts only ids up to it.
+            ("machine id above the table", True),
+            # Seams of the space split: pieces that join back into other
+            # lines than `e J M W\n`.
+            ("job split off", True),
+            ("weight left empty", True),
+            ("trailing space", True),
+            ("CRLF line", True),
+            # Only the last tail is not "1\n", in the last slice; the
+            # weight column is padded with 1s up to it.
+            ("unit body, last weight 2", False),
         ],
     )
     def test_near_canonical_text(self, base, reads, how, falls_back):
@@ -702,6 +756,8 @@ class TestBulkPass:
         assert outcome == parse_outcome(parse_instance_by_records, text)
         if how.startswith("unit body"):  # a weight column only for a weight 2
             assert (outcome[4][2] is None) == (how == "unit body")
+        if how == "unit body, last weight 2":
+            assert sum(map(sum, outcome[4][2])) == len(outcome[3]) + 1
         if how == "5000-digit edge count":
             assert reads == []
         else:
@@ -750,7 +806,7 @@ class TestBulkPass:
     def test_expressions_compile_on_python_3_10(self):
         # Possessive repeats and atomic groups arrived in Python 3.11's re.
         expressions = [v for v in vars(formats).values() if isinstance(v, re.Pattern)]
-        assert formats._CANONICAL_LINES in expressions
+        assert formats._WEIGHT_TAILS in expressions
         for expr in expressions:
             assert re.search(r"[*+?}]\+|\(\?>", expr.pattern) is None
 
@@ -932,6 +988,31 @@ class TestCliSolve:
         assert parse_assignment(fast.output)[1] == parse_assignment(slow.output)[1]
 
 
+def overflowing_files(tmp_path):
+    """An instance and a solution whose cost overflows: 93 000 jobs of
+    weight 2^31-1 on one machine cost about (2^31-1) * 93 000^2 / 2 > 2^63-1."""
+    jobs, w = 93_000, 2**31 - 1
+    inst_path = write(
+        tmp_path / "big.sm",
+        f"p semimatch {jobs} 1 {jobs}\n" + "".join(f"e {u} 1 {w}\n" for u in range(1, jobs + 1)),
+    )
+    sol_path = write(
+        tmp_path / "big.sol", "".join(f"a {u} 1\n" for u in range(1, jobs + 1)) + "cost 0\n"
+    )
+    return inst_path, sol_path
+
+
+#: Solutions of SEMIMATCH_FILE that verify rejects, and the violation named.
+VERIFY_FAILURES = {
+    "non-edge": ("a 1 2\na 2 1\na 3 2\na 4 2\ncost 6\n", "not-an-edge: (0, 1) is not an edge"),
+    "machine out of range": (
+        "a 1 1\na 2 7\na 3 2\na 4 2\ncost 6\n", "unassigned: job 1 has no machine (got 6)"
+    ),
+    "too few jobs": ("a 1 1\na 2 1\ncost 3\n", "jobs without an assignment: [3, 4]"),
+    "too many jobs": ("a 1 1\na 2 1\na 3 2\na 4 2\na 5 1\ncost 6\n", "job id 5 not in the instance"),
+}
+
+
 class TestCliVerify:
     def test_tampered_cost(self, runner, tmp_path):
         inst_path = write(tmp_path / "inst.sm", SEMIMATCH_FILE)
@@ -974,21 +1055,26 @@ class TestCliVerify:
         assert "cover edge (1, 2) listed twice" in result.output
 
     def test_cost_overflow(self, runner, tmp_path):
-        # 93 000 jobs of weight 2^31-1 on one machine cost about
-        # (2^31-1) * 93 000^2 / 2 > 2^63-1.
-        jobs, w = 93_000, 2**31 - 1
-        inst_path = write(
-            tmp_path / "big.sm",
-            f"p semimatch {jobs} 1 {jobs}\n"
-            + "".join(f"e {u} 1 {w}\n" for u in range(1, jobs + 1)),
-        )
-        sol_path = write(
-            tmp_path / "big.sol",
-            "".join(f"a {u} 1\n" for u in range(1, jobs + 1)) + "cost 0\n",
-        )
+        inst_path, sol_path = overflowing_files(tmp_path)
         result = runner.invoke(cli_main, ["verify", inst_path, sol_path])
         assert result.exit_code == 5, result.output
         assert "64-bit" in result.output
+
+    @pytest.mark.parametrize("weights", ["unit", "weighted"])
+    @pytest.mark.parametrize("case", sorted(VERIFY_FAILURES))
+    def test_failures_are_named(self, runner, tmp_path, weights, case):
+        # The cost checks adjacency; only a failure is validated again, to
+        # name it.
+        instance = SEMIMATCH_FILE if weights == "unit" else SEMIMATCH_FILE.replace("4 2 1", "4 2 3")
+        solution, message = VERIFY_FAILURES[case]
+        inst_path = write(tmp_path / "inst.sm", instance)
+        sol_path = write(tmp_path / "bad.sol", solution)
+        result = runner.invoke(cli_main, ["verify", inst_path, sol_path])
+        assert (result.exit_code, result.output) == (4, f"error: {message}\n")
+
+    def test_cost_overflow_is_named(self, runner, tmp_path):
+        result = runner.invoke(cli_main, ["verify", *overflowing_files(tmp_path)])
+        assert (result.exit_code, result.output) == (5, "error: machine cost exceeds 64-bit range\n")
 
     def test_malformed_solution_is_a_parse_failure(self, runner, tmp_path):
         inst_path = write(tmp_path / "inst.sm", SEMIMATCH_FILE)
