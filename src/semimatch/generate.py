@@ -1,20 +1,56 @@
 """Seeded random instance generators.
 
 Callers pass their own ``random.Random`` so runs are reproducible; the
-generators never touch global RNG state.
+generators never touch global RNG state.  The pairwise edge tests read
+in bulk, through ``rng.getrandbits``, the Mersenne Twister words that
+``rng.random()`` reads, so a ``Random`` subclass that overrides only
+``random()`` is not consulted for them.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from bisect import bisect_right
+from itertools import accumulate, compress
+from math import ceil
 from random import Random
 from typing import Optional
 
-from .core import BipartiteInstance
+from .core import MAX_WEIGHT, BipartiteInstance
 
 __all__ = ["FAMILIES", "gen_family", "gen_random", "gen_random_graph"]
 
 FAMILIES = ("skewed", "all-equal", "mostly-zero", "near-2^31", "chain")
+
+_BLOCK = 4096  # draws per getrandbits call
+
+
+def _hits(rng: Random, count: int, p: float) -> list[int]:
+    """The indices at which ``count`` successive ``rng.random() < p``
+    tests would succeed, leaving ``rng`` in the state they would.
+
+    Draw i is ``x / 2**53``, ``x = (w0 >> 5) << 26 | w1 >> 6``, over the
+    words in bytes 8i..8i+7 of ``getrandbits(64 * n)`` in little-endian
+    order, and hits when ``x < t``.  The top byte of w0 is ``x >> 45``, so
+    only lanes where it equals ``t >> 45`` need the full test.
+    """
+    t = ceil(p * 2**53)
+    cap = t >> 45
+    sure = bytes(c < cap for c in range(256))
+    hits: list[int] = []
+    for base in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - base)
+        words = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        top = words[3::8]
+        hits += compress(range(base, base + n), top.translate(sure)) if cap else ()
+        j = top.find(cap) if cap < 256 else -1
+        while j >= 0:
+            w = int.from_bytes(words[8 * j:8 * j + 8], "little")  # w1 << 32 | w0
+            x = (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38
+            if x < t:
+                hits.append(base + j)
+            j = top.find(cap, j + 1)
+    hits.sort()  # a block's sure and tested hits interleave
+    return hits
 
 
 def gen_random(
@@ -33,26 +69,25 @@ def gen_random(
     a uniform sample of ``num_edges`` distinct pairs (pick exactly one).
     Any job left without an edge gets one to a uniformly random machine,
     so the result is always feasible.  Weights are uniform in
-    ``[min_weight, max_weight]``; the defaults give a unit instance.
+    ``[min_weight, max_weight]``, which must lie in ``[0, MAX_WEIGHT]``;
+    the defaults give a unit instance.
     """
     if num_jobs < 0 or num_machines <= 0:
         raise ValueError("need at least one machine and a non-negative job count")
     if (edge_prob is None) == (num_edges is None):
         raise ValueError("pass exactly one of edge_prob / num_edges")
+    if not 0 <= min_weight <= max_weight <= MAX_WEIGHT:
+        raise ValueError(f"weights [{min_weight}, {max_weight}] empty or outside [0, {MAX_WEIGHT}]")
 
-    pairs: set[tuple[int, int]] = set()
+    total = num_jobs * num_machines
     if edge_prob is not None:
         if not 0.0 <= edge_prob <= 1.0:
             raise ValueError(f"edge_prob {edge_prob} outside [0, 1]")
-        for u in range(num_jobs):
-            for v in range(num_machines):
-                if rng.random() < edge_prob:
-                    pairs.add((u, v))
+        pairs = {divmod(i, num_machines) for i in _hits(rng, total, edge_prob)}
     else:
-        total = num_jobs * num_machines
-        k = min(num_edges, total)
-        for idx in rng.sample(range(total), k):
-            pairs.add(divmod(idx, num_machines))
+        if num_edges < 0:
+            raise ValueError(f"num_edges {num_edges} is negative")
+        pairs = {divmod(i, num_machines) for i in rng.sample(range(total), min(num_edges, total))}
     jobs_hit = {u for u, _ in pairs}
     for u in range(num_jobs):
         if u not in jobs_hit:
@@ -117,11 +152,11 @@ def gen_random_graph(
         raise ValueError("need at least two vertices to cover them all")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob {edge_prob} outside [0, 1]")
-    pairs: set[tuple[int, int]] = set()
-    for a in range(num_vertices):
-        for b in range(a + 1, num_vertices):
-            if rng.random() < edge_prob:
-                pairs.add((a, b))
+    starts = list(accumulate(range(num_vertices - 1, 0, -1), initial=0))  # row a's first pair
+    pairs = set()
+    for i in _hits(rng, starts[-1], edge_prob):
+        a = bisect_right(starts, i) - 1
+        pairs.add((a, a + 1 + i - starts[a]))
     deg = [0] * num_vertices
     for a, b in pairs:
         deg[a] += 1

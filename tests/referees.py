@@ -11,11 +11,13 @@ now implies by its loads (``residual_successors``), and the per-edge
 tuple adjacency instances once stored and then offered as views
 (``tuple_adjacency``).  The cost accounting and the solution parser
 have per-job and per-record twins too (``machine_loads_per_job``,
-``cost_per_job``, ``parse_assignment_by_records``).
+``cost_per_job``, ``parse_assignment_by_records``), and the pairwise
+generator draws one ``random()`` per pair (``gen_random_by_pairs``).
 """
 
 from __future__ import annotations
 
+from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
 from semimatch import unweighted
@@ -36,6 +38,39 @@ from semimatch.formats import (
     ParseError,
 )
 from semimatch.unweighted import CancelCounters, CostCenterNetwork
+
+
+# -- generators ------------------------------------------------------------
+
+
+def gen_random_by_pairs(
+    rng: Random,
+    num_jobs: int,
+    num_machines: int,
+    *,
+    edge_prob: float,
+    min_weight: int = 1,
+    max_weight: int = 1,
+) -> BipartiteInstance:
+    """``gen_random``'s ``edge_prob`` path as it read when it drew one
+    ``rng.random()`` per (job, machine) pair, in job-major order."""
+    pairs = set()
+    for u in range(num_jobs):
+        for v in range(num_machines):
+            if rng.random() < edge_prob:
+                pairs.add((u, v))
+    jobs_hit = {u for u, _ in pairs}
+    for u in range(num_jobs):
+        if u not in jobs_hit:
+            pairs.add((u, rng.randrange(num_machines)))
+
+    def weight() -> int:
+        if min_weight == max_weight:
+            return min_weight
+        return rng.randint(min_weight, max_weight)
+
+    edges = [(u, v, weight()) for u, v in sorted(pairs)]
+    return BipartiteInstance(num_jobs, num_machines, edges)
 
 
 # -- instance text ---------------------------------------------------------

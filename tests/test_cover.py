@@ -116,6 +116,18 @@ class TestRandomGraph:
             assert gen_random_graph(rng, n, p) == gen_random_graph_by_listing(referee, n, p)
             assert rng.getstate() == referee.getstate()
 
+    # C(91, 2) = 4095 pairs is one draw short of a 4096-draw block, C(92, 2)
+    # and C(93, 2) cross one; (2000, 0.001) is the cover-sparse pool's size.
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(n, p, f"{n}:{p}") for n in (91, 92, 93) for p in (0.0, 0.01, 0.3, 1.0)]
+        + [(2000, 0.001, f"cover-sparse:{i}") for i in range(3)],
+    )
+    def test_across_blocks_and_at_the_pool_size(self, n, p, seed):
+        rng, referee = random.Random(seed), random.Random(seed)
+        assert gen_random_graph(rng, n, p) == gen_random_graph_by_listing(referee, n, p)
+        assert rng.getstate() == referee.getstate()
+
 
 class TestEdgeCoverContainer:
     def test_uncovered_vertex_rejected(self):

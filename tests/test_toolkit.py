@@ -1118,6 +1118,19 @@ class TestCliGen:
         result = runner.invoke(cli_main, ["gen"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "args, bounds",
+        [
+            (["gen", "--seed", "1", "--max-weight", "0"], "[1, 0]"),
+            (["gen", "--seed", "1", "--max-weight", "99999999999"], "[1, 99999999999]"),
+            (["bench", "--kind", "weighted", "--max-weight", "0", "--seeds", "1"], "[1, 0]"),
+        ],
+    )
+    def test_weight_range_named_before_any_draw(self, runner, args, bounds):
+        result = runner.invoke(cli_main, args)
+        message = f"error: weights {bounds} empty or outside [0, {MAX_WEIGHT}]\n"
+        assert (result.exit_code, result.output) == (2, message)
+
 
 class TestCliRoundTrip:
     @pytest.mark.parametrize(

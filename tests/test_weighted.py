@@ -462,32 +462,46 @@ def with_job_edges(inst, arrange):
     ])
 
 
+def assert_stop_keeps_lines_up_to_the_bound(inst):
+    """Each phase, every line of a popped job whose minimum over its
+    machine's domain is at most the phase bound reached the machine's
+    envelope heap."""
+    state = EktState(inst)
+    for _ in range(inst.num_jobs):
+        run = GroupedDijkstra(state, check=True).run()
+        total = state.total_potential
+        for u, d in run.dist_job.items():
+            b = d + state.job_potential(u) - total
+            for v, w, _e in state.pairs[u]:
+                valley = min(b + i * w - s for i, s in enumerate(state.shift[v], start=1))
+                if valley <= run.bound:
+                    heap = state.heaps[v]
+                    assert heap is not None and (w, b) in heap._shadow_rows, (
+                        f"phase {state.iteration}: job {u}'s line on machine {v} "
+                        f"has valley {valley} <= bound {run.bound} but was dropped"
+                    )
+        update_potentials(state, run)
+        augment(state, run)
+        check_invariants(state, run)
+
+
 class TestWeightStop:
     @pytest.mark.parametrize("seed", range(3))
     def test_stop_drops_only_lines_beyond_the_bound(self, seed):
-        # Each phase, every line of a popped job whose minimum over its
-        # machine's domain is at most the phase bound reached the
-        # machine's envelope heap: the lightest-first weight stop and the
-        # valley-floor skip, like the valley cut, drop only lines that
-        # could never pop.
+        # The lightest-first weight stop and the valley-floor skip, like
+        # the valley cut, drop only lines that could never pop.
         for inst in stop_instances(4600 + seed):
-            state = EktState(inst)
-            for _ in range(inst.num_jobs):
-                run = GroupedDijkstra(state, check=True).run()
-                total = state.total_potential
-                for u, d in run.dist_job.items():
-                    b = d + state.job_potential(u) - total
-                    for v, w, _e in state.pairs[u]:
-                        valley = min(b + i * w - s for i, s in enumerate(state.shift[v], start=1))
-                        if valley <= run.bound:
-                            heap = state.heaps[v]
-                            assert heap is not None and (w, b) in heap._shadow_rows, (
-                                f"phase {state.iteration}: job {u}'s line on machine {v} "
-                                f"has valley {valley} <= bound {run.bound} but was dropped"
-                            )
-                update_potentials(state, run)
-                augment(state, run)
-                check_invariants(state, run)
+            assert_stop_keeps_lines_up_to_the_bound(inst)
+
+    def test_an_edge_at_the_bound_after_a_raised_floor_stops_nothing(self):
+        # In the last phase job 3 pops at b = -1 under bound 1.  Its edge
+        # to machine 0 weighs 2 and its floor has risen to 3, so it is
+        # skipped with b + w at the bound, not beyond it; the next edge,
+        # to machine 1, also weighs 2 and its valley b + 2 is the bound.
+        inst = BipartiteInstance(5, 3, [
+            (0, 2, 1), (1, 0, 1), (2, 0, 1), (3, 0, 2), (3, 1, 2), (3, 2, 1), (4, 1, 1),
+        ])
+        assert_stop_keeps_lines_up_to_the_bound(inst)
 
     def test_pairs_are_lightest_first_ties_in_input_order(self):
         inst = BipartiteInstance(2, 4, [
