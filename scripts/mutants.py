@@ -49,13 +49,35 @@ MUTANTS = (
            ("tests/test_generate.py::TestHits",)),
     Mutant("src/semimatch/generate.py", "a + 1 + i - starts[a]", "a + i - starts[a]",
            ("tests/test_cover.py::TestRandomGraph",)),
-    # The weight stop of a weighted phase.
+    # The weight stop of a weighted phase, and the lightest-first pairs it needs.
     Mutant("src/semimatch/weighted.py", "if b + w > ub:", "if b + w >= ub:",
            ("tests/test_weighted.py::TestWeightStop",)),
+    Mutant("src/semimatch/weighted.py", "count(len(self.floor))), key=light)",
+           "count(len(self.floor))), key=light, reverse=True)",
+           ("tests/test_weighted.py::TestWeightStop",)),
+    # The slot update of a weighted phase, read off its finalized jobs.
+    Mutant("src/semimatch/weighted.py", "shift[v][i - 1] -= gain", "shift[v][i - 1] += gain",
+           ("tests/test_weighted.py::TestPhaseInvariants",)),
+    Mutant("src/semimatch/weighted.py", "shift[v][i - 1] -= gain\n            negdiffs[v] = None",
+           "shift[v][i - 1] -= gain",
+           ("tests/test_weighted.py::TestPhaseInvariants",)),
+    Mutant("src/semimatch/weighted.py", "if slot is not None:",
+           "if slot is not None and d < bound - 1:",
+           ("tests/test_weighted.py::TestPhaseInvariants",)),
+    # The same-slope comparison of an envelope insert.
+    Mutant("src/semimatch/envelope.py", "intercept < env[pos].intercept",
+           "intercept > env[pos].intercept",
+           ("tests/test_envelope.py",)),
     # The level-1 test of unit cancellation.
     Mutant("src/semimatch/unweighted.py", "rank[b - nU][len(jobs) - 1] >= cut",
            "rank[b - nU][len(jobs) - 1] > cut",
            ("tests/test_unweighted.py::TestSolveUnweighted::test_fig2_optimal",)),
+    # The sink test of unit cancellation.
+    Mutant("src/semimatch/unweighted.py", "r[len(jobs)] < cut", "r[len(jobs)] <= cut",
+           ("tests/test_unweighted.py::TestSolveUnweighted::test_matches_brute_force",)),
+    # Ordered job columns ranged by their ends.
+    Mutant("src/semimatch/core.py", "(jobs[0], jobs[-1]) if ordered", "(0, 0) if ordered",
+           ("tests/test_core.py::TestInstanceValidation::test_ordered_columns_are_ranged_by_their_ends",)),
     # A parse_assignment that counts lines from 0.
     Mutant("src/semimatch/formats.py", "enumerate(text.splitlines(), start=1)",
            "enumerate(text.splitlines(), start=0)",

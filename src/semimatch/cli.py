@@ -39,7 +39,6 @@ from .core import (
     InfeasibleInstanceError,
     SemiMatching,
     cost_of_semi_matching,
-    validate_semi_matching,
 )
 from .cover import EdgeCover, GeneralGraph, find_center
 from .formats import ParseError, emit_assignment, emit_instance, parse_assignment, parse_instance
@@ -150,6 +149,8 @@ def verify(instance_path: str, solution_path: str) -> None:
         for job, machine in pairs:
             if not 0 <= job < instance.num_jobs:
                 _fail(EXIT_VERIFY_FAILED, f"job id {job + 1} not in the instance")
+            if not 0 <= machine < instance.num_machines:
+                _fail(EXIT_VERIFY_FAILED, f"machine id {machine + 1} not in the instance")
             if machine_of[job] is not None:
                 _fail(EXIT_VERIFY_FAILED, f"job {job + 1} assigned twice")
             machine_of[job] = machine
@@ -157,15 +158,15 @@ def verify(instance_path: str, solution_path: str) -> None:
         if missing:
             _fail(EXIT_VERIFY_FAILED, f"jobs without an assignment: {missing[:5]}")
         matching = SemiMatching(tuple(machine_of))
-        # The cost checks adjacency in the same pass; only a failure is
-        # validated again, to name the violation.
+        # The cost checks adjacency in the same pass; only a failure walks
+        # the jobs again, to name the first non-edge.
         try:
             actual = cost_of_semi_matching(instance, matching)
         except CostOverflowError as exc:
             _fail(EXIT_OVERFLOW, str(exc))
-        except (KeyError, ValueError):
-            violation = validate_semi_matching(instance, matching)
-            _fail(EXIT_VERIFY_FAILED, f"{violation.kind}: {violation.detail}")
+        except KeyError:
+            u = next(u for u, v in enumerate(machine_of) if v not in instance.job_machines[u])
+            _fail(EXIT_VERIFY_FAILED, f"({u + 1}, {machine_of[u] + 1}) is not an edge")
     else:
         edge_set = set(instance.edges)
         listed: set[tuple[int, int]] = set()
@@ -178,8 +179,10 @@ def verify(instance_path: str, solution_path: str) -> None:
             listed.add(e)
         try:
             cover = EdgeCover(instance.num_vertices, pairs)
-        except ValueError as exc:
-            _fail(EXIT_VERIFY_FAILED, str(exc))
+        except ValueError:  # every pair is a graph edge, once: a vertex is left out
+            covered = {x for e in listed for x in e}
+            v = next(v for v in range(instance.num_vertices) if v not in covered)
+            _fail(EXIT_VERIFY_FAILED, f"vertex {v + 1} is uncovered")
         actual = cover.balanced_cost()
 
     if actual != declared:

@@ -61,7 +61,6 @@ from .envelope import EnvelopeHeap
 __all__ = [
     "EktState",
     "WeightedStats",
-    "DijkstraRun",
     "GroupedDijkstra",
     "update_potentials",
     "augment",
@@ -175,10 +174,6 @@ class EktState:
             return self.total_potential + self.shift[v][i - 1]
         return self.total_potential
 
-    def slot_potentials(self, v: int, n: int) -> list[int]:
-        """Potentials of v^1..v^n as a list."""
-        return [self.slot_potential(v, i) for i in range(1, n + 1)]
-
     def heap_domain(self, v: int) -> int:
         """Envelope domain size for machine v: min(alpha+1, deg)."""
         return min(self.alpha(v) + 1, self.instance.machine_degree(v))
@@ -195,77 +190,6 @@ class EktState:
             for ws in self.slot_weights
             for i, w in enumerate(ws, start=1)
         )
-
-
-def _potential_diffs(state: EktState, v: int, n: int) -> list[int]:
-    """p(v^{i+1}) - p(v^i) for i = 1..n-1."""
-    pots = state.slot_potentials(v, n)
-    return [b - a for a, b in zip(pots, pots[1:])]
-
-
-def _adj_desc(instance: BipartiteInstance, v: int) -> list[tuple[int, int]]:
-    """Machine v's edges as (weight, job), heaviest first, job id breaking ties."""
-    pairs = [(instance.weight(u, v), u) for u in instance.machine_jobs[v]]
-    return sorted(pairs, key=lambda t: (-t[0], t[1]))
-
-
-def compute_gammas(state: EktState) -> dict[tuple[int, int], int]:
-    """Valley index of every edge's slot sequence, batch-computed.
-
-    For edge (u, v), gamma is the first slot index i in [1, heap domain]
-    where ``p(v^{i+1}) - p(v^i) <= w(u, v)``.  Potential differences are
-    non-increasing across the slot prefix and valleys are monotone in
-    the weight, so one two-pointer sweep over each machine's
-    weight-descending adjacency does all edges in linear time.
-    """
-    out: dict[tuple[int, int], int] = {}
-    for v in range(state.instance.num_machines):
-        n = state.heap_domain(v)
-        if n == 0:
-            continue
-        diffs = _potential_diffs(state, v, n)
-        i = 1
-        for w, u in _adj_desc(state.instance, v):
-            while i < n and diffs[i - 1] > w:
-                i += 1
-            out[(u, v)] = i
-    return out
-
-
-@dataclass
-class DijkstraRun:
-    """Everything one phase's shortest-path computation produced.
-
-    Distances are reduced-cost distances from the phase's source job,
-    which ``dist_job`` holds at distance 0.  ``bound`` is the distance of
-    the unmatched slot that ended the search; nodes it never finalized
-    are treated as being at ``bound``.
-    The augmenting path is implicit: ``terminal`` names the unmatched
-    slot, ``slot_owner[(v, i)]`` the job whose relaxation won slot v^i,
-    and each matched job hands the walk back to its own slot until the
-    unmatched source ends it.
-    """
-
-    dist_job: dict[int, int]
-    dist_slot: dict[tuple[int, int], int]
-    bound: int
-    terminal: tuple[int, int]
-    slot_owner: dict[tuple[int, int], int]
-
-    def path(self, state: EktState) -> list[tuple[int, int, int]]:
-        """(job, machine, slot) hops from the source job to the terminal."""
-        hops = []
-        v, i = self.terminal
-        job = self.slot_owner[(v, i)]
-        while True:
-            hops.append((job, v, i))
-            prev = state.job_slot[job]
-            if prev is None:
-                break
-            v, i = prev
-            job = self.slot_owner[(v, i)]
-        hops.reverse()
-        return hops
 
 
 def _machine_tables(state: EktState, v: int) -> tuple[list[int], int]:
@@ -297,6 +221,18 @@ class GroupedDijkstra:
     refreshes only its line) or ends the phase.  A phase whose job is
     already matched, or that comes after the last job, raises
     ``ValueError``: its augmenting path would have no unmatched end.
+
+    :meth:`run` returns the search itself as the phase's record.
+    ``dist_job`` holds the reduced distance of every job it finalized,
+    the source's 0 included; every other node counts as being at
+    ``bound``, the distance of the unmatched slot ``terminal`` that ended
+    the search.  A matched job has one in-arc, the tight matching edge
+    from its own slot, so it is pushed once, when that slot is finalized,
+    at that slot's distance: a slot's distance is its job's, and is not
+    kept apart.  The augmenting path is implicit: ``owner`` is the job
+    whose line won the terminal slot, ``won[u]`` the job whose line won
+    job u's slot, and each job on the path hands the walk back to its own
+    slot until the unmatched source ends it (see :meth:`path`).
 
     Values are computed in the offset frame, where ``total_potential``
     cancels: a job's line has intercept ``d(u) - _raw_job[u]``, a slot's
@@ -350,11 +286,13 @@ class GroupedDijkstra:
             heaps[v] = None
         state.touched.clear()
         self.dist_job: dict[int, int] = {}
-        self.dist_slot: dict[tuple[int, int], int] = {}
-        self.slot_owner: dict[tuple[int, int], int] = {}
+        self.won: dict[int, int] = {}
+        self.bound: int  # bound, terminal and owner are set by run()
+        self.terminal: tuple[int, int]
+        self.owner: int
         self._pq: list[tuple[int, ...]] = [(0, self._job_base + state.order[k])]
 
-    def run(self) -> DijkstraRun:
+    def run(self) -> GroupedDijkstra:
         state = self.state
         job_base = self._job_base
         pairs, floor = state.pairs, state.floor
@@ -364,7 +302,7 @@ class GroupedDijkstra:
         free_l, heaps = state.free_n, state.heaps
         touched = state.touched
         check = self._check
-        dist_job = self.dist_job
+        dist_job, won = self.dist_job, self.won
         pq = self._pq
         ub = _INF  # upper bound on this phase's terminal distance
         push, pop, bis = heapq.heappush, heapq.heappop, bisect_left
@@ -375,8 +313,6 @@ class GroupedDijkstra:
             value, node = entry[0], entry[1]
             if node >= job_base:
                 u = node - job_base
-                if u in dist_job:
-                    continue
                 dist_job[u] = value
                 b = value - raw_job[u]  # d(u) + p(u), less total_potential
                 for v, w, e in pairs[u]:
@@ -411,7 +347,6 @@ class GroupedDijkstra:
             if i != line.p and i != line.q:
                 continue  # a candidate that has since moved (EnvelopeHeap.current)
             mpops += 1
-            self.slot_owner[(v, i)] = line.payload
             if i == len(slots[v]) + 1:
                 stats = self.stats
                 if stats is not None:
@@ -421,48 +356,65 @@ class GroupedDijkstra:
                     stats.envelope_inserts += inserts
                     stats.envelope_delete_mins += dmins
                     stats.machine_pops += mpops
-                return DijkstraRun(
-                    dist_job=self.dist_job,
-                    dist_slot=self.dist_slot,
-                    bound=value,
-                    terminal=(v, i),
-                    slot_owner=self.slot_owner,
-                )
-            self.dist_slot[(v, i)] = value
+                self.bound, self.terminal, self.owner = value, (v, i), line.payload
+                return self
             heap.delete(line, i)  # type: ignore[union-attr]
             dmins += 1
             occupant = slots[v][i - 1]
-            if occupant not in dist_job:
-                push(pq, (value, job_base + occupant))  # matching edge is tight
+            won[occupant] = line.payload
+            push(pq, (value, job_base + occupant))  # matching edge is tight
         raise AssertionError("no unmatched slot reachable from the source job")
 
+    def path(self, state: EktState) -> list[tuple[int, int, int]]:
+        """(job, machine, slot) hops from the source job to the terminal."""
+        hops = []
+        v, i = self.terminal
+        job = self.owner
+        while True:
+            hops.append((job, v, i))
+            prev = state.job_slot[job]
+            if prev is None:
+                break
+            v, i = prev
+            job = self.won[job]
+        hops.reverse()
+        return hops
 
-def update_potentials(state: EktState, run: DijkstraRun) -> None:
+
+def update_potentials(state: EktState, run: GroupedDijkstra) -> None:
     """Fold a phase's distances into the cumulative potentials.
 
     Every node conceptually gains ``min(d(x), bound)``; storing
     potentials as offsets against the running bound total makes that one
     bookkeeping write per node the phase actually finalized.  Nodes it
     never reached -- unmatched slots, jobs not yet processed -- gain the
-    bound, so they stay at ``total_potential`` with no write at all.
-    Every machine with a finalized slot is marked dirty.
+    bound, so they stay at ``total_potential`` with no write at all.  A
+    finalized job's slot, read before :func:`augment` moves it, was
+    finalized at the job's distance and gains what the job gains; that
+    machine is marked dirty.  A slot finalized at the bound whose job was
+    never popped gains nothing, so it is skipped.
     """
     bound = run.bound
     state.total_potential += bound
-    raw_job, shift, negdiffs = state._raw_job, state.shift, state.negdiffs
+    raw_job, job_slot = state._raw_job, state.job_slot
+    shift, negdiffs = state.shift, state.negdiffs
     for u, d in run.dist_job.items():
-        raw_job[u] += bound - d
-    for (v, i), d in run.dist_slot.items():
-        shift[v][i - 1] -= bound - d
-        negdiffs[v] = None
+        gain = bound - d
+        raw_job[u] += gain
+        slot = job_slot[u]
+        if slot is not None:
+            v, i = slot
+            shift[v][i - 1] -= gain
+            negdiffs[v] = None
 
 
-def augment(state: EktState, run: DijkstraRun) -> None:
+def augment(state: EktState, run: GroupedDijkstra) -> None:
     """Grow the matching by one along the phase's shortest path.
 
     Walk the winning-line owners backwards from the terminal slot: each
     slot on the path takes its owner, which frees the owner's previous
-    slot for *its* owner, until the phase's source job starts the chain.
+    slot for the job whose line won it, until the phase's source job
+    starts the chain.
     The terminal slot keeps potential ``total_potential`` (shift 0), which
     keeps its new matching edge tight; the source's potential was already
     folded in by :func:`update_potentials`.  The terminal machine's
@@ -473,7 +425,7 @@ def augment(state: EktState, run: DijkstraRun) -> None:
     if i != state.alpha(v) + 1:
         raise ValueError(f"terminal {run.terminal} is not the first unmatched slot")
     state.negdiffs[v] = None
-    job = run.slot_owner[(v, i)]
+    job = run.owner
     state.slots[v].append(job)
     state.slot_weights[v].append(0)  # placeholder; fixed below
     if i < state.instance.machine_degree(v):
@@ -492,7 +444,7 @@ def augment(state: EktState, run: DijkstraRun) -> None:
         if prev is None:
             break
         v, i = prev
-        job = run.slot_owner[(v, i)]
+        job = run.won[job]
     state.iteration += 1
 
 
@@ -515,7 +467,7 @@ def solve_weighted(
         update_potentials(state, run)
         augment(state, run)
         if check:
-            check_invariants(state, run)
+            check_invariants(state)
     if stats is not None:
         stats.iterations = state.iteration
     matching = state.matching()
@@ -527,22 +479,34 @@ def solve_weighted(
 # Invariant suite (test instrumentation, exercised by the acceptance run)
 
 
-def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None:
-    """Assert the full between-phase invariant suite.
+def check_invariants(state: EktState) -> None:
+    """Assert the between-phase invariant suite.
 
-    Covers: slot prefixes with non-increasing weights and consistent
-    back-pointers; unmatched jobs and the first unmatched slot of every
-    machine at ``total_potential``; non-negative reduced cost on every
-    exploded edge up to the first unmatched slot, with matching edges
-    exactly tight; potential differences sandwiched by consecutive
-    occupant weights, the step to the first unmatched slot included
-    (hence non-increasing, hence unimodal slot sequences); no slot
-    potential above ``total_potential`` (every shift <= 0); valley
-    monotonicity along each machine's weight-sorted adjacency; and,
-    given the phase's distances, unimodality of the realized f-sequences
-    of every finalized job; and search tables cached for a machine not
-    marked dirty equal a fresh rebuild, so a missed dirty mark fails in
-    the phase that misses it.
+    Asserted, in this order:
+
+    * search tables cached for a machine not marked dirty equal a fresh
+      rebuild, so a missed dirty mark fails in the phase that misses it;
+    * the matched jobs are ``order[:iteration]``, with consistent
+      back-pointers, and every unmatched job sits at ``total_potential``;
+    * each machine's slot prefix holds its matched jobs' weights,
+      non-increasing; its shifts cover that prefix and its first
+      unmatched slot, which sits at ``total_potential``; and no shift is
+      positive (no slot potential above ``total_potential``), which the
+      search's weight stop needs;
+    * the sandwich ``w_i >= p(v^{i+1}) - p(v^i) >= w_{i+1}`` on every
+      machine, the step to the first unmatched slot included (where only
+      the left inequality applies);
+    * every edge's floor lies between its weight and its valley value;
+    * every exploded edge up to its machine's heap domain has
+      non-negative reduced cost, and every matching edge is tight.
+
+    Two properties the search relies on follow from the sandwich.  It
+    makes the steps ``p(v^{i+1}) - p(v^i)`` non-increasing in i, so a
+    heavier edge's valley (the first slot whose step is at most w) is no
+    later than a lighter edge's: valleys are monotone in weight.  And a
+    line's slot sequence ``f(i) = b + i*w - p(v^i)`` has steps
+    ``f(i+1) - f(i) = w - (p(v^{i+1}) - p(v^i))``, non-decreasing in i,
+    so every f-sequence is unimodal around its valley.
     """
     inst = state.instance
     total = state.total_potential
@@ -576,13 +540,13 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
         # No slot above total_potential: the search's weight stop needs it.
         assert all(s <= 0 for s in state.shift[v]), f"machine {v}: a slot passed the frame"
         assert state.slot_potential(v, alpha + 1) == total, f"machine {v}: free slot left the frame"
-        # Sandwich: w_i >= p(v^{i+1}) - p(v^i) >= w_{i+1}.
-        pots = state.slot_potentials(v, alpha + 1)
+        # Sandwich: w_i >= p(v^{i+1}) - p(v^i) >= w_{i+1}, read in the offset frame.
+        shifts = state.shift[v][:alpha] + [0]
         for i in range(1, alpha + 1):
-            diff = pots[i] - pots[i - 1]
-            assert ws[i - 1] >= diff, (v, i, ws, pots)
+            diff = shifts[i] - shifts[i - 1]
+            assert ws[i - 1] >= diff, (v, i, ws, shifts)
             if i < alpha:
-                assert diff >= ws[i], (v, i, ws, pots)
+                assert diff >= ws[i], (v, i, ws, shifts)
 
     for u in range(inst.num_jobs):
         pu = state.job_potential(u)
@@ -597,26 +561,6 @@ def check_invariants(state: EktState, run: Optional[DijkstraRun] = None) -> None
                 )
                 if state.job_slot[u] == (v, i):
                     assert red == 0, f"matching edge {u} -> {v}^{i} not tight"
-
-    gammas = compute_gammas(state)
-    for v in range(inst.num_machines):
-        prev = 0
-        for w, u in _adj_desc(inst, v):
-            g = gammas[(u, v)]
-            assert g >= prev, f"machine {v}: valleys not monotone in weight"
-            prev = g
-
-    if run is not None:
-        for u, d in run.dist_job.items():
-            for v, w, _e in state.pairs[u]:
-                n = state.heap_domain(v)
-                # f over the *current* state is still unimodal; check shape.
-                seq = [
-                    d + i * w - state.slot_potential(v, i) for i in range(1, n + 1)
-                ]
-                valley = seq.index(min(seq))
-                assert all(a >= b for a, b in zip(seq[:valley], seq[1 : valley + 1]))
-                assert all(a <= b for a, b in zip(seq[valley:], seq[valley + 1 :]))
 
 
 # --------------------------------------------------------------------------

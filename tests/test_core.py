@@ -168,6 +168,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             BipartiteInstance(2, 2, [(0, 0), (1, 2)])
 
+    @pytest.mark.parametrize("jobs, machines", [(-1, 1), (1, -1)])
+    def test_negative_count_rejected(self, jobs, machines):
+        with pytest.raises(ValueError, match="^vertex counts must be non-negative$"):
+            BipartiteInstance(jobs, machines, [])
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             BipartiteInstance(1, 1, [(0, 0, -1)])

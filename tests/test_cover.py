@@ -58,6 +58,10 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             GeneralGraph(2, [(0, 2)])
 
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            GeneralGraph(-1, [])
+
     @pytest.mark.parametrize(
         "num_vertices, edges, message",
         [
@@ -128,11 +132,24 @@ class TestRandomGraph:
         assert gen_random_graph(rng, n, p) == gen_random_graph_by_listing(referee, n, p)
         assert rng.getstate() == referee.getstate()
 
+    @pytest.mark.parametrize("n, p, message", [
+        (1, 0.5, r"^need at least two vertices to cover them all$"),
+        (5, 1.5, r"^edge_prob 1\.5 outside \[0, 1\]$"),
+    ])
+    def test_impossible_parameters_rejected(self, n, p, message):
+        with pytest.raises(ValueError, match=message):
+            gen_random_graph(random.Random(0), n, p)
+
 
 class TestEdgeCoverContainer:
     def test_uncovered_vertex_rejected(self):
         with pytest.raises(ValueError, match="uncovered"):
             EdgeCover(3, [(0, 1)])
+
+    @pytest.mark.parametrize("a, b", [(1, 3), (-1, 2)])
+    def test_out_of_range_edge_rejected(self, a, b):
+        with pytest.raises(ValueError, match=rf"^bad edge \({a}, {b}\)$"):
+            EdgeCover(3, [(0, 1), (a, b)])
 
     def test_cost_and_centers(self):
         cov = EdgeCover(4, [(0, 1), (0, 2), (0, 3)])
@@ -486,3 +503,14 @@ class TestFindCenter:
             assert inst.machine_jobs == checked.machine_jobs
             assert inst.job_weights is checked.job_weights is None
             assert edge_triples(inst) == edge_triples(checked)
+
+
+class TestCoverOracleRejections:
+    @pytest.mark.parametrize("a, b", [(0, 0), (1, 3), (-1, 1)])
+    def test_bad_edge(self, a, b):
+        with pytest.raises(ValueError, match=rf"^bad edge \({a}, {b}\)$"):
+            brute_force_balanced_cover(3, [(0, 1), (a, b)])
+
+    def test_isolated_vertex(self):
+        with pytest.raises(InfeasibleInstanceError, match="^vertex 2 has no incident edges$"):
+            brute_force_balanced_cover(4, [(0, 1), (1, 3)])

@@ -144,6 +144,20 @@ def test_insert_with_a_dead_valley_takes_the_next_live_index():
     assert minimum(h, f) == (1, 2, "b")
 
 
+def test_empty_domain_rejected():
+    with pytest.raises(ValueError, match="^domain must contain at least index 1$"):
+        EnvelopeHeap([], [])
+
+
+def test_left_most_valley_of_a_row_that_is_not_unimodal_rejected():
+    # Row (0, 0) over shift -3, -1, -2, 0 reads 3, 1, 2, 0: its left-most
+    # minimiser is 4, but it falls, rises and falls again.
+    h = EnvelopeHeap([-3, -1, -2, 0], [], check=True)
+    with pytest.raises(ValueError, match="^row is not unimodal around valley 4$"):
+        h.insert(0, 0, 4)
+    assert h._lines == h._shadow_rows == []
+
+
 def test_valley_out_of_domain_rejected():
     h = EnvelopeHeap([0, 0, 0], [], check=True)
     with pytest.raises(ValueError):

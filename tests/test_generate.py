@@ -119,3 +119,13 @@ class TestChecksBeforeDrawing:
         with pytest.raises(ValueError, match=r"^num_edges -1 is negative$"):
             gen_random(rng, 3, 2, num_edges=-1)
         assert rng.getstate() == state
+
+    @pytest.mark.parametrize("jobs, machines", [(3, 0), (-1, 2)])
+    def test_impossible_counts(self, jobs, machines):
+        with pytest.raises(ValueError, match="^need at least one machine and a non-negative job count$"):
+            gen_random(random.Random(0), jobs, machines, edge_prob=0.5)
+
+    @pytest.mark.parametrize("edges", [dict(), dict(edge_prob=0.5, num_edges=3)])
+    def test_exactly_one_edge_rule(self, edges):
+        with pytest.raises(ValueError, match="^pass exactly one of edge_prob / num_edges$"):
+            gen_random(random.Random(0), 3, 2, **edges)

@@ -987,6 +987,26 @@ class TestCliSolve:
         assert fast.exit_code == slow.exit_code == 0
         assert parse_assignment(fast.output)[1] == parse_assignment(slow.output)[1]
 
+    @pytest.mark.parametrize("objective", ["unweighted", "convex"])
+    def test_unit_objectives_give_the_default_cost(self, runner, tmp_path, objective):
+        inst_path = write(tmp_path / "inst.sm", SEMIMATCH_FILE)
+        sol_path = str(tmp_path / "out.sol")
+        result = runner.invoke(cli_main, ["solve", inst_path, "--objective", objective, "-o", sol_path])
+        assert result.exit_code == 0, result.output
+        assert parse_assignment(open(sol_path).read())[1] == 6
+        check = runner.invoke(cli_main, ["verify", inst_path, sol_path])
+        assert (check.exit_code, check.output) == (0, "OK cost 6\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--objective", "cover"], "--objective cover needs a cover file"),
+        (["--objective", "unweighted", "--solver", "baseline"],
+         "--solver baseline only applies to --objective weighted"),
+    ])
+    def test_usage_errors_exit_2(self, runner, tmp_path, args, message):
+        path = write(tmp_path / "inst.sm", SEMIMATCH_FILE)
+        result = runner.invoke(cli_main, ["solve", path, *args])
+        assert (result.exit_code, result.output) == (2, f"error: {message}\n")
+
 
 def overflowing_files(tmp_path):
     """An instance and a solution whose cost overflows: 93 000 jobs of
@@ -1004,12 +1024,13 @@ def overflowing_files(tmp_path):
 
 #: Solutions of SEMIMATCH_FILE that verify rejects, and the violation named.
 VERIFY_FAILURES = {
-    "non-edge": ("a 1 2\na 2 1\na 3 2\na 4 2\ncost 6\n", "not-an-edge: (0, 1) is not an edge"),
+    "non-edge": ("a 1 2\na 2 1\na 3 2\na 4 2\ncost 6\n", "(1, 2) is not an edge"),
     "machine out of range": (
-        "a 1 1\na 2 7\na 3 2\na 4 2\ncost 6\n", "unassigned: job 1 has no machine (got 6)"
+        "a 1 1\na 2 7\na 3 2\na 4 2\ncost 6\n", "machine id 7 not in the instance"
     ),
     "too few jobs": ("a 1 1\na 2 1\ncost 3\n", "jobs without an assignment: [3, 4]"),
     "too many jobs": ("a 1 1\na 2 1\na 3 2\na 4 2\na 5 1\ncost 6\n", "job id 5 not in the instance"),
+    "job twice": ("a 1 1\na 1 1\na 2 1\na 3 2\na 4 2\ncost 6\n", "job 1 assigned twice"),
 }
 
 
@@ -1043,7 +1064,13 @@ class TestCliVerify:
         assert result.exit_code == 0, result.output
         leaves_one_out = write(tmp_path / "gap.sol", "a 1 2\ncost 3\n")
         result = runner.invoke(cli_main, ["verify", inst_path, leaves_one_out])
-        assert result.exit_code == 4
+        assert (result.exit_code, result.output) == (4, "error: vertex 3 is uncovered\n")
+
+    def test_cover_non_edge_is_named(self, runner, tmp_path):
+        inst_path = write(tmp_path / "g.cov", COVER_FILE)
+        sol_path = write(tmp_path / "bad.sol", "a 1 3\na 2 3\ncost 5\n")
+        result = runner.invoke(cli_main, ["verify", inst_path, sol_path])
+        assert (result.exit_code, result.output) == (4, "error: (1, 3) is not a graph edge\n")
 
     @pytest.mark.parametrize("twice", ["a 1 2\na 2 1\n", "a 2 1\na 2 1\n"])
     def test_cover_edge_listed_twice(self, runner, tmp_path, twice):
@@ -1178,6 +1205,16 @@ class TestCliBenchAndOracle:
         assert result.exit_code == 0, result.output
         rows = result.output.strip().split("\n")[1:]
         assert {r.split(",")[6] for r in rows} == {"unweighted", "convex"}
+
+    def test_bench_cost_disagreement_exits_4(self, runner, monkeypatch):
+        monkeypatch.setitem(bench_mod.SOLVER_NAMES, "baseline", lambda inst: (10**9, {}))
+        result = runner.invoke(
+            cli_main,
+            ["bench", "--kind", "weighted", "--jobs", "6", "--machines", "3", "--seeds", "1"],
+        )
+        assert result.exit_code == 4
+        assert result.output.startswith("error: cost mismatch on ")
+        assert "baseline -> 1000000000" in result.output
 
     def test_oracle_agrees_with_solve(self, runner, tmp_path):
         path = write(tmp_path / "inst.sm", SEMIMATCH_FILE)

@@ -277,6 +277,15 @@ class TestSeedAndCancel:
             seed_flow(net, SemiMatching((0, 0, 1, 1)))
         assert extract_semi_matching(net).machine_of == (0, 1, 1, 1)
 
+    def test_unseeded_network_is_refused(self):
+        # Nothing is cancelled on, or read back from, a flow that leaves a
+        # job unassigned.
+        net = build_cost_center_network(fig2_instance())
+        with pytest.raises(ValueError, match="^cancel_all needs a saturating seeded flow$"):
+            cancel_all(net)
+        with pytest.raises(ValueError, match="^flow is not saturating: job 0 unassigned$"):
+            extract_semi_matching(net)
+
     def test_fig2_single_cancel_reaches_optimum(self):
         net = build_cost_center_network(fig2_instance())
         seed_flow(net, SemiMatching((0, 1, 1, 1)))

@@ -4,6 +4,7 @@ baseline, plus the per-phase invariant suite."""
 
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -19,11 +20,10 @@ from semimatch.weighted import (
     EktState,
     GroupedDijkstra,
     WeightedStats,
-    _adj_desc,
+    _machine_tables,
     augment,
     baseline_exploded_solver,
     check_invariants,
-    compute_gammas,
     solve_weighted,
     update_potentials,
 )
@@ -69,11 +69,29 @@ class TestWorkedExamples:
         assert state.slot_weights[0] == [2, 1]
 
 
+def search_valleys(state):
+    """Each edge's valley as the search finds it, ``bisect_left(negdiffs, -w) + 1``
+    over :func:`_machine_tables`, keyed ``(u, v)``; each must be the
+    left-most minimiser of ``i*w - shift[v][i-1]`` over v's domain."""
+    inst = state.instance
+    out = {}
+    for v, jobs in enumerate(inst.machine_jobs):
+        if not jobs:
+            continue
+        negdiffs, _free_n = _machine_tables(state, v)
+        for u in jobs:
+            w = inst.weight(u, v)
+            g = bisect_left(negdiffs, -w) + 1
+            row = [i * w - s for i, s in enumerate(state.shift[v], start=1)]
+            assert g == row.index(min(row)) + 1, (u, v, row, g)
+            out[(u, v)] = g
+    return out
+
+
 class TestValleyComputation:
     def test_first_iteration_all_ones(self):
         state = EktState(fig2_instance())
-        gammas = compute_gammas(state)
-        assert set(gammas.values()) == {1}
+        assert set(search_valleys(state).values()) == {1}
 
     def test_hand_built_potentials(self):
         # machine with slot potentials (0, 5, 7, 0): consecutive rises 5, 2, -7
@@ -86,11 +104,11 @@ class TestValleyComputation:
         state.job_slot = [(0, 2), (0, 3), (0, 1), None, None]
         state.total_potential = 0
         state.shift[0] = [0, 5, 7, 0]
-        gammas = compute_gammas(state)
-        assert gammas[(0, 0)] == 1  # w=6 beats the first rise of 5
-        assert gammas[(1, 0)] == 2  # w=4 loses to 5, beats 2
-        assert gammas[(3, 0)] == 2  # w=2 ties the rise of 2; ties stop early
-        assert gammas[(4, 0)] == 3  # w=1 loses both rises, lands past the prefix
+        valleys = search_valleys(state)
+        assert valleys[(0, 0)] == 1  # w=6 beats the first rise of 5
+        assert valleys[(1, 0)] == 2  # w=4 loses to 5, beats 2
+        assert valleys[(3, 0)] == 2  # w=2 ties the rise of 2; ties stop early
+        assert valleys[(4, 0)] == 3  # w=1 loses both rises, lands past the prefix
 
     def test_valleys_monotone_in_weight(self):
         rng = random.Random(15)
@@ -102,9 +120,10 @@ class TestValleyComputation:
                 run = GroupedDijkstra(state).run()
                 update_potentials(state, run)
                 augment(state, run)
-                gammas = compute_gammas(state)
-                for v in range(inst.num_machines):
-                    seen = [gammas[(u, v)] for _w, u in _adj_desc(inst, v)]
+                valleys = search_valleys(state)
+                for v, jobs in enumerate(inst.machine_jobs):
+                    heaviest_first = sorted(jobs, key=lambda u: (-inst.weight(u, v), u))
+                    seen = [valleys[(u, v)] for u in heaviest_first]
                     assert seen == sorted(seen)
 
 
@@ -143,7 +162,7 @@ class TestPhaseInvariants:
             run = GroupedDijkstra(state).run()
             update_potentials(state, run)
             augment(state, run)
-            check_invariants(state, run)
+            check_invariants(state)
             matched = [u for u in range(inst.num_jobs) if state.job_slot[u] is not None]
             assert matched == sorted(state.order[:k])
             implicit = sum(
@@ -162,7 +181,7 @@ class TestPhaseInvariants:
             update(state, run)
             aug(state, run)
             try:
-                check_invariants(state, run)
+                check_invariants(state)
             except AssertionError:
                 return k
         return None
@@ -179,7 +198,8 @@ class TestPhaseInvariants:
             kept = list(state.negdiffs)
             update_potentials(state, run)
             state.negdiffs[:] = kept
-            if any(d != run.bound and v != run.terminal[0] for (v, _i), d in run.dist_slot.items()):
+            slots = (state.job_slot[u] for u, d in run.dist_job.items() if d != run.bound)
+            if any(slot is not None and slot[0] != run.terminal[0] for slot in slots):
                 moved_at.append(state.iteration + 1)
 
         failed = self.first_failing_phase(inst, update_keeping_marks, augment)
@@ -196,15 +216,18 @@ class TestPhaseInvariants:
         for _ in range(inst.num_jobs):
             run = GroupedDijkstra(state).run()
             update_potentials(state, run)
-            raised = {vi: run.bound - d for vi, d in run.dist_slot.items() if d < run.bound}
+            raised = {
+                state.job_slot[u]: run.bound - d for u, d in run.dist_job.items()
+                if d < run.bound and state.job_slot[u] is not None
+            }
             for (v, i), gap in raised.items():
                 state.shift[v][i - 1] += 2 * gap
             augment(state, run)
             if raised:
                 with pytest.raises(AssertionError, match="a slot passed the frame"):
-                    check_invariants(state, run)
+                    check_invariants(state)
                 return
-            check_invariants(state, run)
+            check_invariants(state)
         pytest.fail("no phase finalized a slot short of its bound")
 
     def test_floor_above_its_valley_fails_in_its_phase(self):
@@ -215,11 +238,11 @@ class TestPhaseInvariants:
         run = GroupedDijkstra(state).run()
         update_potentials(state, run)
         augment(state, run)
-        check_invariants(state, run)
+        check_invariants(state)
         v, w, e = state.pairs[0][0]
         state.floor[e] = 1 + min(i * w - s for i, s in enumerate(state.shift[v], start=1))
         with pytest.raises(AssertionError, match="floor above its valley"):
-            check_invariants(state, run)
+            check_invariants(state)
 
     def test_missing_free_slot_shift_fails_in_its_phase(self):
         # An augment that grows a machine's prefix without giving its next
@@ -252,7 +275,7 @@ class TestPhaseInvariants:
 
     def test_search_refuses_a_matched_source(self):
         # A search from a matched job would walk slot owners forever in
-        # DijkstraRun.path; it is refused before it starts, as is a phase
+        # GroupedDijkstra.path; it is refused before it starts, as is a phase
         # past the last job.
         inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
         state = EktState(inst)
@@ -265,6 +288,28 @@ class TestPhaseInvariants:
         state.iteration = inst.num_jobs
         with pytest.raises(ValueError, match="no unmatched source"):
             GroupedDijkstra(state)
+
+    def test_augment_refuses_a_terminal_that_is_not_the_free_slot(self):
+        # A record augmented twice names a slot that the first augment
+        # filled: its machine's first free slot has moved on.
+        inst = BipartiteInstance(2, 1, [(0, 0, 3), (1, 0, 5)])
+        state = EktState(inst)
+        run = GroupedDijkstra(state).run()
+        update_potentials(state, run)
+        augment(state, run)
+        with pytest.raises(ValueError, match=r"^terminal \(0, 1\) is not the first unmatched slot$"):
+            augment(state, run)
+
+    def test_matching_is_refused_before_the_last_phase(self):
+        inst = BipartiteInstance(2, 1, [(0, 0, 3), (1, 0, 5)])
+        state = EktState(inst)
+        for _ in range(inst.num_jobs):
+            with pytest.raises(ValueError, match="^not every job is matched yet$"):
+                state.matching()
+            run = GroupedDijkstra(state).run()
+            update_potentials(state, run)
+            augment(state, run)
+        assert state.matching().machine_of == (0, 0)
 
     def test_phase_count_equals_jobs(self):
         rng = random.Random(9)
@@ -482,7 +527,7 @@ def assert_stop_keeps_lines_up_to_the_bound(inst):
                     )
         update_potentials(state, run)
         augment(state, run)
-        check_invariants(state, run)
+        check_invariants(state)
 
 
 class TestWeightStop:
