@@ -68,13 +68,34 @@ MUTANTS = (
     Mutant("src/semimatch/envelope.py", "intercept < env[pos].intercept",
            "intercept > env[pos].intercept",
            ("tests/test_envelope.py",)),
-    # The level-1 test of unit cancellation.
+    # The two level-1 tests of unit cancellation.
     Mutant("src/semimatch/unweighted.py", "rank[b - nU][len(jobs) - 1] >= cut",
            "rank[b - nU][len(jobs) - 1] > cut",
            ("tests/test_unweighted.py::TestSolveUnweighted::test_fig2_optimal",)),
-    # The sink test of unit cancellation.
-    Mutant("src/semimatch/unweighted.py", "r[len(jobs)] < cut", "r[len(jobs)] <= cut",
+    Mutant("src/semimatch/unweighted.py", "k < len(r) and r[k] < cut", "k < len(r) and r[k] <= cut",
            ("tests/test_unweighted.py::TestSolveUnweighted::test_matches_brute_force",)),
+    # The sink side of the layering, the relabel to levels and the split
+    # on a dry side.
+    Mutant("src/semimatch/unweighted.py", "if comp_of[u] == comp and carrier[u] != z:",
+           "if carrier[u] != z:",
+           ("tests/test_unweighted.py::TestSolveUnweighted::test_bottom_up_layering_equals_a_plain_bfs",)),
+    Mutant("src/semimatch/unweighted.py", "else (False, reaching)", "else (False, reached)",
+           ("tests/test_unweighted.py::TestSolveUnweighted::test_bottom_up_layering_equals_a_plain_bfs",)),
+    Mutant("src/semimatch/unweighted.py", "for k in upper if upper_side else lower:",
+           "for k in upper if upper_side else ():",
+           ("tests/test_unweighted.py::TestSolveUnweighted::test_zipf_skew_retires_most_centers_and_matches_baseline",)),
+    Mutant("src/semimatch/unweighted.py", "for u in carried[x - nU]:\n                comp_of[u] = new_comp",
+           "for u in carried[x - nU]:\n                pass",
+           ("tests/test_unweighted.py::TestSolveUnweighted::test_zipf_skew_retires_most_centers_and_matches_baseline",)),
+    Mutant("src/semimatch/unweighted.py", "dist[x] = D - dist[x]", "dist[x] = D - dist[x] + 1",
+           ("tests/test_unweighted.py::TestBackwardBlockingFlow",)),
+    # The carrier record kept by CostCenterNetwork._move.
+    Mutant("src/semimatch/unweighted.py", "lst[i] = last\n                where[last] = i",
+           "lst[i] = last",
+           ("tests/test_unweighted.py::TestBackwardBlockingFlow",)),
+    # The key set that finds repeated pairs out of order.
+    Mutant("src/semimatch/core.py", "return ordered or len(set(", "return True or len(set(",
+           ("tests/test_core.py",)),
     # Ordered job columns ranged by their ends.
     Mutant("src/semimatch/core.py", "(jobs[0], jobs[-1]) if ordered", "(0, 0) if ordered",
            ("tests/test_core.py::TestInstanceValidation::test_ordered_columns_are_ranged_by_their_ends",)),

@@ -15,11 +15,14 @@ An assignment is optimal exactly when the residual graph contains no
 and re-routes it into a cheaper one.  ``cancel_all`` eliminates every
 such path by divide and conquer on the ordered center list: cancel all
 paths from the upper half of the centers into the lower half with a
-multi-source/multi-sink Dinitz max-flow pass, whose blocking flows are
-found backward from the sinks, then split the graph along residual
-reachability from the upper half, which the pass's last, failed
-layering has just labelled, and recurse independently on the two
-sides.  Edges crossing the split are frozen and never touched again.
+multi-source/multi-sink Dinitz max-flow pass, then split the graph
+along the cut that the pass's last, failed layering has just found, and
+recurse independently on the two sides.  Each layering grows from the
+sources and from the sinks at once, a level of the cheaper side at a
+time (the two search trees of Boykov & Kolmogorov, IEEE TPAMI 2004),
+and the side that runs dry first gives the cut: the nodes residually
+reachable from the sources, or those that reach a sink.  Edges crossing
+the split are frozen and never touched again.
 
 Searches scan only residual arcs, and none is stored.  A job edge
 carries at most one unit, so the network records only the machine
@@ -30,15 +33,11 @@ a sink, so a machine is entered from a source exactly when its
 costliest used slot is one, and reaches a sink exactly when its
 cheapest free slot is one: two comparisons stand in for the slot arcs.
 Centers above the costliest one in use never carry flow, because
-cancelling only ever moves a unit into a strictly cheaper center.  The
-layering step finds machines bottom-up when the frontier's jobs have
-more out-arcs than the unlabelled machines have jobs
-(direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012): a
-job's only residual in-arc comes from the machine carrying it, so an
-unlabelled machine joins the next layer exactly when one of its jobs
-sits in the frontier.  The same fact makes the blocking flow cheap to
-find from the sink side: stepping back from a job to its carrier costs
-O(1), so only the machines near the sinks are scanned.
+cancelling only ever moves a unit into a strictly cheaper center.  A
+job's only residual in-arc comes from the machine carrying it, so the
+sink side steps back from a job in O(1), and so does the blocking flow,
+which is found backward from the sinks: only the machines near the
+sinks are scanned.
 
 The unit-weight objective is the convex objective with
 ``f(k) = k*(k+1)/2`` (marginals ``1, 2, 3, ...``), and both share all
@@ -74,16 +73,18 @@ class CancelCounters:
     source-to-sink distances of the successful rounds, which must be
     strictly increasing.  ``units_cancelled`` is the total flow moved
     between centers.  ``edges_scanned`` counts what the searches probe,
-    and no slot arc is among it.  The first layering of a call probes
-    every machine of the component once for a used slot in a source
-    (level 1), and each later one only the previous layering's level 1;
-    each layering tests every machine it expands for a free slot into a
-    sink, and examines the arcs out of the jobs and machines it labels;
-    a bottom-up step adds every ``machine_jobs`` entry it probes.  The backward
-    blocking-flow search adds each ``machine_jobs`` entry it tries,
-    each step from a job to its carrier and each test of a level-1
-    machine for a used slot still in a source.  A job's out-arcs count
-    as its ``job_machines`` entries but its carrier.
+    and no slot arc is among it.  The first layering of a call tests
+    every machine of the component once for a used slot in a source and
+    once for a free slot into a sink (the two level-1 tests), and each
+    later one only the machines of the previous layering's two level-1
+    sets.  Each layering then adds the arcs of every node it expands:
+    on the source side a machine's carried jobs and a job's
+    ``job_machines`` entries but its carrier, on the sink side a
+    machine's ``machine_jobs`` entries and one step from a job to its
+    carrier.  The backward blocking-flow search adds each
+    ``machine_jobs`` entry it tries, each step from a job to its carrier
+    and each test of a level-1 machine for a used slot still in a
+    source.
     """
 
     rounds_per_cancel: list[int] = field(default_factory=list)
@@ -122,7 +123,10 @@ class CostCenterNetwork:
     the machine, and the machine one into each free slot's center.
     ``comp`` assigns every node to a subproblem during the
     divide-and-conquer; an edge is alive for a search only when both
-    endpoints share the search's component.
+    endpoints share the search's component, and a job always shares its
+    carrier's.  A layering round labels the nodes of its source side
+    with the stamp ``_stamp - 1`` in ``_seen`` and those of its sink side
+    with ``_stamp``, their distances from their own side in ``_dist``.
     """
 
     def __init__(
@@ -256,61 +260,73 @@ def _cancel(
     sources: Sequence[int],
     machines: list[int],
     counters: CancelCounters,
-) -> list[int]:
+) -> tuple[bool, list[int]]:
     """Max-flow from the ``sources`` centers into the cheaper centers of
     one component.
 
-    Dinitz: breadth-first layering from all sources at once, stopping at
-    the first layer that contains a sink, then a blocking flow found by a
-    depth-first search that starts at the sinks and walks the layered
-    graph backward.  Returns the list of nodes reachable from the sources
-    in the final (failed) layering, which is exactly the residual
-    reachability set used for the partition step.  ``machines`` lists the
-    component's machines that have jobs.
+    Dinitz: each round lays out the shortest source-to-sink paths by a
+    breadth-first search grown from both ends, then finds a blocking
+    flow by a depth-first search that starts at the sinks and walks the
+    layered graph backward.  ``machines`` lists the component's machines
+    that have jobs.  The last round finds no path because one side of
+    its search runs dry.  Returns ``(True, reached)`` when the source
+    side did, ``reached`` being the jobs and machines residually
+    reachable from the sources, and ``(False, reaching)`` when the sink
+    side did, ``reaching`` being the jobs and machines that residually
+    reach a sink.
 
     The component's centers are a contiguous range ``[lo, hi]``, and
     each is a source, at or above the cut ``sources[0]``, or a sink,
     below it.  Every slot of a component machine below ``lo`` carries a
-    unit and every slot above ``hi`` none; the split keeps this, since a
-    machine left reachable has no free slot into a sink and one left
-    unreachable no used slot in a source.  Slots fill cheapest first, so
-    a machine has a used slot in a source exactly when its costliest
-    used slot is one, and a free slot into a sink exactly when its
-    cheapest free slot is one.  Level 1 is therefore the component's
-    machines whose top used slot is at or above the cut, and a machine
-    reaches a sink when its next slot is below it.  No center sits on a
-    middle level: the sources are level 0 and a sink ends the layering.
-    Level 1 can only shrink from one round to the next, so a round
-    re-tests only the last round's level 1: an augmentation lowers the
-    load of its level-1 end machine only, raises only its start
-    machine's, into a sink slot below the cut, and each machine inside
-    the path gives up one job and takes one.
+    unit and every slot above ``hi`` none.  Either returned set cuts the
+    component with no residual arc from the sources' part into the
+    sinks' part: no arc leaves the nodes reachable from the sources, and
+    none enters the nodes that reach a sink from outside them.  So the
+    split keeps the slot invariant: a machine left with the sources has
+    no free slot into a sink, and one left with the sinks no used slot
+    in a source.  Slots fill cheapest first, so a machine has a used slot
+    in a source exactly when its costliest used slot is one, and a free
+    slot into a sink exactly when its cheapest free slot is one: those
+    are the two sides' level-1 machines, and no machine is on both.  No
+    center sits on a middle level.  Level 1 of either side can only
+    shrink from one round to the next, so a round re-tests only the last
+    round's: an augmentation lowers the load of its source-side end
+    machine only, freeing a slot into a source, raises only its
+    sink-side end machine's, into a sink slot below the cut, and each
+    machine inside the path gives up one job and takes one.
 
-    Jobs link only to machines, so machines fill the odd layers.  A job
-    is entered only from its carrier, so a scanned machine's jobs are
-    unlabelled and in its component, and a job's scan skips its carrier
-    as labelled.  A layer of machines is found bottom-up when the
-    frontier's jobs have more out-arcs than the unlabelled machines have
-    jobs: each unlabelled machine probes its jobs for one in the
-    frontier.  The previous layer labelled every machine an earlier job
-    links to, so any labelled job of an unlabelled machine sits in the
-    frontier and links to it.
+    Jobs link only to machines, so machines fill the odd levels of
+    either side and jobs the even ones.  A job's one residual in-arc
+    comes from its carrier, which shares its component.  The source side
+    steps from a machine to the jobs it carries and from a job to the
+    other machines of the component it links to.  The sink side steps
+    back from a machine to the jobs of the component that link to it and
+    that it does not carry, and from a job to its carrier.  Each step
+    expands whole levels of the side whose next level has fewer arcs to
+    scan, counted as its frontier is built.  The search stops at the
+    first node labelled by both sides: the two labels sum to the layer
+    distance D, and every node on a shortest path already holds its
+    label, so the level cut short is not finished.  The nodes it did
+    label lie on no shortest path, and those of the sink side keep its
+    stamp, out of the blocking flow's sight.  Every other sink-side
+    label d becomes the level D - d.
 
     The blocking flow is searched backward because a job has exactly one
     residual in-arc, from its carrier: a job steps to its carrier in
-    O(1), and only machines near the sinks are scanned, where a forward
-    search walks the whole layered graph.  With sources on level 0 and
-    sinks on level D, machines sit on the odd levels and jobs on the
-    even ones.  A path starts at a machine of level D-1 while its next
-    slot is still a sink.  A machine on level L > 1 probes its jobs,
-    from a current position, for a live one on level L-1; that job does
-    not ride on the machine (the machine's own jobs sit on level L+1),
-    so its edge in is residual.  A machine on level 1 ends the path
-    while its top used slot is still a source.  An augmentation moves
-    each job of the path to the machine after it: the level-1 machine
-    frees its costliest unit from a source and the start machine's load
-    grows into a sink.  A path holds a job, because a machine whose top
-    used slot is a source has no free slot below the cut.
+    O(1), and only machines near the sinks are scanned.  With sources on
+    level 0 and sinks on level D, a path starts at a sink-side level-1
+    machine while its next slot is still a sink.  A job on level L steps
+    to its carrier when that is labelled on level L-1 this round (a job
+    on the sink side's last level may have an unlabelled carrier).  A
+    machine on level L > 1 probes its jobs, from a current position, for a live one on
+    level L-1, which links to it residually unless the machine carries
+    it; such a job's carrier is not on level L-2, so the job dies there.
+    A machine on level 1 ends the path while its top used slot is still
+    a source.  An augmentation moves each job of the path to the machine
+    after it: the level-1 machine frees its costliest unit from a source
+    and the start machine's load grows into a sink.  A path holds a job,
+    because a machine whose top used slot is a source has no free slot
+    below the cut.
     """
     move = network._move
     carrier, carried, rank = network._carrier, network._carried, network._rank
@@ -319,88 +335,125 @@ def _cancel(
     nU = network.num_jobs
     job_machines = network.instance.job_machines
     jobs_of = network.instance.machine_jobs
-    machine_degree = sum(len(jobs_of[b - nU]) for b in machines)
 
     cut = sources[0]
-    src_nodes = [network.center_node(k) for k in sources]
     rounds = 0
     distances: list[int] = []
     scanned = 0
-    reachable: list[int] = []
-    level_one = machines  # the machines that may sit on level 1
+    level_one = sink_one = machines  # the machines that may sit on either level 1
 
     while True:
         rounds += 1
-        # --- BFS layering, complete levels, stop once a sink level is done.
-        network._stamp += 1
-        stamp = network._stamp
-        for x in src_nodes:
-            seen[x] = stamp
-            dist[x] = 0
-        frontier = []  # level 1: the machines whose top used slot is a source
-        unseen, unseen_degree = machines, machine_degree
-        scanned += len(level_one)
+        # --- Layering from both ends; the source side is labelled
+        # ``stamp``, the sink side ``tstamp``.
+        network._stamp += 2
+        tstamp = network._stamp
+        stamp = tstamp - 1
+        front, front_arcs = [], 0  # source side: the machines with a used slot in a source
+        scanned += len(level_one) + len(sink_one)
         for b in level_one:
             jobs = carried[b - nU]
             if jobs and rank[b - nU][len(jobs) - 1] >= cut:
                 seen[b] = stamp
                 dist[b] = 1
-                frontier.append(b)
-                unseen_degree -= len(jobs_of[b - nU])
-        level_one = frontier
-        marked = src_nodes + frontier
-        level = 1
-        ends: list[int] = []  # machines of level D-1 whose next slot is a sink
-        while frontier:
-            level += 1
-            nxt = []
-            if level % 2 == 0:  # machines -> jobs and sinks
-                job_arcs = 0  # out-arcs of the new frontier's jobs
-                for x in frontier:
-                    jobs = carried[x - nU]
-                    r = rank[x - nU]
-                    scanned += len(jobs) + 1
-                    if len(jobs) < len(r) and r[len(jobs)] < cut:
-                        ends.append(x)
-                    for u in jobs:
-                        seen[u] = stamp
-                        dist[u] = level
-                        job_arcs += len(job_machines[u]) - 1
-                    nxt += jobs
-                if ends:
+                front.append(b)
+                front_arcs += len(jobs)
+        back, back_arcs = [], 0  # sink side: the machines with a free slot into a sink
+        for b in sink_one:
+            r = rank[b - nU]
+            k = len(carried[b - nU])
+            if k < len(r) and r[k] < cut:
+                seen[b] = tstamp
+                dist[b] = 1
+                back.append(b)
+                back_arcs += len(jobs_of[b - nU])
+        level_one, sink_one = front, back
+        reached, reaching = front[:], back[:]
+        level = back_level = 1
+        D = 0
+        while front and back:
+            nxt, arcs = [], 0
+            if front_arcs <= back_arcs:
+                level += 1
+                if level % 2 == 0:  # machines -> the jobs they carry
+                    for x in front:
+                        jobs = carried[x - nU]
+                        scanned += len(jobs)
+                        for u in jobs:
+                            if seen[u] == tstamp:
+                                D = level + dist[u]
+                                break
+                            seen[u] = stamp
+                            dist[u] = level
+                            arcs += len(job_machines[u]) - 1
+                        else:
+                            nxt += jobs
+                            continue
+                        break
+                else:  # jobs -> the other machines they link to
+                    for u in front:
+                        scanned += len(job_machines[u]) - 1
+                        for v in job_machines[u]:
+                            y = nU + v
+                            s = seen[y]
+                            if s == stamp:
+                                continue
+                            if s == tstamp:
+                                D = level + dist[y]
+                                break
+                            if comp_of[y] == comp:
+                                seen[y] = stamp
+                                dist[y] = level
+                                nxt.append(y)
+                                arcs += len(carried[v])
+                        else:
+                            continue
+                        break
+                if D:
                     break
-            elif job_arcs > unseen_degree:  # jobs -> machines, bottom-up
-                still = []
-                for b in unseen:
-                    if seen[b] == stamp:
-                        continue
-                    for u in jobs_of[b - nU]:
-                        scanned += 1
-                        if seen[u] == stamp:
-                            seen[b] = stamp
-                            dist[b] = level
-                            nxt.append(b)
-                            unseen_degree -= len(jobs_of[b - nU])
+                front, front_arcs = nxt, arcs
+                reached += nxt
+            else:
+                back_level += 1
+                if back_level % 2 == 0:  # machines <- the jobs that link to them
+                    for z in back:
+                        jobs = jobs_of[z - nU]
+                        scanned += len(jobs)
+                        for u in jobs:
+                            s = seen[u]
+                            if s == tstamp:
+                                continue
+                            if s == stamp:
+                                D = back_level + dist[u]
+                                break
+                            if comp_of[u] == comp and carrier[u] != z:
+                                seen[u] = tstamp
+                                dist[u] = back_level
+                                nxt.append(u)
+                        else:
+                            continue
+                        break
+                    arcs = len(nxt)
+                else:  # jobs <- their carriers
+                    scanned += len(back)
+                    for u in back:
+                        c = carrier[u]
+                        s = seen[c]
+                        if s == tstamp:
+                            continue
+                        if s == stamp:
+                            D = back_level + dist[c]
                             break
-                    else:
-                        still.append(b)
-                unseen = still
-            else:  # jobs -> machines, top-down
-                for x in frontier:
-                    scanned += len(job_machines[x]) - 1
-                    for v in job_machines[x]:
-                        y = nU + v
-                        if seen[y] != stamp and comp_of[y] == comp:
-                            seen[y] = stamp
-                            dist[y] = level
-                            nxt.append(y)
-                            unseen_degree -= len(jobs_of[v])
-            frontier = nxt
-            marked += nxt
-        if not ends:
-            reachable = marked
+                        seen[c] = tstamp
+                        dist[c] = back_level
+                        nxt.append(c)
+                        arcs += len(jobs_of[c - nU])
+                if D:
+                    break
+                back, back_arcs = nxt, arcs
+                reaching += nxt
+        if not D:
             break
-        D = level
         assert not distances or D > distances[-1], "layer distance not increasing"
         distances.append(D)
 
@@ -408,27 +461,31 @@ def _cancel(
         # found to reach no source, or a job moved by an augmentation
         # (its new carrier sits a layer later), gets the label -1 and is
         # dead for the rest of the round.
-        for x in marked:
+        for x in reached:
             arc[x] = 0
+        for x in reaching:
+            arc[x] = 0
+            seen[x] = stamp
+            dist[x] = D - dist[x]
         path: list[int] = []  # path[i] sits at level D-1-i
         si = 0
         while True:
             if not path:
-                while si < len(ends):
-                    x = ends[si]
+                while si < len(sink_one):
+                    x = sink_one[si]
                     k = len(carried[x - nU])
                     if dist[x] == D - 1 and k < len(rank[x - nU]) and rank[x - nU][k] < cut:
                         break
                     si += 1
-                if si == len(ends):
+                if si == len(sink_one):
                     break
-                path.append(ends[si])
+                path.append(sink_one[si])
             y = path[-1]
             want = D - len(path) - 1  # the level of y's predecessor
-            if y < nU:  # a job: its one in-arc comes from its carrier,
-                scanned += 1  # which labelled it, so is labelled this round
+            if y < nU:  # a job: its one in-arc comes from its carrier
+                scanned += 1
                 c = carrier[y]
-                if dist[c] == want:
+                if seen[c] == stamp and dist[c] == want:
                     path.append(c)
                     continue
             elif want:  # a machine: probe its jobs for one a layer earlier
@@ -464,7 +521,7 @@ def _cancel(
     counters.rounds_per_cancel.append(rounds)
     counters.distances_per_cancel.append(distances)
     counters.edges_scanned += scanned
-    return reachable
+    return (True, reached) if not front else (False, reaching)
 
 
 def _cancel_all(
@@ -480,17 +537,30 @@ def _cancel_all(
         return
     half = (len(centers) + 1) // 2
     lower, upper = centers[:half], centers[half:]
-    reachable = _cancel(network, comp, upper, machines, counters)
+    upper_side, labelled = _cancel(network, comp, upper, machines, counters)
+    # The labelled side, with its own centers, becomes a new component.
+    # The sink side also takes the jobs its machines carry and it did not
+    # label, so that every job keeps its carrier's component.
     new_comp = network._next_comp
     network._next_comp += 1
-    comp_of = network.comp
-    for x in reachable:
+    comp_of, carried = network.comp, network._carried
+    nU = network.num_jobs
+    side_machines = [x for x in labelled if x >= nU]
+    for x in labelled:
         comp_of[x] = new_comp
-    nU, end = network.num_jobs, network.num_jobs + network.num_machines
-    upper_machines = [x for x in reachable if nU <= x < end]
-    lower_machines = [x for x in machines if comp_of[x] == comp]
-    _cancel_all(network, new_comp, upper, upper_machines, depth + 1, counters)
-    _cancel_all(network, comp, lower, lower_machines, depth + 1, counters)
+    for k in upper if upper_side else lower:
+        comp_of[network.center_node(k)] = new_comp
+    if not upper_side:
+        for x in side_machines:
+            for u in carried[x - nU]:
+                comp_of[u] = new_comp
+    rest_machines = [x for x in machines if comp_of[x] == comp]
+    if upper_side:
+        _cancel_all(network, new_comp, upper, side_machines, depth + 1, counters)
+        _cancel_all(network, comp, lower, rest_machines, depth + 1, counters)
+    else:
+        _cancel_all(network, comp, upper, rest_machines, depth + 1, counters)
+        _cancel_all(network, new_comp, lower, side_machines, depth + 1, counters)
 
 
 def cancel_all(

@@ -7,8 +7,9 @@ only the tests call (``cancel`` on chosen centers,
 ``reachable_partition``); the rest are small views of instances and
 networks that only the tests read (``weight``, ``layout``,
 ``edge_triples``, ``describe_node``), the explicit slot arcs a network
-now implies by its loads (``residual_successors``), and the per-edge
-tuple adjacency instances once stored and then offered as views
+now implies by its loads (``residual_successors``) with the plain
+searches over them (``reach``, ``coreach``), and the per-edge tuple
+adjacency instances once stored and then offered as views
 (``tuple_adjacency``).  The cost accounting and the solution parser
 have per-job and per-record twins too (``machine_loads_per_job``,
 ``cost_per_job``, ``parse_assignment_by_records``), and the pairwise
@@ -322,17 +323,18 @@ def live_top(network: CostCenterNetwork) -> int:
     )
 
 
-def residual_successors(network: CostCenterNetwork, x: int) -> list[int]:
+def residual_successors(network: CostCenterNetwork, x: int, top: Optional[int] = None) -> list[int]:
     """Residual out-neighbours of x, ignoring components.
 
     The slot arcs are derived from the loads: a machine's go to the
     jobs it carries and to each distinct center among its free slots,
-    up to the costliest center in use, and a center's go to every
-    machine with a used slot in it."""
+    up to center ``top`` (by default the costliest center in use), and
+    a center's go to every machine with a used slot in it."""
     nU, nV = network.num_jobs, network.num_machines
     if x < nU:
         return [nU + v for v in network.instance.job_machines[x] if nU + v != network._carrier[x]]
-    top = live_top(network)
+    if top is None:
+        top = live_top(network)
     if x < nU + nV:
         jobs = network._carried[x - nU]
         free = sorted({k for k in network._rank[x - nU][len(jobs):] if k <= top})
@@ -418,29 +420,49 @@ def cancel(
     return network
 
 
-def reach(network: CostCenterNetwork, comp: int, seed_nodes: list[int]) -> list[int]:
-    """Residual reachability inside one component (plain BFS)."""
-    comp_of = network.comp
-    network._stamp += 1
-    stamp = network._stamp
-    seen = network._seen
-    out = []
-    frontier = []
-    for x in seed_nodes:
-        if seen[x] != stamp:
-            seen[x] = stamp
-            frontier.append(x)
-            out.append(x)
+def _layers(seed_nodes: Iterable[int], step) -> dict[int, int]:
+    """Breadth-first distance from ``seed_nodes`` of every node reachable
+    from them, ``step(x)`` listing the nodes one arc from x."""
+    dist = dict.fromkeys(seed_nodes, 0)
+    frontier = list(dist)
     while frontier:
         nxt = []
         for x in frontier:
-            for y in residual_successors(network, x):
-                if comp_of[y] == comp and seen[y] != stamp:
-                    seen[y] = stamp
+            for y in step(x):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
                     nxt.append(y)
-                    out.append(y)
         frontier = nxt
-    return out
+    return dist
+
+
+def reach(
+    network: CostCenterNetwork, comp: int, seed_nodes: Iterable[int], top: Optional[int] = None
+) -> dict[int, int]:
+    """Residual reachability inside one component (plain BFS): every node
+    reachable from ``seed_nodes``, with its distance from the nearest.
+    ``top`` is passed on to ``residual_successors``."""
+    comp_of = network.comp
+    return _layers(
+        seed_nodes,
+        lambda x: [y for y in residual_successors(network, x, top) if comp_of[y] == comp],
+    )
+
+
+def coreach(
+    network: CostCenterNetwork, comp: int, seed_nodes: Iterable[int], top: Optional[int] = None
+) -> dict[int, int]:
+    """Residual co-reachability inside one component (plain BFS over the
+    reversed arcs): every node from which a node of ``seed_nodes`` is
+    reachable, with its distance to the nearest.  ``top`` is passed on
+    to ``residual_successors``."""
+    comp_of = network.comp
+    preds: dict[int, list[int]] = {x: [] for x in component_nodes(network, comp)}
+    for x in preds:
+        for y in residual_successors(network, x, top):
+            if comp_of[y] == comp:
+                preds[y].append(x)
+    return _layers(seed_nodes, preds.__getitem__)
 
 
 def reachable_partition(

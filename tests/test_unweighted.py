@@ -31,9 +31,11 @@ from conftest import assert_cancel_bounds, deadline, fig2_instance, live_center_
 from referees import (
     assigned_machine,
     cancel,
+    coreach,
     describe_node,
     live_top,
     max_machine_degree,
+    reach,
     reachable_partition,
     residual_successors,
     seed_flow_per_unit,
@@ -75,8 +77,11 @@ def assert_loads_are_consistent(network):
     cancel_all never splits), and each machine of the component fills
     every slot into a center below ``lo`` and none into a center above
     ``hi``: its slots into other components' centers are full exactly
-    when they lie below its own."""
+    when they lie below its own.  Every job shares its carrier's
+    component."""
     carrier, where, comp_of = network._carrier, network._where, network.comp
+    for u, c in enumerate(carrier):
+        assert c < 0 or comp_of[u] == comp_of[c], f"job {u} left its carrier's component"
     for v, carried in enumerate(network._carried):
         x = network.machine_node(v)
         on_v = [u for u in range(network.num_jobs) if carrier[u] == x]
@@ -98,39 +103,13 @@ def assert_loads_are_consistent(network):
                 assert (i < load) == (k < lo[c]), f"machine {v}, slot {i} breaks the range"
 
 
-def plain_layers(network, comp, sources):
-    """Breadth-first distances from the ``sources`` centers over
-    ``residual_successors`` inside one component, and the number of
-    machine layers the bottom-up rule of ``cancel`` would find bottom-up
-    and top-down: bottom-up when the frontier's jobs have more residual
-    out-arcs than the component's unlabelled machines have jobs."""
-    inst = network.instance
-    machines = [
+def component_machines(network, comp):
+    """Node ids of the machines with jobs in one component, in order."""
+    return [
         network.machine_node(v)
         for v in range(network.num_machines)
-        if inst.machine_degree(v) and network.comp[network.machine_node(v)] == comp
+        if network.instance.machine_degree(v) and network.comp[network.machine_node(v)] == comp
     ]
-    dist = {network.center_node(k): 0 for k in sources}
-    frontier = list(dist)
-    directions = {"bottom-up": 0, "top-down": 0}
-    while frontier:
-        level = dist[frontier[0]] + 1
-        if level % 2:
-            job_arcs = sum(
-                len(residual_successors(network, x)) for x in frontier if x < network.num_jobs
-            )
-            unseen = sum(
-                inst.machine_degree(describe_node(network, b)[1]) for b in machines if b not in dist
-            )
-            directions["bottom-up" if job_arcs > unseen else "top-down"] += 1
-        nxt = []
-        for x in frontier:
-            for y in residual_successors(network, x):
-                if y not in dist and network.comp[y] == comp:
-                    dist[y] = level
-                    nxt.append(y)
-        frontier = nxt
-    return dist, directions
 
 
 class TestNetworkConstruction:
@@ -477,6 +456,30 @@ class TestSolveUnweighted:
             # Divide and conquer runs over the live centers only.
             assert_cancel_bounds(counters, inst.num_jobs, live)
 
+    def test_seeded_zipf_solve_does_pinned_work(self):
+        # The exact work of one skewed unit solve, recorded once: a change
+        # to the layering or the blocking flow that keeps the answer but
+        # does more or less work, or cancels in another order, shows up
+        # here.
+        inst = zipf_instance(random.Random(3), 1000, 100, draws=3)
+        counters = CancelCounters()
+        assert unit_cost(inst, solve_unweighted(inst, stats=counters)) == 6607
+        assert counters.rounds_per_cancel == [5, 3, 2, 1, 2, 4, 2, 1, 1, 1, 2, 2, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1]
+        assert counters.distances_per_cancel == [
+            [4, 6, 8, 10], [4, 6], [4], [], [4], [4, 10, 12], [4], [], [], [], [4],
+            [4], [4, 6], [4, 6], [4, 6], [4], [4], [], [], [], [], [],
+        ]
+        assert (counters.max_depth, counters.units_cancelled, counters.edges_scanned) == (6, 90, 19423)
+
+    def test_criterion_9_unit_solve_does_pinned_work(self):
+        # Criterion 9's unit instance, whose scan count README.md states.
+        inst = gen_random(random.Random(0xAC09), 10_000, 1_000, num_edges=100_000)
+        counters = CancelCounters()
+        assert unit_cost(inst, solve_unweighted(inst, stats=counters)) == 55000
+        assert counters.rounds_per_cancel == [1, 1, 3, 1, 1, 1, 1, 1, 1, 1]
+        assert counters.distances_per_cancel == [[], [], [4, 6], [], [], [], [], [], [], []]
+        assert (counters.max_depth, counters.units_cancelled, counters.edges_scanned) == (5, 70, 14871)
+
     def test_split_call_sequence_matches_solve_unweighted(self):
         rng = random.Random(909)
         for i in range(12):
@@ -531,8 +534,9 @@ class TestSolveUnweighted:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bottom_up_layering_equals_a_plain_bfs(self, seed, monkeypatch):
-        # The large Zipf instance makes cancel_all's lower halves go
-        # bottom-up next to machines of the upper half.
+        # The layering grows top-down from the sources and bottom-up from
+        # the sinks.  The large Zipf instance makes cancel_all's lower
+        # halves meet machines of the upper half over frozen edges.
         rng = random.Random(seed)
         spokes = rng.randint(30, 60)
         instances = [
@@ -540,39 +544,61 @@ class TestSolveUnweighted:
             star_instance(rng, spokes, rng.randint(10, spokes), rng.randint(3, 8)),
             zipf_instance(random.Random(seed), 1000, 100, draws=3),
         ]
-        directions = {"bottom-up": 0, "top-down": 0}
+        dry = {"source": 0, "sink": 0}
 
         def check_layering(network, comp, sources, machines, counters):
-            # The search is handed exactly its component's machines.  The
-            # first layering stops at the nearest sink, and the last,
-            # failed one labels exactly the residually reachable nodes,
-            # each with its breadth-first distance.
-            assert sorted(machines) == [
-                network.machine_node(v)
-                for v in range(network.num_machines)
-                if inst.machine_degree(v) and network.comp[network.machine_node(v)] == comp
-            ]
-            before, seen_dirs = plain_layers(network, comp, sources)
-            for way, n in seen_dirs.items():
-                directions[way] += n
-            cut = network.center_node(sources[0])  # the centers below it are the sinks
-            nearest = min(
-                (d for x, d in before.items() if describe_node(network, x)[0] == "center" and x < cut),
-                default=None,
-            )
-            n_calls = len(counters.distances_per_cancel)
-            reachable = real_cancel(network, comp, sources, machines, counters)
-            first = counters.distances_per_cancel[n_calls][:1]
-            assert first == ([] if nearest is None else [nearest])
-            after, _ = plain_layers(network, comp, sources)
-            assert sorted(reachable) == sorted(after)
-            assert all(network._dist[x] == d for x, d in after.items())
-            return reachable
+            # The search is handed exactly its component's machines.  Each
+            # round's layer distance is a plain BFS's source-to-sink
+            # distance when the round starts.  The last, failed round
+            # returns the labelled set of the side that ran dry: the jobs
+            # and machines residually reachable from the sources, or
+            # those that reach a sink.  Every label of that round, on
+            # either side, is its node's BFS distance from its own side.
+            # The plain searches take every free slot up to the
+            # component's costliest center as an arc, since the costliest
+            # center in use may fall below it as the flow is cancelled.
+            assert sorted(machines) == component_machines(network, comp)
+            base, cut, top = network._stamp, sources[0], sources[-1]
+            src = [network.center_node(k) for k in sources]
+            sinks = [network.center_node(k) for k in range(cut) if network.comp[network.center_node(k)] == comp]
+
+            def nearest():
+                forward = reach(network, comp, src, top)
+                return min((forward[x] for x in sinks if x in forward), default=None)
+
+            starts = []  # per round, the plain distance when it starts
+
+            class Stamps(list):
+                def __setitem__(self, x, stamp):
+                    if len(starts) < (network._stamp - base) // 2:
+                        starts.append(nearest())
+                    super().__setitem__(x, stamp)
+
+            plain = network._seen
+            network._seen = Stamps(plain)
+            try:
+                upper_side, labelled = real_cancel(network, comp, sources, machines, counters)
+            finally:
+                plain[:] = network._seen
+                network._seen = plain
+            if len(starts) < counters.rounds_per_cancel[-1]:  # a last round that labels nothing
+                starts.append(nearest())
+            assert starts == counters.distances_per_cancel[-1] + [None]
+            forward, backward = reach(network, comp, src, top), coreach(network, comp, sinks, top)
+            side = forward if upper_side else backward
+            assert sorted(labelled) == sorted(x for x in side if x < network.center_node(0))
+            stamp = network._stamp  # the sink side's; the source side's is one less
+            for x in range(network.center_node(0)):
+                if plain[x] == stamp - 1:
+                    assert network._dist[x] == forward.get(x), describe_node(network, x)
+                elif plain[x] == stamp:
+                    assert network._dist[x] == backward.get(x), describe_node(network, x)
+            dry["source" if upper_side else "sink"] += 1
+            return upper_side, labelled
 
         real_cancel = unweighted._cancel
         for inst in instances:
-            # The public cancel on a freshly seeded network, then the
-            # partition it leaves.
+            # The public cancel on a freshly seeded network.
             net = build_cost_center_network(inst)
             seeded = _greedy_seed(inst)
             seed_flow(net, seeded)
@@ -581,25 +607,26 @@ class TestSolveUnweighted:
             with monkeypatch.context() as m:
                 m.setattr(unweighted, "_cancel", check_layering)
                 cancel(net, upper, lower, counters=CancelCounters())
-            S, _rest = reachable_partition(net, upper)
-            assert S == set(plain_layers(net, 0, upper)[0])
             # Every call of cancel_all, inside the components it splits.
             net = build_cost_center_network(inst)
             seed_flow(net, seeded)
             with monkeypatch.context() as m:
                 m.setattr(unweighted, "_cancel", check_layering)
                 cancel_all(net, counters=CancelCounters())
+            assert_loads_are_consistent(net)
             got = unit_cost(inst, extract_semi_matching(net))
             assert got == unit_cost(inst, solve_unweighted(inst))
-        assert directions["bottom-up"] and directions["top-down"], directions
+        assert dry["source"] and dry["sink"], dry
 
     @pytest.mark.parametrize("seed", range(4))
     def test_level_one_only_shrinks_within_a_call(self, seed, monkeypatch):
-        # Each round after the first re-tests only the last round's level 1.
-        # A spy on the layering's distance labels records, per round, the
-        # machines put on level 1 and the machines whose top used slot is
-        # a source when the round starts; the two must be equal, and no
-        # round may add a machine to the round before it.
+        # Each round after the first re-tests only the last round's level
+        # 1 of each side.  A spy on the layering's distance labels records,
+        # per round and side, the machines put on level 1, and when the
+        # round starts, the machines whose top used slot is a source and
+        # those whose cheapest free slot is a sink.  Each side's level 1
+        # must equal its set, and no round may add a machine to either
+        # side's level 1 of the round before.
         rng = random.Random(seed)
         spokes = rng.randint(30, 60)
         instances = [
@@ -607,35 +634,40 @@ class TestSolveUnweighted:
             star_instance(rng, spokes, rng.randint(10, spokes), rng.randint(3, 8)),
             zipf_instance(random.Random(seed), 1000, 100, draws=3),
         ]
-        calls = []  # per _cancel call, per round: (labelled, expected)
+        calls = []  # per _cancel call, per round: (labelled, expected), each a (source, sink) pair
 
         def spied_cancel(network, comp, sources, machines, counters):
-            nU, cut, rounds = network.num_jobs, sources[0], []
+            nU, base, cut, rounds = network.num_jobs, network._stamp, sources[0], []
+
+            def expected():
+                rank, loads = network._rank, {b: len(network._carried[b - nU]) for b in machines}
+                return (
+                    {b for b, k in loads.items() if k and rank[b - nU][k - 1] >= cut},
+                    {b for b, k in loads.items() if k < len(rank[b - nU]) and rank[b - nU][k] < cut},
+                )
 
             class Labels(list):
                 def __setitem__(self, x, d):
-                    if d == 0 and (not rounds or rounds[-1][2] != network._stamp):
-                        top_is_source = {
-                            b for b in machines
-                            if network._carried[b - nU]
-                            and network._rank[b - nU][len(network._carried[b - nU]) - 1] >= cut
-                        }
-                        rounds.append((set(), top_is_source, network._stamp))
-                    elif d == 1:
-                        rounds[-1][0].add(x)
+                    if len(rounds) < (network._stamp - base) // 2:
+                        rounds.append(((set(), set()), expected()))
+                    if d == 1:  # a level-1 machine, under its side's stamp
+                        rounds[-1][0][network._seen[x] == network._stamp].add(x)
                     super().__setitem__(x, d)
 
             plain = network._dist
             network._dist = Labels(plain)
             try:
-                return real_cancel(network, comp, sources, machines, counters)
+                found = real_cancel(network, comp, sources, machines, counters)
             finally:
                 plain[:] = network._dist
                 network._dist = plain
-                calls.append([(labelled, expected) for labelled, expected, _ in rounds])
+            if len(rounds) < counters.rounds_per_cancel[-1]:  # a last round that labels nothing
+                rounds.append(((set(), set()), expected()))
+            calls.append(rounds)
+            return found
 
         real_cancel = unweighted._cancel
-        shrunk = 0
+        shrunk = [0, 0]
         for inst in instances:
             want, first, counters = solve_unweighted(inst), len(calls), CancelCounters()
             with monkeypatch.context() as m:
@@ -646,9 +678,10 @@ class TestSolveUnweighted:
             for labelled, expected in rounds:
                 assert labelled == expected
             for (earlier, _), (later, _) in zip(rounds, rounds[1:]):
-                assert later <= earlier
-                shrunk += later < earlier
-        assert shrunk, "no round dropped a machine from level 1"
+                for side in (0, 1):
+                    assert later[side] <= earlier[side]
+                    shrunk[side] += later[side] < earlier[side]
+        assert all(shrunk), f"no round dropped a machine from level 1 of a side: {shrunk}"
 
     def test_no_cost_reducing_residual_path_remains(self):
         rng = random.Random(11)
