@@ -64,6 +64,11 @@ MUTANTS = (
     Mutant("src/semimatch/weighted.py", "if slot is not None:",
            "if slot is not None and d < bound - 1:",
            ("tests/test_weighted.py::TestPhaseInvariants",)),
+    # The dual checks of check mode: feasibility and tightness.
+    Mutant("src/semimatch/weighted.py", "assert y <= valley, (", "assert True, (",
+           ("tests/test_weighted.py::TestPhaseInvariants",)),
+    Mutant("src/semimatch/weighted.py", "assert row[here[1] - 1] == y,", "assert True,",
+           ("tests/test_weighted.py::TestPhaseInvariants",)),
     # The same-slope comparison of an envelope insert.
     Mutant("src/semimatch/envelope.py", "intercept < env[pos].intercept",
            "intercept > env[pos].intercept",

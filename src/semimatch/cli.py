@@ -102,18 +102,19 @@ def solve(instance_path: str, objective: Optional[str], solver: str, output: Opt
     if isinstance(instance, GeneralGraph):
         if objective not in (None, "cover"):
             _fail(EXIT_MALFORMED, f"--objective {objective} needs a semimatch file")
+        objective = "cover"
+    elif objective == "cover":
+        _fail(EXIT_MALFORMED, "--objective cover needs a cover file")
+    objective = objective or "weighted"
+    if solver == "baseline" and objective != "weighted":
+        _fail(EXIT_MALFORMED, "--solver baseline only applies to --objective weighted")
+    if objective == "cover":
         try:
             cover = find_center(instance)
         except InfeasibleInstanceError as exc:
             _fail(EXIT_INFEASIBLE, str(exc))
         _write(output, emit_assignment(sorted(cover.edges), cover.balanced_cost()))
         return
-
-    objective = objective or "weighted"
-    if objective == "cover":
-        _fail(EXIT_MALFORMED, "--objective cover needs a cover file")
-    if solver == "baseline" and objective != "weighted":
-        _fail(EXIT_MALFORMED, "--solver baseline only applies to --objective weighted")
     if objective == "weighted":
         fn = solve_weighted if solver == "fast" else baseline_exploded_solver
         matching = fn(instance)

@@ -2,14 +2,14 @@
 
 Everything here trades speed for obviousness: plain backtracking over
 all assignments, and a Gray-code walk over all edge subsets.  Both
-refuse search spaces past an explicit limit rather than silently taking
-forever.
+refuse search spaces past a fixed limit (``ASSIGNMENT_LIMIT``,
+``SUBSET_LIMIT``) rather than silently taking forever.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     BipartiteInstance,
@@ -24,6 +24,11 @@ __all__ = [
     "brute_force_balanced_cover",
 ]
 
+#: Most assignments ``brute_force_semi_matching`` will sweep.
+ASSIGNMENT_LIMIT = 1_000_000
+#: Most edge subsets ``brute_force_balanced_cover`` will walk: 21 edges.
+SUBSET_LIMIT = 1 << 21
+
 
 def assignment_search_space(instance: BipartiteInstance) -> int:
     """Number of assignments a brute-force sweep would visit."""
@@ -33,8 +38,6 @@ def assignment_search_space(instance: BipartiteInstance) -> int:
 def brute_force_semi_matching(
     instance: BipartiteInstance,
     costs: Optional[ConvexMachineCost] = None,
-    *,
-    limit: int = 1_000_000,
 ) -> tuple[int, SemiMatching]:
     """Exact optimum by backtracking over every assignment.
 
@@ -43,12 +46,11 @@ def brute_force_semi_matching(
     weights degenerates to the triangular load cost.  Partial costs only
     grow, so branches at or above the incumbent are cut.
 
-    Raises ``ValueError`` when the search space exceeds ``limit``.
+    Raises ``ValueError`` when the search space exceeds ``ASSIGNMENT_LIMIT``.
     """
-    if assignment_search_space(instance) > limit:
-        raise ValueError(
-            f"search space {assignment_search_space(instance)} exceeds limit {limit}"
-        )
+    space = assignment_search_space(instance)
+    if space > ASSIGNMENT_LIMIT:
+        raise ValueError(f"search space {space} exceeds limit {ASSIGNMENT_LIMIT}")
     nU, nV = instance.num_jobs, instance.num_machines
     weighted = costs is None and not instance.is_unit_weight()
 
@@ -92,30 +94,24 @@ def brute_force_semi_matching(
     return best_cost, SemiMatching(best)
 
 
-def _triangular(k: int) -> int:
-    return k * (k + 1) // 2
-
-
 def brute_force_balanced_cover(
     num_vertices: int,
     edges: Sequence[tuple[int, int]],
-    *,
-    objective: Callable[[int], int] = _triangular,
-    limit: int = 1 << 21,
 ) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Exact minimum of sum-of-objective(cover degree) over all edge covers.
+    """Exact minimum of the sum of ``k*(k+1)/2`` over the cover degrees k,
+    over all edge covers: the cost a balanced cover minimizes.
 
     Walks the subsets of the edge set in Gray-code order, so each step
     toggles a single edge and the degree profile, covered-vertex count,
-    and cost are maintained in O(1).  The default objective
-    ``k*(k+1)/2`` is the one a balanced cover minimizes.
+    and cost are maintained in O(1): a vertex going from degree k to
+    k + 1 adds k + 1 to the cost.
 
-    Raises ``ValueError`` for more than ``log2(limit)`` edges and
+    Raises ``ValueError`` for more than ``log2(SUBSET_LIMIT)`` edges and
     ``InfeasibleInstanceError`` when no cover exists (isolated vertex).
     """
     m = len(edges)
-    if 1 << m > limit:
-        raise ValueError(f"2^{m} subsets exceed limit {limit}")
+    if 1 << m > SUBSET_LIMIT:
+        raise ValueError(f"2^{m} subsets exceed limit {SUBSET_LIMIT}")
     deg = [0] * num_vertices
     for a, b in edges:
         if a == b or not (0 <= a < num_vertices and 0 <= b < num_vertices):
@@ -140,7 +136,7 @@ def brute_force_balanced_cover(
         if in_set[j]:
             in_set[j] = False
             for x in (a, b):
-                cost -= objective(deg[x]) - objective(deg[x] - 1)
+                cost -= deg[x]
                 deg[x] -= 1
                 if deg[x] == 0:
                     uncovered += 1
@@ -149,8 +145,8 @@ def brute_force_balanced_cover(
             for x in (a, b):
                 if deg[x] == 0:
                     uncovered -= 1
-                cost += objective(deg[x] + 1) - objective(deg[x])
                 deg[x] += 1
+                cost += deg[x]
         if uncovered == 0 and (best_cost is None or cost < best_cost):
             best_cost = cost
             best_mask = mask

@@ -29,17 +29,16 @@ by at most w), which is exactly what the envelope heap needs.
 
 Potentials are cumulative across phases: each phase every node gains
 ``min(d, bound)``, so a node the search never reached -- every job not
-yet processed, every unmatched slot -- sits at ``total_potential``, the
-sum of all phase bounds so far.  Potentials are stored as offsets
-against that running total, so a phase only touches the nodes it
-finalized.  The total cancels in every value the search compares, so
-the search works in the offset frame alone: a machine's slot shifts are
-stored once, in that frame, and its valley table stays valid across
-phases and is rebuilt only for machines whose slot shifts or prefix
-length a phase changed.  ``baseline_exploded_solver`` is a
-deliberately independent implementation — pruned explicit exploded
-graph, ordinary Dijkstra, whole-graph potential updates — kept as an
-oracle for the fast path.
+yet processed, every unmatched slot -- sits at the sum of all phase
+bounds so far.  That common potential cancels in every value the search
+compares, so it is never stored: potentials are kept only as offsets
+against it (see :class:`EktState`), and a phase touches only the nodes
+it finalized.  A machine's slot shifts are stored once, in that frame,
+and its valley table stays valid across phases and is rebuilt only for
+machines whose slot shifts or prefix length a phase changed.
+``baseline_exploded_solver`` is a deliberately independent
+implementation — pruned explicit exploded graph, ordinary Dijkstra,
+whole-graph potential updates — kept as an oracle for the fast path.
 """
 
 from __future__ import annotations
@@ -96,15 +95,22 @@ class EktState:
     """The weighted solver's state: matching, potentials and search tables.
 
     ``slots[v]`` lists machine v's matched jobs, heaviest first, so the
-    job at list index ``i - 1`` occupies exploded slot ``v^i``.  Slot
-    and job potentials are stored against ``total_potential`` (the sum
-    of all phase bounds so far): unmatched jobs have offset zero, and
-    ``shift[v][i - 1]`` is ``p(v^i) - total_potential``.  ``shift[v]``
-    covers the matched slots and then, while v has a free slot, a 0 for
-    the first unmatched one, so ``len(shift[v])`` is v's envelope domain
-    and every unmatched slot sits at ``total_potential``.  No slot's
-    potential ever passes ``total_potential``: a phase adds at most its
-    bound to any node, so every ``shift[v]`` entry is <= 0.
+    job at list index ``i - 1`` occupies exploded slot ``v^i``.  Every
+    node the search has never reached sits at the common potential P,
+    the sum of all phase bounds so far, and potentials are stored only
+    as offsets against P: ``_raw_job[u]`` is ``P - p(u)``, zero for an
+    unmatched job, and ``shift[v][i - 1]`` is ``p(v^i) - P``.
+    ``shift[v]`` covers the matched slots and then, while v has a free
+    slot, a 0 for the first unmatched one, so ``len(shift[v])`` is v's
+    envelope domain, and every unmatched slot sits at P.  That common
+    value is load-bearing: phases pick the terminal by reduced
+    distance, and only a uniform potential across all unmatched slots
+    makes that the same as picking the truly cheapest augmentation.  No
+    slot's potential ever passes P: a phase adds at most its bound to
+    any node, so every ``shift[v]`` entry is <= 0.  In these offsets
+    the reduced cost of edge u -> v^i is ``i*w - shift[v][i - 1] -
+    _raw_job[u]``, so ``_raw_job`` and ``shift`` are the duals of the
+    exploded assignment.
     ``pairs[u]`` lists job u's (machine, weight, edge) triples lightest
     first, ties in input order.  A job's line ``b + i*w - shift[v][i - 1]``
     has valley value ``b + H``, where ``H = min_i (i*w - shift[v][i - 1])``
@@ -132,7 +138,6 @@ class EktState:
         self.slots: list[list[int]] = [[] for _ in range(nV)]
         self.slot_weights: list[list[int]] = [[] for _ in range(nV)]
         self.job_slot: list[Optional[tuple[int, int]]] = [None] * nU
-        self.total_potential = 0
         self._raw_job: list[int] = [0] * nU
         self.shift: list[list[int]] = [[0] if us else [] for us in instance.machine_jobs]
         self.iteration = 0
@@ -153,30 +158,9 @@ class EktState:
         # Heaviest lightest edge first; sorted is stable, so ties keep index order.
         self.order = sorted(range(nU), key=lambda u: -self.pairs[u][0][1])
 
-    # -- potentials -------------------------------------------------------
-
-    def alpha(self, v: int) -> int:
-        """Number of matched slots of machine v."""
-        return len(self.slots[v])
-
-    def job_potential(self, u: int) -> int:
-        return self.total_potential - self._raw_job[u]
-
-    def slot_potential(self, v: int, i: int) -> int:
-        """Potential of slot v^i; every unmatched slot is at ``total_potential``.
-
-        The common value is load-bearing: phases pick the terminal by
-        reduced distance, and only a uniform potential across all
-        unmatched slots makes that the same as picking the truly
-        cheapest augmentation.
-        """
-        if i <= len(self.shift[v]):
-            return self.total_potential + self.shift[v][i - 1]
-        return self.total_potential
-
     def heap_domain(self, v: int) -> int:
-        """Envelope domain size for machine v: min(alpha+1, deg)."""
-        return min(self.alpha(v) + 1, self.instance.machine_degree(v))
+        """Envelope domain size for machine v: its matched slots and first free one."""
+        return len(self.shift[v])
 
     def matching(self) -> SemiMatching:
         if any(s is None for s in self.job_slot):
@@ -234,10 +218,10 @@ class GroupedDijkstra:
     job u's slot, and each job on the path hands the walk back to its own
     slot until the unmatched source ends it (see :meth:`path`).
 
-    Values are computed in the offset frame, where ``total_potential``
-    cancels: a job's line has intercept ``d(u) - _raw_job[u]``, a slot's
-    shift is ``state.shift[v]``, and the machine tables (see
-    :class:`EktState`) outlive the phase.  Each envelope heap takes
+    Values are computed in the offset frame, where the common potential
+    of unreached nodes cancels: a job's line has intercept
+    ``d(u) - _raw_job[u]``, a slot's shift is ``state.shift[v]``, and
+    the machine tables (see :class:`EktState`) outlive the phase.  Each envelope heap takes
     ``state.shift[v]`` by reference; the potential update and augment
     change that list in place after the phase, which is safe because a
     new search drops every heap before it reads one.
@@ -314,7 +298,7 @@ class GroupedDijkstra:
             if node >= job_base:
                 u = node - job_base
                 dist_job[u] = value
-                b = value - raw_job[u]  # d(u) + p(u), less total_potential
+                b = value - raw_job[u]  # d(u) + p(u), less the common potential
                 for v, w, e in pairs[u]:
                     if b + floor[e] > ub:
                         if b + w > ub:
@@ -384,18 +368,17 @@ class GroupedDijkstra:
 def update_potentials(state: EktState, run: GroupedDijkstra) -> None:
     """Fold a phase's distances into the cumulative potentials.
 
-    Every node conceptually gains ``min(d(x), bound)``; storing
-    potentials as offsets against the running bound total makes that one
-    bookkeeping write per node the phase actually finalized.  Nodes it
-    never reached -- unmatched slots, jobs not yet processed -- gain the
-    bound, so they stay at ``total_potential`` with no write at all.  A
+    Every node conceptually gains ``min(d(x), bound)``.  A node the
+    phase never finalized -- every unmatched slot and every job not yet
+    processed among them -- gains the bound, as the common potential
+    (the sum of all phase bounds) does, so its offset needs no write:
+    the update is one write per node the phase actually finalized.  A
     finalized job's slot, read before :func:`augment` moves it, was
     finalized at the job's distance and gains what the job gains; that
-    machine is marked dirty.  A slot finalized at the bound whose job was
-    never popped gains nothing, so it is skipped.
+    machine is marked dirty.  A slot finalized at the bound whose job
+    was never popped gains the bound, so its offset is left alone.
     """
     bound = run.bound
-    state.total_potential += bound
     raw_job, job_slot = state._raw_job, state.job_slot
     shift, negdiffs = state.shift, state.negdiffs
     for u, d in run.dist_job.items():
@@ -415,14 +398,14 @@ def augment(state: EktState, run: GroupedDijkstra) -> None:
     slot on the path takes its owner, which frees the owner's previous
     slot for the job whose line won it, until the phase's source job
     starts the chain.
-    The terminal slot keeps potential ``total_potential`` (shift 0), which
-    keeps its new matching edge tight; the source's potential was already
+    The terminal slot keeps the common potential (shift 0), which keeps
+    its new matching edge tight; the source's potential was already
     folded in by :func:`update_potentials`.  The terminal machine's
     prefix grows, so its next free slot, if it has one, gets shift 0 and
     it is marked dirty (the others on the path are).
     """
     v, i = run.terminal
-    if i != state.alpha(v) + 1:
+    if i != len(state.slots[v]) + 1:
         raise ValueError(f"terminal {run.terminal} is not the first unmatched slot")
     state.negdiffs[v] = None
     job = run.owner
@@ -480,25 +463,27 @@ def solve_weighted(
 
 
 def check_invariants(state: EktState) -> None:
-    """Assert the between-phase invariant suite.
+    """Assert the between-phase invariant suite, on the offsets the search reads.
 
     Asserted, in this order:
 
     * search tables cached for a machine not marked dirty equal a fresh
       rebuild, so a missed dirty mark fails in the phase that misses it;
     * the matched jobs are ``order[:iteration]``, with consistent
-      back-pointers, and every unmatched job sits at ``total_potential``;
+      back-pointers, and every unmatched job sits at the common
+      potential (``_raw_job[u] == 0``);
     * each machine's slot prefix holds its matched jobs' weights,
       non-increasing; its shifts cover that prefix and its first
-      unmatched slot, which sits at ``total_potential``; and no shift is
-      positive (no slot potential above ``total_potential``), which the
-      search's weight stop needs;
+      unmatched slot, whose shift is 0 (it sits at the common
+      potential); and no shift is positive (no slot above the common
+      potential), which the search's weight stop needs;
     * the sandwich ``w_i >= p(v^{i+1}) - p(v^i) >= w_{i+1}`` on every
       machine, the step to the first unmatched slot included (where only
       the left inequality applies);
     * every edge's floor lies between its weight and its valley value;
     * every exploded edge up to its machine's heap domain has
-      non-negative reduced cost, and every matching edge is tight.
+      non-negative reduced cost (``_raw_job[u]`` is at most the edge's
+      valley value), and every matching edge is tight.
 
     Two properties the search relies on follow from the sandwich.  It
     makes the steps ``p(v^{i+1}) - p(v^i)`` non-increasing in i, so a
@@ -509,7 +494,6 @@ def check_invariants(state: EktState) -> None:
     so every f-sequence is unimodal around its valley.
     """
     inst = state.instance
-    total = state.total_potential
     for v in range(inst.num_machines):
         if state.negdiffs[v] is not None:
             cached = (state.negdiffs[v], state.free_n[v])
@@ -524,43 +508,43 @@ def check_invariants(state: EktState) -> None:
             v, i = here
             assert state.slots[v][i - 1] == u, f"job {u} back-pointer broken"
         else:
-            assert state.job_potential(u) == total, f"unmatched job {u} left the frame"
+            assert state._raw_job[u] == 0, f"unmatched job {u} left the frame"
 
     for v in range(inst.num_machines):
-        alpha = state.alpha(v)
-        assert alpha <= inst.machine_degree(v)
+        n = len(state.slots[v])
+        deg = inst.machine_degree(v)
+        assert n <= deg
         ws = state.slot_weights[v]
         assert ws == [inst.weight(u, v) for u in state.slots[v]]
         assert all(a >= b for a, b in zip(ws, ws[1:])), (
             f"machine {v}: slot weights {ws} not non-increasing"
         )
-        # Shifts cover the matched slots and the first free one, which
-        # (like every later one) sits at total_potential.
-        assert len(state.shift[v]) == state.heap_domain(v), f"machine {v}: slot shifts out of step"
-        # No slot above total_potential: the search's weight stop needs it.
-        assert all(s <= 0 for s in state.shift[v]), f"machine {v}: a slot passed the frame"
-        assert state.slot_potential(v, alpha + 1) == total, f"machine {v}: free slot left the frame"
+        shift = state.shift[v]
+        assert len(shift) == min(n + 1, deg), f"machine {v}: slot shifts out of step"
+        # No slot above the common potential: the search's weight stop needs it.
+        assert all(s <= 0 for s in shift), f"machine {v}: a slot passed the frame"
+        assert n == deg or shift[n] == 0, f"machine {v}: free slot left the frame"
         # Sandwich: w_i >= p(v^{i+1}) - p(v^i) >= w_{i+1}, read in the offset frame.
-        shifts = state.shift[v][:alpha] + [0]
-        for i in range(1, alpha + 1):
+        shifts = shift[:n] + [0]
+        for i in range(1, n + 1):
             diff = shifts[i] - shifts[i - 1]
             assert ws[i - 1] >= diff, (v, i, ws, shifts)
-            if i < alpha:
+            if i < n:
                 assert diff >= ws[i], (v, i, ws, shifts)
 
     for u in range(inst.num_jobs):
-        pu = state.job_potential(u)
+        y = state._raw_job[u]
+        here = state.job_slot[u]
         for v, w, e in state.pairs[u]:
-            valley = min(i * w - s for i, s in enumerate(state.shift[v], start=1))
+            # Slot v^i's reduced cost from u is row[i - 1] - y.
+            row = [i * w - s for i, s in enumerate(state.shift[v], start=1)]
+            valley = min(row)
             assert w <= state.floor[e] <= valley, f"edge ({u}, {v}): floor above its valley"
-            n = state.heap_domain(v)
-            for i in range(1, n + 1):
-                red = i * w + pu - state.slot_potential(v, i)
-                assert red >= 0, (
-                    f"negative reduced cost {red} on job {u} -> slot {v}^{i}"
-                )
-                if state.job_slot[u] == (v, i):
-                    assert red == 0, f"matching edge {u} -> {v}^{i} not tight"
+            assert y <= valley, (
+                f"negative reduced cost {valley - y} on job {u} -> slot {v}^{row.index(valley) + 1}"
+            )
+            if here is not None and here[0] == v:
+                assert row[here[1] - 1] == y, f"matching edge {u} -> {v}^{here[1]} not tight"
 
 
 # --------------------------------------------------------------------------

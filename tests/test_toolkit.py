@@ -38,6 +38,13 @@ from semimatch.formats import (
     parse_instance,
 )
 from semimatch.generate import gen_random, gen_random_graph
+from semimatch.oracle import (
+    ASSIGNMENT_LIMIT,
+    SUBSET_LIMIT,
+    assignment_search_space,
+    brute_force_balanced_cover,
+    brute_force_semi_matching,
+)
 from semimatch.unweighted import solve_unweighted
 from semimatch.weighted import solve_weighted
 
@@ -997,6 +1004,13 @@ class TestCliSolve:
         check = runner.invoke(cli_main, ["verify", inst_path, sol_path])
         assert (check.exit_code, check.output) == (0, "OK cost 6\n")
 
+    def test_baseline_on_a_cover_file_exits_2(self, runner, tmp_path):
+        path = write(tmp_path / "g.cov", COVER_FILE)
+        result = runner.invoke(cli_main, ["solve", path, "--solver", "baseline"])
+        assert (result.exit_code, result.output) == (
+            2, "error: --solver baseline only applies to --objective weighted\n"
+        )
+
     @pytest.mark.parametrize("args, message", [
         (["--objective", "cover"], "--objective cover needs a cover file"),
         (["--objective", "unweighted", "--solver", "baseline"],
@@ -1181,6 +1195,16 @@ class TestCliRoundTrip:
         assert checked.output == f"OK cost {cost}\n"
 
 
+def just_past_the_assignment_limit():
+    """Two unit jobs on 101 and 9901 machines: 1 000 001 assignments."""
+    return BipartiteInstance(2, 9901, [(0, v, 1) for v in range(101)]
+                             + [(1, v, 1) for v in range(9901)])
+
+
+def cycle_graph(n):
+    return GeneralGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 class TestCliBenchAndOracle:
     def test_bench_writes_csv(self, runner, tmp_path):
         out = str(tmp_path / "bench.csv")
@@ -1236,3 +1260,28 @@ class TestCliBenchAndOracle:
         path = write(tmp_path / "big.sm", big)
         result = runner.invoke(cli_main, ["oracle", path])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("name, instance, message", [
+        ("big.sm", just_past_the_assignment_limit(), "search space 1000001 exceeds limit 1000000"),
+        ("big.cov", cycle_graph(22), "2^22 subsets exceed limit 2097152"),
+    ])
+    def test_oracle_exits_1_just_past_its_limit(self, runner, tmp_path, name, instance, message):
+        path = write(tmp_path / name, emit_instance(instance))
+        result = runner.invoke(cli_main, ["oracle", path])
+        assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+
+
+class TestOracleLimits:
+    def test_assignment_sweep_runs_at_its_limit_and_refuses_one_past(self):
+        at_limit = BipartiteInstance(6, 10, [(u, v, 1) for u in range(6) for v in range(10)])
+        assert ASSIGNMENT_LIMIT == 10**6 == assignment_search_space(at_limit)
+        assert brute_force_semi_matching(at_limit)[0] == 6
+        with pytest.raises(ValueError, match="^search space 1000001 exceeds limit 1000000$"):
+            brute_force_semi_matching(just_past_the_assignment_limit())
+
+    def test_subset_walk_refuses_one_edge_past_its_limit(self):
+        # 21 edges would walk all 2^21 subsets; 22 are refused before
+        # any is visited.
+        assert SUBSET_LIMIT == 1 << 21
+        with pytest.raises(ValueError, match="^2\\^22 subsets exceed limit 2097152$"):
+            brute_force_balanced_cover(22, cycle_graph(22).edges)

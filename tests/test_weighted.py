@@ -102,7 +102,6 @@ class TestValleyComputation:
         state.slots[0] = [2, 0, 1]
         state.slot_weights[0] = [9, 6, 4]
         state.job_slot = [(0, 2), (0, 3), (0, 1), None, None]
-        state.total_potential = 0
         state.shift[0] = [0, 5, 7, 0]
         valleys = search_valleys(state)
         assert valleys[(0, 0)] == 1  # w=6 beats the first rise of 5
@@ -208,7 +207,7 @@ class TestPhaseInvariants:
 
     def test_slot_above_the_frame_fails_in_its_phase(self):
         # An update that raises a finalized slot's potential instead of
-        # lowering it puts the slot above total_potential, which the
+        # lowering it puts the slot above the common potential, which the
         # search's weight stop relies on never happening: the first phase
         # that finalizes a slot short of its bound fails, on that check.
         inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
@@ -244,6 +243,33 @@ class TestPhaseInvariants:
         with pytest.raises(AssertionError, match="floor above its valley"):
             check_invariants(state)
 
+    @staticmethod
+    def assert_each_matched_job_dual_is_checked(step, message):
+        """After every phase, moving any one matched job's ``_raw_job`` by
+        ``step`` fails ``check_invariants`` with ``message``."""
+        inst = gen_random(random.Random(3), 12, 3, edge_prob=1.0, max_weight=20)
+        state = EktState(inst)
+        for _ in range(inst.num_jobs):
+            run = GroupedDijkstra(state).run()
+            update_potentials(state, run)
+            augment(state, run)
+            for u in state.order[: state.iteration]:
+                state._raw_job[u] += step
+                with pytest.raises(AssertionError, match=message):
+                    check_invariants(state)
+                state._raw_job[u] -= step
+            check_invariants(state)
+
+    def test_raised_job_dual_fails_on_its_reduced_cost(self):
+        # One more on a matched job's offset prices its own matching edge
+        # at reduced cost -1.
+        self.assert_each_matched_job_dual_is_checked(1, "negative reduced cost -1 on job")
+
+    def test_lowered_job_dual_fails_on_its_matching_edge(self):
+        # One less keeps every reduced cost non-negative, but the job's
+        # matching edge is no longer tight.
+        self.assert_each_matched_job_dual_is_checked(-1, "matching edge .* not tight")
+
     def test_missing_free_slot_shift_fails_in_its_phase(self):
         # An augment that grows a machine's prefix without giving its next
         # free slot a shift fails the very first phase.
@@ -252,7 +278,7 @@ class TestPhaseInvariants:
         def augment_without_trailing_zero(state, run):
             v = run.terminal[0]
             augment(state, run)
-            if len(state.shift[v]) > state.alpha(v):
+            if len(state.shift[v]) > len(state.slots[v]):
                 state.shift[v].pop()
 
         assert self.first_failing_phase(inst, update_potentials, augment_without_trailing_zero) == 1
@@ -514,9 +540,8 @@ def assert_stop_keeps_lines_up_to_the_bound(inst):
     state = EktState(inst)
     for _ in range(inst.num_jobs):
         run = GroupedDijkstra(state, check=True).run()
-        total = state.total_potential
         for u, d in run.dist_job.items():
-            b = d + state.job_potential(u) - total
+            b = d - state._raw_job[u]
             for v, w, _e in state.pairs[u]:
                 valley = min(b + i * w - s for i, s in enumerate(state.shift[v], start=1))
                 if valley <= run.bound:
@@ -624,8 +649,9 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("family", ["all-equal", "mostly-zero", "near-2^31", "chain"])
     @pytest.mark.parametrize("seed", range(8))
     def test_ties_zeros_and_huge_weights_vs_baseline(self, family, seed):
-        # Every unreached node shares the potential total_potential; equal
-        # and zero weights make many reduced distances tie, weights near
+        # Every unreached node shares one potential, the sum of the phase
+        # bounds, which the solver keeps only as zero offsets; equal and
+        # zero weights make many reduced distances tie, weights near
         # 2^31 - 1 push potentials far from zero, and chains make every
         # phase re-route all the jobs matched before it.
         rng = random.Random(7000 + seed)
