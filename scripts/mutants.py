@@ -104,6 +104,17 @@ MUTANTS = (
     # Ordered job columns ranged by their ends.
     Mutant("src/semimatch/core.py", "(jobs[0], jobs[-1]) if ordered", "(0, 0) if ordered",
            ("tests/test_core.py::TestInstanceValidation::test_ordered_columns_are_ranged_by_their_ends",)),
+    # The cover route of the bulk reader: ascending pairs, no repeated
+    # pair, one spelling per id, and a last line with its newline.
+    Mutant("src/semimatch/formats.py", " or width == 2 and not all(map(lt, firsts, seconds))", "",
+           ("tests/test_toolkit.py::TestCoverBulkPass",)),
+    Mutant("src/semimatch/formats.py", "return (firsts, seconds, weights) if ok else None",
+           "return firsts, seconds, weights",
+           ("tests/test_toolkit.py::TestCoverBulkPass",)),
+    Mutant("src/semimatch/formats.py", 'token.isdigit() and token[0] != "0" and', "token.isdigit() and",
+           ("tests/test_toolkit.py::TestCoverBulkPass",)),
+    Mutant("src/semimatch/formats.py", 'pieces[0] != "e" or chunk[-1] != "\\n" or', 'pieces[0] != "e" or',
+           ("tests/test_toolkit.py::TestCoverBulkPass",)),
     # A parse_assignment that counts lines from 0.
     Mutant("src/semimatch/formats.py", "enumerate(text.splitlines(), start=1)",
            "enumerate(text.splitlines(), start=0)",

@@ -9,19 +9,20 @@ Usage, from anywhere::
 ``perfbench/`` and ``src/``.  In each one a child process generates, for
 each of the four workloads, the warm-up text and the 16 pool texts, and
 hashes each of these 68 texts with SHA-256.  It parses the 16 pool texts
-of unit-zipf, weighted-uniform and weighted-skewed with
-``parse_instance``, as the benchmark does, and solves each instance with
-its workload's solver: ``solve_unweighted(instance,
-stats=CancelCounters())`` for unit-zipf and ``solve_weighted(instance,
-stats=WeightedStats())`` for the weighted ones.  It reports each
+of every workload with ``parse_instance``, as the benchmark does, and
+solves each instance with its workload's solver:
+``solve_unweighted(instance, stats=CancelCounters())`` for unit-zipf,
+``solve_weighted(instance, stats=WeightedStats())`` for the weighted ones
+and ``find_center(graph)`` for cover-sparse.  It reports each
 instance's layout (``job_machines``, ``machine_jobs``, ``job_weights``),
-the assignment and every field of the stats object.  The script names
-the first text whose hash differs, or else the first instance whose
-layout, assignment or any counter differs, between the two checkouts and
-exits 1; when all 68 texts and all 48 instances agree it says so and
-exits 0.  A change that makes generating, parsing or solving cheaper
-without changing what it generates, builds or finds, or how much search
-it does, passes this check.
+the assignment and every field of the stats object; for a graph, its
+``edges`` and ``adj``, and the cover's sorted edges and ``degrees``.
+The script names the first text whose hash differs, or else the first
+instance whose layout, assignment, cover or any counter differs, between
+the two checkouts and exits 1; when all 68 texts and all 64 instances
+agree it says so and exits 0.  A change that makes generating, parsing
+or solving cheaper without changing what it generates, builds or finds,
+or how much search it does, passes this check.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ WORKLOADS = ("unit-zipf", "weighted-uniform", "weighted-skewed", "cover-sparse")
 CHILD = """
 import dataclasses, hashlib, json, sys
 sys.path[:0] = ["src", "perfbench"]
+from semimatch.cover import find_center
 from semimatch.formats import parse_instance
 from semimatch.unweighted import CancelCounters, solve_unweighted
 from semimatch.weighted import WeightedStats, solve_weighted
@@ -51,9 +53,12 @@ for name in sys.argv[1:]:
     for i in range(POOL_SIZE):
         text = workload.text(i)
         print(json.dumps(["text", name, f"pool text {i}", digest(text)]))
-        if workload.kind == "cover":
-            continue
         instance = parse_instance(text)
+        if workload.kind == "cover":
+            cover = find_center(instance)
+            graph = [instance.edges, instance.adj]
+            print(json.dumps(["solve", name, i, graph, sorted(cover.edges), {"degrees": cover.degrees}]))
+            continue
         layout = [instance.job_machines, instance.machine_jobs, instance.job_weights]
         stats = Stats()
         matching = solve(instance, stats=stats)
@@ -64,7 +69,8 @@ for name in sys.argv[1:]:
 
 def work(checkout: Path) -> tuple[list[list], list[list]]:
     """Each text's (workload, label, hash), and each solved pool
-    instance's (workload, index, layout, assignment, stats)."""
+    instance's (workload, index, layout, assignment or cover, stats or
+    cover degrees)."""
     out = subprocess.run(
         [sys.executable, "-c", CHILD, *WORKLOADS],
         cwd=checkout, capture_output=True, text=True, check=True,
@@ -96,7 +102,7 @@ def first_difference(parent: list[list], change: list[list]) -> str | None:
         if p_layout != c_layout:
             return f"{name} instance {i}: the parsed layouts differ"
         if p_match != c_match:
-            return f"{name} instance {i}: the assignments differ"
+            return f"{name} instance {i}: the assignments or covers differ"
         for key in p_stats.keys() | c_stats.keys():
             if p_stats.get(key) != c_stats.get(key):
                 return f"{name} instance {i}: counter {key} differs"

@@ -38,6 +38,7 @@ from .core import (
     CostOverflowError,
     InfeasibleInstanceError,
     SemiMatching,
+    _edgeless,
     cost_of_semi_matching,
 )
 from .cover import EdgeCover, GeneralGraph, find_center
@@ -65,8 +66,8 @@ def _read_instance(path: str):
         return parse_instance(text)
     except ParseError as exc:
         _fail(EXIT_MALFORMED, str(exc))
-    except InfeasibleInstanceError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
+    except InfeasibleInstanceError as exc:  # named by its id in the file, 1-based
+        _fail(EXIT_INFEASIBLE, str(_edgeless(exc.what, exc.index + 1)))
 
 
 def _write(path: Optional[str], text: str) -> None:

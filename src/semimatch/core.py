@@ -50,8 +50,13 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-def _edgeless_job(u: int) -> InfeasibleInstanceError:
-    return InfeasibleInstanceError(f"job {u} has no incident edges; no assignment exists")
+def _edgeless(what: str, index: int) -> InfeasibleInstanceError:
+    """The error for ``what`` (``"job"`` or ``"vertex"``) ``index``, which
+    has no edge.  It keeps both, so that a caller can name the id anew."""
+    goal = "assignment" if what == "job" else "edge cover"
+    exc = InfeasibleInstanceError(f"{what} {index} has no incident edges; no {goal} exists")
+    exc.what, exc.index = what, index
+    return exc
 
 
 def _columns_ok(num_jobs: int, num_machines: int, jobs, machines, weights, ranged=False) -> bool:
@@ -185,12 +190,12 @@ class BipartiteInstance:
         read off ``job_machines`` in one pass, so it lists jobs in job order."""
         if num_jobs > len(jobs):
             hit = set(jobs)
-            raise _edgeless_job(next(u for u in count() if u not in hit))
+            raise _edgeless("job", next(u for u in count() if u not in hit))
         job_machines: list[list[int]] = [[] for _ in range(num_jobs)]
         for u, v in zip(jobs, machines):
             job_machines[u].append(v)
         if not all(job_machines):
-            raise _edgeless_job(job_machines.index([]))
+            raise _edgeless("job", job_machines.index([]))
         if weights is None or weights.count(1) == len(weights):
             self.job_weights = None
         else:

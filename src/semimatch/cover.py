@@ -28,7 +28,7 @@ from itertools import count
 from operator import index
 from typing import Iterable, Optional, Sequence
 
-from .core import BipartiteInstance, InfeasibleInstanceError, _integer
+from .core import BipartiteInstance, _edgeless, _integer
 from .unweighted import solve_unweighted
 
 
@@ -121,9 +121,8 @@ class EdgeCover:
                 raise ValueError(f"bad edge ({a}, {b})")
             deg[a] += 1
             deg[b] += 1
-        for v, d in enumerate(deg):
-            if d == 0:
-                raise ValueError(f"vertex {v} is uncovered")
+        if 0 in deg:
+            raise ValueError(f"vertex {deg.index(0)} is uncovered")
         self.num_vertices = num_vertices
         self.edges = canon
         self.degrees = tuple(deg)
@@ -276,14 +275,11 @@ def minimum_edge_cover(graph: GeneralGraph) -> EdgeCover:
     """Minimum cardinality edge cover: a maximum matching, then one edge
     per vertex the matching left exposed.
 
-    Raises :class:`InfeasibleInstanceError` when some vertex is isolated
-    (no cover can exist).
+    Raises :class:`~semimatch.core.InfeasibleInstanceError` when some
+    vertex is isolated (no cover can exist).
     """
-    for v in range(graph.num_vertices):
-        if not graph.adj[v]:
-            raise InfeasibleInstanceError(
-                f"vertex {v} has no incident edges; no edge cover exists"
-            )
+    if not all(graph.adj):
+        raise _edgeless("vertex", graph.adj.index(()))
     mate = _blossom_mate(graph)
     edges = {(u, v) for u, v in enumerate(mate) if v != -1 and u < v}
     for u, partner in enumerate(mate):

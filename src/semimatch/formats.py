@@ -30,20 +30,21 @@ Emission is canonical — edges sorted, no comments — so
 
 The header, the first line that is neither blank nor a comment, is
 found one line at a time; the body after it is read in slices of about
-16 KiB, each cut after a newline.  A ``semimatch`` body is read whole
-by one of two routes.  The bulk route takes bodies in a strict subset
-of the language, which holds every body :func:`emit_instance` writes:
-every line is exactly ``e <job> <machine> <weight>\n`` with single
-spaces, ids ``[1-9][0-9]*`` and weights ``0|[1-9][0-9]*``, so ``int()``
-reads what the line loop reads and each id has one spelling.  A slice
-is split once on single spaces, and the pieces prove that it is such
-lines (:func:`_read_bulk`); ids decode through one table per side, so
-each is proven in range as it decodes.  The columns are kept if the
-body has the declared number of edges and no pair repeats, the test
-that :class:`~semimatch.core.BipartiteInstance` also runs.  Any other
-body, and every ``cover`` body, is read by the line loop, one slice at
-a time and with ``semimatch`` ids through the same tables; it names the
-first bad line.
+16 KiB, each cut after a newline.  A body is read whole by one of two
+routes.  The bulk route takes bodies in a strict subset of the
+language, which holds every body :func:`emit_instance` writes: every
+line is exactly ``e <job> <machine> <weight>\n``, or ``e <u> <v>\n``
+with u < v, with single spaces, ids ``[1-9][0-9]*`` and weights
+``0|[1-9][0-9]*``, so ``int()`` reads what the line loop reads and each
+id has one spelling.  A slice is split once on single spaces, and the
+pieces prove that it is such lines (:func:`_read_bulk`); ids decode
+through one table per side, or one for both vertex columns, so each is
+proven in range as it decodes.  The columns are kept if the body has
+the declared number of edges and no pair repeats, the test that
+:class:`~semimatch.core.BipartiteInstance` also runs.  Any other body,
+and a ``cover`` body with more than twice as many vertices as edges,
+is read by the line loop, one slice at a time and with ``semimatch``
+ids through the same tables; it names the first bad line.
 
 Solution text is read in one loop over its lines.  The two ids of an
 ``a`` record convert in one ``try``; only when that fails are they
@@ -54,11 +55,10 @@ from __future__ import annotations
 
 import re
 from itertools import chain, count, repeat
+from operator import lt
 from typing import Iterable, Sequence, Union
 
-from .core import (
-    MAX_WEIGHT, BipartiteInstance, InfeasibleInstanceError, SemiMatchError, _columns_ok
-)
+from .core import MAX_WEIGHT, BipartiteInstance, SemiMatchError, _columns_ok, _edgeless
 from .cover import GeneralGraph
 
 __all__ = [
@@ -147,37 +147,53 @@ class _Ids(dict):
         raise KeyError(token)
 
 
-def _read_bulk(text: str, start: int, counts: list[int], job_ids: _Ids, machine_ids: _Ids):
-    """The columns ``(jobs, machines, weights)`` of the ``semimatch`` body
-    ``text[start:]``, ``weights`` cut after the last weight that is not
-    1; or ``None`` as soon as a slice is outside the bulk subset or
-    passes the declared edge count, and when the body has fewer edges
-    or repeats a pair.  Split on spaces, ``n`` lines ``e J M W\n`` give
-    ``"e"``, then J, M and a tail ``"W\ne"`` per line (``"W\n"`` last);
-    and ``3n + 1`` such pieces, with ids the tables decode, join back
-    into exactly such lines."""
-    num_jobs, num_machines, num_edges = counts
-    jobs, machines, weights = [], [], []
+def _read_bulk(text: str, start: int, counts: list[int], first_ids: _Ids, second_ids: _Ids):
+    """The columns ``(firsts, seconds, weights)`` of the body ``text[start:]``
+    under the header ``counts``: jobs, machines and weights cut after the
+    last that is not 1, or a cover body's lower and higher vertex ids and
+    no weights.  ``None`` as soon as a slice is outside the bulk subset
+    or passes the declared edge count, and when the body has fewer edges,
+    repeats a pair or has a cover line ``e A B`` with A >= B.  Split on
+    spaces, ``n`` lines ``e J M W\n`` give ``"e"``, then J, M and a tail
+    ``"W\ne"`` per line (``"W\n"`` last), and lines ``e A B\n`` give
+    ``"e"``, then A and a tail ``"B\ne"``.  Such pieces, with ids the
+    tables decode, join back into exactly such lines: a cover slice's
+    tails, joined by spaces, are ids and ``"\ne "`` seams up to its last
+    newline."""
+    *sides, num_edges = counts  # jobs and machines, or the vertices
+    width = len(counts)  # the fields of an edge line
+    firsts, seconds, weights = [], [], []
     for chunk in _slices(text, start):
         pieces = chunk.split(" ")
-        lines, odd = divmod(len(pieces) - 1, 3)
-        if odd or pieces[0] != "e" or not 0 < lines <= num_edges - len(jobs):
+        lines, odd = divmod(len(pieces) - 1, width)
+        if odd or pieces[0] != "e" or chunk[-1] != "\n" or not 0 < lines <= num_edges - len(firsts):
             return None
-        tails = pieces[3::3]
+        tails = pieces[width::width]
         try:
-            if tails.count("1\ne") != lines - 1 or tails[-1] != "1\n":
+            if width == 2:
+                tails = " ".join(tails)[:-1].split("\ne ")
+            elif tails.count("1\ne") != lines - 1 or tails[-1] != "1\n":
                 tails = " ".join(tails)
                 if _WEIGHT_TAILS.fullmatch(tails) is None:
                     return None
-                weights += chain(repeat(1, len(jobs) - len(weights)), map(int, tails.split("\ne ")))
-            jobs += map(job_ids.__getitem__, pieces[1::3])
-            machines += map(machine_ids.__getitem__, pieces[2::3])
+                weights += chain(repeat(1, len(firsts) - len(weights)), map(int, tails.split("\ne ")))
+            firsts += map(first_ids.__getitem__, pieces[1::width])
+            seconds += map(second_ids.__getitem__, tails if width == 2 else pieces[2::3])
         except (KeyError, ValueError):  # an id off its table, a weight past int()'s digit limit
             return None
-    if len(jobs) < num_edges:
+    if len(firsts) < num_edges or width == 2 and not all(map(lt, firsts, seconds)):
         return None
-    ok = _columns_ok(num_jobs, num_machines, jobs, machines, weights, ranged=True)
-    return (jobs, machines, weights) if ok else None
+    ok = _columns_ok(sides[0], sides[-1], firsts, seconds, weights, ranged=True)
+    return (firsts, seconds, weights) if ok else None
+
+
+def _graph(num_vertices: int, edges: Sequence[tuple[int, int]]) -> GeneralGraph:
+    """The graph of checked ``(lo, hi)`` edges, unless a vertex is isolated."""
+    graph = GeneralGraph.__new__(GeneralGraph)
+    graph._build(num_vertices, edges)
+    if all(graph.adj):
+        return graph
+    raise _edgeless("vertex", graph.adj.index(()))
 
 
 def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
@@ -185,11 +201,11 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
 
     The header's kind decides the result: ``p semimatch`` gives a
     :class:`BipartiteInstance`, ``p cover`` a :class:`GeneralGraph`.
-    A ``semimatch`` body in the bulk subset is converted whole, any
-    other body line by line (see the module docstring).  An isolated
-    cover vertex raises :class:`InfeasibleInstanceError`, before
-    anything is allocated per vertex when there are more than twice as
-    many vertices as edges.
+    A body in the bulk subset is converted whole, any other body line
+    by line (see the module docstring).  An isolated cover vertex raises
+    :class:`~semimatch.core.InfeasibleInstanceError`, before anything is
+    allocated per vertex when there are more than twice as many vertices
+    as edges.
     """
     # The header is found one line at a time, so that only the lines up
     # to it are split.
@@ -216,10 +232,10 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
     if any(c < 0 for c in counts):
         raise MalformedHeaderError(header_line, "header counts must be non-negative")
 
+    # No more ids than body lines (8 characters at least, 6 for a cover
+    # edge), so that a huge header over a small body allocates little.
     if kind == "semimatch":
         num_jobs, num_machines, num_edges = counts
-        # No more ids than body lines (8 characters at least), so that a
-        # huge header over a small body allocates little.
         top = min(max(num_jobs, num_machines), (len(text) - start) // 8)
         names = list(map(str, range(1, top + 1)))
         job_ids, machine_ids = _Ids(names, num_jobs), _Ids(names, num_machines)
@@ -231,6 +247,15 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
             return instance
     else:
         num_vertices, num_edges = counts
+        # With more than two vertices per edge some vertex is isolated,
+        # and the line route names it without building the graph.
+        if num_vertices <= 2 * num_edges:
+            top = min(num_vertices, (len(text) - start) // 6)
+            ids = _Ids(list(map(str, range(1, top + 1))), num_vertices)
+            columns = _read_bulk(text, start, counts, ids, ids)
+            if columns is not None:
+                del ids
+                return _graph(num_vertices, tuple(zip(columns[0], columns[1])))
 
     # The line route.  Each line's fields convert in one try, ids through
     # the tables, which prove their range; off them, ids convert with
@@ -311,18 +336,10 @@ def parse_instance(text: str) -> Union[BipartiteInstance, GeneralGraph]:
         instance = BipartiteInstance.__new__(BipartiteInstance)
         instance._build(num_jobs, num_machines, jobs, machines, weights)
         return instance
-    # With more than two vertices per edge some vertex is isolated:
-    # name it without building the graph's per-vertex lists.
     if num_vertices <= 2 * len(edges):
-        graph = GeneralGraph.__new__(GeneralGraph)
-        graph._build(num_vertices, edges)
-        if all(graph.adj):
-            return graph
+        return _graph(num_vertices, edges)
     hit = set(chain.from_iterable(edges))
-    isolated = next(v for v in count() if v not in hit)
-    raise InfeasibleInstanceError(
-        f"vertex {isolated} has no incident edges; no edge cover exists"
-    )
+    raise _edgeless("vertex", next(v for v in count() if v not in hit))
 
 
 def emit_instance(

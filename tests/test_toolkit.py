@@ -566,6 +566,26 @@ def near_canonical(base, how):
     return newline.join(lines)
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Every call of the bulk reader: the offset of the body it was given
+    and the columns it returned (``None``: the body was read line by line)."""
+    calls = []
+
+    def spy(text, start, *args):
+        calls.append((start, read_bulk(text, start, *args)))
+        return calls[-1][1]
+
+    read_bulk = formats._read_bulk
+    monkeypatch.setattr(formats, "_read_bulk", spy)
+    return calls
+
+
+def routes(reads):
+    """For each read, whether it converted the body."""
+    return [columns is not None for _start, columns in reads]
+
+
 class TestBulkPass:
     """A ``semimatch`` body in the bulk subset is converted whole; any
     other body, and one with an error, is read line by line, and the
@@ -576,26 +596,6 @@ class TestBulkPass:
         text = emit_instance(gen_random(random.Random(5), 1000, 60, num_edges=8000, max_weight=9))
         assert text.count("\n") > 7001
         return text
-
-    @pytest.fixture
-    def reads(self, monkeypatch):
-        """Every call of the bulk reader: the offset of the body it was
-        given and the columns it returned (``None``: the body was read
-        line by line)."""
-        calls = []
-
-        def spy(text, start, *args):
-            calls.append((start, read_bulk(text, start, *args)))
-            return calls[-1][1]
-
-        read_bulk = formats._read_bulk
-        monkeypatch.setattr(formats, "_read_bulk", spy)
-        return calls
-
-    @staticmethod
-    def routes(reads):
-        """For each read, whether it converted the body."""
-        return [columns is not None for _start, columns in reads]
 
     @pytest.fixture(scope="class")
     def large(self):
@@ -668,7 +668,7 @@ class TestBulkPass:
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome[0] == "semimatch" and outcome[4][0][1][-1] == 19999
-        assert self.routes(reads) == [True]
+        assert routes(reads) == [True]
 
     @pytest.mark.parametrize("spelling", ["019500", "+19500", "\u0661\u0669\u0665\u0660\u0660"])
     def test_other_spellings_above_the_table_are_read_by_lines(self, reads, spelling):
@@ -677,7 +677,7 @@ class TestBulkPass:
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome == parse_outcome(parse_instance_by_records, self.above_the_table())
-        assert self.routes(reads) == [False]
+        assert routes(reads) == [False]
 
     @pytest.mark.parametrize("side", ["job", "machine"])
     def test_each_side_has_its_own_id_table(self, reads, side):
@@ -695,7 +695,7 @@ class TestBulkPass:
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome[0] is IdOutOfRangeError and f"{side} id 4 out of range [1, 3]" in outcome[2]
-        assert self.routes(reads) == [False]
+        assert routes(reads) == [False]
 
     @pytest.mark.parametrize(
         "how, falls_back",
@@ -768,7 +768,7 @@ class TestBulkPass:
         if how == "5000-digit edge count":
             assert reads == []
         else:
-            assert self.routes(reads) == [not falls_back]
+            assert routes(reads) == [not falls_back]
 
     def test_a_repeat_across_a_slice_boundary_is_named(self, base, reads):
         # The first line of the second slice repeats the last of the
@@ -780,7 +780,7 @@ class TestBulkPass:
         outcome = parse_outcome(parse_instance, text)
         assert outcome == parse_outcome(parse_instance_by_records, text)
         assert outcome[0] is ParseError and "duplicate edge" in outcome[2]
-        assert self.routes(reads) == [False]
+        assert routes(reads) == [False]
 
     @pytest.mark.parametrize("seed", range(16))
     def test_shuffled_canonical_bodies_match_the_referee(self, base, reads, seed):
@@ -800,7 +800,7 @@ class TestBulkPass:
         # Out of order, the body still converts in bulk, unless a copy
         # repeats an edge, which the line loop then names.
         assert seed % 2 or outcome[0] == "semimatch"
-        assert self.routes(reads) == [outcome[0] == "semimatch"]
+        assert routes(reads) == [outcome[0] == "semimatch"]
 
     def test_a_shuffled_body_converts_in_bulk(self, large, reads):
         header, *body = emit_instance(large).splitlines(keepends=True)
@@ -808,7 +808,7 @@ class TestBulkPass:
         text = header + "".join(body)
         got = parse_instance(text)
         assert layout(got) == layout(parse_instance_by_records(text))
-        assert self.routes(reads) == [True]
+        assert routes(reads) == [True]
 
     def test_expressions_compile_on_python_3_10(self):
         # Possessive repeats and atomic groups arrived in Python 3.11's re.
@@ -833,20 +833,18 @@ class TestBulkPass:
         again = parse_instance(text)
         assert layout(again) == layout(inst)
         assert emit_instance(again, comments=[f"seed {seed}"]) == text
-        assert self.routes(reads) == [True]
+        assert routes(reads) == [True]
 
     def test_every_pool_text_converts_in_bulk(self, reads, pool_workloads):
         checked = 0
         for workload in pool_workloads.WORKLOADS.values():
-            if workload.kind == "cover":
-                continue
             for index in range(pool_workloads.POOL_SIZE):
                 text = workload.text(index)
                 reads.clear()
                 assert emit_instance(parse_instance(text)) == text
-                assert self.routes(reads) == [True]
+                assert routes(reads) == [True]
                 checked += 1
-        assert checked == 3 * pool_workloads.POOL_SIZE == 48
+        assert checked == 4 * pool_workloads.POOL_SIZE == 64
 
     @pytest.mark.parametrize("max_weight", [1, 9])
     def test_gen_output_converts_in_bulk(self, reads, max_weight):
@@ -858,6 +856,164 @@ class TestBulkPass:
         inst = parse_instance(result.output)
         [(_start, (jobs, _machines, _weights))] = reads
         assert len(jobs) == inst.num_edges and len(result.output) > 2 * formats._CHUNK
+
+
+
+def near_canonical_cover(base, how):
+    """``base``, canonical cover text of more than 3000 lines, with the
+    change ``how`` names.  A change to one body line is made on line
+    3001, past the bulk pass's first slice."""
+    lines = base.split("\n")
+    newline = "\n"
+    _tag, a, b = lines[3000].split(" ")
+    edits = {
+        "reversed": f"e {b} {a}",
+        "self-loop": f"e {a} {a}",
+        "duplicate": lines[2999],
+        "duplicate of an earlier slice": lines[1],
+        "leading zero": f"e 0{a} {b}",
+        "leading zero, second id": f"e {a} 0{b}",
+        "plus sign": f"e +{a} {b}",
+        "tab": f"e\t{a} {b}",
+        "double space": f"e {a}  {b}",
+        "comment mid-body": f"c mid-body\n{lines[3000]}",
+        "extra line": f"{lines[3000]}\n{lines[3000]}",
+        # Past the vertex count, which the table's miss does not pass.
+        "id above the table": f"e {a} 1000000",
+        "trailing space": f"e {a} {b} ",
+        "CRLF line": f"e {a} {b}\r",
+    }
+    if how in edits:
+        lines[3000] = edits[how]
+    elif how.startswith(("edges ", "vertices ")):  # "<count> <delta>"
+        what, delta = how.split(" ")
+        header = lines[0].split(" ")
+        k = 2 if what == "vertices" else 3
+        header[k] = str(int(header[k]) + int(delta))
+        lines[0] = " ".join(header)
+    elif how == "no trailing newline":
+        lines.pop()
+    elif how == "CRLF":
+        newline = "\r\n"
+    elif how == "shuffled":  # still ascending within each pair
+        body = lines[1:-1]
+        random.Random(1).shuffle(body)
+        lines[1:-1] = body
+    else:
+        raise ValueError(how)
+    return newline.join(lines)
+
+
+class TestCoverBulkPass:
+    """A ``cover`` body in the bulk subset is converted whole, as a
+    ``semimatch`` body is; any other body is read line by line, and the
+    outcome is exactly the referee's."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        text = emit_instance(GeneralGraph(*gen_random_graph(random.Random(5), 2500, 0.002)))
+        assert text.count("\n") > 3001 and len(text) > 4 * formats._CHUNK
+        return text
+
+    def test_canonical_text_of_several_slices_converts_in_bulk(self, base, reads):
+        outcome = parse_outcome(parse_instance, base)
+        assert outcome == parse_outcome(parse_instance_by_records, base)
+        [(start, (los, his, weights))] = reads
+        assert start == base.index("\n") + 1 and weights == []
+        assert len(los) == len(his) == len(outcome[2]) == base.count("\n") - 1
+
+    def test_a_pool_size_graph_converts_in_bulk(self, reads):
+        text = emit_instance(GeneralGraph(*gen_random_graph(random.Random(9), 2000, 0.001)))
+        assert parse_outcome(parse_instance, text) == parse_outcome(parse_instance_by_records, text)
+        assert routes(reads) == [True]
+
+    @pytest.mark.parametrize(
+        "how, falls_back",
+        [
+            ("reversed", True),
+            ("self-loop", True),
+            ("duplicate", True),
+            ("duplicate of an earlier slice", True),
+            ("leading zero", True),
+            ("leading zero, second id", True),
+            ("plus sign", True),
+            ("tab", True),
+            ("double space", True),
+            ("CRLF", True),
+            ("CRLF line", True),
+            ("comment mid-body", True),
+            ("extra line", True),
+            ("edges -1", True),
+            ("edges +1", True),
+            ("id above the table", True),
+            ("trailing space", True),
+            ("no trailing newline", True),
+            # Out of order, but each pair ascending: a key set rules out repeats.
+            ("shuffled", False),
+            # An isolated last vertex, found once the graph is built.
+            ("vertices +1", False),
+        ],
+    )
+    def test_near_canonical_text(self, base, reads, how, falls_back):
+        text = near_canonical_cover(base, how)
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert routes(reads) == [not falls_back]
+
+    def test_a_last_line_without_its_newline_is_read_by_lines(self, reads):
+        # Read as if it had one, the last line would lose its last digit
+        # and still be a new edge, (2, 10).
+        text = "p cover 100 99\n" + "".join(f"e 1 {v}\n" for v in range(3, 101)) + "e 2 100"
+        outcome = parse_outcome(parse_instance, text)
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert outcome[0] == "cover" and outcome[2][-1] == (1, 99)
+        assert routes(reads) == [False]
+
+    @pytest.mark.parametrize("lonely", [0, 1234, 2499])
+    def test_an_isolated_vertex_after_a_bulk_read_is_named_like_minimum_edge_cover(
+        self, base, reads, lonely
+    ):
+        graph = parse_instance(base)
+        edges = [e for e in graph.edges if lonely not in e]
+        lonely_graph = GeneralGraph(graph.num_vertices, edges)
+        with pytest.raises(InfeasibleInstanceError) as covered:
+            minimum_edge_cover(lonely_graph)
+        reads.clear()
+        with pytest.raises(InfeasibleInstanceError) as parsed:
+            parse_instance(emit_instance(lonely_graph))
+        assert str(parsed.value) == str(covered.value)
+        assert str(parsed.value).startswith(f"vertex {lonely} has no incident edges")
+        assert routes(reads) == [True]
+
+    @pytest.mark.parametrize(
+        "text, route",
+        [
+            # More than two vertices per edge: no bulk read, no graph.
+            ("p cover 1000000 0\n", []),
+            # A body far shorter than the header's counts: the id table
+            # is bounded by the body's length, and the edge count fails.
+            ("p cover 100000000 50000000\ne 1 2\n", [False]),
+        ],
+    )
+    def test_a_huge_header_allocates_nothing_per_vertex(self, reads, text, route):
+        tracemalloc.start()
+        try:
+            outcome = parse_outcome(parse_instance, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert outcome == parse_outcome(parse_instance_by_records, text)
+        assert routes(reads) == route
+
+    def test_gen_output_converts_in_bulk(self, reads):
+        result = CliRunner().invoke(cli_main, [
+            "gen", "--kind", "cover", "--vertices", "3000", "--edge-prob", "0.002", "--seed", "1",
+        ])
+        assert result.exit_code == 0 and result.output.startswith("c seed 1\n")
+        graph = parse_instance(result.output)
+        [(_start, (los, _his, _weights))] = reads
+        assert len(los) == graph.num_edges and len(result.output) > 2 * formats._CHUNK
 
 
 class TestBench:
@@ -979,7 +1135,22 @@ class TestCliSolve:
         path = write(tmp_path / "big.cov", "p cover 1000000 0\n")
         result = runner.invoke(cli_main, ["solve", path])
         assert result.exit_code == 3
-        assert "vertex 0 has no incident edges" in result.output
+        assert "vertex 1 has no incident edges" in result.output
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("p semimatch 2 1 1\ne 1 1 1\n", "job 2 has no incident edges; no assignment exists"),
+            ("p cover 3 1\ne 1 2\n", "vertex 3 has no incident edges; no edge cover exists"),
+            ("p cover 4 2\ne 1 2\ne 2 3\n", "vertex 4 has no incident edges; no edge cover exists"),
+        ],
+    )
+    def test_an_infeasible_file_names_its_own_id(self, runner, tmp_path, text, named):
+        # The library names ids from 0; the message names the file's id.
+        path = write(tmp_path / "inf.txt", text)
+        result = runner.invoke(cli_main, ["solve", path])
+        assert result.exit_code == 3
+        assert result.output == f"error: {named}\n"
 
     def test_baseline_solver_agrees(self, runner, tmp_path):
         text = emit_instance(
